@@ -57,7 +57,8 @@ bench:
 # The paper-figure and dispatch micro-benchmarks (EXPERIMENTS.md tables),
 # over the whole tree: the root package's paper figures plus the
 # internal/active, internal/tcpnet and internal/transport hot-path
-# benches.
+# benches and the size ladders of the location table and the heap's
+# stub rebind (BenchmarkCacheAdd/size=…, BenchmarkRebindStubs/cells=…).
 .PHONY: bench-go
 bench-go:
 	$(GO) test -run xxx -bench . -benchmem ./...
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzMigrationEnvelope -fuzztime $(FUZZTIME) ./internal/active/
 	$(GO) test -run xxx -fuzz FuzzFanOutEnvelope -fuzztime $(FUZZTIME) ./internal/active/
 	$(GO) test -run xxx -fuzz FuzzLocationEnvelope -fuzztime $(FUZZTIME) ./internal/location/
+	$(GO) test -run xxx -fuzz FuzzCacheOps -fuzztime $(FUZZTIME) ./internal/location/
 	$(GO) test -run xxx -fuzz FuzzCheckpointRecord -fuzztime $(FUZZTIME) ./internal/store/
 
 # Cluster chaos pass, exactly as the CI chaos job runs it: the

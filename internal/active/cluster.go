@@ -746,5 +746,5 @@ func (n *Node) routeCheck(dst ids.NodeID) error {
 // they are exactly what lets a late call through a dead forwarder still
 // reach the migrated activity.
 func (n *Node) purgeRebindsTo(p ids.NodeID) {
-	n.purgeLocationsTo(p)
+	n.locCache.PurgeTargets(p)
 }

@@ -1,0 +1,216 @@
+package active
+
+import (
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/ids"
+	"repro/internal/vclock"
+	"repro/internal/wire"
+)
+
+// stepClock is the real clock plus an offset the test moves. With a TTB
+// of an hour the drivers never beat by themselves; the test beats the
+// nodes by hand and moves time on between beats. While a hook is set,
+// the next Now() runs it, once: the redirect path reads the clock
+// between rebinding a stub and adding the edge the stub backs, which
+// makes the clock the gate that holds a redirect at exactly that point.
+type stepClock struct {
+	vclock.Real
+	offset atomic.Int64
+	hook   atomic.Pointer[func()]
+}
+
+func (c *stepClock) Now() time.Time {
+	if hook := c.hook.Swap(nil); hook != nil {
+		(*hook)()
+	}
+	return time.Now().Add(time.Duration(c.offset.Load()))
+}
+
+// TestConformanceRedirectRacesRelease pins the invariant "no collector
+// edge without a backing stub" (ROADMAP A(1)). A handle is released, so
+// its stub is unrooted but not yet swept, and then the redirect for the
+// activity it designates arrives. The redirect is held between the
+// rebind of that stub and the edge it adds, and a sweep is started
+// there. The sweep must not get through: if it frees the stub first, the
+// tag death that would remove the new edge fires before the edge exists,
+// and the released handle's dummy references the migrated activity for
+// ever — nothing is ever collected. With rebind and edge in one critical
+// section of the heap shard the sweep waits, takes stub and edge
+// together, and every activity of the scenario is collected.
+func TestConformanceRedirectRacesRelease(t *testing.T) {
+	for _, s := range substrates {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
+			t.Parallel()
+			clock := &stepClock{}
+			cfg := s.cfg(t)
+			cfg.TTB, cfg.TTA, cfg.Clock = time.Hour, 0, clock
+			e := NewEnv(cfg)
+			t.Cleanup(e.Close)
+			caller, src, dst := e.NewNode(), e.NewNode(), e.NewNode()
+
+			// An identity whose directory shard is not on the caller: the
+			// announcement of its migration must not be what redirects the
+			// caller, the test is.
+			var h *Handle
+			for h == nil {
+				cand, err := src.SpawnKind("counter", "test/cluster-counter")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if owner, ok := e.ring.Load().Owner(mustRef(t, cand.Ref())); ok && owner != caller.ID() {
+					h = cand
+				} else {
+					cand.Release()
+				}
+			}
+			oldID := mustRef(t, h.Ref())
+			hc, err := caller.HandleFor(h.Ref())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, errC := hc.CallSync("add", wire.Int(1), 5*time.Second); errC != nil || v.AsInt() != 1 {
+				t.Fatalf("call = %v, %v", v, errC)
+			}
+			mfut, err := h.Migrate(dst.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mfut.Wait(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			newID := src.resolveRebind(oldID)
+			if newID.Node != dst.ID() || caller.resolveRebind(oldID) != oldID {
+				t.Fatalf("after the migration: source knows %v, caller %v", newID, caller.resolveRebind(oldID))
+			}
+
+			// Release everything: the caller's stub for oldID is now
+			// unrooted, and no beat has swept it.
+			hc.Release()
+			h.Release()
+
+			swept := make(chan struct{})
+			gate := func() {
+				go func() {
+					caller.Heap().Collect()
+					close(swept)
+				}()
+				holdsFor(t, func() bool {
+					select {
+					case <-swept:
+						return false // the sweep ran between rebind and edge
+					default:
+						return true
+					}
+				}, 20*time.Millisecond)
+			}
+			clock.hook.Store(&gate)
+			caller.applyRedirect(oldID, newID)
+			if clock.hook.Load() != nil {
+				t.Fatal("the redirect found no stub to rebind: the scenario did not set up the race")
+			}
+			<-swept
+
+			// Beat by hand until the source's forwarder, the migrated
+			// activity and the released handle's dummy are all gone.
+			dummy := hc.dummy.id
+			for beat := 0; ; beat++ {
+				_, dummyAlive := caller.activity(dummy)
+				if e.LiveActivities() == 0 && !dummyAlive {
+					break
+				}
+				if beat == 50 {
+					t.Fatalf("after %d beats: %d activities alive, dummy alive: %v — an edge outlived its stub",
+						beat, e.LiveActivities(), dummyAlive)
+				}
+				clock.offset.Add(int64(time.Hour))
+				for _, n := range []*Node{caller, src, dst} {
+					n.CollectNow()
+				}
+			}
+		})
+	}
+}
+
+// TestLocationEvictionCostsOnlyAFallback: with a location table of two
+// entries per node, flooding every node with unrelated rebinds evicts all
+// knowledge of a migration. A stale handle still reaches the activity
+// while the forwarder lives (the fallback), state intact; once the
+// forwarder has collapsed and the tables have been flooded again, a
+// fresh stale reference fails with ErrUnknownActivity — the sentinel an
+// unknown target always had — and never reaches a wrong activity.
+func TestLocationEvictionCostsOnlyAFallback(t *testing.T) {
+	t.Parallel()
+	e := NewEnv(Config{TTB: 10 * time.Millisecond, TTA: 30 * time.Millisecond, LocationCacheSize: 2})
+	defer e.Close()
+	n0, n1, n2 := e.NewNode(), e.NewNode(), e.NewNode()
+	junk := uint32(0)
+	flood := func() {
+		for _, n := range []*Node{n0, n1, n2} {
+			for i := 0; i < 4; i++ {
+				junk++
+				n.addRebind(ids.ActivityID{Node: 900, Seq: junk}, ids.ActivityID{Node: 901, Seq: junk})
+			}
+		}
+	}
+
+	h, err := n1.SpawnKind("counter", "test/cluster-counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	oldRef := h.Ref()
+	oldID := mustRef(t, oldRef)
+	stale, err := n0.HandleFor(oldRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Release()
+	if v, errC := stale.CallSync("add", wire.Int(1), 5*time.Second); errC != nil || v.AsInt() != 1 {
+		t.Fatalf("call = %v, %v", v, errC)
+	}
+	mfut, err := h.Migrate(n2.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mfut.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	newID := n1.resolveRebind(oldID)
+	if newID.Node != n2.ID() {
+		t.Fatalf("source resolves %v to %v after the migration", oldID, newID)
+	}
+
+	flood()
+	if v, errC := stale.CallSync("add", wire.Int(1), 5*time.Second); errC != nil || v.AsInt() != 2 {
+		t.Fatalf("stale call with every table flooded = %v, %v; want 2 through the forwarder", v, errC)
+	}
+
+	// Every holder rebinds, the forwarder goes TTA-alone and collapses.
+	waitUntil(t, func() bool {
+		_, alive := e.activity(oldID)
+		return !alive
+	}, 10*time.Second)
+	flood()
+	fresh, err := n0.HandleFor(oldRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Release()
+	if v, errC := fresh.CallSync("add", wire.Int(1), 5*time.Second); !errors.Is(errC, ErrUnknownActivity) {
+		t.Fatalf("stale call with forwarder and tables gone = %v, %v; want ErrUnknownActivity", v, errC)
+	}
+	// The activity itself never noticed.
+	direct, err := n0.HandleFor(wire.Ref(newID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Release()
+	if v, errC := direct.CallSync("total", wire.Null(), 5*time.Second); errC != nil || v.AsInt() != 2 {
+		t.Fatalf("total under the new identity = %v, %v; want 2", v, errC)
+	}
+}

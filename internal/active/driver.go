@@ -71,13 +71,16 @@ func (n *Node) beat() {
 	// future-tag liveness: resolved entries whose last heap pin died a
 	// TTA-grace ago go; anything still owed an update stays.
 	n.futures.sweep(n.heap, n.env.cfg.Clock.Now(), n.env.cfg.TTA)
-	now := n.env.cfg.Clock.Now()
 
 	var broadcasts sync.WaitGroup
 	var byDst map[ids.NodeID][]dgcOut
 	var beatDsts map[ids.NodeID]struct{}
 	batch := n.flusher != nil
 	for _, ao := range n.snapshotActivities() {
+		// Each tick gets the time of the tick: with many activities the
+		// loop itself takes a good part of a beat, and a referencer tested
+		// against the loop's starting time would wait one period more.
+		now := n.env.cfg.Clock.Now()
 		if ao.nextBeat.After(now) {
 			continue
 		}
@@ -143,7 +146,7 @@ func (n *Node) beat() {
 	// Durable activities whose checkpoint is due get a reserved-method
 	// request: the snapshot then happens on the activity's own goroutine,
 	// between two services, without stalling the pool.
-	n.checkpointBeat(now)
+	n.checkpointBeat(n.env.cfg.Clock.Now())
 	if ag := n.env.cluster; ag != nil {
 		// The beat doubles as the failure detector's clock: advance it at
 		// most once per TTB across all local drivers.

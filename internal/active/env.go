@@ -105,8 +105,10 @@ type Config struct {
 	Adaptive core.Adaptive
 	// MinHeightTree enables the §7.2 shallow-spanning-tree extension.
 	MinHeightTree bool
-	// LocationCacheSize bounds each node's learned-location LRU cache
-	// (WIRE.md §9). Zero means location.DefaultCacheSize.
+	// LocationCacheSize bounds each node's location table (WIRE.md §9):
+	// how many moved activities a node remembers — learned, announced to
+	// its directory shard, or moved by itself — before the least recently
+	// used is forgotten. Zero means location.DefaultCacheSize.
 	LocationCacheSize int
 	// FanOutDegree is the branching factor of tree-structured group
 	// fan-out (WIRE.md §10): a group scatter whose distinct remote

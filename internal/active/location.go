@@ -1,19 +1,24 @@
 package active
 
-// Sharded location directory (WIRE.md §9). The flat per-node rebind
-// table is replaced by three tiers:
+// Sharded location directory (WIRE.md §9). Every node keeps one bounded
+// table of moved activities (location.Cache: LocationCacheSize entries,
+// least recently used evicted first, chains compressed lazily on
+// lookup), and the table plays three parts:
 //
-//   - a bounded LRU cache of *learned* locations on every node
-//     (location.Cache, path compression included) — the fast path every
-//     outgoing send consults, fed by redirect envelopes and gossip;
-//   - an *origin* table of the mappings this node created by taking
-//     part in a migration (source and destination both record it) —
-//     the ground truth that outlives forwarder collapse and directory
-//     shard loss;
-//   - a *shard* slice of the directory: every activity ID
-//     consistent-hashes to a home shard on some cluster member, and
-//     migration announcements are pushed to the owning shard, which
-//     answers location queries for it.
+//   - the cache of *learned* locations — the fast path every outgoing
+//     send consults, fed by redirect envelopes and gossip;
+//   - the node's *origin* knowledge: the mappings it created by taking
+//     part in a migration (source and destination both record it),
+//     marked so that they are re-announced — what outlives forwarder
+//     collapse and directory shard loss;
+//   - the node's *shard* of the directory: every activity ID
+//     consistent-hashes to a home shard on some cluster member,
+//     migration announcements are pushed to the owning shard, and the
+//     shard answers location queries from what it was told.
+//
+// One table means one bound: a node remembers the last LocationCacheSize
+// moves it heard of, its own included, not every move for ever. An
+// evicted entry costs the fallback below, never a wrong answer.
 //
 // The directory is soft state on top of the migration protocol's
 // forwarders: a cache miss falls back to the forwarder hop; a dead
@@ -72,21 +77,18 @@ func (e *Env) refreshRing() {
 }
 
 // announceLocation records a migration this node took part in (old →
-// new) in its origin table and pushes it to the mapping's home shard.
-// Both ends of a migration announce, so the directory survives either
-// of them dying.
+// new) as an origin entry, rebinds the node's own stale stubs, and
+// pushes the mapping to its home shard. Both ends of a migration
+// announce, so the directory survives either of them dying. The stubs
+// are rebound at once because the entry already routes this node's
+// sends past the forwarder, whose redirect would otherwise have done it.
 func (n *Node) announceLocation(old, new ids.ActivityID) {
 	if old.IsNil() || new.IsNil() || old == new {
 		return
 	}
+	n.locCache.AddOrigin(old, new)
+	n.rebindStubs(old, new)
 	n.locMu.Lock()
-	if n.locOrigin == nil {
-		n.locOrigin = make(map[ids.ActivityID]ids.ActivityID)
-	}
-	if _, seen := n.locOrigin[old]; !seen {
-		n.locOriginKeys = append(n.locOriginKeys, old)
-	}
-	storeCompressed(n.locOrigin, old, new)
 	if len(n.locRecent) < locRecentCap {
 		n.locRecent = append(n.locRecent, location.Rebind{Old: old, New: new})
 	}
@@ -94,20 +96,16 @@ func (n *Node) announceLocation(old, new ids.ActivityID) {
 	n.directoryAnnounce([]location.Rebind{{Old: old, New: new}})
 }
 
-// directoryAnnounce routes rebinds to their home shards: stored
-// directly when this node owns the shard, shipped as a TagAnnounce
-// envelope otherwise (non-urgent: it may share a batch frame with
-// whatever else is heading there).
+// directoryAnnounce routes rebinds to their home shards as TagAnnounce
+// envelopes (non-urgent: they may share a batch frame with whatever else
+// is heading there). Rebinds whose shard this node owns need no message:
+// they come from its own table.
 func (n *Node) directoryAnnounce(rebinds []location.Rebind) {
 	ring := n.env.ring.Load()
 	var byOwner map[ids.NodeID][]location.Rebind
 	for _, rb := range rebinds {
 		owner, ok := ring.Owner(rb.Old)
-		if !ok {
-			continue
-		}
-		if owner == n.id {
-			n.storeShard(rb.Old, rb.New)
+		if !ok || owner == n.id {
 			continue
 		}
 		if byOwner == nil {
@@ -122,55 +120,22 @@ func (n *Node) directoryAnnounce(rebinds []location.Rebind) {
 	}
 }
 
-// storeShard records an authoritative directory entry on this node's
-// shard slice.
-func (n *Node) storeShard(old, new ids.ActivityID) {
-	n.locMu.Lock()
-	if n.locShard == nil {
-		n.locShard = make(map[ids.ActivityID]ids.ActivityID)
-	}
-	storeCompressed(n.locShard, old, new)
-	n.locMu.Unlock()
-}
-
-// storeCompressed inserts old → new with the same two-sided path
-// compression the rebind table used: new is chased through existing
-// entries first, entries pointing at old are re-pointed, and a mapping
-// that collapses to identity is dropped.
-func storeCompressed(m map[ids.ActivityID]ids.ActivityID, old, new ids.ActivityID) {
-	new = resolveChain(m, new)
-	if old == new {
-		delete(m, old)
-		return
-	}
-	m[old] = new
-	for k, v := range m {
-		if v == old {
-			m[k] = new
-		}
-	}
-}
-
-// handleLocAnnounce applies an inbound TagAnnounce: entries whose shard
-// this node owns go into the shard slice; every entry doubles as a
-// redirect (gossip), rebinding local stale stubs and feeding the cache.
+// handleLocAnnounce applies an inbound TagAnnounce — an announcement to
+// this node's shard or gossip, the two are handled alike: every entry is
+// a redirect, rebinding local stale stubs and entering the table that
+// answers both this node's sends and location queries.
 func (n *Node) handleLocAnnounce(payload []byte) {
 	rebinds, err := location.DecodeAnnounce(payload)
 	if err != nil {
 		return
 	}
-	ring := n.env.ring.Load()
 	for _, rb := range rebinds {
-		if owner, ok := ring.Owner(rb.Old); ok && owner == n.id {
-			n.storeShard(rb.Old, rb.New)
-		}
 		n.applyRedirect(rb.Old, rb.New)
 	}
 }
 
 // handleLocQuery answers a TagQuery exchange from this node's
-// authority: hosted activities (live or forwarding), the shard slice,
-// the origin table, then the learned cache as a last resort.
+// authority: hosted activities (live or forwarding), then its table.
 func (n *Node) handleLocQuery(payload []byte) []byte {
 	id, err := location.DecodeQuery(payload)
 	if err != nil {
@@ -190,18 +155,6 @@ func (n *Node) resolveLocation(id ids.ActivityID) (ids.ActivityID, bool) {
 		}
 		return id, true
 	}
-	n.locMu.Lock()
-	if new, ok := n.locShard[id]; ok {
-		new = resolveChain(n.locShard, new)
-		n.locMu.Unlock()
-		return new, true
-	}
-	if new, ok := n.locOrigin[id]; ok {
-		new = resolveChain(n.locOrigin, new)
-		n.locMu.Unlock()
-		return new, true
-	}
-	n.locMu.Unlock()
 	if new := n.resolveRebind(id); new != id {
 		return new, true
 	}
@@ -262,24 +215,15 @@ func (n *Node) tryDirectoryRelay(req request, failErr error, decode func() (wire
 
 // locationBeat runs the directory's per-beat work: gossip fresh
 // rebinds to a few nodes this beat already exchanged traffic with, and
-// re-announce a rotating slice of the origin table to the current
+// re-announce a rotating slice of the origin entries to the current
 // shard owners (which repopulates a shard within a handful of beats of
 // its previous owner dying).
 func (n *Node) locationBeat(beatDsts map[ids.NodeID]struct{}) {
 	n.locMu.Lock()
 	recent := n.locRecent
 	n.locRecent = nil
-	var reannounce []location.Rebind
-	for i := 0; i < locReannouncePerBeat && len(n.locOriginKeys) > 0; i++ {
-		if n.locCursor >= len(n.locOriginKeys) {
-			n.locCursor = 0
-		}
-		k := n.locOriginKeys[n.locCursor]
-		n.locCursor++
-		if v, ok := n.locOrigin[k]; ok {
-			reannounce = append(reannounce, location.Rebind{Old: k, New: v})
-		}
-	}
+	reannounce, next := n.locCache.ScanOrigin(n.locCursor, locReannouncePerBeat)
+	n.locCursor = next
 	n.locMu.Unlock()
 	if len(recent) > 0 && len(beatDsts) > 0 {
 		payload := location.AppendAnnounce(nil, recent)
@@ -297,25 +241,4 @@ func (n *Node) locationBeat(beatDsts map[ids.NodeID]struct{}) {
 	if len(reannounce) > 0 {
 		n.directoryAnnounce(reannounce)
 	}
-}
-
-// purgeLocationsTo drops every directory tier's entries that point at a
-// node declared dead: a location on a dead node is a lie, and failing
-// over to the forwarder/shard path beats routing into the void. Keys
-// *through* dead identities survive — a key names an identity, not a
-// host.
-func (n *Node) purgeLocationsTo(p ids.NodeID) {
-	n.locCache.PurgeTargets(p)
-	n.locMu.Lock()
-	for k, v := range n.locShard {
-		if v.Node == p {
-			delete(n.locShard, k)
-		}
-	}
-	for k, v := range n.locOrigin {
-		if v.Node == p {
-			delete(n.locOrigin, k)
-		}
-	}
-	n.locMu.Unlock()
 }

@@ -428,7 +428,6 @@ func (n *Node) handleMigrateIn(payload []byte) []byte {
 	// the old reference route directly instead of round-tripping through
 	// the forwarder — and as the mapping's second origin it keeps the
 	// directory shard populated even if the source node dies.
-	n.addRebind(m.Old, ao.id)
 	n.announceLocation(m.Old, ao.id)
 	return encodeMigrateResponse(ao.id, nil)
 }
@@ -481,7 +480,7 @@ func (n *Node) sendRedirect(dst ids.NodeID, old, new ids.ActivityID) {
 }
 
 // applyRedirect rebinds this node to an activity's new identity: the
-// rebind table (send routing), every heap stub (state and pinned
+// location cache (send routing), every heap stub (state and pinned
 // payloads), and the reference-graph edges of every activity that held
 // one. The old stub tags die at the next sweep, firing the ordinary
 // LostReferenced — which is what stops this node's beats toward the
@@ -491,35 +490,30 @@ func (n *Node) applyRedirect(old, new ids.ActivityID) {
 		return
 	}
 	n.addRebind(old, new)
-	owners := n.heap.RebindStubs(old, new)
-	if len(owners) == 0 {
-		return
-	}
-	now := n.env.cfg.Clock.Now()
-	for _, owner := range owners {
-		if ao, ok := n.activity(owner); ok {
-			ao.collector.AddReferenced(new, now)
-		}
-	}
+	n.rebindStubs(old, new)
 }
 
-// addRebind records old → new in the node's learned-location cache
-// (the bounded LRU that replaced the lifetime rebind table; path
-// compression on both sides lives in the cache layer now).
+// rebindStubs is the heap and reference-graph half of a redirect.
+//
+// Invariant: no collector edge without a backing stub. Each (owner → new)
+// edge is added inside the heap shard's critical section that rebinds the
+// owner's stubs (lock order: heap shard, then node, then collector; tag
+// deaths are delivered outside heap locks), so a sweep racing the
+// redirect either runs first and leaves no stub to rebind, or runs after
+// and finds stub and edge together — and the tag death of a stub released
+// meanwhile removes the edge again. An edge added after the sweep freed
+// its stub would keep the owner beating the new identity for ever.
+func (n *Node) rebindStubs(old, new ids.ActivityID) {
+	n.heap.RebindStubs(old, new, func(owner ids.ActivityID) {
+		if ao, ok := n.activity(owner); ok {
+			ao.collector.AddReferenced(new, n.env.cfg.Clock.Now())
+		}
+	})
+}
+
+// addRebind records old → new in the node's learned-location cache.
 func (n *Node) addRebind(old, new ids.ActivityID) {
 	n.locCache.Add(old, new)
-}
-
-// resolveChain follows the rebind chain from id to its freshest identity.
-func resolveChain(rebinds map[ids.ActivityID]ids.ActivityID, id ids.ActivityID) ids.ActivityID {
-	for i := 0; i < len(rebinds); i++ {
-		next, ok := rebinds[id]
-		if !ok {
-			return id
-		}
-		id = next
-	}
-	return id
 }
 
 // resolveRebind rewrites a send target through the node's location

@@ -29,24 +29,23 @@ type Node struct {
 	// of worker goroutines with per-activity affinity (see pool.go).
 	pool *workerPool
 
-	mu     sync.Mutex
-	aos    map[ids.ActivityID]*ActiveObject
-	closed bool
+	mu      sync.Mutex
+	aos     map[ids.ActivityID]*ActiveObject
+	aosPeak int // largest len(aos) since the map was last rebuilt
+	closed  bool
 
-	// Sharded location directory state (WIRE.md §9). locCache is the
-	// bounded LRU of *learned* locations every outgoing send consults —
-	// the old unbounded rebind table demoted to a cache, path
-	// compression included. locOrigin holds the mappings this node
-	// created by participating in a migration (ground truth, re-announced
-	// to shard owners for handoff); locShard is this node's authoritative
-	// slice of the directory; locRecent queues fresh rebinds for gossip.
-	locCache      *location.Cache
-	locMu         sync.Mutex
-	locOrigin     map[ids.ActivityID]ids.ActivityID
-	locOriginKeys []ids.ActivityID
-	locCursor     int
-	locShard      map[ids.ActivityID]ids.ActivityID
-	locRecent     []location.Rebind
+	// Location state (WIRE.md §9). locCache is the node's one bounded,
+	// lazily compressed table of moved activities (Config.LocationCacheSize
+	// entries, least recently used evicted first): what redirects, gossip
+	// and the announcements for its directory shard taught it, and — marked
+	// as origin, re-announced to the shard owners from locCursor on — the
+	// migrations it took part in. An evicted entry costs a fallback
+	// (forwarder hop, then shard query), never a wrong answer. locRecent
+	// queues fresh rebinds for gossip; locMu guards it and locCursor.
+	locCache  *location.Cache
+	locMu     sync.Mutex
+	locCursor uint32
+	locRecent []location.Rebind
 
 	// Tree fan-out relay records (WIRE.md §10): in-flight subtrees whose
 	// replies this node aggregates before forwarding one hop up. Keys
@@ -768,6 +767,15 @@ func (n *Node) destroy(ao *ActiveObject, reason core.Reason) {
 		return
 	}
 	delete(n.aos, ao.id)
+	if n.aosPeak >= 256 && len(n.aos) < n.aosPeak/4 {
+		// Go maps keep the buckets of their largest size: rebuild, so a
+		// population peak is not paid for in memory for good.
+		live := make(map[ids.ActivityID]*ActiveObject, len(n.aos))
+		for id, a := range n.aos {
+			live[id] = a
+		}
+		n.aos, n.aosPeak = live, len(live)
+	}
 	n.mu.Unlock()
 
 	ao.terminated.Store(true)

@@ -427,6 +427,7 @@ func (n *Node) newActivity(name string, b Behavior, dummy bool, opts ...SpawnOpt
 
 	n.mu.Lock()
 	n.aos[ao.id] = ao
+	n.aosPeak = max(n.aosPeak, len(n.aos))
 	n.mu.Unlock()
 
 	if !dummy {

@@ -24,6 +24,12 @@
 // in the low 5 bits of every ObjRef and RootID, so ref-addressed
 // operations (Materialize, AddRoot/RemoveRoot, NewWeak) find their shard
 // without consulting the owner.
+//
+// Each shard also indexes its stub cells by the activity they designate,
+// so that rebinding the stubs of a migrated activity (RebindStubs) costs
+// what those stubs cost and not a scan of the heap; and it rebuilds its
+// maps after a sweep that leaves them under half their peak, because Go
+// maps never give buckets back.
 package localgc
 
 import (
@@ -60,9 +66,15 @@ const (
 	kindFutureTag
 )
 
-// cell is one passive object.
+// cell is one passive object. kind, marked and pos share the eight bytes
+// in front of owner, which keeps the struct at 208 bytes, a size class of
+// its own.
 type cell struct {
-	kind  cellKind
+	kind   cellKind
+	marked bool
+	// pos is the cell's slot in its shard's byTarget[target] list (stubs
+	// and future stubs only).
+	pos   uint32
 	owner ids.ActivityID
 	// scalar payload (kindScalar only).
 	scalar wire.Value
@@ -76,7 +88,6 @@ type cell struct {
 	// also keep the original future value in scalar so Materialize can
 	// rebuild it.
 	future ids.FutureID
-	marked bool
 }
 
 // TagDeath reports that activity Owner no longer holds any stub for Target:
@@ -118,8 +129,17 @@ type heapShard struct {
 	roots    map[RootID]ObjRef
 	nextRoot uint64
 	tags     map[tagKey]ObjRef
-	futTags  map[ids.FutureID]ObjRef
-	weaks    map[ObjRef][]*Weak
+	// futTags, weaks and byTarget are nil until first written: most
+	// shards never hold a future stub, a weak reference or a stub, and an
+	// Env of five nodes has 160 shards.
+	futTags map[ids.FutureID]ObjRef
+	weaks   map[ObjRef][]*Weak
+	// byTarget indexes the shard's stub and future-stub cells by the
+	// activity they designate, so a rebind touches only those. A cell is
+	// listed from interning to its sweep; an emptied list is deleted.
+	byTarget map[ids.ActivityID][]*cell
+	// peak is the largest cell count since the maps were last rebuilt.
+	peak int
 }
 
 // Heap is the object heap of one process. It is safe for concurrent use.
@@ -140,8 +160,6 @@ func New(onTagDeath func(TagDeath)) *Heap {
 		s.cells = make(map[ObjRef]*cell)
 		s.roots = make(map[RootID]ObjRef)
 		s.tags = make(map[tagKey]ObjRef)
-		s.futTags = make(map[ids.FutureID]ObjRef)
-		s.weaks = make(map[ObjRef][]*Weak)
 	}
 	return h
 }
@@ -199,12 +217,45 @@ func (s *heapShard) intern(owner ids.ActivityID, v wire.Value) ObjRef {
 }
 
 func (s *heapShard) internStub(owner, target ids.ActivityID) ObjRef {
-	return s.alloc(&cell{
+	return s.allocStub(&cell{
 		kind:     kindStub,
 		owner:    owner,
 		target:   target,
 		children: []ObjRef{s.tagForLocked(owner, target)},
 	})
+}
+
+// allocStub allocates a stub or future-stub cell and lists it under its
+// target.
+func (s *heapShard) allocStub(c *cell) ObjRef {
+	s.index(c)
+	return s.alloc(c)
+}
+
+func (s *heapShard) index(c *cell) {
+	if s.byTarget == nil {
+		s.byTarget = make(map[ids.ActivityID][]*cell)
+	}
+	list := s.byTarget[c.target]
+	c.pos = uint32(len(list))
+	s.byTarget[c.target] = append(list, c)
+}
+
+// unindex takes c out of its target's list in O(1): the list's last cell
+// moves into c's slot.
+func (s *heapShard) unindex(c *cell) {
+	list := s.byTarget[c.target]
+	last := uint32(len(list) - 1)
+	if c.pos != last {
+		list[c.pos] = list[last]
+		list[c.pos].pos = c.pos
+	}
+	list[last] = nil
+	if last == 0 {
+		delete(s.byTarget, c.target)
+	} else {
+		s.byTarget[c.target] = list[:last]
+	}
 }
 
 // internFutureStub allocates a stub for a first-class future value. It
@@ -219,9 +270,12 @@ func (s *heapShard) internFutureStub(owner ids.ActivityID, v wire.Value) ObjRef 
 	ftag, ok := s.futTags[fr.ID]
 	if !ok {
 		ftag = s.alloc(&cell{kind: kindFutureTag, future: fr.ID})
+		if s.futTags == nil {
+			s.futTags = make(map[ids.FutureID]ObjRef)
+		}
 		s.futTags[fr.ID] = ftag
 	}
-	return s.alloc(&cell{
+	return s.allocStub(&cell{
 		kind:     kindFutureStub,
 		owner:    owner,
 		target:   fr.Owner,
@@ -356,6 +410,9 @@ func (h *Heap) NewWeak(ref ObjRef) *Weak {
 		return w
 	}
 	w.alive = true
+	if s.weaks == nil {
+		s.weaks = make(map[ObjRef][]*Weak)
+	}
 	s.weaks[ref] = append(s.weaks[ref], w)
 	return w
 }
@@ -374,49 +431,45 @@ func (h *Heap) TagFor(owner, target ids.ActivityID) ObjRef {
 // redirect. Each rebound stub joins (or creates) the (owner, new) shared
 // tag; the old (owner, old) tags are left in place and die at the next
 // sweep once nothing references them anymore, firing the ordinary
-// tag-death path that removes the old reference-graph edge. The distinct
-// owners that held at least one rebound stub are returned so the caller
-// can add their (owner → new) edges symmetrically.
-func (h *Heap) RebindStubs(old, new ids.ActivityID) []ids.ActivityID {
+// tag-death path that removes the old reference-graph edge.
+//
+// edge is called once per distinct owner of a rebound stub, with that
+// owner's shard still locked, so the caller can add the (owner → new)
+// edge in the same critical section as the stub it is backed by: a sweep
+// sees both or neither. It must not call back into the heap.
+func (h *Heap) RebindStubs(old, new ids.ActivityID, edge func(owner ids.ActivityID)) {
 	if old == new || old.IsNil() || new.IsNil() {
-		return nil
+		return
 	}
-	ownerSet := make(map[ids.ActivityID]struct{})
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
-		for _, c := range s.cells {
-			switch c.kind {
-			case kindStub:
-				if c.target != old {
-					continue
-				}
-				c.target = new
-				c.children[0] = s.tagForLocked(c.owner, new)
-				ownerSet[c.owner] = struct{}{}
-			case kindFutureStub:
-				if c.target != old {
-					continue
-				}
-				c.target = new
-				c.children[0] = s.tagForLocked(c.owner, new)
-				if fr, ok := c.scalar.AsFutureRef(); ok && fr.Owner == old {
-					fr.Owner = new
-					c.scalar = wire.FutureVal(fr)
-				}
-				ownerSet[c.owner] = struct{}{}
-			}
-		}
+		s.rebindLocked(old, new, edge)
 		s.mu.Unlock()
 	}
-	if len(ownerSet) == 0 {
-		return nil
+}
+
+func (s *heapShard) rebindLocked(old, new ids.ActivityID, edge func(owner ids.ActivityID)) {
+	list := s.byTarget[old]
+	if len(list) == 0 {
+		return
 	}
-	owners := make([]ids.ActivityID, 0, len(ownerSet))
-	for o := range ownerSet {
-		owners = append(owners, o)
+	delete(s.byTarget, old)
+	owners := make(map[ids.ActivityID]struct{}, 1)
+	for _, c := range list {
+		c.target = new
+		c.children[0] = s.tagForLocked(c.owner, new)
+		if fr, ok := c.scalar.AsFutureRef(); ok && fr.Owner == old {
+			// Future stubs alone carry a value: the one Materialize rebuilds.
+			fr.Owner = new
+			c.scalar = wire.FutureVal(fr)
+		}
+		s.index(c)
+		if _, seen := owners[c.owner]; !seen {
+			owners[c.owner] = struct{}{}
+			edge(c.owner)
+		}
 	}
-	return owners
 }
 
 // tagForLocked returns (creating if needed) the shared (owner, target)
@@ -457,6 +510,9 @@ func (h *Heap) Collect() Stats {
 }
 
 func (s *heapShard) collectLocked() Stats {
+	// Cells are only ever freed here, so the count on entry is the
+	// largest since the last sweep.
+	s.peak = max(s.peak, len(s.cells))
 	// Mark.
 	for _, c := range s.cells {
 		c.marked = false
@@ -497,9 +553,39 @@ func (s *heapShard) collectLocked() Stats {
 		case kindFutureTag:
 			delete(s.futTags, c.future)
 			st.FutureDeaths = append(st.FutureDeaths, c.future)
+		case kindStub, kindFutureStub:
+			s.unindex(c)
 		}
 	}
+	if s.peak >= shrinkFloor && len(s.cells) < s.peak/2 {
+		s.shrink()
+	}
 	return st
+}
+
+// shrinkFloor is the population under which a shard's maps are not worth
+// rebuilding.
+const shrinkFloor = 32
+
+// shrink rebuilds the shard's maps at their current population. Go maps
+// keep the buckets of their largest size for ever, so a shard that lived
+// through a population peak would otherwise hold that memory for good.
+func (s *heapShard) shrink() {
+	s.cells = rebuilt(s.cells)
+	s.roots = rebuilt(s.roots)
+	s.tags = rebuilt(s.tags)
+	s.futTags = rebuilt(s.futTags)
+	s.weaks = rebuilt(s.weaks)
+	s.byTarget = rebuilt(s.byTarget)
+	s.peak = len(s.cells)
+}
+
+func rebuilt[K comparable, V any](m map[K]V) map[K]V {
+	out := make(map[K]V, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // NumCells returns the current number of cells (for tests and metrics).

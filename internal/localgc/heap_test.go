@@ -3,6 +3,7 @@ package localgc
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ids"
 	"repro/internal/wire"
@@ -281,5 +282,13 @@ func TestFutureStubTags(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no activity tag death for the future owner: %v", tagDeaths)
+	}
+}
+
+// TestCellSize pins the cell at its 208-byte size class: one more field
+// would cost every cell of every heap 16 bytes.
+func TestCellSize(t *testing.T) {
+	if got := unsafe.Sizeof(cell{}); got > 208 {
+		t.Fatalf("cell is %d bytes, want at most 208", got)
 	}
 }

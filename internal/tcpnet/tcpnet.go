@@ -792,12 +792,15 @@ func (e *endpoint) Send(dst ids.NodeID, class transport.Class, payload []byte) e
 		if err != nil {
 			return err
 		}
+		// Accounted before the write: whoever learns of the message
+		// through the receiver (a reply, a resolved future) must find it
+		// on the books already. A failed write moved no bytes and is
+		// refunded, exactly like simnet's unknown-node path.
+		e.net.counters.Account(class, len(payload))
 		if lastErr = cc.writeFrame(f); lastErr == nil {
-			// Accounted only once transmitted: a failed dial or write
-			// moves no bytes, exactly like simnet's unknown-node path.
-			e.net.counters.Account(class, len(payload))
 			return nil
 		}
+		e.net.counters.Unaccount(class, len(payload))
 		cc.fail(lastErr)
 	}
 	return lastErr
@@ -870,6 +873,10 @@ func (e *endpoint) sendChunk(key pairKey, addr string, chunk []transport.BatchIt
 		if err != nil {
 			return err
 		}
+		// Accounted before the write and refunded if it fails, like Send.
+		for _, it := range chunk {
+			e.net.counters.Account(it.Class, len(it.Payload))
+		}
 		if len(chunk) == 1 {
 			f := frame{typ: frameOneWay, class: chunk[0].Class, src: key.src, dst: key.dst, payload: chunk[0].Payload}
 			lastErr = cc.writeFrame(f)
@@ -877,10 +884,10 @@ func (e *endpoint) sendChunk(key pairKey, addr string, chunk []transport.BatchIt
 			lastErr = cc.writeBatch(key.src, key.dst, chunk)
 		}
 		if lastErr == nil {
-			for _, it := range chunk {
-				e.net.counters.Account(it.Class, len(it.Payload))
-			}
 			return nil
+		}
+		for _, it := range chunk {
+			e.net.counters.Unaccount(it.Class, len(it.Payload))
 		}
 		cc.fail(lastErr)
 	}
