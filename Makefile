@@ -57,8 +57,10 @@ bench:
 # The paper-figure and dispatch micro-benchmarks (EXPERIMENTS.md tables),
 # over the whole tree: the root package's paper figures plus the
 # internal/active, internal/tcpnet and internal/transport hot-path
-# benches and the size ladders of the location table and the heap's
-# stub rebind (BenchmarkCacheAdd/size=…, BenchmarkRebindStubs/cells=…).
+# benches (BenchmarkFlusherBurst reports the items per frame a corked
+# burst of 32 urgent sends leaves in) and the size ladders of the
+# location table and the heap's stub rebind (BenchmarkCacheAdd/size=…,
+# BenchmarkRebindStubs/cells=…).
 .PHONY: bench-go
 bench-go:
 	$(GO) test -run xxx -bench . -benchmem ./...

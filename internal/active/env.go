@@ -61,12 +61,12 @@ type Config struct {
 	Transport transport.Transport
 	// BatchWindow enables hot-path message batching when positive: each
 	// node's outbound one-way traffic flows through a per-destination
-	// flusher, and co-destination messages queued while a frame is in
-	// flight travel together in one batch frame (WIRE.md §5). Plain
-	// one-way sends may linger up to BatchWindow waiting for companions;
-	// call requests, future updates and group fan-outs never wait — they
-	// only coalesce with messages already pending, and DGC beats collapse
-	// into one exchange per destination node. Zero (the default) disables
+	// flusher, and co-destination messages travel together in one batch
+	// frame. Plain one-way sends may linger up to BatchWindow waiting for
+	// companions; call requests, future updates and group fan-outs never
+	// wait on it — they are corked until their sender blocks (WIRE.md §5,
+	// "Who batches, and when") — and DGC beats collapse into one exchange
+	// per destination node. Zero (the default) disables
 	// batching entirely; the wire traffic is then byte-identical to the
 	// unbatched protocol.
 	BatchWindow time.Duration

@@ -328,6 +328,8 @@ func (f *Future) Wait(timeout time.Duration) (wire.Value, error) {
 		return f.consume()
 	default:
 	}
+	// About to park: the request this waits on may still be corked.
+	f.node.flushPending()
 	if timeout <= 0 {
 		<-f.done
 		return f.consume()

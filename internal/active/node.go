@@ -85,7 +85,7 @@ func newNode(e *Env, id ids.NodeID) *Node {
 
 // transportSend ships one one-way payload, through the batching flusher
 // when enabled. Urgent traffic (requests awaiting a reply, future
-// updates) is flushed as soon as the pair's writer is free; non-urgent
+// updates) is corked until the sender blocks (flushPending); non-urgent
 // traffic may linger up to the batch window for companions.
 func (n *Node) transportSend(dst ids.NodeID, class transport.Class, payload []byte, urgent bool) error {
 	if err := n.routeCheck(dst); err != nil {
@@ -108,6 +108,15 @@ func (n *Node) transportCall(dst ids.NodeID, class transport.Class, payload []by
 		return n.flusher.Call(dst, class, payload)
 	}
 	return n.endpoint.Call(dst, class, payload)
+}
+
+// flushPending writes the node's corked batch lanes. Callers are the
+// runtime's block points: a goroutine about to park writes what it (or
+// anyone on the node) corked first — see transport.Flusher.
+func (n *Node) flushPending() {
+	if n.flusher != nil {
+		n.flusher.FlushPending()
+	}
 }
 
 // flushOutbound flushes and stops the node's batch lanes (no-op when

@@ -495,11 +495,12 @@ func (ao *ActiveObject) enqueue(item *queuedRequest) {
 func (ao *ActiveObject) drain() {
 	for {
 		item, res := ao.queue.take()
-		switch res {
-		case takeClosed, takeHeld:
-			return
-		case takeIdle:
-			ao.collector.BecomeIdle(ao.node.env.cfg.Clock.Now())
+		if res != takeItem {
+			// Detaching: ship the replies this tenure corked, in one frame.
+			ao.node.flushPending()
+			if res == takeIdle {
+				ao.collector.BecomeIdle(ao.node.env.cfg.Clock.Now())
+			}
 			return
 		}
 		if ao.serveOne(item, false) {

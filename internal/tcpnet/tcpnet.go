@@ -106,8 +106,8 @@ var _ transport.BatchSender = (*endpoint)(nil)
 var _ transport.ProcessCaller = (*Network)(nil)
 
 // bufPool recycles frame encode buffers: the send path's steady state
-// allocates nothing per message (the bytes are copied into the
-// connection's bufio writer before the buffer is returned).
+// allocates nothing per message (the buffer goes straight to the
+// connection and is returned once the write has).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
@@ -420,7 +420,6 @@ func (n *Network) serveConn(c net.Conn) {
 		_ = c.Close()
 	}()
 	r := bufio.NewReader(c)
-	w := bufio.NewWriter(c)
 	var buf []byte
 	for {
 		var f frame
@@ -462,13 +461,10 @@ func (n *Network) serveConn(c net.Conn) {
 			}
 			rb := getBuf()
 			enc := appendFrame((*rb)[:0], resp)
-			_, werr := w.Write(enc)
+			_, werr := c.Write(enc)
 			*rb = enc[:0]
 			putBuf(rb)
 			if werr != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
 				return
 			}
 		default:
@@ -495,7 +491,6 @@ type clientConn struct {
 	net *Network
 	key pairKey
 	c   net.Conn
-	buf *bufio.Writer
 
 	wmu sync.Mutex // serializes frame writes
 
@@ -530,7 +525,6 @@ func (n *Network) conn(key pairKey, addr string) (*clientConn, error) {
 		net:     n,
 		key:     key,
 		c:       c,
-		buf:     bufio.NewWriter(c),
 		pending: make(map[uint64]chan callResult),
 	}
 	// Introduce this process before any payload frame: the receiver
@@ -614,9 +608,7 @@ func (cc *clientConn) writeBatch(src, dst ids.NodeID, items []transport.BatchIte
 }
 
 // writeVectored writes the segments with one vectored write, serialized
-// against the pair's other senders. The connection's bufio writer is
-// flushed first so batch frames cannot overtake frames buffered by
-// writeBytes, preserving the pair's FIFO order.
+// against the pair's other senders.
 func (cc *clientConn) writeVectored(bufs net.Buffers) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
@@ -627,15 +619,12 @@ func (cc *clientConn) writeVectored(bufs net.Buffers) error {
 		return err
 	}
 	cc.mu.Unlock()
-	if err := cc.buf.Flush(); err != nil {
-		return err
-	}
 	_, err := bufs.WriteTo(cc.c)
 	return err
 }
 
-// writeBytes writes one encoded frame, serialized against the pair's
-// other senders, and flushes it to the socket.
+// writeBytes writes one encoded frame to the socket, serialized against
+// the pair's other senders.
 func (cc *clientConn) writeBytes(enc []byte) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
@@ -646,10 +635,8 @@ func (cc *clientConn) writeBytes(enc []byte) error {
 		return err
 	}
 	cc.mu.Unlock()
-	if _, err := cc.buf.Write(enc); err != nil {
-		return err
-	}
-	return cc.buf.Flush()
+	_, err := cc.c.Write(enc)
+	return err
 }
 
 // register allocates a call sequence number and its result channel.

@@ -134,10 +134,9 @@ func DecodeBatch(buf []byte) ([]BatchItem, error) {
 type FlusherConfig struct {
 	// Window is how long a non-urgent message may linger in a lane waiting
 	// for co-destination companions before it is flushed. Urgent traffic
-	// (call requests, future updates, explicit Flush) never waits: it is
-	// written immediately, coalescing only with whatever is already
-	// pending. Window must be > 0; a Flusher is only built when batching
-	// is enabled.
+	// (call requests, future updates, explicit Flush) never waits on it:
+	// it is corked until its sender blocks (see Flusher). Window must be
+	// > 0; a Flusher is only built when batching is enabled.
 	Window time.Duration
 	// MaxBytes caps the payload bytes of one flushed frame: a lane holding
 	// more flushes immediately and splits the backlog across frames.
@@ -151,12 +150,20 @@ type FlusherConfig struct {
 
 // Flusher is the per-(source, destination) smart-batching engine in front
 // of an Endpoint. Each destination gets a lane; messages append to the
-// lane and a single drainer goroutine per active lane writes them out,
-// batching whatever accumulated while the previous write was in flight
-// ("smart batching": latency is added only to traffic that asked for it
-// via the linger window, never to urgent messages). FIFO per pair is
-// preserved because a lane has exactly one drainer and Flush/Call drain
-// the lane before bypassing it.
+// lane and one writer at a time writes them out, everything pending in
+// one frame. FIFO per pair is preserved because a lane has exactly one
+// writer and Flush/Call drain the lane before bypassing it.
+//
+// Who writes is cork until block (WIRE.md §5 "Who batches, and when" lists
+// the block points and states the progress guarantee): an urgent message
+// on a lane with no writer is corked — appended, and written by its
+// sender when the sender is about to block (FlushPending, or Call and
+// Flush for that destination), so a burst issued before blocking leaves
+// as one frame. The cork also starts a goroutine that writes the lane
+// unless a block point gets there first: progress never depends on one
+// being reached, and Close only has to wait. A message that finds a writer at work rides its next
+// frame; non-urgent messages linger up to Window under a writer of their
+// own.
 //
 // Send through a Flusher is asynchronous: transport errors surface to the
 // runtime the same way a lost message does (future timeout, TTA slack),
@@ -166,6 +173,10 @@ type Flusher struct {
 	bs  BatchSender // non-nil when ep supports batch frames
 	cfg FlusherConfig
 
+	// corked counts the corked lanes, so FlushPending on a flusher with
+	// nothing corked is one atomic load.
+	corked atomic.Int32
+
 	mu     sync.Mutex
 	lanes  map[ids.NodeID]*lane
 	closed bool
@@ -173,12 +184,14 @@ type Flusher struct {
 
 // lane is the pending traffic of one destination.
 type lane struct {
+	dst     ids.NodeID
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []BatchItem
 	bytes   int
 	rush    bool  // flush without lingering
-	active  bool  // a drainer goroutine owns the lane
+	active  bool  // a writer owns the lane
+	corked  bool  // urgent traffic pending and no writer yet; implies !active
 	enq     int64 // total messages ever enqueued
 	flushed int64 // total messages ever written out
 	err     error
@@ -204,21 +217,19 @@ func (f *Flusher) laneFor(dst ids.NodeID) (*lane, error) {
 	}
 	l, ok := f.lanes[dst]
 	if !ok {
-		l = &lane{}
+		l = &lane{dst: dst}
 		l.cond = sync.NewCond(&l.mu)
 		f.lanes[dst] = l
 	}
 	return l, nil
 }
 
-// Send queues one message for dst. Urgent messages flush as soon as the
-// lane's writer is free — when the lane is idle the sender writes
-// inline, paying exactly the unbatched cost; when a write is already in
-// flight the message rides the next frame. Non-urgent messages may
-// linger up to the configured window waiting for companions. The error
-// reports only enqueue failures (flusher closed); write errors are
-// absorbed like a lost message, per the transport's one-way delivery
-// contract.
+// Send queues one message for dst. An urgent message is corked until its
+// sender blocks, or rides the next frame of a writer already at work; a
+// non-urgent one may linger up to the configured window waiting for
+// companions (see Flusher). The error reports only enqueue failures
+// (flusher closed); write errors are absorbed like a lost message, per the
+// transport's one-way delivery contract.
 func (f *Flusher) Send(dst ids.NodeID, class Class, payload []byte, urgent bool) error {
 	l, err := f.laneFor(dst)
 	if err != nil {
@@ -228,15 +239,12 @@ func (f *Flusher) Send(dst ids.NodeID, class Class, payload []byte, urgent bool)
 	l.pending = append(l.pending, BatchItem{Class: class, Payload: payload})
 	l.bytes += len(payload)
 	l.enq++
-	if urgent {
-		l.rush = true
-	}
-	f.dispatch(l, dst, urgent)
+	f.dispatch(l, urgent)
 	return nil
 }
 
 // SendBatch queues a pre-assembled group of messages for dst (the group
-// fan-out path) and flushes them without lingering.
+// fan-out path) as urgent traffic.
 func (f *Flusher) SendBatch(dst ids.NodeID, items []BatchItem) error {
 	l, err := f.laneFor(dst)
 	if err != nil {
@@ -248,37 +256,69 @@ func (f *Flusher) SendBatch(dst ids.NodeID, items []BatchItem) error {
 		l.bytes += len(it.Payload)
 	}
 	l.enq += int64(len(items))
-	l.rush = true
-	f.dispatch(l, dst, true)
+	f.dispatch(l, true)
 	return nil
 }
 
-// dispatch gets the lane's new traffic written. Called with l.mu held;
-// releases it. An idle lane with urgent traffic is drained inline by the
-// calling goroutine (a bounded number of passes — the common case writes
-// the caller's own message synchronously, like the unbatched path, with
-// zero handoff latency); otherwise a drainer goroutine takes over or is
-// already running.
-func (f *Flusher) dispatch(l *lane, dst ids.NodeID, urgent bool) {
-	if l.active {
-		// A drainer (inline or goroutine) owns the lane: it will pick the
-		// new messages up on its next pass.
+// dispatch finds the lane's new traffic a writer. Called with l.mu held;
+// releases it.
+func (f *Flusher) dispatch(l *lane, urgent bool) {
+	l.rush = l.rush || urgent
+	switch {
+	case l.active:
+		// The writer picks the new messages up on its next pass.
 		l.cond.Broadcast()
-		l.mu.Unlock()
-		return
-	}
-	l.active = true
-	if !urgent {
-		go f.drain(l, dst)
-		l.mu.Unlock()
-		return
-	}
-	if !f.drainPasses(l, dst, 2) {
-		// Still traffic after the bounded inline passes (a burst is
-		// landing): hand the lane to a goroutine and let the caller go.
-		go f.drain(l, dst)
+	case l.corked:
+		// They ride with the corked burst.
+	case urgent:
+		l.corked = true
+		f.corked.Add(1)
+		go f.uncork(l) // the progress guarantee
+	default:
+		l.active = true
+		go f.drain(l)
 	}
 	l.mu.Unlock()
+}
+
+// uncork makes the caller the writer of a corked lane, unless another
+// writer claimed it first.
+func (f *Flusher) uncork(l *lane) {
+	l.mu.Lock()
+	f.uncorkLocked(l)
+	l.mu.Unlock()
+}
+
+// uncorkLocked is uncork with l.mu held (released around the writes).
+func (f *Flusher) uncorkLocked(l *lane) {
+	if l.corked {
+		l.corked = false
+		f.corked.Add(-1)
+		l.active = true
+		f.drainPasses(l)
+	}
+}
+
+// FlushPending writes every corked lane. The runtime calls it where a
+// sender is about to block; with nothing corked it is one atomic load.
+func (f *Flusher) FlushPending() {
+	if f.corked.Load() == 0 {
+		return
+	}
+	var buf [8]*lane // stays on the stack for up to 8 destinations
+	for _, l := range f.appendLanes(buf[:0]) {
+		f.uncork(l)
+	}
+}
+
+// appendLanes appends every lane of the flusher to ls.
+func (f *Flusher) appendLanes(ls []*lane) []*lane {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, l := range f.lanes {
+		ls = append(ls, l)
+	}
+	return ls
 }
 
 // Call drains dst's lane (preserving FIFO: queued messages cannot be
@@ -294,6 +334,7 @@ func (f *Flusher) Call(dst ids.NodeID, class Class, payload []byte) ([]byte, err
 		// arrivals have no ordering claim on the exchange, so sustained
 		// send load cannot starve a DGC beat.
 		target := l.enq
+		f.uncorkLocked(l)
 		for l.flushed < target {
 			l.rush = true
 			l.cond.Broadcast()
@@ -304,8 +345,9 @@ func (f *Flusher) Call(dst ids.NodeID, class Class, payload []byte) ([]byte, err
 	return f.ep.Call(dst, class, payload)
 }
 
-// Flush forces dst's pending messages out without waiting for the window
-// (asynchronously: it does not wait for the write to complete).
+// Flush forces dst's pending messages out without waiting for the window:
+// a corked lane is written by the caller, a lingering writer is woken
+// (and not waited for).
 func (f *Flusher) Flush(dst ids.NodeID) {
 	f.mu.Lock()
 	l := f.lanes[dst]
@@ -318,6 +360,7 @@ func (f *Flusher) Flush(dst ids.NodeID) {
 		l.rush = true
 		l.cond.Broadcast()
 	}
+	f.uncorkLocked(l)
 	l.mu.Unlock()
 }
 
@@ -334,7 +377,8 @@ const closeGrace = 2 * time.Second
 // to land, and rejects subsequent sends. It does not close the
 // underlying endpoint, and it must not be able to hang when the
 // endpoint can: a lane whose write is wedged on a dead peer is abandoned
-// to the transport's own Close.
+// to the transport's own Close. For the same reason Close writes no lane
+// itself: a corked lane is written by the goroutine its cork started.
 func (f *Flusher) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -342,11 +386,8 @@ func (f *Flusher) Close() {
 		return
 	}
 	f.closed = true
-	lanes := make([]*lane, 0, len(f.lanes))
-	for _, l := range f.lanes {
-		lanes = append(lanes, l)
-	}
 	f.mu.Unlock()
+	lanes := f.appendLanes(nil) // complete: a closed flusher grows no lane
 	var expired atomic.Bool
 	t := time.AfterFunc(closeGrace, func() {
 		expired.Store(true)
@@ -368,29 +409,25 @@ func (f *Flusher) Close() {
 	}
 }
 
-// drain is the goroutine form of the lane writer: it writes pending
-// messages until the lane stays empty, lingering up to the window before
+// drain is the goroutine of a lane that non-urgent traffic woke: the
+// lane's writer from the start, lingering up to the window before
 // non-rushed flushes.
-func (f *Flusher) drain(l *lane, dst ids.NodeID) {
+func (f *Flusher) drain(l *lane) {
 	l.mu.Lock()
-	f.drainPasses(l, dst, 0)
+	f.drainPasses(l)
 	l.mu.Unlock()
 }
 
-// drainPasses writes the lane's pending traffic for at most maxPasses
-// write cycles (0 = until the lane stays empty). It reports whether the
-// lane was left idle (active cleared). Called — and returns — with l.mu
-// held; the lock is released around writes.
-func (f *Flusher) drainPasses(l *lane, dst ids.NodeID, maxPasses int) bool {
-	for pass := 0; ; pass++ {
+// drainPasses writes the lane's pending traffic until the lane stays
+// empty, then gives the lane up (active cleared). Called — and returns —
+// with l.mu held; the lock is released around writes.
+func (f *Flusher) drainPasses(l *lane) {
+	for {
 		if len(l.pending) == 0 {
 			l.rush = false
 			l.active = false
 			l.cond.Broadcast()
-			return true
-		}
-		if maxPasses > 0 && pass >= maxPasses {
-			return false
+			return
 		}
 		if !l.rush && l.bytes < f.cfg.MaxBytes {
 			// Linger: give co-destination companions up to the window to
@@ -415,7 +452,7 @@ func (f *Flusher) drainPasses(l *lane, dst ids.NodeID, maxPasses int) bool {
 		}
 		items := takeUpTo(l, f.cfg.MaxBytes)
 		l.mu.Unlock()
-		err := f.write(dst, items)
+		err := f.write(l.dst, items)
 		l.mu.Lock()
 		l.flushed += int64(len(items))
 		if err != nil && l.err == nil {

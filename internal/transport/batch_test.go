@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,23 +104,26 @@ func FuzzWalkBatch(f *testing.F) {
 type recordingEndpoint struct {
 	mu     sync.Mutex
 	frames [][]BatchItem // one entry per Send (len 1) or SendBatch
+	// entered, when set, receives once per one-way write before it is
+	// recorded, and the write then waits for a token from release: the
+	// test decides how long a lane's writer stays in flight.
+	entered, release chan struct{}
 }
 
 func (r *recordingEndpoint) Node() ids.NodeID { return 1 }
 
 func (r *recordingEndpoint) Send(dst ids.NodeID, class Class, payload []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.frames = append(r.frames, []BatchItem{{Class: class, Payload: payload}})
-	return nil
+	return r.SendBatch(dst, []BatchItem{{Class: class, Payload: payload}})
 }
 
 func (r *recordingEndpoint) SendBatch(dst ids.NodeID, items []BatchItem) error {
+	if r.entered != nil {
+		r.entered <- struct{}{}
+		<-r.release
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cp := make([]BatchItem, len(items))
-	copy(cp, items)
-	r.frames = append(r.frames, cp)
+	r.frames = append(r.frames, append([]BatchItem(nil), items...))
 	return nil
 }
 
@@ -127,6 +132,17 @@ func (r *recordingEndpoint) Call(dst ids.NodeID, class Class, payload []byte) ([
 	defer r.mu.Unlock()
 	r.frames = append(r.frames, []BatchItem{{Class: class, Payload: append([]byte("call:"), payload...)}})
 	return nil, nil
+}
+
+// frameSizes returns the number of messages in each recorded frame.
+func (r *recordingEndpoint) frameSizes() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	sizes := make([]int, len(r.frames))
+	for i, fr := range r.frames {
+		sizes[i] = len(fr)
+	}
+	return sizes
 }
 
 // messages flattens the recorded frames into delivery order.
@@ -214,4 +230,165 @@ func TestFlusherCoalesces(t *testing.T) {
 	if frames >= 8 {
 		t.Fatalf("burst of 8 used %d frames, want coalescing", frames)
 	}
+}
+
+// onOneP pins the test to one P. The goroutine a cork starts as its
+// progress guarantee then cannot run before the test goroutine blocks, so
+// whatever is on the endpoint earlier was written by the block point
+// under test, and a burst cannot be split by an early drainer.
+func onOneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+func sendUrgent(t *testing.T, fl *Flusher, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		if err := fl.Send(2, ClassApp, []byte(fmt.Sprintf("m%03d", i)), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func wantInOrder(t *testing.T, msgs []string, n int) {
+	t.Helper()
+	if len(msgs) != n {
+		t.Fatalf("%d messages delivered, want %d", len(msgs), n)
+	}
+	for i, m := range msgs {
+		if want := fmt.Sprintf("m%03d", i); m != want {
+			t.Fatalf("position %d: %q, want %q (FIFO violated)", i, m, want)
+		}
+	}
+}
+
+// TestFlusherCorkedBurstIsOneFrame: urgent sends from one goroutine stay
+// corked until its block point, which ships them as one batch, in order.
+func TestFlusherCorkedBurstIsOneFrame(t *testing.T) {
+	onOneP(t)
+	ep := &recordingEndpoint{}
+	fl := NewFlusher(ep, FlusherConfig{Window: time.Millisecond})
+	defer fl.Close()
+	const burst = 32
+	sendUrgent(t, fl, 0, burst)
+	if got := ep.frameSizes(); len(got) != 0 {
+		t.Fatalf("frames %v written before the sender blocked", got)
+	}
+	fl.FlushPending()
+	if got := ep.frameSizes(); len(got) != 1 || got[0] != burst {
+		t.Fatalf("frames %v after FlushPending, want one of %d", got, burst)
+	}
+	wantInOrder(t, ep.messages(), burst)
+	if n := fl.corked.Load(); n != 0 {
+		t.Fatalf("%d lanes still counted corked", n)
+	}
+}
+
+// TestFlusherCorkProgress: an urgent message whose sender never reaches
+// a block point is written anyway.
+func TestFlusherCorkProgress(t *testing.T) {
+	ep := &recordingEndpoint{entered: make(chan struct{}), release: make(chan struct{}, 1)}
+	fl := NewFlusher(ep, FlusherConfig{Window: time.Hour})
+	defer fl.Close()
+	ep.release <- struct{}{}
+	sendUrgent(t, fl, 0, 1)
+	select {
+	case <-ep.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("corked message never written without a block point")
+	}
+}
+
+// TestFlusherCallBehindCork: an exchange never overtakes a corked message
+// to the same destination, whoever ends up writing the lane.
+func TestFlusherCallBehindCork(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		ep := &recordingEndpoint{}
+		fl := NewFlusher(ep, FlusherConfig{Window: time.Millisecond})
+		sendUrgent(t, fl, 0, 2)
+		if _, err := fl.Call(2, ClassDGC, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(ep.messages()); got != "[m000 m001 call:x]" {
+			t.Fatalf("round %d: delivered %s", round, got)
+		}
+		fl.Close()
+	}
+}
+
+// TestFlusherFlushAndCloseWriteCorked: Flush writes a corked lane itself;
+// Close returns only once every corked lane is on the endpoint.
+func TestFlusherFlushAndCloseWriteCorked(t *testing.T) {
+	onOneP(t)
+	ep := &recordingEndpoint{}
+	fl := NewFlusher(ep, FlusherConfig{Window: time.Hour})
+	sendUrgent(t, fl, 0, 2)
+	fl.Flush(2)
+	if got := ep.frameSizes(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("frames %v after Flush, want one of 2", got)
+	}
+	sendUrgent(t, fl, 2, 5)
+	fl.Close()
+	wantInOrder(t, ep.messages(), 5)
+}
+
+// TestFlusherWriterInFlightCoalesces: messages that find the lane's
+// writer busy ride its next frame together.
+func TestFlusherWriterInFlightCoalesces(t *testing.T) {
+	ep := &recordingEndpoint{entered: make(chan struct{}), release: make(chan struct{})}
+	fl := NewFlusher(ep, FlusherConfig{Window: time.Hour})
+	sendUrgent(t, fl, 0, 1)
+	<-ep.entered // the writer is inside the endpoint with m000
+	sendUrgent(t, fl, 1, 9)
+	ep.release <- struct{}{}
+	<-ep.entered
+	ep.release <- struct{}{}
+	fl.Close()
+	if got := fmt.Sprint(ep.frameSizes()); got != "[1 8]" {
+		t.Fatalf("frame sizes %s, want [1 8]", got)
+	}
+	wantInOrder(t, ep.messages(), 9)
+}
+
+// countingEndpoint counts frames and the messages they carry.
+type countingEndpoint struct{ frames, items atomic.Int64 }
+
+func (*countingEndpoint) Node() ids.NodeID { return 1 }
+
+func (*countingEndpoint) Call(ids.NodeID, Class, []byte) ([]byte, error) { return nil, nil }
+
+func (c *countingEndpoint) Send(ids.NodeID, Class, []byte) error {
+	c.frames.Add(1)
+	c.items.Add(1)
+	return nil
+}
+
+func (c *countingEndpoint) SendBatch(_ ids.NodeID, items []BatchItem) error {
+	c.frames.Add(1)
+	c.items.Add(int64(len(items)))
+	return nil
+}
+
+// BenchmarkFlusherBurst is the window workload's send side in miniature:
+// 32 urgent sends to one destination, then the block point. items/frame
+// is the coalescing the cork buys: 32, less when the cork's own goroutine
+// claims a burst early, more when it is still writing as the next lands.
+func BenchmarkFlusherBurst(b *testing.B) {
+	ep := &countingEndpoint{}
+	fl := NewFlusher(ep, FlusherConfig{Window: time.Millisecond})
+	defer fl.Close()
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 32; k++ {
+			if err := fl.Send(2, ClassApp, payload, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fl.FlushPending()
+	}
+	b.StopTimer()
+	fl.Close()
+	b.ReportMetric(float64(ep.items.Load())/float64(ep.frames.Load()), "items/frame")
 }

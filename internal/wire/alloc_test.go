@@ -67,6 +67,24 @@ func TestAllocsEncode(t *testing.T) {
 	}
 }
 
+// TestAllocsEncodedSize gates the size walk the send path sizes its
+// buffer with: no allocation for either dict form, nested or not. (It
+// once ran a throw-away Encode.)
+func TestAllocsEncodedSize(t *testing.T) {
+	pairs, err := Marshal(allocMsg{A: 7, B: 9, F: 2.5, On: true, Tag: "alloc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := List(pairs, Dict(map[string]Value{"k": Bytes(make([]byte, 4096)), "l": List(Int(1))}))
+	var sink int
+	assertAllocs(t, "encoded size", 0, func() {
+		sink = EncodedSize(v)
+	})
+	if sink != len(Encode(nil, v)) {
+		t.Fatalf("EncodedSize = %d, want %d", sink, len(Encode(nil, v)))
+	}
+}
+
 // TestAllocsPlanUnmarshal gates the registered-struct decode of a
 // canonical (sorted-pairs) dict: the merge walk itself allocates nothing
 // for plan-fast-path fields.

@@ -208,7 +208,11 @@ func FuzzCodecDecodeUnmarshal(f *testing.F) {
 		if got := len(v.Refs(nil)); got != refs {
 			t.Fatalf("OnRef fired %d times for a value containing %d refs", refs, got)
 		}
-		round, err := dec.Decode(Encode(nil, v))
+		enc := Encode(nil, v)
+		if got := EncodedSize(v); got != len(enc) {
+			t.Fatalf("EncodedSize = %d, Encode wrote %d bytes", got, len(enc))
+		}
+		round, err := dec.Decode(enc)
 		if err != nil || !round.Equal(v) {
 			t.Fatalf("re-encode round-trip failed: %v (err %v)", round, err)
 		}

@@ -108,6 +108,10 @@ func FuzzPlanCodecParity(f *testing.F) {
 		if !bytes.Equal(pb, rb) {
 			t.Fatalf("encoding divergence:\nplan %x\nrefl %x", pb, rb)
 		}
+		// Pairs form and map form, sized without encoding.
+		if ps, rs := EncodedSize(pv), EncodedSize(rv); ps != len(pb) || rs != len(pb) {
+			t.Fatalf("EncodedSize plan %d, refl %d; Encode wrote %d bytes", ps, rs, len(pb))
+		}
 
 		// Decode the canonical bytes (pairs-form dict) and unmarshal into
 		// both types: the plan's sorted merge walk against the reflection

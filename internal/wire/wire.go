@@ -633,20 +633,59 @@ func encodeTo(dst []byte, v *Value) []byte {
 }
 
 // EncodedSize returns the number of bytes Encode would produce for v. This
-// is the quantity the traffic accounting measures.
+// is the quantity the traffic accounting measures, and what the send path
+// sizes its buffer with: a pure walk, no allocation and no encode.
 func EncodedSize(v Value) int {
-	// Encoding into a scratch buffer is simple and still cheap relative to
-	// network simulation; sizes of hot-path blobs dominate and are O(1) to
-	// compute, so take a fast path for them.
-	switch v.Kind() {
-	case KindBytes:
-		return 1 + uvarintLen(uint64(len(v.bytes))) + len(v.bytes)
-	case KindString:
-		return 1 + uvarintLen(uint64(len(v.s))) + len(v.s)
-	default:
-		return len(Encode(nil, v))
-	}
+	return sizeOf(&v)
 }
+
+// sizeOf mirrors encodeTo case by case.
+func sizeOf(v *Value) int {
+	n := 1 // kind tag
+	switch v.Kind() {
+	case KindBool:
+		n++
+	case KindInt:
+		x := int64(v.num)
+		n += uvarintLen(uint64(x<<1) ^ uint64(x>>63)) // zigzag, as AppendVarint
+	case KindFloat:
+		n += 8
+	case KindString:
+		n += lenPrefixed(len(v.s))
+	case KindBytes:
+		n += lenPrefixed(len(v.bytes))
+	case KindList:
+		n += uvarintLen(uint64(len(v.elems)))
+		for i := range v.elems {
+			n += sizeOf(&v.elems[i])
+		}
+	case KindDict:
+		// Both dict forms; the map form needs no key order to be sized.
+		n += uvarintLen(uint64(v.Len()))
+		for i, k := range v.dkeys {
+			n += lenPrefixed(len(k)) + sizeOf(&v.elems[i])
+		}
+		for k, e := range v.dict {
+			n += lenPrefixed(len(k)) + sizeOfCopy(e)
+		}
+	case KindRef:
+		n += uvarintLen(uint64(v.ref.Node)) + uvarintLen(uint64(v.ref.Seq))
+	case KindFuture:
+		n += uvarintLen(uint64(v.fid.Node)) + uvarintLen(uint64(v.fid.Seq)) +
+			uvarintLen(uint64(v.ref.Node)) + uvarintLen(uint64(v.ref.Seq))
+	}
+	return n
+}
+
+// sizeOfCopy sizes a map-form dict entry. The address of a range variable
+// passed down a recursive call escapes; out of line, the copy stays on
+// this function's stack.
+//
+//go:noinline
+func sizeOfCopy(v Value) int { return sizeOf(&v) }
+
+// lenPrefixed is the encoded size of n bytes behind their uvarint length.
+func lenPrefixed(n int) int { return uvarintLen(uint64(n)) + n }
 
 func uvarintLen(x uint64) int {
 	n := 1

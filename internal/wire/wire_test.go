@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,42 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodedSizeEveryKind pins the size walk to the encoder case by
+// case: every kind, the varint length boundaries, nesting, and both dict
+// forms.
+func TestEncodedSizeEveryKind(t *testing.T) {
+	act := ids.ActivityID{Node: 300, Seq: 1 << 20}
+	fut := FutureRef{ID: ids.FutureID{Node: 2, Seq: 130}, Owner: act}
+	mapDict := Dict(map[string]Value{
+		"list": List(Int(1), List(String("deep"), List())),
+		"ref":  Ref(act),
+		"":     Dict(nil),
+	})
+	var dec Decoder
+	pairsDict, err := dec.Decode(Encode(nil, mapDict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairsDict.dict != nil || mapDict.dict == nil {
+		t.Fatal("want one dict of each form")
+	}
+	cases := []Value{
+		{}, Null(), Bool(false), Bool(true),
+		Int(0), Int(-1), Int(63), Int(64), Int(-64), Int(-65), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(0), Float(math.Inf(-1)), Float(math.NaN()),
+		String(""), String(strings.Repeat("s", 127)), String(strings.Repeat("s", 128)),
+		Bytes(nil), Bytes(make([]byte, 4096)), Bytes(make([]byte, 1<<14)), Floats([]float64{1, 2}),
+		List(), List(Null(), Bool(true), List(Int(7), Ref(act)), FutureVal(fut)),
+		Ref(ids.ActivityID{}), Ref(act), FutureVal(FutureRef{}), FutureVal(fut),
+		mapDict, pairsDict, List(pairsDict, mapDict),
+	}
+	for _, v := range cases {
+		if got, want := EncodedSize(v), len(Encode(nil, v)); got != want {
+			t.Errorf("EncodedSize(%v) = %d, Encode wrote %d bytes", v, got, want)
+		}
 	}
 }
 

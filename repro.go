@@ -497,8 +497,7 @@ const (
 	// DefaultBatchWindow is a good batching window for throughput-bound
 	// deployments (Config.BatchWindow; zero keeps batching off). Only
 	// plain one-way sends ever wait this long — requests, replies and
-	// group fan-outs flush immediately and batch only with messages
-	// already in flight.
+	// group fan-outs are written when their sender blocks (WIRE.md §5).
 	DefaultBatchWindow = 200 * time.Microsecond
 	// DefaultBatchBytes is the per-frame payload cap the runtime uses when
 	// batching is enabled and Config.BatchBytes is zero.
