@@ -2,7 +2,7 @@ GO ?= go
 
 # Tier-1 verification: everything a PR must keep green.
 .PHONY: verify
-verify: build vet fmt-check test
+verify: build vet bench-vet fmt-check test
 
 .PHONY: build
 build:
@@ -11,6 +11,13 @@ build:
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+
+# bench/ is a nested module that builds against the runtime's internal
+# codecs and transports; vetting it here catches a signature change that
+# would otherwise only break the benchmark run.
+.PHONY: bench-vet
+bench-vet:
+	$(GO) -C bench vet .
 
 # Fails when any file needs gofmt.
 .PHONY: fmt-check
@@ -77,11 +84,23 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzFrameDecode$$ -fuzztime $(FUZZTIME) ./internal/tcpnet/
 	$(GO) test -run xxx -fuzz FuzzFrameDecodeReuse -fuzztime $(FUZZTIME) ./internal/tcpnet/
 	$(GO) test -run xxx -fuzz FuzzWalkBatch -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run xxx -fuzz FuzzProtocolEnvelope -fuzztime $(FUZZTIME) ./internal/active/
 	$(GO) test -run xxx -fuzz FuzzMigrationEnvelope -fuzztime $(FUZZTIME) ./internal/active/
 	$(GO) test -run xxx -fuzz FuzzFanOutEnvelope -fuzztime $(FUZZTIME) ./internal/active/
+	$(GO) test -run xxx -fuzz FuzzClusterEnvelope -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run xxx -fuzz FuzzLocationEnvelope -fuzztime $(FUZZTIME) ./internal/location/
 	$(GO) test -run xxx -fuzz FuzzCacheOps -fuzztime $(FUZZTIME) ./internal/location/
 	$(GO) test -run xxx -fuzz FuzzCheckpointRecord -fuzztime $(FUZZTIME) ./internal/store/
+
+# Rewrite the golden wire vectors (testdata/wire/*.hex) from the current
+# encoders: the vector tests rerun with -update in exactly the packages
+# that define that flag. A PR that regenerates a vector says so in
+# CHANGES.md (WIRE.md, "Golden vectors").
+GOLDEN_PKGS = ./internal/wire/ ./internal/active/ ./internal/tcpnet/ ./internal/transport/ \
+	./internal/cluster/ ./internal/location/ ./internal/store/
+.PHONY: golden
+golden:
+	$(GO) test -count=1 -run '^TestGolden' $(GOLDEN_PKGS) -update
 
 # Cluster chaos pass, exactly as the CI chaos job runs it: the
 # node-kill + join/leave conformance scenarios under the race detector

@@ -73,44 +73,27 @@ type checkpoint struct {
 // registered names.
 func encodeCheckpoint(c checkpoint) []byte {
 	env := encodeMigration(c.Env)
-	buf := make([]byte, 0, len(env)+16)
-	buf = binary.AppendUvarint(buf, uint64(len(env)))
-	buf = append(buf, env...)
+	buf := wire.AppendBytes(make([]byte, 0, len(env)+16), env)
 	buf = binary.AppendUvarint(buf, uint64(len(c.Names)))
 	for _, name := range c.Names {
-		buf = appendUvarintString(buf, name)
+		buf = wire.AppendString(buf, name)
 	}
 	return buf
 }
 
 func decodeCheckpoint(buf []byte) (checkpoint, error) {
+	r := wire.NewReader(buf, errBadEnvelope)
+	env := r.Bytes()
 	var c checkpoint
-	envLen, sz := binary.Uvarint(buf)
-	if sz <= 0 || envLen > uint64(len(buf)-sz) {
-		return c, fmt.Errorf("%w: checkpoint envelope length", errBadEnvelope)
+	for n := r.Count(r.Len()); n > 0 && r.Err() == nil; n-- {
+		c.Names = append(c.Names, r.String())
 	}
-	buf = buf[sz:]
-	var err error
-	if c.Env, err = decodeMigration(buf[:envLen]); err != nil {
+	if err := r.Done(); err != nil {
 		return c, err
 	}
-	buf = buf[envLen:]
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)) {
-		return c, fmt.Errorf("%w: checkpoint name count", errBadEnvelope)
-	}
-	buf = buf[sz:]
-	for i := uint64(0); i < n; i++ {
-		var name string
-		if name, buf, err = readUvarintString(buf); err != nil {
-			return c, err
-		}
-		c.Names = append(c.Names, name)
-	}
-	if len(buf) != 0 {
-		return c, fmt.Errorf("%w: trailing checkpoint bytes", errBadEnvelope)
-	}
-	return c, nil
+	var err error
+	c.Env, err = decodeMigration(env)
+	return c, err
 }
 
 // checkpointNow captures and persists one activity. It must run where a

@@ -20,7 +20,6 @@ package active
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
 
 	"repro/internal/ids"
@@ -70,7 +69,7 @@ func encodeFanOut(e fanOutEnv) []byte {
 	buf = append(buf, envFanOut)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Root))
 	buf = binary.LittleEndian.AppendUint64(buf, e.AggKey)
-	buf = appendUvarintString(buf, e.Method)
+	buf = wire.AppendString(buf, e.Method)
 	if e.Shared {
 		buf = append(buf, 1)
 		buf = wire.Encode(buf, e.Args)
@@ -82,10 +81,9 @@ func encodeFanOut(e fanOutEnv) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Dst))
 		buf = binary.AppendUvarint(buf, uint64(len(b.Entries)))
 		for _, en := range b.Entries {
-			buf = appendActivityID(buf, en.Target)
-			buf = appendActivityID(buf, en.Sender)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(en.Future.Node))
-			buf = binary.LittleEndian.AppendUint32(buf, en.Future.Seq)
+			buf = wire.AppendID(buf, en.Target)
+			buf = wire.AppendID(buf, en.Sender)
+			buf = wire.AppendFuture(buf, en.Future)
 			if !e.Shared {
 				buf = wire.Encode(buf, en.Args)
 			}
@@ -95,72 +93,28 @@ func encodeFanOut(e fanOutEnv) []byte {
 }
 
 func decodeFanOut(buf []byte) (fanOutEnv, error) {
-	var e fanOutEnv
-	if len(buf) < 1+4+8 || buf[0] != envFanOut {
-		return e, fmt.Errorf("%w: fan-out header", errBadEnvelope)
-	}
-	e.Root = ids.NodeID(binary.LittleEndian.Uint32(buf[1:]))
-	e.AggKey = binary.LittleEndian.Uint64(buf[5:])
-	buf = buf[13:]
-	var err error
-	if e.Method, buf, err = readUvarintString(buf); err != nil {
-		return e, err
-	}
-	if len(buf) < 1 {
-		return e, fmt.Errorf("%w: fan-out shared flag", errBadEnvelope)
-	}
-	e.Shared = buf[0] != 0
-	buf = buf[1:]
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(envFanOut)
 	var dec wire.Decoder
+	e := fanOutEnv{Root: ids.NodeID(r.U32()), AggKey: r.U64(), Method: r.String(), Shared: r.Byte() != 0}
 	if e.Shared {
-		if e.Args, buf, err = dec.DecodePrefix(buf); err != nil {
-			return e, err
-		}
+		e.Args = r.Value(&dec)
 	}
-	nb, sz := binary.Uvarint(buf)
-	if sz <= 0 || nb > maxFanBundles {
-		return e, fmt.Errorf("%w: fan-out bundle count", errBadEnvelope)
-	}
-	buf = buf[sz:]
-	total := uint64(0)
-	for i := uint64(0); i < nb; i++ {
-		if len(buf) < 4 {
-			return e, fmt.Errorf("%w: truncated fan-out bundle", errBadEnvelope)
-		}
-		b := fanBundle{Dst: ids.NodeID(binary.LittleEndian.Uint32(buf))}
-		buf = buf[4:]
-		ne, esz := binary.Uvarint(buf)
-		if esz <= 0 || ne > maxFanEntries {
-			return e, fmt.Errorf("%w: fan-out entry count", errBadEnvelope)
-		}
-		if total += ne; total > maxFanEntries {
-			return e, fmt.Errorf("%w: fan-out entry total", errBadEnvelope)
-		}
-		buf = buf[esz:]
-		b.Entries = make([]fanEntry, 0, ne)
-		for j := uint64(0); j < ne; j++ {
-			if len(buf) < 8+8+8 {
-				return e, fmt.Errorf("%w: truncated fan-out entry", errBadEnvelope)
-			}
-			var en fanEntry
-			en.Target, buf = readActivityID(buf)
-			en.Sender, buf = readActivityID(buf)
-			en.Future.Node = ids.NodeID(binary.LittleEndian.Uint32(buf))
-			en.Future.Seq = binary.LittleEndian.Uint32(buf[4:])
-			buf = buf[8:]
+	total := 0 // entries across all bundles, capped at maxFanEntries
+	for nb := r.Count(maxFanBundles); nb > 0 && r.Err() == nil; nb-- {
+		b := fanBundle{Dst: ids.NodeID(r.U32())}
+		b.Entries = make([]fanEntry, r.Count(maxFanEntries-total))
+		total += len(b.Entries)
+		for j := range b.Entries {
+			en := &b.Entries[j]
+			en.Target, en.Sender, en.Future = r.ID(), r.ID(), r.Future()
 			if !e.Shared {
-				if en.Args, buf, err = dec.DecodePrefix(buf); err != nil {
-					return e, err
-				}
+				en.Args = r.Value(&dec)
 			}
-			b.Entries = append(b.Entries, en)
 		}
 		e.Bundle = append(e.Bundle, b)
 	}
-	if len(buf) != 0 {
-		return e, fmt.Errorf("%w: trailing fan-out bytes", errBadEnvelope)
-	}
-	return e, nil
+	return e, r.Done()
 }
 
 // encodeFanAgg packs aggregated replies one hop up the tree: tag |
@@ -177,38 +131,20 @@ func encodeFanAgg(root ids.NodeID, parentKey uint64, updates [][]byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, parentKey)
 	buf = binary.AppendUvarint(buf, uint64(len(updates)))
 	for _, u := range updates {
-		buf = binary.AppendUvarint(buf, uint64(len(u)))
-		buf = append(buf, u...)
+		buf = wire.AppendBytes(buf, u)
 	}
 	return buf
 }
 
 func decodeFanAgg(buf []byte) (root ids.NodeID, parentKey uint64, updates [][]byte, err error) {
-	if len(buf) < 1+4+8 || buf[0] != envFanAgg {
-		return 0, 0, nil, fmt.Errorf("%w: fan-agg header", errBadEnvelope)
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(envFanAgg)
+	root, parentKey = ids.NodeID(r.U32()), r.U64()
+	updates = make([][]byte, r.Count(maxFanEntries))
+	for i := range updates {
+		updates[i] = r.Bytes()
 	}
-	root = ids.NodeID(binary.LittleEndian.Uint32(buf[1:]))
-	parentKey = binary.LittleEndian.Uint64(buf[5:])
-	buf = buf[13:]
-	count, sz := binary.Uvarint(buf)
-	if sz <= 0 || count > maxFanEntries {
-		return 0, 0, nil, fmt.Errorf("%w: fan-agg count", errBadEnvelope)
-	}
-	buf = buf[sz:]
-	updates = make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		ulen, usz := binary.Uvarint(buf)
-		if usz <= 0 || ulen > uint64(len(buf)-usz) {
-			return 0, 0, nil, fmt.Errorf("%w: fan-agg update length", errBadEnvelope)
-		}
-		buf = buf[usz:]
-		updates = append(updates, buf[:ulen:ulen])
-		buf = buf[ulen:]
-	}
-	if len(buf) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: trailing fan-agg bytes", errBadEnvelope)
-	}
-	return root, parentKey, updates, nil
+	return root, parentKey, updates, r.Done()
 }
 
 // ---------------------------------------------------------------------------

@@ -67,6 +67,9 @@ func FuzzFanOutEnvelope(f *testing.F) {
 	for _, s := range fuzzFanOutSeeds() {
 		f.Add(s)
 	}
+	for _, name := range []string{"fanout-shared", "fanout-scatter", "fanagg"} {
+		f.Add(vector(f, name))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if e, err := decodeFanOut(data); err == nil {
 			enc := encodeFanOut(e)

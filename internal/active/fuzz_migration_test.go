@@ -5,9 +5,13 @@ package active
 // hit with arbitrary bytes through the transport's ClassApp call leg.
 // decodeMigration must never panic, and everything it accepts must
 // re-encode ⇄ re-decode to the same envelope (no one-way doors between a
-// forwarder and its destination).
+// forwarder and its destination). The checkpoint wrapper around it
+// (WIRE.md §11), which recovery reads back from disk, is held to the same
+// rules.
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/ids"
@@ -46,7 +50,16 @@ func FuzzMigrationEnvelope(f *testing.F) {
 	// A few deliberately damaged prefixes.
 	f.Add([]byte{envMigrate})
 	f.Add([]byte{envMigrate, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(vector(f, "env-migrate"))
+	f.Add(vector(f, "checkpoint"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if c, err := decodeCheckpoint(data); err == nil {
+			again, err := decodeCheckpoint(encodeCheckpoint(c))
+			if err != nil || !reflect.DeepEqual(again.Names, c.Names) ||
+				!bytes.Equal(encodeMigration(again.Env), encodeMigration(c.Env)) {
+				t.Fatalf("checkpoint round trip: %v\n%+v\n%+v", err, c, again)
+			}
+		}
 		m, err := decodeMigration(data)
 		if err != nil {
 			return

@@ -76,10 +76,9 @@ var errBadEnvelope = errors.New("active: malformed envelope")
 // including) the args value.
 func appendRequestHeader(buf []byte, req request) []byte {
 	buf = append(buf, envRequest)
-	buf = appendActivityID(buf, req.Target)
-	buf = appendActivityID(buf, req.Sender)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Future.Node))
-	buf = binary.LittleEndian.AppendUint32(buf, req.Future.Seq)
+	buf = wire.AppendID(buf, req.Target)
+	buf = wire.AppendID(buf, req.Sender)
+	buf = wire.AppendFuture(buf, req.Future)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(req.Method)))
 	buf = append(buf, req.Method...)
 	return buf
@@ -98,28 +97,16 @@ func encodeRequestShared(req request, argsEnc []byte) []byte {
 	return append(buf, argsEnc...)
 }
 
-// decodeRequest decodes a request envelope. The wire decoding of Args is
+// decodeRequestHeader decodes a request envelope. The wire decoding of Args is
 // done by the caller (node.deliverRequest) so that the OnRef hook can be
 // bound to the recipient activity; here only the header is parsed and the
 // raw args bytes returned.
 func decodeRequestHeader(buf []byte) (request, []byte, error) {
-	if len(buf) < 1+8+8+8+4 || buf[0] != envRequest {
-		return request{}, nil, fmt.Errorf("%w: request header", errBadEnvelope)
-	}
-	buf = buf[1:]
-	var req request
-	req.Target, buf = readActivityID(buf)
-	req.Sender, buf = readActivityID(buf)
-	req.Future.Node = ids.NodeID(binary.LittleEndian.Uint32(buf))
-	req.Future.Seq = binary.LittleEndian.Uint32(buf[4:])
-	buf = buf[8:]
-	mlen := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint32(len(buf)) < mlen {
-		return request{}, nil, fmt.Errorf("%w: truncated method", errBadEnvelope)
-	}
-	req.Method = string(buf[:mlen])
-	return req, buf[mlen:], nil
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(envRequest)
+	req := request{Target: r.ID(), Sender: r.ID(), Future: r.Future()}
+	req.Method = string(r.Next(int(r.U32())))
+	return req, r.Rest(), r.Err()
 }
 
 // futureUpdate is the result envelope flowing callee → caller (§4.1
@@ -145,8 +132,7 @@ type futureUpdate struct {
 func encodeFutureUpdate(u futureUpdate) []byte {
 	buf := make([]byte, 0, 32+wire.EncodedSize(u.Value))
 	buf = append(buf, envFutureUpdate)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(u.Future.Node))
-	buf = binary.LittleEndian.AppendUint32(buf, u.Future.Seq)
+	buf = wire.AppendFuture(buf, u.Future)
 	if u.Failed {
 		buf = append(buf, 1)
 	} else {
@@ -159,23 +145,11 @@ func encodeFutureUpdate(u futureUpdate) []byte {
 }
 
 func decodeFutureUpdateHeader(buf []byte) (futureUpdate, []byte, error) {
-	if len(buf) < 1+8+1+4 || buf[0] != envFutureUpdate {
-		return futureUpdate{}, nil, fmt.Errorf("%w: future header", errBadEnvelope)
-	}
-	buf = buf[1:]
-	var u futureUpdate
-	u.Future.Node = ids.NodeID(binary.LittleEndian.Uint32(buf))
-	u.Future.Seq = binary.LittleEndian.Uint32(buf[4:])
-	buf = buf[8:]
-	u.Failed = buf[0] != 0
-	buf = buf[1:]
-	elen := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint32(len(buf)) < elen {
-		return futureUpdate{}, nil, fmt.Errorf("%w: truncated error", errBadEnvelope)
-	}
-	u.Err = string(buf[:elen])
-	return u, buf[elen:], nil
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(envFutureUpdate)
+	u := futureUpdate{Future: r.Future(), Failed: r.Byte() != 0}
+	u.Err = string(r.Next(int(r.U32())))
+	return u, r.Rest(), r.Err()
 }
 
 // futureSubscribe asks a future's home node to register a holder after
@@ -188,20 +162,15 @@ func decodeFutureUpdateHeader(buf []byte) (futureUpdate, []byte, error) {
 func encodeFutureSubscribe(fid FutureID, holder ids.NodeID) []byte {
 	buf := make([]byte, 0, 1+8+4)
 	buf = append(buf, envFutureSubscribe)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(fid.Node))
-	buf = binary.LittleEndian.AppendUint32(buf, fid.Seq)
+	buf = wire.AppendFuture(buf, fid)
 	return binary.LittleEndian.AppendUint32(buf, uint32(holder))
 }
 
 func decodeFutureSubscribe(buf []byte) (FutureID, ids.NodeID, error) {
-	if len(buf) != 1+8+4 || buf[0] != envFutureSubscribe {
-		return FutureID{}, 0, fmt.Errorf("%w: future subscribe", errBadEnvelope)
-	}
-	fid := FutureID{
-		Node: ids.NodeID(binary.LittleEndian.Uint32(buf[1:])),
-		Seq:  binary.LittleEndian.Uint32(buf[5:]),
-	}
-	return fid, ids.NodeID(binary.LittleEndian.Uint32(buf[9:])), nil
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(envFutureSubscribe)
+	fid, holder := r.Future(), ids.NodeID(r.U32())
+	return fid, holder, r.Done()
 }
 
 // dgcPayload is the DGC exchange envelope: target activity + fixed-size
@@ -209,17 +178,23 @@ func decodeFutureSubscribe(buf []byte) (FutureID, ids.NodeID, error) {
 // rides back on the same connection.
 func encodeDGCPayload(target ids.ActivityID, msg core.Message) []byte {
 	buf := make([]byte, 0, 8+core.MessageWireSize)
-	buf = appendActivityID(buf, target)
+	buf = wire.AppendID(buf, target)
 	return append(buf, core.EncodeMessage(msg)...)
 }
 
 func decodeDGCPayload(buf []byte) (ids.ActivityID, core.Message, error) {
-	if len(buf) < 8+core.MessageWireSize {
-		return ids.Nil, core.Message{}, fmt.Errorf("%w: dgc payload", errBadEnvelope)
+	r := wire.NewReader(buf, errBadEnvelope)
+	e := readDGCEntry(&r)
+	return e.Target, e.Msg, r.Done()
+}
+
+// readDGCEntry reads one 8 B target + fixed-size core.Message pair.
+func readDGCEntry(r *wire.Reader) dgcBatchEntry {
+	e := dgcBatchEntry{Target: r.ID()}
+	if b := r.Next(core.MessageWireSize); b != nil {
+		e.Msg, _ = core.DecodeMessage(b)
 	}
-	target, rest := readActivityID(buf)
-	msg, err := core.DecodeMessage(rest)
-	return target, msg, err
+	return e
 }
 
 // dgcSingleSize is the exact length of a single-message DGC payload. A
@@ -252,40 +227,20 @@ func encodeDGCBatchPayload(entries []dgcBatchEntry) []byte {
 	buf = append(buf, dgcBatchTag)
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
-		buf = appendActivityID(buf, e.Target)
+		buf = wire.AppendID(buf, e.Target)
 		buf = append(buf, core.EncodeMessage(e.Msg)...)
 	}
 	return buf
 }
 
 func decodeDGCBatchPayload(buf []byte) ([]dgcBatchEntry, error) {
-	if len(buf) < 2 || buf[0] != dgcBatchTag {
-		return nil, fmt.Errorf("%w: dgc batch payload", errBadEnvelope)
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(dgcBatchTag)
+	entries := make([]dgcBatchEntry, r.Count(r.Len()/dgcSingleSize))
+	for i := range entries {
+		entries[i] = readDGCEntry(&r)
 	}
-	count, sz := binary.Uvarint(buf[1:])
-	if sz <= 0 || count > uint64(len(buf))/dgcSingleSize+1 {
-		return nil, fmt.Errorf("%w: dgc batch count", errBadEnvelope)
-	}
-	buf = buf[1+sz:]
-	entries := make([]dgcBatchEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(buf) < dgcSingleSize {
-			return nil, fmt.Errorf("%w: truncated dgc batch", errBadEnvelope)
-		}
-		var e dgcBatchEntry
-		e.Target, buf = readActivityID(buf)
-		msg, err := core.DecodeMessage(buf)
-		if err != nil {
-			return nil, err
-		}
-		e.Msg = msg
-		buf = buf[core.MessageWireSize:]
-		entries = append(entries, e)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: trailing dgc batch bytes", errBadEnvelope)
-	}
-	return entries, nil
+	return entries, r.Done()
 }
 
 // encodeDGCBatchResponse packs the per-entry responses positionally: tag
@@ -308,36 +263,19 @@ func encodeDGCBatchResponse(resps []*core.Response) []byte {
 }
 
 func decodeDGCBatchResponse(buf []byte) ([]*core.Response, error) {
-	if len(buf) < 2 || buf[0] != dgcBatchTag {
-		return nil, fmt.Errorf("%w: dgc batch response", errBadEnvelope)
-	}
-	count, sz := binary.Uvarint(buf[1:])
-	if sz <= 0 || count > uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: dgc batch response count", errBadEnvelope)
-	}
-	buf = buf[1+sz:]
-	resps := make([]*core.Response, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(buf) < 1 {
-			return nil, fmt.Errorf("%w: truncated dgc batch response", errBadEnvelope)
-		}
-		present := buf[0] != 0
-		buf = buf[1:]
-		if !present {
-			resps = append(resps, nil)
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(dgcBatchTag)
+	resps := make([]*core.Response, r.Count(r.Len()))
+	for i := range resps {
+		if r.Byte() == 0 {
 			continue
 		}
-		r, err := core.DecodeResponse(buf)
-		if err != nil {
-			return nil, err
+		if b := r.Next(core.ResponseWireSize); b != nil {
+			resp, _ := core.DecodeResponse(b)
+			resps[i] = &resp
 		}
-		buf = buf[core.ResponseWireSize:]
-		resps = append(resps, &r)
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: trailing dgc batch response bytes", errBadEnvelope)
-	}
-	return resps, nil
+	return resps, r.Done()
 }
 
 // redirect is the rebinding notice a forwarder sends to every node that
@@ -348,17 +286,15 @@ func decodeDGCBatchResponse(buf []byte) ([]*core.Response, error) {
 func encodeRedirect(old, new ids.ActivityID) []byte {
 	buf := make([]byte, 0, 1+8+8)
 	buf = append(buf, envRedirect)
-	buf = appendActivityID(buf, old)
-	return appendActivityID(buf, new)
+	buf = wire.AppendID(buf, old)
+	return wire.AppendID(buf, new)
 }
 
 func decodeRedirect(buf []byte) (old, new ids.ActivityID, err error) {
-	if len(buf) != 1+8+8 || buf[0] != envRedirect {
-		return ids.Nil, ids.Nil, fmt.Errorf("%w: redirect", errBadEnvelope)
-	}
-	old, buf = readActivityID(buf[1:])
-	new, _ = readActivityID(buf)
-	return old, new, nil
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(envRedirect)
+	old, new = r.ID(), r.ID()
+	return old, new, r.Done()
 }
 
 // migrationState is one persistent-state entry of a migrating activity.
@@ -389,43 +325,25 @@ type migration struct {
 	Queue []migrationRequest
 }
 
-func appendUvarintString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readUvarintString(buf []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return "", nil, fmt.Errorf("%w: string length", errBadEnvelope)
-	}
-	buf = buf[sz:]
-	if n > uint64(len(buf)) {
-		return "", nil, fmt.Errorf("%w: truncated string", errBadEnvelope)
-	}
-	return string(buf[:n]), buf[n:], nil
-}
-
 // encodeMigration packs the envelope: tag, old identity, name, kind, then
 // uvarint-counted state entries (key + value) and queue items (sender +
 // future + method + args).
 func encodeMigration(m migration) []byte {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, envMigrate)
-	buf = appendActivityID(buf, m.Old)
-	buf = appendUvarintString(buf, m.Name)
-	buf = appendUvarintString(buf, m.Kind)
+	buf = wire.AppendID(buf, m.Old)
+	buf = wire.AppendString(buf, m.Name)
+	buf = wire.AppendString(buf, m.Kind)
 	buf = binary.AppendUvarint(buf, uint64(len(m.State)))
 	for _, e := range m.State {
-		buf = appendUvarintString(buf, e.Key)
+		buf = wire.AppendString(buf, e.Key)
 		buf = wire.Encode(buf, e.Value)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.Queue)))
 	for _, q := range m.Queue {
-		buf = appendActivityID(buf, q.Sender)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(q.Future.Node))
-		buf = binary.LittleEndian.AppendUint32(buf, q.Future.Seq)
-		buf = appendUvarintString(buf, q.Method)
+		buf = wire.AppendID(buf, q.Sender)
+		buf = wire.AppendFuture(buf, q.Future)
+		buf = wire.AppendString(buf, q.Method)
 		buf = wire.Encode(buf, q.Args)
 	}
 	return buf
@@ -435,60 +353,17 @@ func encodeMigration(m migration) []byte {
 // plain decoder (no hooks): the caller re-binds references explicitly
 // against the freshly created activity, after rewriting self-references.
 func decodeMigration(buf []byte) (migration, error) {
-	var m migration
-	if len(buf) < 1+8 || buf[0] != envMigrate {
-		return m, fmt.Errorf("%w: migration header", errBadEnvelope)
-	}
-	m.Old, buf = readActivityID(buf[1:])
-	var err error
-	if m.Name, buf, err = readUvarintString(buf); err != nil {
-		return m, err
-	}
-	if m.Kind, buf, err = readUvarintString(buf); err != nil {
-		return m, err
-	}
+	r := wire.NewReader(buf, errBadEnvelope)
+	r.Expect(envMigrate)
 	var dec wire.Decoder
-	nState, sz := binary.Uvarint(buf)
-	if sz <= 0 || nState > uint64(len(buf)) {
-		return m, fmt.Errorf("%w: migration state count", errBadEnvelope)
+	m := migration{Old: r.ID(), Name: r.String(), Kind: r.String()}
+	for n := r.Count(r.Len()); n > 0 && r.Err() == nil; n-- {
+		m.State = append(m.State, migrationState{Key: r.String(), Value: r.Value(&dec)})
 	}
-	buf = buf[sz:]
-	for i := uint64(0); i < nState; i++ {
-		var e migrationState
-		if e.Key, buf, err = readUvarintString(buf); err != nil {
-			return m, err
-		}
-		if e.Value, buf, err = dec.DecodePrefix(buf); err != nil {
-			return m, err
-		}
-		m.State = append(m.State, e)
+	for n := r.Count(r.Len()); n > 0 && r.Err() == nil; n-- {
+		m.Queue = append(m.Queue, migrationRequest{Sender: r.ID(), Future: r.Future(), Method: r.String(), Args: r.Value(&dec)})
 	}
-	nQueue, sz := binary.Uvarint(buf)
-	if sz <= 0 || nQueue > uint64(len(buf))+1 {
-		return m, fmt.Errorf("%w: migration queue count", errBadEnvelope)
-	}
-	buf = buf[sz:]
-	for i := uint64(0); i < nQueue; i++ {
-		var q migrationRequest
-		if len(buf) < 8+8 {
-			return m, fmt.Errorf("%w: truncated migration queue", errBadEnvelope)
-		}
-		q.Sender, buf = readActivityID(buf)
-		q.Future.Node = ids.NodeID(binary.LittleEndian.Uint32(buf))
-		q.Future.Seq = binary.LittleEndian.Uint32(buf[4:])
-		buf = buf[8:]
-		if q.Method, buf, err = readUvarintString(buf); err != nil {
-			return m, err
-		}
-		if q.Args, buf, err = dec.DecodePrefix(buf); err != nil {
-			return m, err
-		}
-		m.Queue = append(m.Queue, q)
-	}
-	if len(buf) != 0 {
-		return m, fmt.Errorf("%w: trailing migration bytes", errBadEnvelope)
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // Migration responses: status byte + new identity, or status byte + error
@@ -508,36 +383,17 @@ func encodeMigrateResponse(newID ids.ActivityID, err error) []byte {
 	}
 	buf := make([]byte, 0, 1+8)
 	buf = append(buf, migrateOK)
-	return appendActivityID(buf, newID)
+	return wire.AppendID(buf, newID)
 }
 
 func decodeMigrateResponse(buf []byte) (ids.ActivityID, error) {
-	if len(buf) == 0 {
-		return ids.Nil, fmt.Errorf("%w: empty migrate response", errBadEnvelope)
-	}
-	switch buf[0] {
+	r := wire.NewReader(buf, errBadEnvelope)
+	switch r.Byte() {
 	case migrateOK:
-		if len(buf) != 1+8 {
-			return ids.Nil, fmt.Errorf("%w: migrate response", errBadEnvelope)
-		}
-		id, _ := readActivityID(buf[1:])
-		return id, nil
+		id := r.ID()
+		return id, r.Done()
 	case migrateFailed:
-		return ids.Nil, fmt.Errorf("%w: %s", ErrMigrationFailed, string(buf[1:]))
-	default:
-		return ids.Nil, fmt.Errorf("%w: migrate response status", errBadEnvelope)
+		return ids.Nil, fmt.Errorf("%w: %s", ErrMigrationFailed, r.Rest())
 	}
-}
-
-func appendActivityID(buf []byte, id ids.ActivityID) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(id.Node))
-	return binary.LittleEndian.AppendUint32(buf, id.Seq)
-}
-
-func readActivityID(buf []byte) (ids.ActivityID, []byte) {
-	id := ids.ActivityID{
-		Node: ids.NodeID(binary.LittleEndian.Uint32(buf)),
-		Seq:  binary.LittleEndian.Uint32(buf[4:]),
-	}
-	return id, buf[8:]
+	return ids.Nil, errBadEnvelope
 }

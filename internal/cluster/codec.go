@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // Membership envelope kinds: the first byte of every ClassCluster
@@ -85,48 +86,25 @@ type NodeEvent struct {
 	Addr string
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readString(buf []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < n {
-		return "", nil, ErrBadEnvelope
-	}
-	return string(buf[sz : sz+int(n)]), buf[sz+int(n):], nil
-}
-
-func readUvarint(buf []byte) (uint64, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return 0, nil, ErrBadEnvelope
-	}
-	return n, buf[sz:], nil
+// open returns a cursor past p's kind byte, failed unless that byte is
+// kind.
+func open(p []byte, kind byte) wire.Reader {
+	r := wire.NewReader(p, ErrBadEnvelope)
+	r.Expect(kind)
+	return r
 }
 
 // EncodeJoin encodes a join request.
 func EncodeJoin(j Join) []byte {
-	buf := []byte{MsgJoin}
-	buf = appendString(buf, j.Addr)
+	buf := wire.AppendString([]byte{MsgJoin}, j.Addr)
 	return binary.AppendUvarint(buf, uint64(j.Want))
 }
 
 // DecodeJoin decodes a MsgJoin payload.
 func DecodeJoin(p []byte) (Join, error) {
-	if len(p) < 1 || p[0] != MsgJoin {
-		return Join{}, ErrBadEnvelope
-	}
-	addr, rest, err := readString(p[1:])
-	if err != nil {
-		return Join{}, err
-	}
-	want, _, err := readUvarint(rest)
-	if err != nil {
-		return Join{}, err
-	}
-	return Join{Addr: addr, Want: int(want)}, nil
+	r := open(p, MsgJoin)
+	j := Join{Addr: r.String(), Want: int(r.Uvarint())}
+	return j, r.Done()
 }
 
 // EncodeJoinOK encodes a join response.
@@ -137,44 +115,20 @@ func EncodeJoinOK(ok JoinOK) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ok.Members)))
 	for _, m := range ok.Members {
 		buf = binary.AppendUvarint(buf, uint64(m.Node))
-		buf = appendString(buf, m.Addr)
+		buf = wire.AppendString(buf, m.Addr)
 	}
 	return buf
 }
 
 // DecodeJoinOK decodes a MsgJoinOK payload.
 func DecodeJoinOK(p []byte) (JoinOK, error) {
-	if len(p) < 1 || p[0] != MsgJoinOK {
-		return JoinOK{}, ErrBadEnvelope
+	r := open(p, MsgJoinOK)
+	ok := JoinOK{First: ids.NodeID(r.Uvarint()), Count: int(r.Uvarint())}
+	ok.Members = make([]Member, r.Count(r.Len()))
+	for i := range ok.Members {
+		ok.Members[i] = Member{Node: ids.NodeID(r.Uvarint()), Addr: r.String()}
 	}
-	rest := p[1:]
-	first, rest, err := readUvarint(rest)
-	if err != nil {
-		return JoinOK{}, err
-	}
-	count, rest, err := readUvarint(rest)
-	if err != nil {
-		return JoinOK{}, err
-	}
-	n, rest, err := readUvarint(rest)
-	if err != nil || n > uint64(len(rest)) { // each member needs ≥ 2 bytes
-		return JoinOK{}, ErrBadEnvelope
-	}
-	out := JoinOK{First: ids.NodeID(first), Count: int(count), Members: make([]Member, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		var node uint64
-		node, rest, err = readUvarint(rest)
-		if err != nil {
-			return JoinOK{}, err
-		}
-		var addr string
-		addr, rest, err = readString(rest)
-		if err != nil {
-			return JoinOK{}, err
-		}
-		out.Members = append(out.Members, Member{Node: ids.NodeID(node), Addr: addr})
-	}
-	return out, nil
+	return ok, r.Done()
 }
 
 // EncodeLease encodes a lease request.
@@ -184,14 +138,9 @@ func EncodeLease(l Lease) []byte {
 
 // DecodeLease decodes a MsgLease payload.
 func DecodeLease(p []byte) (Lease, error) {
-	if len(p) < 1 || p[0] != MsgLease {
-		return Lease{}, ErrBadEnvelope
-	}
-	want, _, err := readUvarint(p[1:])
-	if err != nil {
-		return Lease{}, err
-	}
-	return Lease{Want: int(want)}, nil
+	r := open(p, MsgLease)
+	l := Lease{Want: int(r.Uvarint())}
+	return l, r.Done()
 }
 
 // EncodeLeaseOK encodes a lease response.
@@ -203,42 +152,27 @@ func EncodeLeaseOK(ok LeaseOK) []byte {
 
 // DecodeLeaseOK decodes a MsgLeaseOK payload.
 func DecodeLeaseOK(p []byte) (LeaseOK, error) {
-	if len(p) < 1 || p[0] != MsgLeaseOK {
-		return LeaseOK{}, ErrBadEnvelope
-	}
-	first, rest, err := readUvarint(p[1:])
-	if err != nil {
-		return LeaseOK{}, err
-	}
-	count, _, err := readUvarint(rest)
-	if err != nil {
-		return LeaseOK{}, err
-	}
-	return LeaseOK{First: ids.NodeID(first), Count: int(count)}, nil
+	r := open(p, MsgLeaseOK)
+	ok := LeaseOK{First: ids.NodeID(r.Uvarint()), Count: int(r.Uvarint())}
+	return ok, r.Done()
 }
 
 // EncodeNodeEvent encodes a node-up/dead/left gossip payload; kind must
 // be MsgNodeUp, MsgNodeDead or MsgNodeLeft.
 func EncodeNodeEvent(kind byte, ev NodeEvent) []byte {
-	buf := []byte{kind}
-	buf = binary.AppendUvarint(buf, uint64(ev.Node))
-	return appendString(buf, ev.Addr)
+	buf := binary.AppendUvarint([]byte{kind}, uint64(ev.Node))
+	return wire.AppendString(buf, ev.Addr)
 }
 
 // DecodeNodeEvent decodes a node event, returning its kind.
 func DecodeNodeEvent(p []byte) (byte, NodeEvent, error) {
-	if len(p) < 1 || (p[0] != MsgNodeUp && p[0] != MsgNodeDead && p[0] != MsgNodeLeft) {
+	r := wire.NewReader(p, ErrBadEnvelope)
+	kind := r.Byte()
+	if kind != MsgNodeUp && kind != MsgNodeDead && kind != MsgNodeLeft {
 		return 0, NodeEvent{}, ErrBadEnvelope
 	}
-	node, rest, err := readUvarint(p[1:])
-	if err != nil {
-		return 0, NodeEvent{}, err
-	}
-	addr, _, err := readString(rest)
-	if err != nil {
-		return 0, NodeEvent{}, err
-	}
-	return p[0], NodeEvent{Node: ids.NodeID(node), Addr: addr}, nil
+	ev := NodeEvent{Node: ids.NodeID(r.Uvarint()), Addr: r.String()}
+	return kind, ev, r.Done()
 }
 
 // Rebind is one activity relocation: references to Old should retarget
@@ -263,28 +197,15 @@ func EncodeRebinds(rebinds []Rebind) []byte {
 
 // DecodeRebinds decodes a MsgRebinds payload.
 func DecodeRebinds(p []byte) ([]Rebind, error) {
-	if len(p) < 1 || p[0] != MsgRebinds {
-		return nil, ErrBadEnvelope
+	r := open(p, MsgRebinds)
+	id := func() ids.ActivityID {
+		return ids.ActivityID{Node: ids.NodeID(r.Uvarint()), Seq: uint32(r.Uvarint())}
 	}
-	n, rest, err := readUvarint(p[1:])
-	if err != nil || n > uint64(len(rest)) { // each rebind needs ≥ 4 bytes
-		return nil, ErrBadEnvelope
+	out := make([]Rebind, r.Count(r.Len()))
+	for i := range out {
+		out[i] = Rebind{Old: id(), New: id()}
 	}
-	out := make([]Rebind, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var vals [4]uint64
-		for j := range vals {
-			vals[j], rest, err = readUvarint(rest)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, Rebind{
-			Old: ids.ActivityID{Node: ids.NodeID(vals[0]), Seq: uint32(vals[1])},
-			New: ids.ActivityID{Node: ids.NodeID(vals[2]), Seq: uint32(vals[3])},
-		})
-	}
-	return out, nil
+	return out, r.Done()
 }
 
 // EncodePing returns the probe payload.
@@ -298,7 +219,7 @@ func EncodeAck() []byte { return []byte{MsgAck} }
 
 // EncodeErr encodes a refusal with its reason.
 func EncodeErr(msg string) []byte {
-	return appendString([]byte{MsgErr}, msg)
+	return wire.AppendString([]byte{MsgErr}, msg)
 }
 
 // DecodeResponse interprets the response payload of a cluster exchange:
@@ -313,8 +234,9 @@ func DecodeResponse(p []byte) error {
 	case MsgJoinOK, MsgLeaseOK, MsgPong, MsgAck:
 		return nil
 	case MsgErr:
-		msg, _, err := readString(p[1:])
-		if err != nil {
+		r := open(p, MsgErr)
+		msg := r.String()
+		if err := r.Done(); err != nil {
 			return err
 		}
 		return fmt.Errorf("cluster: %s", msg)

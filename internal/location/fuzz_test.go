@@ -23,6 +23,9 @@ func FuzzLocationEnvelope(f *testing.F) {
 	f.Add(AppendReply(nil, ids.ActivityID{Node: 11, Seq: 12}, true))
 	f.Add(AppendReply(nil, ids.Nil, false))
 	f.Add([]byte{TagAnnounce, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	for _, name := range []string{"location-announce", "location-query", "location-reply-known", "location-reply-unknown"} {
+		f.Add(vector(f, name))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rebinds, err := DecodeAnnounce(data); err == nil {

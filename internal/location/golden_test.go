@@ -23,19 +23,33 @@ var update = flag.Bool("update", false, "rewrite testdata/wire/*.hex from the cu
 // file instead of comparing.
 func golden(t *testing.T, name, doc string, enc []byte) []byte {
 	t.Helper()
-	path := filepath.Join("..", "..", "testdata", "wire", name+".hex")
 	if *update {
 		text := "# WIRE.md " + doc + "\n"
 		for h := hex.EncodeToString(enc); h != ""; h = h[min(len(h), 32):] {
 			text += h[:min(len(h), 32)] + "\n"
 		}
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		if err := os.WriteFile(vectorPath(name), []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(path)
+	want := vector(t, name)
+	if !bytes.Equal(enc, want) {
+		t.Errorf("%s (WIRE.md %s): encoding drifted\n got %x\nwant %x", vectorPath(name), doc, enc, want)
+	}
+	return want
+}
+
+func vectorPath(name string) string {
+	return filepath.Join("..", "..", "testdata", "wire", name+".hex")
+}
+
+// vector reads the golden vector testdata/wire/<name>.hex ('#' lines are
+// comments); the envelope fuzzers seed their corpora with it too.
+func vector(tb testing.TB, name string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(vectorPath(name))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var digits strings.Builder
 	for _, line := range strings.Split(string(raw), "\n") {
@@ -43,14 +57,11 @@ func golden(t *testing.T, name, doc string, enc []byte) []byte {
 			digits.WriteString(strings.TrimSpace(line))
 		}
 	}
-	want, err := hex.DecodeString(digits.String())
+	b, err := hex.DecodeString(digits.String())
 	if err != nil {
-		t.Fatalf("%s: %v", path, err)
+		tb.Fatalf("%s: %v", vectorPath(name), err)
 	}
-	if !bytes.Equal(enc, want) {
-		t.Errorf("%s (WIRE.md %s): encoding drifted\n got %x\nwant %x", path, doc, enc, want)
-	}
-	return want
+	return b
 }
 
 // TestGoldenLocationEnvelopes pins the directory envelopes (WIRE.md §9):

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // Directory envelope tags. They ride the application transport class
@@ -36,88 +37,55 @@ func AppendAnnounce(buf []byte, rebinds []Rebind) []byte {
 	buf = append(buf, TagAnnounce)
 	buf = binary.AppendUvarint(buf, uint64(len(rebinds)))
 	for _, rb := range rebinds {
-		buf = appendID(buf, rb.Old)
-		buf = appendID(buf, rb.New)
+		buf = wire.AppendID(buf, rb.Old)
+		buf = wire.AppendID(buf, rb.New)
 	}
 	return buf
 }
 
 // DecodeAnnounce parses a TagAnnounce envelope.
 func DecodeAnnounce(p []byte) ([]Rebind, error) {
-	if len(p) == 0 || p[0] != TagAnnounce {
-		return nil, ErrMalformed
-	}
-	p = p[1:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 || count > maxAnnounce {
-		return nil, ErrMalformed
-	}
-	if n > 1 && p[n-1] == 0 { // non-minimal varint: codec is canonical
-		return nil, ErrMalformed
-	}
-	p = p[n:]
-	if uint64(len(p)) != count*16 {
-		return nil, ErrMalformed
-	}
-	out := make([]Rebind, count)
+	r := wire.NewReader(p, ErrMalformed)
+	r.Expect(TagAnnounce)
+	out := make([]Rebind, r.Count(maxAnnounce))
 	for i := range out {
-		out[i].Old, p = readID(p)
-		out[i].New, p = readID(p)
+		out[i] = Rebind{Old: r.ID(), New: r.ID()}
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // AppendQuery encodes a TagQuery envelope: tag(1) | id node,seq.
 func AppendQuery(buf []byte, id ids.ActivityID) []byte {
-	buf = append(buf, TagQuery)
-	return appendID(buf, id)
+	return wire.AppendID(append(buf, TagQuery), id)
 }
 
 // DecodeQuery parses a TagQuery envelope.
 func DecodeQuery(p []byte) (ids.ActivityID, error) {
-	if len(p) != 9 || p[0] != TagQuery {
-		return ids.Nil, ErrMalformed
-	}
-	id, _ := readID(p[1:])
-	return id, nil
+	r := wire.NewReader(p, ErrMalformed)
+	r.Expect(TagQuery)
+	id := r.ID()
+	return id, r.Done()
 }
 
 // AppendReply encodes a TagReply envelope: tag(1) | known(1) | id.
 // When known is false the id is ignored by decoders (encoded as Nil).
 func AppendReply(buf []byte, new ids.ActivityID, known bool) []byte {
-	buf = append(buf, TagReply)
-	if known {
-		buf = append(buf, 1)
-		return appendID(buf, new)
+	if !known {
+		return wire.AppendID(append(buf, TagReply, 0), ids.Nil)
 	}
-	buf = append(buf, 0)
-	return appendID(buf, ids.Nil)
+	return wire.AppendID(append(buf, TagReply, 1), new)
 }
 
-// DecodeReply parses a TagReply envelope.
+// DecodeReply parses a TagReply envelope. The canonical form of an
+// unknown reply zeroes the ignored id, and decoders insist on it.
 func DecodeReply(p []byte) (new ids.ActivityID, known bool, err error) {
-	if len(p) != 10 || p[0] != TagReply || p[1] > 1 {
+	r := wire.NewReader(p, ErrMalformed)
+	tag, flag, id := r.Byte(), r.Byte(), r.ID()
+	if err := r.Done(); err != nil || tag != TagReply || flag > 1 || (flag == 0 && id != ids.Nil) {
 		return ids.Nil, false, ErrMalformed
 	}
-	id, _ := readID(p[2:])
-	if p[1] == 0 {
-		if id != ids.Nil { // canonical form zeroes the ignored id
-			return ids.Nil, false, ErrMalformed
-		}
-		return ids.Nil, false, nil
-	}
-	return id, true, nil
-}
-
-func appendID(buf []byte, id ids.ActivityID) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(id.Node))
-	return binary.LittleEndian.AppendUint32(buf, id.Seq)
-}
-
-func readID(p []byte) (ids.ActivityID, []byte) {
-	id := ids.ActivityID{
-		Node: ids.NodeID(binary.LittleEndian.Uint32(p)),
-		Seq:  binary.LittleEndian.Uint32(p[4:]),
-	}
-	return id, p[8:]
+	return id, flag == 1, nil
 }

@@ -22,6 +22,7 @@ func FuzzCheckpointRecord(f *testing.F) {
 	f.Add(two)
 	f.Add(two[:len(two)-3]) // torn tail
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	f.Add(append(vector(f, "record-checkpoint"), vector(f, "record-tombstone")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		off := 0

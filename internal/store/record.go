@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
 // Record kinds.
@@ -59,9 +60,7 @@ func AppendRecord(buf []byte, r Record) []byte {
 	crcAt := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC patched below
 	bodyAt := len(buf)
-	buf = append(buf, r.Kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.ID.Node))
-	buf = binary.LittleEndian.AppendUint32(buf, r.ID.Seq)
+	buf = wire.AppendID(append(buf, r.Kind), r.ID)
 	buf = append(buf, r.Payload...)
 	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[bodyAt:]))
 	return buf
@@ -73,33 +72,22 @@ func AppendRecord(buf []byte, r Record) []byte {
 // record is structurally present but fails its shape or CRC check. The
 // payload is copied out of buf.
 func DecodeRecord(buf []byte) (Record, int, error) {
-	if len(buf) < headerSize {
-		return Record{}, 0, ErrShort
-	}
-	bodyLen := binary.LittleEndian.Uint32(buf)
-	crc := binary.LittleEndian.Uint32(buf[4:])
-	if bodyLen < bodyFixed || bodyLen > MaxRecordBody {
+	r := wire.NewReader(buf, ErrShort)
+	bodyLen, crc := r.U32(), r.U32()
+	if r.Err() == nil && (bodyLen < bodyFixed || bodyLen > MaxRecordBody) {
 		return Record{}, 0, ErrCorrupt
 	}
-	if len(buf)-headerSize < int(bodyLen) {
-		return Record{}, 0, ErrShort
+	body := r.Next(int(bodyLen))
+	if err := r.Err(); err != nil {
+		return Record{}, 0, err
 	}
-	body := buf[headerSize : headerSize+int(bodyLen)]
-	if crc32.ChecksumIEEE(body) != crc {
+	b := wire.NewReader(body, ErrCorrupt)
+	rec := Record{Kind: b.Byte(), ID: b.ID()}
+	if crc32.ChecksumIEEE(body) != crc || (rec.Kind != KindCheckpoint && rec.Kind != KindTombstone) {
 		return Record{}, 0, ErrCorrupt
 	}
-	if body[0] != KindCheckpoint && body[0] != KindTombstone {
-		return Record{}, 0, ErrCorrupt
+	if b.Len() > 0 {
+		rec.Payload = append([]byte(nil), b.Rest()...)
 	}
-	r := Record{
-		Kind: body[0],
-		ID: ids.ActivityID{
-			Node: ids.NodeID(binary.LittleEndian.Uint32(body[1:])),
-			Seq:  binary.LittleEndian.Uint32(body[5:]),
-		},
-	}
-	if int(bodyLen) > bodyFixed {
-		r.Payload = append([]byte(nil), body[bodyFixed:]...)
-	}
-	return r, headerSize + int(bodyLen), nil
+	return rec, headerSize + len(body), nil
 }
