@@ -299,6 +299,74 @@ func TestConformanceRecoverTCP(t *testing.T) {
 	caller.Release()
 }
 
+// TestRecoverCheckpointLogFromEarlierBuild pins the durable format across
+// an upgrade (WIRE.md §11). testdata/ckpt-parent/ckpt-2.log was written by
+// an earlier build of this runtime, the last one before the envelope
+// decoders moved onto wire.Reader: a durable counter 2.1 registered as
+// "upgrade-ctr" with total 5, checkpointed while one "park" call from
+// node 1 waited in its queue. Recovering that log must re-register the
+// name, restore the state, and fail the queued call with ErrRecovered.
+func TestRecoverCheckpointLogFromEarlierBuild(t *testing.T) {
+	t.Parallel()
+	const kind = "test/upgrade-counter"
+	RegisterBehavior(kind, func() Behavior { return parkCounterBehavior(make(chan struct{}, 1), nil) })
+	log, err := os.ReadFile(filepath.Join("testdata", "ckpt-parent", "ckpt-2.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir() // the store appends to its logs: never open testdata itself
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-2.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := store.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	e := NewEnv(Config{TTB: time.Second, DisableDGC: true, Store: fs})
+	defer e.Close()
+	caller := e.NewNode()
+
+	// The queued call's future lives on node 1, whose process died with
+	// the counter's. Stand in for its entry so the failure has a waiter.
+	snap, err := fs.Load()
+	if err != nil || len(snap) != 1 {
+		t.Fatalf("store holds %d checkpoints (%v), want 1", len(snap), err)
+	}
+	var id ids.ActivityID
+	var c checkpoint
+	for id = range snap {
+		if c, err = decodeCheckpoint(snap[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.Env.Queue) != 1 || c.Env.Queue[0].Future.Node != caller.ID() {
+		t.Fatalf("checkpointed queue = %+v, want one call whose future is homed on %v", c.Env.Queue, caller.ID())
+	}
+	q := c.Env.Queue[0]
+	queued := newFuture(caller, q.Future, q.Sender)
+	caller.futures.reinstate(queued)
+
+	if restored, err := e.Recover(); err != nil || restored != 1 {
+		t.Fatalf("Recover = %d, %v, want 1, nil", restored, err)
+	}
+	ref, err := e.Lookup("upgrade-ctr")
+	if err != nil || mustRef(t, ref) != id {
+		t.Fatalf("Lookup after recovery = %v, %v (want %v)", ref, err, id)
+	}
+	h, err := caller.HandleFor(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	if v, err := h.CallSync("total", wire.Null(), 5*time.Second); err != nil || v.AsInt() != 5 {
+		t.Fatalf("total after recovery = %v, %v, want 5", v, err)
+	}
+	if _, err := queued.Wait(5 * time.Second); !errors.Is(err, ErrRecovered) {
+		t.Fatalf("queued call error = %v, want ErrRecovered", err)
+	}
+}
+
 // TestConformanceFailoverSim is cluster failover in one simnet
 // environment: a checkpointed counter lives on n3, the machine dies,
 // the failure detector confirms the death, and the lowest-ID survivor

@@ -68,12 +68,9 @@ type Config struct {
 	// "Who batches, and when") — and DGC beats collapse into one exchange
 	// per destination node. Zero (the default) disables
 	// batching entirely; the wire traffic is then byte-identical to the
-	// unbatched protocol.
+	// unbatched protocol. A batch frame carries at most 64 KiB of
+	// payload; a larger backlog is split across frames.
 	BatchWindow time.Duration
-	// BatchBytes caps the payload bytes of one batch frame (a larger
-	// backlog is split across frames). Only consulted when BatchWindow is
-	// positive; defaults to 64 KiB.
-	BatchBytes int
 	// ServicePolicy is the default request-selection discipline of every
 	// activity created in this environment (overridable per activity via
 	// WithPolicy). nil means FIFO, which is wire- and semantics-identical
@@ -146,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TTA == 0 {
 		c.TTA = 2*c.TTB + c.MaxComm + c.TTB/2
-	}
-	if c.BatchWindow > 0 && c.BatchBytes == 0 {
-		c.BatchBytes = 64 << 10
 	}
 	if c.FanOutDegree <= 0 {
 		c.FanOutDegree = 4

@@ -75,9 +75,8 @@ func newNode(e *Env, id ids.NodeID) *Node {
 	n.endpoint = e.net.Register(id, n)
 	if e.cfg.BatchWindow > 0 {
 		n.flusher = transport.NewFlusher(n.endpoint, transport.FlusherConfig{
-			Window:   e.cfg.BatchWindow,
-			MaxBytes: e.cfg.BatchBytes,
-			Clock:    e.cfg.Clock,
+			Window: e.cfg.BatchWindow,
+			Clock:  e.cfg.Clock,
 		})
 	}
 	return n

@@ -84,11 +84,9 @@ type Config struct {
 	// PayloadBytes sizes the opaque payload carried by calls and
 	// broadcasts. Defaults to 64.
 	PayloadBytes int `json:"payload_bytes"`
-	// BatchWindow/BatchBytes configure the runtime's batching path
+	// BatchWindow configures the runtime's batching path
 	// (Config.BatchWindow of the runtime; zero = batching off).
 	BatchWindow time.Duration `json:"-"`
-	// BatchBytes caps one batch frame's payload.
-	BatchBytes int `json:"batch_bytes,omitempty"`
 	// DisableDGC turns the collector off to isolate the messaging path.
 	DisableDGC bool `json:"disable_dgc,omitempty"`
 	// DropConnsEvery, when positive on the tcp backend, forcibly drops
@@ -348,7 +346,6 @@ func Run(cfg Config) (Result, error) {
 		TTA:               time.Second,
 		DisableDGC:        cfg.DisableDGC,
 		BatchWindow:       cfg.BatchWindow,
-		BatchBytes:        cfg.BatchBytes,
 		DisableTreeFanOut: cfg.DisableTreeFanOut,
 		Cluster: active.ClusterConfig{
 			Enabled:      cfg.Cluster,

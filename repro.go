@@ -101,8 +101,8 @@ import (
 // documentation.
 type (
 	// Config parameterizes an environment (TTB, TTA, clock, topology —
-	// and the hot-path batching knobs Config.BatchWindow/Config.BatchBytes:
-	// a positive BatchWindow routes each node's outbound traffic through a
+	// and the hot-path batching knob Config.BatchWindow: a positive
+	// BatchWindow routes each node's outbound traffic through a
 	// per-destination flusher that packs co-destination messages into one
 	// frame, see WIRE.md §5).
 	Config = active.Config
@@ -499,7 +499,4 @@ const (
 	// plain one-way sends ever wait this long — requests, replies and
 	// group fan-outs are written when their sender blocks (WIRE.md §5).
 	DefaultBatchWindow = 200 * time.Microsecond
-	// DefaultBatchBytes is the per-frame payload cap the runtime uses when
-	// batching is enabled and Config.BatchBytes is zero.
-	DefaultBatchBytes = 64 << 10
 )
