@@ -37,19 +37,23 @@ func (r *Reader) Done() error {
 	return r.err
 }
 
-// fail records the sentinel unless an earlier read already failed.
+// fail records the sentinel unless an earlier read already failed, and
+// drops the unread bytes, so every later read fails its length check.
 func (r *Reader) fail() {
 	if r.err == nil {
 		r.err = r.bad
 	}
+	r.buf = nil
 }
 
 // Expect reads one byte and fails unless it is tag: the kind byte an
 // envelope opens with.
 func (r *Reader) Expect(tag byte) {
-	if r.Byte() != tag {
+	if len(r.buf) == 0 || r.buf[0] != tag {
 		r.fail()
+		return
 	}
+	r.buf = r.buf[1:]
 }
 
 // Len returns the number of unread bytes.
@@ -58,7 +62,7 @@ func (r *Reader) Len() int { return len(r.buf) }
 // Next returns the next n bytes, aliasing the input (capacity-capped, so
 // appending to them cannot clobber what follows).
 func (r *Reader) Next(n int) []byte {
-	if r.err != nil || n < 0 || n > len(r.buf) {
+	if uint(n) > uint(len(r.buf)) {
 		r.fail()
 		return nil
 	}
@@ -96,9 +100,6 @@ func (r *Reader) U64() uint64 {
 
 // Uvarint reads a minimally encoded uvarint.
 func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
 	x, n := binary.Uvarint(r.buf)
 	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
 		r.fail()
@@ -128,13 +129,20 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 
 // ID reads an activity identifier.
 func (r *Reader) ID() ids.ActivityID {
-	return ids.ActivityID{Node: ids.NodeID(r.U32()), Seq: r.U32()}
+	if len(r.buf) < 8 {
+		r.fail()
+		return ids.Nil
+	}
+	id := ids.ActivityID{
+		Node: ids.NodeID(binary.LittleEndian.Uint32(r.buf)),
+		Seq:  binary.LittleEndian.Uint32(r.buf[4:]),
+	}
+	r.buf = r.buf[8:]
+	return id
 }
 
-// Future reads a future identifier.
-func (r *Reader) Future() ids.FutureID {
-	return ids.FutureID{Node: ids.NodeID(r.U32()), Seq: r.U32()}
-}
+// Future reads a future identifier, laid out like an activity's.
+func (r *Reader) Future() ids.FutureID { return ids.FutureID(r.ID()) }
 
 // Value decodes one value (§1) with d, whose hooks fire as usual. A
 // failure reports both the sentinel and the value decoder's error.
@@ -159,8 +167,7 @@ func AppendID(buf []byte, id ids.ActivityID) []byte {
 
 // AppendFuture appends a future identifier as Reader.Future reads it.
 func AppendFuture(buf []byte, fid ids.FutureID) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(fid.Node))
-	return binary.LittleEndian.AppendUint32(buf, fid.Seq)
+	return AppendID(buf, ids.ActivityID(fid))
 }
 
 // AppendBytes appends a uvarint length and b, as Reader.Bytes reads it.
