@@ -82,7 +82,8 @@ func encodeCheckpoint(c checkpoint) []byte {
 }
 
 func decodeCheckpoint(buf []byte) (checkpoint, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	env := r.Bytes()
 	var c checkpoint
 	for n := r.Count(r.Len()); n > 0 && r.Err() == nil; n-- {

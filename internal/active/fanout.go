@@ -93,7 +93,8 @@ func encodeFanOut(e fanOutEnv) []byte {
 }
 
 func decodeFanOut(buf []byte) (fanOutEnv, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(envFanOut)
 	var dec wire.Decoder
 	e := fanOutEnv{Root: ids.NodeID(r.U32()), AggKey: r.U64(), Method: r.String(), Shared: r.Byte() != 0}
@@ -137,7 +138,8 @@ func encodeFanAgg(root ids.NodeID, parentKey uint64, updates [][]byte) []byte {
 }
 
 func decodeFanAgg(buf []byte) (root ids.NodeID, parentKey uint64, updates [][]byte, err error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(envFanAgg)
 	root, parentKey = ids.NodeID(r.U32()), r.U64()
 	updates = make([][]byte, r.Count(maxFanEntries))

@@ -102,7 +102,8 @@ func encodeRequestShared(req request, argsEnc []byte) []byte {
 // bound to the recipient activity; here only the header is parsed and the
 // raw args bytes returned.
 func decodeRequestHeader(buf []byte) (request, []byte, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(envRequest)
 	req := request{Target: r.ID(), Sender: r.ID(), Future: r.Future()}
 	req.Method = string(r.Next(int(r.U32())))
@@ -145,7 +146,8 @@ func encodeFutureUpdate(u futureUpdate) []byte {
 }
 
 func decodeFutureUpdateHeader(buf []byte) (futureUpdate, []byte, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(envFutureUpdate)
 	u := futureUpdate{Future: r.Future(), Failed: r.Byte() != 0}
 	u.Err = string(r.Next(int(r.U32())))
@@ -167,7 +169,8 @@ func encodeFutureSubscribe(fid FutureID, holder ids.NodeID) []byte {
 }
 
 func decodeFutureSubscribe(buf []byte) (FutureID, ids.NodeID, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(envFutureSubscribe)
 	fid, holder := r.Future(), ids.NodeID(r.U32())
 	return fid, holder, r.Done()
@@ -183,7 +186,8 @@ func encodeDGCPayload(target ids.ActivityID, msg core.Message) []byte {
 }
 
 func decodeDGCPayload(buf []byte) (ids.ActivityID, core.Message, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	e := readDGCEntry(&r)
 	return e.Target, e.Msg, r.Done()
 }
@@ -234,7 +238,8 @@ func encodeDGCBatchPayload(entries []dgcBatchEntry) []byte {
 }
 
 func decodeDGCBatchPayload(buf []byte) ([]dgcBatchEntry, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(dgcBatchTag)
 	entries := make([]dgcBatchEntry, r.Count(r.Len()/dgcSingleSize))
 	for i := range entries {
@@ -263,7 +268,8 @@ func encodeDGCBatchResponse(resps []*core.Response) []byte {
 }
 
 func decodeDGCBatchResponse(buf []byte) ([]*core.Response, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(dgcBatchTag)
 	resps := make([]*core.Response, r.Count(r.Len()))
 	for i := range resps {
@@ -291,7 +297,8 @@ func encodeRedirect(old, new ids.ActivityID) []byte {
 }
 
 func decodeRedirect(buf []byte) (old, new ids.ActivityID, err error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(envRedirect)
 	old, new = r.ID(), r.ID()
 	return old, new, r.Done()
@@ -353,7 +360,8 @@ func encodeMigration(m migration) []byte {
 // plain decoder (no hooks): the caller re-binds references explicitly
 // against the freshly created activity, after rewriting self-references.
 func decodeMigration(buf []byte) (migration, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	r.Expect(envMigrate)
 	var dec wire.Decoder
 	m := migration{Old: r.ID(), Name: r.String(), Kind: r.String()}
@@ -387,7 +395,8 @@ func encodeMigrateResponse(newID ids.ActivityID, err error) []byte {
 }
 
 func decodeMigrateResponse(buf []byte) (ids.ActivityID, error) {
-	r := wire.NewReader(buf, errBadEnvelope)
+	var r wire.Reader
+	r.Reset(buf, errBadEnvelope)
 	switch r.Byte() {
 	case migrateOK:
 		id := r.ID()

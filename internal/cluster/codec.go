@@ -89,7 +89,8 @@ type NodeEvent struct {
 // open returns a cursor past p's kind byte, failed unless that byte is
 // kind.
 func open(p []byte, kind byte) wire.Reader {
-	r := wire.NewReader(p, ErrBadEnvelope)
+	var r wire.Reader
+	r.Reset(p, ErrBadEnvelope)
 	r.Expect(kind)
 	return r
 }
@@ -166,7 +167,8 @@ func EncodeNodeEvent(kind byte, ev NodeEvent) []byte {
 
 // DecodeNodeEvent decodes a node event, returning its kind.
 func DecodeNodeEvent(p []byte) (byte, NodeEvent, error) {
-	r := wire.NewReader(p, ErrBadEnvelope)
+	var r wire.Reader
+	r.Reset(p, ErrBadEnvelope)
 	kind := r.Byte()
 	if kind != MsgNodeUp && kind != MsgNodeDead && kind != MsgNodeLeft {
 		return 0, NodeEvent{}, ErrBadEnvelope

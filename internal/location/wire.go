@@ -45,7 +45,8 @@ func AppendAnnounce(buf []byte, rebinds []Rebind) []byte {
 
 // DecodeAnnounce parses a TagAnnounce envelope.
 func DecodeAnnounce(p []byte) ([]Rebind, error) {
-	r := wire.NewReader(p, ErrMalformed)
+	var r wire.Reader
+	r.Reset(p, ErrMalformed)
 	r.Expect(TagAnnounce)
 	out := make([]Rebind, r.Count(maxAnnounce))
 	for i := range out {
@@ -64,7 +65,8 @@ func AppendQuery(buf []byte, id ids.ActivityID) []byte {
 
 // DecodeQuery parses a TagQuery envelope.
 func DecodeQuery(p []byte) (ids.ActivityID, error) {
-	r := wire.NewReader(p, ErrMalformed)
+	var r wire.Reader
+	r.Reset(p, ErrMalformed)
 	r.Expect(TagQuery)
 	id := r.ID()
 	return id, r.Done()
@@ -82,7 +84,8 @@ func AppendReply(buf []byte, new ids.ActivityID, known bool) []byte {
 // DecodeReply parses a TagReply envelope. The canonical form of an
 // unknown reply zeroes the ignored id, and decoders insist on it.
 func DecodeReply(p []byte) (new ids.ActivityID, known bool, err error) {
-	r := wire.NewReader(p, ErrMalformed)
+	var r wire.Reader
+	r.Reset(p, ErrMalformed)
 	tag, flag, id := r.Byte(), r.Byte(), r.ID()
 	if err := r.Done(); err != nil || tag != TagReply || flag > 1 || (flag == 0 && id != ids.Nil) {
 		return ids.Nil, false, ErrMalformed

@@ -72,7 +72,8 @@ func AppendRecord(buf []byte, r Record) []byte {
 // record is structurally present but fails its shape or CRC check. The
 // payload is copied out of buf.
 func DecodeRecord(buf []byte) (Record, int, error) {
-	r := wire.NewReader(buf, ErrShort)
+	var r wire.Reader
+	r.Reset(buf, ErrShort)
 	bodyLen, crc := r.U32(), r.U32()
 	if r.Err() == nil && (bodyLen < bodyFixed || bodyLen > MaxRecordBody) {
 		return Record{}, 0, ErrCorrupt
@@ -81,13 +82,13 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 	if err := r.Err(); err != nil {
 		return Record{}, 0, err
 	}
-	b := wire.NewReader(body, ErrCorrupt)
-	rec := Record{Kind: b.Byte(), ID: b.ID()}
+	r.Reset(body, ErrCorrupt)
+	rec := Record{Kind: r.Byte(), ID: r.ID()}
 	if crc32.ChecksumIEEE(body) != crc || (rec.Kind != KindCheckpoint && rec.Kind != KindTombstone) {
 		return Record{}, 0, ErrCorrupt
 	}
-	if b.Len() > 0 {
-		rec.Payload = append([]byte(nil), b.Rest()...)
+	if r.Len() > 0 {
+		rec.Payload = append([]byte(nil), r.Rest()...)
 	}
 	return rec, headerSize + len(body), nil
 }
