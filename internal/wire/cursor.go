@@ -155,7 +155,7 @@ func (r *Reader) Value(d *Decoder) Value {
 	}
 	v, rest, err := d.DecodePrefix(r.buf)
 	if err != nil {
-		r.err = fmt.Errorf("%w: %w", r.bad, err)
+		r.err, r.buf = fmt.Errorf("%w: %w", r.bad, err), nil
 		return Value{}
 	}
 	r.buf = rest

@@ -1,0 +1,56 @@
+package wire
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/ids"
+)
+
+// TestReaderContract pins what every envelope decoder relies on: reads
+// mirror the Append* helpers, the first failure sticks with the caller's
+// sentinel and zeroes every later read, and the shared guards (minimal
+// uvarints, bounded counts, the kind byte, no trailing bytes) refuse.
+func TestReaderContract(t *testing.T) {
+	bad := errors.New("bad envelope")
+	id := ids.ActivityID{Node: 1, Seq: 300}
+	var r Reader
+	r.Reset(AppendString(AppendFuture(AppendID([]byte{7}, id), ids.FutureID(id)), "hi"), bad)
+	r.Expect(7)
+	if gotID, gotF, s := r.ID(), r.Future(), r.String(); gotID != id || gotF != ids.FutureID(id) || s != "hi" {
+		t.Fatalf("read back %v %v %q", gotID, gotF, s)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatalf("Done = %v", err)
+	}
+
+	r.Reset([]byte{1, 2, 3, 4, 5}, bad)
+	if r.Byte() != 1 || r.U64() != 0 || r.Byte() != 0 || r.Len() != 0 || r.Err() != bad {
+		t.Fatalf("a failed read must stick and zero later reads: err %v", r.Err())
+	}
+
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		read func(*Reader)
+	}{
+		{"non-minimal uvarint", []byte{0x80, 0x00}, func(r *Reader) { r.Uvarint() }},
+		{"count over its cap", []byte{3, 0, 0, 0}, func(r *Reader) { r.Count(2) }},
+		{"count over the bytes left", []byte{3, 0, 0}, func(r *Reader) { r.Count(10) }},
+		{"wrong kind byte", []byte{2}, func(r *Reader) { r.Expect(1) }},
+		{"trailing bytes", []byte{1, 2}, func(r *Reader) { r.Byte() }},
+		{"truncated string", []byte{5, 'a'}, func(r *Reader) { _ = r.String() }},
+	} {
+		r.Reset(c.buf, bad)
+		c.read(&r)
+		if err := r.Done(); err != bad {
+			t.Errorf("%s: Done = %v, want the sentinel", c.name, err)
+		}
+	}
+
+	var d Decoder
+	r.Reset([]byte{0xff}, bad)
+	if v := r.Value(&d); !v.Equal(Value{}) || !errors.Is(r.Err(), bad) || !errors.Is(r.Err(), ErrBadTag) {
+		t.Fatalf("a bad value must report both sentinels, got %v", r.Err())
+	}
+}
