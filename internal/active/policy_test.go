@@ -80,11 +80,16 @@ func queueAndDrain(t *testing.T, h *Handle, r *orderRecorder, reqs func(send fun
 	if _, err := blockFut.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// drain is sent AFTER the gate opened; under every policy tested here
-	// it is served last of the still-pending set or later, so use a call.
+	// drain is sent AFTER the gate opened, so LIFO may serve it before
+	// the oldest queued item: wait for the items themselves as well.
 	if _, err := h.CallSync("drain", wire.Null(), 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	waitUntil(t, func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.order) == sent
+	}, 5*time.Second)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]int64, len(r.order))
