@@ -196,7 +196,7 @@ func decodeDGCPayload(buf []byte) (ids.ActivityID, core.Message, error) {
 func readDGCEntry(r *wire.Reader) dgcBatchEntry {
 	e := dgcBatchEntry{Target: r.ID()}
 	if b := r.Next(core.MessageWireSize); b != nil {
-		e.Msg, _ = core.DecodeMessage(b)
+		e.Msg, _ = core.DecodeMessage(b) // fails only on a short buffer
 	}
 	return e
 }
@@ -277,7 +277,7 @@ func decodeDGCBatchResponse(buf []byte) ([]*core.Response, error) {
 			continue
 		}
 		if b := r.Next(core.ResponseWireSize); b != nil {
-			resp, _ := core.DecodeResponse(b)
+			resp, _ := core.DecodeResponse(b) // fails only on a short buffer
 			resps[i] = &resp
 		}
 	}
