@@ -2,7 +2,7 @@ GO ?= go
 
 # Tier-1 verification: everything a PR must keep green.
 .PHONY: verify
-verify: build vet bench-vet fmt-check test
+verify: build vet bench-vet fmt-check test bench-test
 
 .PHONY: build
 build:
@@ -18,6 +18,12 @@ vet:
 .PHONY: bench-vet
 bench-vet:
 	$(GO) -C bench vet .
+
+# bench/'s own tests: its ladder and workloads drive the wire codec
+# (Marshal, Unmarshal, Decoder, Encode) and the runtime end to end.
+.PHONY: bench-test
+bench-test:
+	$(GO) -C bench test .
 
 # Fails when any file needs gofmt.
 .PHONY: fmt-check
@@ -78,6 +84,7 @@ FUZZTIME ?= 15s
 .PHONY: fuzz
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzPlanCodecParity -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run xxx -fuzz FuzzDecodeRefFree -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzCodecDecodeUnmarshal -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzFutureValue -fuzztime $(FUZZTIME) ./internal/wire/

@@ -304,10 +304,14 @@ func (f *Future) Done() <-chan struct{} { return f.done }
 
 // TryGet returns the value if the future is already resolved (an
 // immediate poll; it never blocks).
-func (f *Future) TryGet() (wire.Value, error, bool) {
+func (f *Future) TryGet() (wire.Value, error, bool) { return f.tryGet(true) }
+
+// tryGet is TryGet; expand asks for the value as a Value tree (see
+// consume).
+func (f *Future) tryGet(expand bool) (wire.Value, error, bool) {
 	select {
 	case <-f.done:
-		v, err := f.consume()
+		v, err := f.consume(expand)
 		return v, err, true
 	default:
 		return wire.Null(), nil, false
@@ -321,18 +325,21 @@ func (f *Future) TryGet() (wire.Value, error, bool) {
 // flattening), so Wait never returns a bare future reference. Consuming
 // the value releases the heap pin that was keeping the value's references
 // alive on behalf of this future.
-func (f *Future) Wait(timeout time.Duration) (wire.Value, error) {
+func (f *Future) Wait(timeout time.Duration) (wire.Value, error) { return f.await(timeout, true) }
+
+// await is Wait; expand asks for the value as a Value tree (see consume).
+func (f *Future) await(timeout time.Duration, expand bool) (wire.Value, error) {
 	// Already resolved: skip the timeout machinery entirely.
 	select {
 	case <-f.done:
-		return f.consume()
+		return f.consume(expand)
 	default:
 	}
 	// About to park: the request this waits on may still be corked.
 	f.node.flushPending()
 	if timeout <= 0 {
 		<-f.done
-		return f.consume()
+		return f.consume(expand)
 	}
 	if _, real := f.node.env.cfg.Clock.(vclock.Real); real {
 		// Wall clock: a pooled timer instead of a fresh runtime timer per
@@ -346,7 +353,7 @@ func (f *Future) Wait(timeout time.Duration) (wire.Value, error) {
 		case <-f.done:
 			t.Stop()
 			realTimers.Put(t)
-			return f.consume()
+			return f.consume(expand)
 		case <-t.C:
 			realTimers.Put(t)
 			return wire.Null(), fmt.Errorf("%w after %v", ErrFutureTimeout, timeout)
@@ -354,7 +361,7 @@ func (f *Future) Wait(timeout time.Duration) (wire.Value, error) {
 	}
 	select {
 	case <-f.done:
-		return f.consume()
+		return f.consume(expand)
 	case <-f.node.env.cfg.Clock.After(timeout):
 		return wire.Null(), fmt.Errorf("%w after %v", ErrFutureTimeout, timeout)
 	}
@@ -363,7 +370,12 @@ func (f *Future) Wait(timeout time.Duration) (wire.Value, error) {
 // realTimers pools the wall-clock timers of Wait's timeout path.
 var realTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
-func (f *Future) consume() (wire.Value, error) {
+// consume hands out the value and drops its heap pin. A value that
+// arrived from another node may be in encoded form; expand (the untyped
+// API) decodes it into a Value tree and keeps the tree, so it is decoded
+// once however often it is read. A typed future decodes the encoded form
+// itself.
+func (f *Future) consume(expand bool) (wire.Value, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.rootDropped {
@@ -371,6 +383,9 @@ func (f *Future) consume() (wire.Value, error) {
 			f.node.heap.RemoveRoot(root)
 		}
 		f.rootDropped = true
+	}
+	if expand {
+		f.val = wire.Expand(f.val)
 	}
 	return f.val, f.err
 }

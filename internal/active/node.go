@@ -310,7 +310,9 @@ func (n *Node) redirectIfForwarder(ao *ActiveObject, from ids.NodeID) {
 
 // deliverRequest decodes an application request, binds the reference-graph
 // hook to the recipient, roots the arguments for the duration of the
-// service, and enqueues the request.
+// service, and enqueues the request. Arguments without a reference or a
+// future skip the decoder: the request keeps its own copy of their bytes
+// (WIRE.md §2, "Payload ownership").
 func (n *Node) deliverRequest(payload []byte) {
 	req, rawArgs, err := decodeRequestHeader(payload)
 	if err != nil {
@@ -354,6 +356,12 @@ func (n *Node) deliverRequest(payload []byte) {
 				Err:    ErrUnknownActivity.Error(),
 			})
 		}
+		return
+	}
+	if args, ok := wire.DecodeRefFree(rawArgs); ok {
+		// Nothing for the OnRef hook to report and nothing to root.
+		req.Args = args
+		ao.enqueue(getQueued(req))
 		return
 	}
 	now := n.env.cfg.Clock.Now()
@@ -415,7 +423,9 @@ func (n *Node) deliverLocalRequest(req request) {
 			_ = n.sendRequest(req)
 			return
 		}
-		args := req.Args
+		// The relay runs after the caller's send returned, and a typed
+		// caller's arguments borrow its byte slices: copy them first.
+		args := wire.DeepCopy(req.Args)
 		if n.tryDirectoryRelay(req, ErrUnknownActivity, func() (wire.Value, bool) { return args, true }) {
 			return
 		}
@@ -489,11 +499,13 @@ func (n *Node) deliverFutureUpdate(payload []byte) {
 		fut.fail(newRemoteFailure(u.Err))
 		return
 	}
-	var dec wire.Decoder
-	value, err := dec.Decode(rawValue)
-	if err != nil {
-		fut.fail(err)
-		return
+	value, ok := wire.DecodeRefFree(rawValue)
+	if !ok {
+		var dec wire.Decoder
+		if value, err = dec.Decode(rawValue); err != nil {
+			fut.fail(err)
+			return
+		}
 	}
 	n.bindValueToFuture(fut, value, false)
 }
@@ -716,7 +728,7 @@ func (n *Node) sendRequest(req request) error {
 			req.Target = newID
 			return n.sendRequest(req)
 		}
-		args := req.Args
+		args := wire.DeepCopy(req.Args) // outlives the send, as on the local path
 		if n.tryDirectoryRelay(req, ErrNodeDead, func() (wire.Value, bool) { return args, true }) {
 			return nil
 		}

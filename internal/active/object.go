@@ -541,7 +541,19 @@ func (ao *ActiveObject) serveOne(item *queuedRequest, nested bool) bool {
 		ctx.ao = ao
 		ctx.transientRoots = ctx.transientRoots[:0]
 	}
-	result, err := ao.behavior.Serve(ctx, item.req.Method, item.req.Args)
+	var (
+		result wire.Value
+		err    error
+	)
+	if svc, ok := ao.behavior.(*Service); ok {
+		// Every queued request owns its arguments (decoded from its own
+		// bytes, or deep-copied on this node): the typed methods may
+		// decode them in place.
+		result, err = svc.serve(ctx, item.req.Method, item.req.Args, true)
+	} else {
+		// Dynamic code reads the Value tree, decoded here, once.
+		result, err = ao.behavior.Serve(ctx, item.req.Method, wire.Expand(item.req.Args))
+	}
 	ctx.releaseTransients()
 	if ao.kind != "" && ao.node.env.cfg.Store != nil {
 		// The service may have mutated state: the next checkpoint beat

@@ -59,7 +59,10 @@ type request struct {
 	Future FutureID
 	// Method is the behavior method name.
 	Method string
-	// Args is the deep-copied argument value.
+	// Args is the request's own copy of the arguments: deep-copied on
+	// this node, decoded, or kept in encoded form (WIRE.md §2). On the
+	// send path, before that copy is made, it may borrow the caller's
+	// byte slices.
 	Args wire.Value
 	// Via is the node-local relay-record key a tree fan-out delivery
 	// carries (WIRE.md §10): the reply is intercepted and aggregated

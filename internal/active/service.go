@@ -15,8 +15,10 @@ var ErrUnknownMethod = errors.New("active: unknown service method")
 // ServiceMethod is one named, typed operation of a Service. Build them
 // with Method; the zero value is invalid.
 type ServiceMethod struct {
-	name    string
-	handler func(ctx *Context, args wire.Value) (wire.Value, error)
+	name string
+	// handler runs one call; owned says the arguments are the request's
+	// own copy, which the decoded Req may share (WIRE.md §2).
+	handler func(ctx *Context, args wire.Value, owned bool) (wire.Value, error)
 }
 
 // Name returns the method's wire name.
@@ -34,20 +36,27 @@ func Method[Req, Resp any](name string, fn func(ctx *Context, req Req) (Resp, er
 	}
 	// Compile the cached marshal/unmarshal plans for the method's types
 	// once, at registration, so every call walks the flat fast path.
-	wire.RegisterType(*new(Req))
-	wire.RegisterType(*new(Resp))
+	reqCodec, respCodec := wire.CodecFor[Req](), wire.CodecFor[Resp]()
 	return ServiceMethod{
 		name: name,
-		handler: func(ctx *Context, args wire.Value) (wire.Value, error) {
+		handler: func(ctx *Context, args wire.Value, owned bool) (wire.Value, error) {
 			var req Req
-			if err := wire.Unmarshal(args, &req); err != nil {
+			var err error
+			if owned {
+				err = reqCodec.UnmarshalOwned(args, &req)
+			} else {
+				err = reqCodec.Unmarshal(args, &req)
+			}
+			if err != nil {
 				return wire.Null(), fmt.Errorf("method %q: bad arguments: %w", name, err)
 			}
 			resp, err := fn(ctx, req)
 			if err != nil {
 				return wire.Null(), err
 			}
-			return wire.Marshal(resp)
+			// The reply may wait in a fan-out relay record after the
+			// service: it keeps its own copy of resp's bytes.
+			return respCodec.Marshal(resp)
 		},
 	}
 }
@@ -89,9 +98,15 @@ func (s *Service) Methods() []string {
 
 // Serve implements Behavior by dispatching to the declared method.
 func (s *Service) Serve(ctx *Context, method string, args wire.Value) (wire.Value, error) {
+	return s.serve(ctx, method, args, false)
+}
+
+// serve is Serve for the runtime's own dispatch, which knows whether the
+// arguments are the request's own copy.
+func (s *Service) serve(ctx *Context, method string, args wire.Value, owned bool) (wire.Value, error) {
 	m, ok := s.methods[method]
 	if !ok {
 		return wire.Null(), fmt.Errorf("%w: %q (service declares %v)", ErrUnknownMethod, method, s.Methods())
 	}
-	return m.handler(ctx, args)
+	return m.handler(ctx, args, owned)
 }

@@ -50,6 +50,9 @@ type TypedFuture[Resp any] struct {
 	fut *Future
 	// timeout is the default Wait budget installed by WithTimeout.
 	timeout time.Duration
+	// codec is the stub's Resp codec; zero (looked up per Wait) for
+	// futures typed after the fact.
+	codec wire.Codec[Resp]
 }
 
 // Typed wraps an untyped future. The wrapper does not take ownership:
@@ -104,11 +107,12 @@ func (f *TypedFuture[Resp]) Wait(timeout time.Duration) (Resp, error) {
 	if timeout <= 0 {
 		timeout = f.timeout
 	}
-	v, err := f.fut.Wait(timeout)
+	v, err := f.fut.await(timeout, false)
 	if err != nil {
 		return resp, err
 	}
-	if err := wire.Unmarshal(v, &resp); err != nil {
+	// The value may have other consumers: Unmarshal copies its bytes.
+	if err := f.codec.Unmarshal(v, &resp); err != nil {
 		return resp, err
 	}
 	return resp, nil
@@ -120,11 +124,11 @@ func (f *TypedFuture[Resp]) TryGet() (Resp, error, bool) {
 	if f.fut == nil {
 		return resp, nil, true
 	}
-	v, err, ok := f.fut.TryGet()
+	v, err, ok := f.fut.tryGet(false)
 	if !ok || err != nil {
 		return resp, err, ok
 	}
-	return resp, wire.Unmarshal(v, &resp), true
+	return resp, f.codec.Unmarshal(v, &resp), true
 }
 
 // Discard releases the future's heap pin without reading the value.
@@ -141,16 +145,16 @@ func (f *TypedFuture[Resp]) Discard() {
 type Stub[Req, Resp any] struct {
 	h      *Handle
 	method string
+	req    wire.Codec[Req]
+	resp   wire.Codec[Resp]
 }
 
 // NewStub types the given handle's method.
 func NewStub[Req, Resp any](h *Handle, method string) Stub[Req, Resp] {
 	// Stub construction is the caller-side registration point for the
-	// cached-plan codec: compile the Req/Resp plans once so every call
-	// through the stub marshals along the flat fast path.
-	wire.RegisterType(*new(Req))
-	wire.RegisterType(*new(Resp))
-	return Stub[Req, Resp]{h: h, method: method}
+	// cached-plan codec: compile the Req/Resp plans once, and keep them,
+	// so every call through the stub marshals along the flat fast path.
+	return Stub[Req, Resp]{h: h, method: method, req: wire.CodecFor[Req](), resp: wire.CodecFor[Resp]()}
 }
 
 // Handle returns the underlying untyped handle.
@@ -160,10 +164,13 @@ func (s Stub[Req, Resp]) Handle() *Handle { return s.h }
 func (s Stub[Req, Resp]) Method() string { return s.method }
 
 // Call marshals req, performs the asynchronous call and returns a typed
-// future for the result.
+// future for the result. req's byte slices are not copied into the
+// arguments: the request is encoded (remote target) or deep-copied (local
+// target) before Call returns, so the caller may reuse them at once
+// (WIRE.md §2, "Payload ownership").
 func (s Stub[Req, Resp]) Call(req Req, opts ...CallOption) (*TypedFuture[Resp], error) {
 	o := applyOptions(opts)
-	args, err := wire.Marshal(req)
+	args, err := s.req.MarshalBorrow(req)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +184,7 @@ func (s Stub[Req, Resp]) Call(req Req, opts ...CallOption) (*TypedFuture[Resp], 
 	if err != nil {
 		return nil, err
 	}
-	return &TypedFuture[Resp]{fut: fut, timeout: o.timeout}, nil
+	return &TypedFuture[Resp]{fut: fut, timeout: o.timeout, codec: s.resp}, nil
 }
 
 // CallSync is Call followed by Wait.
@@ -190,9 +197,10 @@ func (s Stub[Req, Resp]) CallSync(req Req, timeout time.Duration) (Resp, error) 
 	return fut.Wait(timeout)
 }
 
-// Send performs a one-way, fire-and-forget call.
+// Send performs a one-way, fire-and-forget call; req's bytes are borrowed
+// as in Call.
 func (s Stub[Req, Resp]) Send(req Req) error {
-	args, err := wire.Marshal(req)
+	args, err := s.req.MarshalBorrow(req)
 	if err != nil {
 		return err
 	}
@@ -201,10 +209,10 @@ func (s Stub[Req, Resp]) Send(req Req) error {
 
 // CallTyped is the in-behavior analogue of Stub.Call: an activity calling
 // another activity through a reference value it holds, with typed
-// marshaling at both ends.
+// marshaling at both ends. req's bytes are borrowed as in Stub.Call.
 func CallTyped[Resp any](ctx *Context, target wire.Value, method string, req any, opts ...CallOption) (*TypedFuture[Resp], error) {
 	o := applyOptions(opts)
-	args, err := wire.Marshal(req)
+	args, err := wire.MarshalBorrow(req)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +231,7 @@ func CallTyped[Resp any](ctx *Context, target wire.Value, method string, req any
 
 // SendTyped is the in-behavior analogue of Stub.Send.
 func SendTyped(ctx *Context, target wire.Value, method string, req any) error {
-	args, err := wire.Marshal(req)
+	args, err := wire.MarshalBorrow(req)
 	if err != nil {
 		return err
 	}

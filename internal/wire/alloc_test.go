@@ -28,7 +28,9 @@ func init() { RegisterType(allocMsg{}) }
 // count exceeds budget.
 func assertAllocs(t *testing.T, name string, budget float64, f func()) {
 	t.Helper()
-	if got := testing.AllocsPerRun(200, f); got > budget {
+	got := testing.AllocsPerRun(200, f)
+	t.Logf("%s: %.2f allocs/op", name, got)
+	if got > budget {
 		t.Errorf("%s: %.2f allocs/op, budget %.2f", name, got, budget)
 	}
 }
@@ -126,4 +128,98 @@ func TestAllocsDeepCopy(t *testing.T) {
 	if !sink.Equal(v) {
 		t.Fatalf("deep copy diverged: %v != %v", sink, v)
 	}
+}
+
+// allocBlob is a request with a payload, as the window workloads send.
+type allocBlob struct {
+	Seq     int64  `wire:"seq"`
+	Payload []byte `wire:"payload"`
+}
+
+func init() { RegisterType(allocBlob{}) }
+
+// TestAllocsDecodeRefFree gates the receive side of a ref-free request:
+// the walk allocates nothing, so the one allocation is the owned copy of
+// the bytes.
+func TestAllocsDecodeRefFree(t *testing.T) {
+	raw := Encode(nil, mustMarshal(t, allocBlob{Seq: 3, Payload: make([]byte, 4096)}))
+	var sink Value
+	assertAllocs(t, "decode ref-free", 1, func() {
+		v, ok := DecodeRefFree(raw)
+		if !ok {
+			t.Fatal("refused a canonical ref-free dict")
+		}
+		sink = v
+	})
+	if EncodedSize(sink) != len(raw) {
+		t.Fatalf("encoded form sized %d, want %d", EncodedSize(sink), len(raw))
+	}
+}
+
+// TestAllocsPlanUnmarshalEncoded gates the typed decode straight from the
+// bytes: no Value tree, no []Value. A string field costs its string; a
+// []byte field costs its copy unless the caller owns the bytes.
+func TestAllocsPlanUnmarshalEncoded(t *testing.T) {
+	msg := allocMsg{A: 7, B: 9, F: 2.5, On: true, Tag: "alloc"}
+	enc, ok := DecodeRefFree(Encode(nil, mustMarshal(t, msg)))
+	if !ok {
+		t.Fatal("refused a canonical ref-free dict")
+	}
+	out := new(allocMsg)
+	codec := CodecFor[allocMsg]()
+	assertAllocs(t, "plan unmarshal, encoded form", 1, func() {
+		if err := codec.Unmarshal(enc, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if *out != msg {
+		t.Fatalf("round trip: got %+v, want %+v", *out, msg)
+	}
+
+	blob, ok := DecodeRefFree(Encode(nil, mustMarshal(t, allocBlob{Seq: 3, Payload: make([]byte, 4096)})))
+	if !ok {
+		t.Fatal("refused a canonical ref-free dict")
+	}
+	var b allocBlob
+	blobCodec := CodecFor[allocBlob]()
+	assertAllocs(t, "plan unmarshal owned, encoded form", 0, func() {
+		if err := blobCodec.UnmarshalOwned(blob, &b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	assertAllocs(t, "plan unmarshal copying, encoded form", 1, func() {
+		if err := blobCodec.Unmarshal(blob, &b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if b.Seq != 3 || len(b.Payload) != 4096 {
+		t.Fatalf("round trip: got seq %d, %d bytes", b.Seq, len(b.Payload))
+	}
+}
+
+// TestAllocsMarshalBorrow gates the typed caller's marshal: the []Value
+// slab and the boxing of the sample, and no copy of the payload.
+func TestAllocsMarshalBorrow(t *testing.T) {
+	msg := allocBlob{Seq: 3, Payload: make([]byte, 4096)}
+	codec := CodecFor[allocBlob]()
+	var sink Value
+	assertAllocs(t, "marshal borrow", 2, func() {
+		v, err := codec.MarshalBorrow(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = v
+	})
+	if &sink.Get("payload").AsBytes()[0] != &msg.Payload[0] {
+		t.Fatal("MarshalBorrow copied the payload")
+	}
+}
+
+func mustMarshal(t *testing.T, v any) Value {
+	t.Helper()
+	mv, err := Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mv
 }

@@ -65,14 +65,22 @@ var (
 )
 
 // Marshal maps a Go value onto the closed value model.
-func Marshal(v any) (Value, error) {
+func Marshal(v any) (Value, error) { return marshalAny(v, false) }
+
+// MarshalBorrow is Marshal without the copy of byte slices: the Value
+// shares v's []byte data, so it must be encoded or deep-copied before that
+// data changes. The typed calling path uses it because a request is
+// encoded (remote) or deep-copied (local) before the call returns.
+func MarshalBorrow(v any) (Value, error) { return marshalAny(v, true) }
+
+func marshalAny(v any, borrow bool) (Value, error) {
 	if v == nil {
 		return Null(), nil
 	}
-	return marshalValue(reflect.ValueOf(v))
+	return marshalValue(reflect.ValueOf(v), borrow)
 }
 
-func marshalValue(rv reflect.Value) (Value, error) {
+func marshalValue(rv reflect.Value, borrow bool) (Value, error) {
 	switch rv.Type() {
 	case valueType:
 		return rv.Interface().(Value), nil
@@ -108,13 +116,13 @@ func marshalValue(rv reflect.Value) (Value, error) {
 	case reflect.Slice:
 		switch rv.Type().Elem().Kind() {
 		case reflect.Uint8:
-			return Bytes(rv.Bytes()), nil
+			return bytesValue(rv.Bytes(), borrow), nil
 		case reflect.Float64:
 			return Floats(rv.Convert(reflect.TypeOf([]float64(nil))).Interface().([]float64)), nil
 		}
-		return marshalList(rv)
+		return marshalList(rv, borrow)
 	case reflect.Array:
-		return marshalList(rv)
+		return marshalList(rv, borrow)
 	case reflect.Map:
 		if rv.Type().Key().Kind() != reflect.String {
 			return Null(), fmt.Errorf("%w: map key type %s (need string)", ErrMarshal, rv.Type().Key())
@@ -122,7 +130,7 @@ func marshalValue(rv reflect.Value) (Value, error) {
 		m := make(map[string]Value, rv.Len())
 		iter := rv.MapRange()
 		for iter.Next() {
-			ev, err := marshalValue(iter.Value())
+			ev, err := marshalValue(iter.Value(), borrow)
 			if err != nil {
 				return Null(), err
 			}
@@ -131,7 +139,7 @@ func marshalValue(rv reflect.Value) (Value, error) {
 		return Value{kind: KindDict, dict: m}, nil
 	case reflect.Struct:
 		if p := planFor(rv.Type()); p != nil {
-			return p.marshal(rv)
+			return p.marshal(rv, borrow)
 		}
 		fields := fieldsOf(rv.Type())
 		m := make(map[string]Value, len(fields))
@@ -140,7 +148,7 @@ func marshalValue(rv reflect.Value) (Value, error) {
 			if f.omitEmpty && fv.IsZero() {
 				continue
 			}
-			ev, err := marshalValue(fv)
+			ev, err := marshalValue(fv, borrow)
 			if err != nil {
 				return Null(), fmt.Errorf("field %s: %w", f.name, err)
 			}
@@ -151,16 +159,24 @@ func marshalValue(rv reflect.Value) (Value, error) {
 		if rv.IsNil() {
 			return Null(), nil
 		}
-		return marshalValue(rv.Elem())
+		return marshalValue(rv.Elem(), borrow)
 	default:
 		return Null(), fmt.Errorf("%w: type %s", ErrMarshal, rv.Type())
 	}
 }
 
-func marshalList(rv reflect.Value) (Value, error) {
+// bytesValue is a Bytes value that shares b when borrow is set.
+func bytesValue(b []byte, borrow bool) Value {
+	if borrow {
+		return Value{kind: KindBytes, bytes: b}
+	}
+	return Bytes(b)
+}
+
+func marshalList(rv reflect.Value, borrow bool) (Value, error) {
 	elems := make([]Value, rv.Len())
 	for i := range elems {
-		ev, err := marshalValue(rv.Index(i))
+		ev, err := marshalValue(rv.Index(i), borrow)
 		if err != nil {
 			return Null(), err
 		}
@@ -171,22 +187,35 @@ func marshalList(rv reflect.Value) (Value, error) {
 
 // Unmarshal maps a Value back onto the Go value out points to. out must be
 // a non-nil pointer. Dict keys with no matching struct field are ignored;
-// struct fields with no matching key are left untouched.
+// struct fields with no matching key are left untouched. Byte slices in
+// out never share v's data.
 func Unmarshal(v Value, out any) error {
 	rv := reflect.ValueOf(out)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return fmt.Errorf("%w: target must be a non-nil pointer, got %T", ErrUnmarshal, out)
 	}
-	return unmarshalValue(v, rv.Elem())
+	return unmarshalValue(v, rv.Elem(), false)
 }
 
-func unmarshalValue(v Value, rv reflect.Value) error {
+// unmarshalValue decodes v into rv. owned says that nothing else reads v,
+// so byte slices in rv may share its data instead of copying it.
+func unmarshalValue(v Value, rv reflect.Value, owned bool) error {
 	if v.IsNull() {
 		// Null is the universal zero: a dynamic caller's Null() arguments
 		// land in a typed method's zero Req, nil pointers/slices/maps
 		// round-trip, and absent never means "error".
 		rv.SetZero()
 		return nil
+	}
+	if v.isEncoded() && rv.Kind() != reflect.Pointer {
+		// A planned struct decodes straight from the bytes; every other
+		// target reads the decoded tree.
+		if rv.Kind() == reflect.Struct {
+			if p := planFor(rv.Type()); p != nil {
+				return p.unmarshalEncoded(v.bytes, rv, owned)
+			}
+		}
+		v = Expand(v)
 	}
 	switch rv.Type() {
 	case valueType:
@@ -250,13 +279,13 @@ func unmarshalValue(v Value, rv reflect.Value) error {
 		rv.SetString(v.AsString())
 		return nil
 	case reflect.Slice:
-		return unmarshalSlice(v, rv)
+		return unmarshalSlice(v, rv, owned)
 	case reflect.Array:
 		if v.Kind() != KindList || v.Len() != rv.Len() {
 			return mismatch(v, rv.Type())
 		}
 		for i := 0; i < rv.Len(); i++ {
-			if err := unmarshalValue(v.At(i), rv.Index(i)); err != nil {
+			if err := unmarshalValue(v.At(i), rv.Index(i), owned); err != nil {
 				return err
 			}
 		}
@@ -272,7 +301,7 @@ func unmarshalValue(v Value, rv reflect.Value) error {
 		et := rv.Type().Elem()
 		for _, k := range v.Keys() {
 			ev := reflect.New(et).Elem()
-			if err := unmarshalValue(v.Get(k), ev); err != nil {
+			if err := unmarshalValue(v.Get(k), ev, owned); err != nil {
 				return fmt.Errorf("key %q: %w", k, err)
 			}
 			m.SetMapIndex(reflect.ValueOf(k).Convert(rv.Type().Key()), ev)
@@ -284,7 +313,7 @@ func unmarshalValue(v Value, rv reflect.Value) error {
 			return mismatch(v, rv.Type())
 		}
 		if p := planFor(rv.Type()); p != nil {
-			return p.unmarshal(v, rv)
+			return p.unmarshal(v, rv, owned)
 		}
 		for _, f := range fieldsOf(rv.Type()) {
 			fv, present := v.getOK(f.name)
@@ -293,7 +322,7 @@ func unmarshalValue(v Value, rv reflect.Value) error {
 				// entry, by contrast, zeroes it).
 				continue
 			}
-			if err := unmarshalValue(fv, rv.Field(f.index)); err != nil {
+			if err := unmarshalValue(fv, rv.Field(f.index), owned); err != nil {
 				return fmt.Errorf("field %s: %w", f.name, err)
 			}
 		}
@@ -302,7 +331,7 @@ func unmarshalValue(v Value, rv reflect.Value) error {
 		if rv.IsNil() {
 			rv.Set(reflect.New(rv.Type().Elem()))
 		}
-		return unmarshalValue(v, rv.Elem())
+		return unmarshalValue(v, rv.Elem(), owned)
 	case reflect.Interface:
 		if rv.NumMethod() != 0 {
 			return fmt.Errorf("%w: non-empty interface %s", ErrUnmarshal, rv.Type())
@@ -319,16 +348,13 @@ func unmarshalValue(v Value, rv reflect.Value) error {
 	}
 }
 
-func unmarshalSlice(v Value, rv reflect.Value) error {
+func unmarshalSlice(v Value, rv reflect.Value, owned bool) error {
 	switch rv.Type().Elem().Kind() {
 	case reflect.Uint8:
 		if v.Kind() != KindBytes {
 			return mismatch(v, rv.Type())
 		}
-		b := v.AsBytes()
-		cp := reflect.MakeSlice(rv.Type(), len(b), len(b))
-		reflect.Copy(cp, reflect.ValueOf(b))
-		rv.Set(cp)
+		rv.SetBytes(ownBytes(v.AsBytes(), owned))
 		return nil
 	case reflect.Float64:
 		// The packed Floats fast path; a plain List of floats also works,
@@ -347,7 +373,7 @@ func unmarshalSlice(v Value, rv reflect.Value) error {
 	}
 	out := reflect.MakeSlice(rv.Type(), v.Len(), v.Len())
 	for i := 0; i < v.Len(); i++ {
-		if err := unmarshalValue(v.At(i), out.Index(i)); err != nil {
+		if err := unmarshalValue(v.At(i), out.Index(i), owned); err != nil {
 			return err
 		}
 	}
@@ -393,8 +419,23 @@ func toAny(v Value) any {
 	}
 }
 
-func mismatch(v Value, t reflect.Type) error {
-	return fmt.Errorf("%w: %s value into %s", ErrUnmarshal, v.Kind(), t)
+// ownBytes is the []byte an unmarshal stores: b itself (capacity-capped)
+// when the caller owns it, a copy otherwise. Never nil, as a copy of an
+// empty blob never was.
+func ownBytes(b []byte, owned bool) []byte {
+	if owned {
+		if b == nil {
+			return []byte{}
+		}
+		return b[:len(b):len(b)]
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+func mismatch(v Value, t reflect.Type) error { return mismatchKind(v.Kind(), t) }
+
+func mismatchKind(k Kind, t reflect.Type) error {
+	return fmt.Errorf("%w: %s value into %s", ErrUnmarshal, k, t)
 }
 
 // fieldInfo describes one marshaled struct field.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -58,7 +59,9 @@ func init() { RegisterType(parityPlanMsg{}) }
 // (identical unregistered mirror type) and requires byte-identical
 // canonical encodings, matching error behavior, and a re-marshal after
 // decode that reproduces the same bytes from both unmarshal branches
-// (pairs-form merge walk and map-form lookup).
+// (pairs-form merge walk and map-form lookup). A third arm decodes the
+// encoded form straight into the struct and holds it to the Value-tree
+// decode.
 func FuzzPlanCodecParity(f *testing.F) {
 	f.Add(false, int64(0), int32(0), uint64(0), 0.0, float32(0), "", []byte(nil), []byte(nil), uint8(0), uint32(0), uint32(0), "", "", int64(0))
 	f.Add(true, int64(-7), int32(42), uint64(9), 2.5, float32(1.5), "hello", []byte{1, 2, 3}, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(1), uint32(3), uint32(8), "present", "k", int64(11))
@@ -153,5 +156,151 @@ func FuzzPlanCodecParity(f *testing.F) {
 		if got := remarshal(backP2); !bytes.Equal(got, pb) {
 			t.Fatalf("map-form round trip diverged:\nwant %x\ngot  %x", pb, got)
 		}
+
+		// Third arm: without its Ref and Future values the message may
+		// stay in encoded form. Then each key alone, holding the value of
+		// the field shift keys along: mostly the wrong kind, and both
+		// decodes must fail alike.
+		encodings := [][]byte{refFreeEncoding(decoded, -1)}
+		for i := range decoded.dkeys {
+			encodings = append(encodings, refFreeEncoding(decoded, i+1+int(vsel>>2)))
+		}
+		for _, raw := range encodings {
+			enc, ok := DecodeRefFree(raw)
+			if !ok {
+				t.Fatalf("DecodeRefFree refused the canonical ref-free dict %x", raw)
+			}
+			tree, err := dec.Decode(raw)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			checkEncodedParity(t, enc, tree)
+		}
+	})
+}
+
+// refFreeEncoding re-encodes a decoded parity message without its Ref and
+// Future values. For at ≥ 1 it encodes a one-entry dict instead: key
+// number at-1 holding remaining value number at, both counted modulo.
+func refFreeEncoding(v Value, at int) []byte {
+	var keys []string
+	var vals []Value
+	for i, k := range v.dkeys {
+		if kind := v.elems[i].Kind(); kind != KindRef && kind != KindFuture {
+			keys = append(keys, k)
+			vals = append(vals, v.elems[i])
+		}
+	}
+	if at > 0 {
+		keys, vals = []string{v.dkeys[(at-1)%len(v.dkeys)]}, []Value{vals[at%len(vals)]}
+	}
+	return Encode(nil, Value{kind: KindDict, dkeys: keys, elems: vals})
+}
+
+// checkEncodedParity decodes enc, an encoded-form dict, straight into the
+// registered parity struct and tree, its decoded Value tree, the usual
+// way, copying and owning: both must give the same struct or the same
+// error. The unregistered mirror reads the encoded form through its tree.
+func checkEncodedParity(t *testing.T, enc, tree Value) {
+	t.Helper()
+	codec := CodecFor[parityPlanMsg]()
+	for _, owned := range []bool{false, true} {
+		var fromBytes, fromTree parityPlanMsg
+		unmarshal := codec.Unmarshal
+		if owned {
+			unmarshal = codec.UnmarshalOwned
+		}
+		errB, errT := unmarshal(enc, &fromBytes), unmarshal(tree, &fromTree)
+		if (errB == nil) != (errT == nil) || errB != nil && errB.Error() != errT.Error() {
+			t.Fatalf("owned=%v: encoded-form decode error %v, tree decode error %v", owned, errB, errT)
+		}
+		if errB != nil {
+			continue
+		}
+		mb, errMB := Marshal(fromBytes)
+		mt, errMT := Marshal(fromTree)
+		if errMB != nil || errMT != nil {
+			t.Fatalf("re-marshal: %v / %v", errMB, errMT)
+		}
+		if b, tb := Encode(nil, mb), Encode(nil, mt); !bytes.Equal(b, tb) {
+			t.Fatalf("owned=%v: encoded-form decode gave\n%x\ntree decode gave\n%x", owned, b, tb)
+		}
+		if (fromBytes.Raw == nil) != (fromTree.Raw == nil) || (fromBytes.Fs == nil) != (fromTree.Fs == nil) ||
+			(fromBytes.M == nil) != (fromTree.M == nil) {
+			t.Fatalf("owned=%v: nil slices or maps differ: %+v vs %+v", owned, fromBytes, fromTree)
+		}
+	}
+	var viaRefl, viaTree parityReflMsg
+	errR, errT := Unmarshal(enc, &viaRefl), Unmarshal(tree, &viaTree)
+	if (errR == nil) != (errT == nil) || errR != nil && errR.Error() != errT.Error() {
+		t.Fatalf("reflection decode of the encoded form: %v, of the tree: %v", errR, errT)
+	}
+}
+
+// FuzzDecodeRefFree holds the receive fast path to its promise. The walk
+// accepts exactly the canonical dicts that Decoder.Decode accepts without
+// firing OnRef or OnFuture, so skipping the decoder can never skip a hook;
+// and what it accepts reads like its decoded tree through every accessor
+// and through the plan decode.
+func FuzzDecodeRefFree(f *testing.F) {
+	parity, err := Marshal(parityPlanMsg{S: "s", Raw: []byte{1, 2}, V: List(Int(1), Bytes([]byte{3}))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var dec Decoder
+	parityTree, _ := dec.Decode(Encode(nil, parity))
+	for _, v := range []Value{
+		Dict(nil),
+		Dict(map[string]Value{"a": Int(-1), "b": Bool(true), "c": Float(0.5), "d": Null()}),
+		Dict(map[string]Value{"n": Dict(map[string]Value{"l": List(String("x"), Bytes(nil))})}),
+		Dict(map[string]Value{"ref": Ref(ids.ActivityID{Node: 1, Seq: 2})}),
+		Dict(map[string]Value{"fut": FutureVal(FutureRef{ID: ids.FutureID{Node: 1, Seq: 1}})}),
+		Value{kind: KindDict, dkeys: []string{"b", "a"}, elems: []Value{Int(1), Int(2)}}, // keys out of order
+		List(Int(1)),
+	} {
+		f.Add(Encode(nil, v))
+	}
+	f.Add(Encode(nil, parity))
+	f.Add(refFreeEncoding(parityTree, -1))
+	f.Add(refFreeEncoding(parityTree, 3))
+	f.Add([]byte{byte(KindDict), 1, 1, 'k', byte(KindInt), 0x80, 0x00}) // non-minimal varint
+	f.Add([]byte{byte(KindDict), 1, 1, 'k', byte(KindBool), 2})         // a Bool of 2
+	f.Fuzz(func(t *testing.T, data []byte) {
+		enc, ok := DecodeRefFree(data)
+		hooks := 0
+		d := Decoder{
+			OnRef:    func(ids.ActivityID) { hooks++ },
+			OnFuture: func(FutureRef) { hooks++ },
+		}
+		tree, err := d.Decode(data)
+		canonical := err == nil && tree.Kind() == KindDict && bytes.Equal(Encode(nil, tree), data)
+		if want := canonical && hooks == 0; ok != want {
+			t.Fatalf("DecodeRefFree = %v; decode error %v, %d hooks, canonical %v", ok, err, hooks, canonical)
+		}
+		if !ok {
+			return
+		}
+		if dc := DeepCopy(enc); &enc.bytes[0] == &data[0] || &dc.bytes[0] == &enc.bytes[0] {
+			t.Fatal("the encoded form shares its input buffer, or a deep copy shares the form's")
+		}
+		if !enc.Equal(tree) || !tree.Equal(enc) || !Expand(enc).Equal(tree) {
+			t.Fatalf("encoded form %v is not equal to its tree %v", enc, tree)
+		}
+		if EncodedSize(enc) != len(data) || !bytes.Equal(Encode(nil, enc), data) ||
+			!bytes.Equal(Encode(nil, DeepCopy(enc)), data) || !bytes.Equal(Encode(nil, Expand(enc)), data) {
+			t.Fatal("the encoded form does not re-encode as the bytes it was made from")
+		}
+		if enc.Len() != tree.Len() || !slices.Equal(enc.Keys(), tree.Keys()) || enc.String() != tree.String() {
+			t.Fatalf("accessors differ: %d %v %s vs %d %v %s", enc.Len(), enc.Keys(), enc, tree.Len(), tree.Keys(), tree)
+		}
+		for _, k := range tree.Keys() {
+			if !enc.Get(k).Equal(tree.Get(k)) {
+				t.Fatalf("Get(%q) = %v, tree has %v", k, enc.Get(k), tree.Get(k))
+			}
+		}
+		if len(enc.Refs(nil)) != 0 || enc.HasFutures() {
+			t.Fatal("the encoded form reports a reference")
+		}
+		checkEncodedParity(t, enc, tree)
 	})
 }

@@ -8,7 +8,9 @@
 // the steady-state cost of marshaling a registered struct is one []Value
 // allocation; a plan unmarshal of a canonically ordered dict is a single
 // merge walk over two sorted key lists and allocates nothing for scalar
-// fields.
+// fields. A dict in encoded form (encoded.go) is decoded the same way,
+// straight off its bytes. Codec holds a type's plan so hot call sites
+// skip the per-call lookup.
 //
 // Wire bytes are unchanged: both dict representations encode to the same
 // canonical sorted-key bytes, and field kinds replicate the reflection
@@ -191,8 +193,9 @@ func classifyField(t reflect.Type) planKind {
 
 // marshal encodes one struct value along the plan. The produced dict is
 // in sorted-pairs form; with no omitted fields its key slice is the
-// plan's shared keys, so the only allocation is the value slice.
-func (p *plan) marshal(rv reflect.Value) (Value, error) {
+// plan's shared keys, so the only allocation is the value slice (and,
+// unless borrow is set, one copy per []byte field).
+func (p *plan) marshal(rv reflect.Value, borrow bool) (Value, error) {
 	n := len(p.fields)
 	vals := make([]Value, n)
 	cnt := 0
@@ -209,7 +212,7 @@ func (p *plan) marshal(rv reflect.Value) (Value, error) {
 		// encodeInto writes the field's value straight into its slot;
 		// passing Values through return slots would copy the full struct
 		// once per field (runtime.duffcopy, visible in the call profile).
-		if err := f.encodeInto(&vals[cnt], fv); err != nil {
+		if err := f.encodeInto(&vals[cnt], fv, borrow); err != nil {
 			return Null(), fmt.Errorf("field %s: %w", f.key, err)
 		}
 		cnt++
@@ -223,7 +226,7 @@ func (p *plan) marshal(rv reflect.Value) (Value, error) {
 	return Value{kind: KindDict, dkeys: keys, elems: vals[:cnt]}, nil
 }
 
-func (f *planField) encodeInto(dst *Value, fv reflect.Value) error {
+func (f *planField) encodeInto(dst *Value, fv reflect.Value, borrow bool) error {
 	switch f.kind {
 	case pkBool:
 		*dst = Bool(fv.Bool())
@@ -240,7 +243,7 @@ func (f *planField) encodeInto(dst *Value, fv reflect.Value) error {
 	case pkString:
 		*dst = String(fv.String())
 	case pkBytes:
-		*dst = Bytes(fv.Bytes())
+		*dst = bytesValue(fv.Bytes(), borrow)
 	case pkFloats:
 		*dst = Floats(fv.Convert(floatsType).Interface().([]float64))
 	case pkValue:
@@ -250,7 +253,7 @@ func (f *planField) encodeInto(dst *Value, fv reflect.Value) error {
 	case pkFutureRef:
 		*dst = FutureVal(fv.Interface().(FutureRef))
 	default:
-		ev, err := marshalValue(fv)
+		ev, err := marshalValue(fv, borrow)
 		if err != nil {
 			return err
 		}
@@ -265,7 +268,10 @@ var floatsType = reflect.TypeOf([]float64(nil))
 // caller (unmarshalValue) has already established v.Kind() == KindDict.
 // Absent keys leave their fields untouched; unknown keys are ignored —
 // exactly the reflection codec's contract.
-func (p *plan) unmarshal(v Value, rv reflect.Value) error {
+func (p *plan) unmarshal(v Value, rv reflect.Value, owned bool) error {
+	if v.isEncoded() {
+		return p.unmarshalEncoded(v.bytes, rv, owned)
+	}
 	if v.dict != nil {
 		for i := range p.fields {
 			f := &p.fields[i]
@@ -273,7 +279,7 @@ func (p *plan) unmarshal(v Value, rv reflect.Value) error {
 			if !present {
 				continue
 			}
-			if err := f.decode(&fv, rv.Field(f.index)); err != nil {
+			if err := f.decode(&fv, rv.Field(f.index), owned); err != nil {
 				return fmt.Errorf("field %s: %w", f.key, err)
 			}
 		}
@@ -288,7 +294,7 @@ func (p *plan) unmarshal(v Value, rv reflect.Value) error {
 			j++
 		}
 		if j < len(v.dkeys) && v.dkeys[j] == f.key {
-			if err := f.decode(&v.elems[j], rv.Field(f.index)); err != nil {
+			if err := f.decode(&v.elems[j], rv.Field(f.index), owned); err != nil {
 				return fmt.Errorf("field %s: %w", f.key, err)
 			}
 			j++
@@ -300,7 +306,7 @@ func (p *plan) unmarshal(v Value, rv reflect.Value) error {
 // decode takes its value by pointer (into the pairs slice or a local) so
 // the per-field fast paths never copy a full Value; only the reflection
 // fallback pays the copy.
-func (f *planField) decode(v *Value, rv reflect.Value) error {
+func (f *planField) decode(v *Value, rv reflect.Value, owned bool) error {
 	if v.IsNull() {
 		// Null is the universal zero (see unmarshalValue).
 		rv.SetZero()
@@ -348,7 +354,165 @@ func (f *planField) decode(v *Value, rv reflect.Value) error {
 		}
 		rv.SetString(v.AsString())
 		return nil
+	case pkBytes:
+		if v.Kind() != KindBytes {
+			return mismatch(*v, rv.Type())
+		}
+		rv.SetBytes(ownBytes(v.bytes, owned))
+		return nil
 	default:
-		return unmarshalValue(*v, rv)
+		return unmarshalValue(*v, rv, owned)
 	}
+}
+
+// unmarshalEncoded decodes an encoded-form dict straight into the struct:
+// one merge walk of the plan's sorted keys against the dict's, which the
+// form guarantees strictly increasing. Scalars, strings and byte slices
+// are read off the bytes without building a Value; a byte slice shares
+// enc when owned is set. Other field kinds decode their value's subtree
+// and take the tree path.
+func (p *plan) unmarshalEncoded(enc []byte, rv reflect.Value, owned bool) error {
+	var r Reader
+	r.Reset(enc, ErrTruncated)
+	r.Expect(byte(KindDict))
+	j := 0
+	for n := r.Count(r.Len()); n > 0 && r.err == nil; n-- {
+		key := r.Bytes()
+		for j < len(p.fields) && p.fields[j].key < string(key) {
+			j++
+		}
+		if j == len(p.fields) || p.fields[j].key != string(key) {
+			r.skipRefFree(1) // a key the struct does not have
+			continue
+		}
+		f := &p.fields[j]
+		j++
+		if err := f.decodeFrom(&r, rv.Field(f.index), owned); err != nil {
+			return fmt.Errorf("field %s: %w", f.key, err)
+		}
+	}
+	return r.Err()
+}
+
+// decodeFrom reads one field's value off the cursor. It accepts and
+// refuses exactly what decode does with the decoded value.
+func (f *planField) decodeFrom(r *Reader, rv reflect.Value, owned bool) error {
+	start := r.buf
+	kind := Kind(r.Byte())
+	if kind == KindNull {
+		rv.SetZero()
+		return nil
+	}
+	switch f.kind {
+	case pkBool:
+		if kind == KindBool {
+			rv.SetBool(r.Byte() != 0)
+			return nil
+		}
+	case pkInt:
+		if kind == KindInt {
+			i := unzigzag(r.Uvarint())
+			if rv.OverflowInt(i) {
+				return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, i, rv.Type())
+			}
+			rv.SetInt(i)
+			return nil
+		}
+	case pkUint:
+		if kind == KindInt {
+			i := unzigzag(r.Uvarint())
+			if i < 0 || rv.OverflowUint(uint64(i)) {
+				return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, i, rv.Type())
+			}
+			rv.SetUint(uint64(i))
+			return nil
+		}
+	case pkFloat:
+		switch kind {
+		case KindFloat:
+			rv.SetFloat(math.Float64frombits(r.U64()))
+			return nil
+		case KindInt:
+			rv.SetFloat(float64(unzigzag(r.Uvarint())))
+			return nil
+		}
+	case pkString:
+		if kind == KindString {
+			rv.SetString(r.String())
+			return nil
+		}
+	case pkBytes:
+		if kind == KindBytes {
+			rv.SetBytes(ownBytes(r.Bytes(), owned))
+			return nil
+		}
+	case pkActivityID, pkFutureRef:
+		// The encoded form holds no Ref and no Future: only Null fits.
+	default:
+		r.buf = start
+		d := Decoder{alias: owned}
+		v := r.Value(&d)
+		if err := r.Err(); err != nil {
+			return err
+		}
+		return f.decode(&v, rv, owned)
+	}
+	return mismatchKind(kind, rv.Type())
+}
+
+// unzigzag undoes binary.AppendVarint's zig-zag mapping.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// Codec is the struct codec of one Go type with its plan looked up once,
+// for call sites that marshal or unmarshal the same type on every call
+// (typed stubs, service methods, typed futures). The zero Codec is valid:
+// it looks the plan up per call, like Marshal and Unmarshal.
+type Codec[T any] struct{ p *plan }
+
+// CodecFor registers T (see RegisterType) and returns its codec.
+func CodecFor[T any]() Codec[T] {
+	var zero T
+	RegisterType(zero)
+	if t := reflect.TypeFor[T](); t.Kind() == reflect.Struct {
+		return Codec[T]{p: planFor(t)}
+	}
+	return Codec[T]{}
+}
+
+// Marshal is wire.Marshal for a T.
+func (c Codec[T]) Marshal(v T) (Value, error) { return c.marshal(v, false) }
+
+// MarshalBorrow is wire.MarshalBorrow for a T.
+func (c Codec[T]) MarshalBorrow(v T) (Value, error) { return c.marshal(v, true) }
+
+func (c Codec[T]) marshal(v T, borrow bool) (Value, error) {
+	if c.p == nil {
+		return marshalAny(v, borrow)
+	}
+	// Through an interface, like Marshal: taking &v instead would move v
+	// to the heap on the no-plan path too.
+	return c.p.marshal(reflect.ValueOf(any(v)), borrow)
+}
+
+// Unmarshal is wire.Unmarshal into a T; out must not be nil.
+func (c Codec[T]) Unmarshal(v Value, out *T) error { return c.unmarshal(v, out, false) }
+
+// UnmarshalOwned is Unmarshal for a value nothing else reads: byte slices
+// in out share v's data instead of copying it. The runtime uses it for a
+// request's arguments, which each request owns.
+func (c Codec[T]) UnmarshalOwned(v Value, out *T) error { return c.unmarshal(v, out, true) }
+
+func (c Codec[T]) unmarshal(v Value, out *T, owned bool) error {
+	rv := reflect.ValueOf(out).Elem()
+	if c.p == nil {
+		return unmarshalValue(v, rv, owned)
+	}
+	if v.IsNull() {
+		rv.SetZero()
+		return nil
+	}
+	if v.Kind() != KindDict {
+		return mismatch(v, rv.Type())
+	}
+	return c.p.unmarshal(v, rv, owned)
 }

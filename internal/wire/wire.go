@@ -115,7 +115,8 @@ type Value struct {
 	// the IEEE-754 bits of KindFloat.
 	num uint64
 	s   string
-	// bytes is the KindBytes payload.
+	// bytes is the KindBytes payload, or the encoding of a dict in
+	// encoded form.
 	bytes []byte
 	// elems holds the elements of a list (KindList) and the values of a
 	// pairs-form dict (KindDict with dkeys set).
@@ -129,7 +130,9 @@ type Value struct {
 	// walks and deep-copies in key order without sorting or map
 	// iteration — that is what makes the cached-plan marshal path
 	// allocation-lean — and both forms encode to identical bytes. All
-	// accessors handle both.
+	// accessors handle both. A dict received from another node may also
+	// stay in encoded form (encoded.go): bytes then holds its canonical
+	// encoding, tag included, and dict, dkeys and elems are nil.
 	dkeys []string
 	// ref is the target of KindRef and the owner activity of KindFuture;
 	// fid is the future's home identity (together they form a FutureRef).
@@ -265,6 +268,10 @@ func (v Value) Len() int {
 	case KindList:
 		return len(v.elems)
 	case KindDict:
+		if v.isEncoded() {
+			n, _ := binary.Uvarint(v.bytes[1:])
+			return int(n)
+		}
 		if v.dict != nil {
 			return len(v.dict)
 		}
@@ -299,6 +306,9 @@ func (v Value) getOK(key string) (Value, bool) {
 	if v.kind != KindDict {
 		return Null(), false
 	}
+	if v.isEncoded() {
+		return Expand(v).getOK(key)
+	}
 	if v.dict != nil {
 		e, ok := v.dict[key]
 		if !ok {
@@ -320,6 +330,9 @@ func (v Value) getOK(key string) (Value, bool) {
 func (v Value) Keys() []string {
 	if v.kind != KindDict {
 		return nil
+	}
+	if v.isEncoded() {
+		return Expand(v).dkeys
 	}
 	if v.dict == nil {
 		// Pairs form is already sorted; copy so callers may keep it.
@@ -369,6 +382,8 @@ func (v Value) Refs(dst []ids.ActivityID) []ids.ActivityID {
 		return dst
 	case KindDict:
 		if v.dict == nil {
+			// Pairs form; the encoded form has no elems and, by
+			// construction, no reference either.
 			for _, e := range v.elems {
 				dst = e.Refs(dst)
 			}
@@ -487,6 +502,10 @@ func (v Value) Equal(o Value) bool {
 		if v.Len() != o.Len() {
 			return false
 		}
+		if v.isEncoded() || o.isEncoded() {
+			// Not bytes.Equal: NaN equals NaN here, and 0 equals -0.
+			return Expand(v).Equal(Expand(o))
+		}
 		if v.dict == nil && o.dict == nil {
 			for i, k := range v.dkeys {
 				if k != o.dkeys[i] || !v.elems[i].Equal(o.elems[i]) {
@@ -603,6 +622,12 @@ func encodeTo(dst []byte, v *Value) []byte {
 			dst = encodeTo(dst, &v.elems[i])
 		}
 	case KindDict:
+		if v.bytes != nil {
+			// Encoded form: its bytes, which start with the tag written
+			// above. (Checked here, not ahead of the switch, so no other
+			// kind pays for it.)
+			return append(dst[:len(dst)-1], v.bytes...)
+		}
 		if v.dict == nil {
 			// Pairs form: already in canonical key order, no sort and no
 			// key-slice allocation on the way out.
@@ -660,7 +685,10 @@ func sizeOf(v *Value) int {
 			n += sizeOf(&v.elems[i])
 		}
 	case KindDict:
-		// Both dict forms; the map form needs no key order to be sized.
+		if v.isEncoded() {
+			return len(v.bytes)
+		}
+		// Both decoded forms; the map form needs no key order to be sized.
 		n += uvarintLen(uint64(v.Len()))
 		for i, k := range v.dkeys {
 			n += lenPrefixed(len(k)) + sizeOf(&v.elems[i])
@@ -709,6 +737,9 @@ type Decoder struct {
 	// decoding order (after the owner's OnRef). The runtime adopts a local
 	// proxy for the future here.
 	OnFuture func(fr FutureRef)
+	// alias makes decoded Bytes values share buf (capacity-capped) instead
+	// of copying it: set only for a buffer that nothing else writes.
+	alias bool
 }
 
 // Decode decodes a single value from buf, which must contain exactly one
@@ -769,6 +800,9 @@ func (d *Decoder) decode(buf []byte, depth int) (Value, []byte, error) {
 		b, rest, err := decodeLenPrefixed(buf)
 		if err != nil {
 			return Null(), nil, err
+		}
+		if d.alias {
+			return Value{kind: KindBytes, bytes: b[:len(b):len(b)]}, rest, nil
 		}
 		return Bytes(b), rest, nil
 	case KindList:
@@ -992,6 +1026,10 @@ func DeepCopy(v Value) Value {
 	case KindList:
 		return Value{kind: KindList, elems: deepCopyElems(v.elems)}
 	case KindDict:
+		if v.isEncoded() {
+			// One copy of the bytes; the copy stays in encoded form.
+			return Value{kind: KindDict, bytes: append([]byte(nil), v.bytes...)}
+		}
 		if v.dict == nil {
 			if v.elems == nil {
 				return v
@@ -1038,6 +1076,10 @@ func deepenInPlace(v *Value) {
 	case KindList:
 		v.elems = deepCopyElems(v.elems)
 	case KindDict:
+		if v.isEncoded() {
+			v.bytes = append([]byte(nil), v.bytes...)
+			return
+		}
 		if v.dict == nil {
 			if v.elems != nil {
 				v.elems = deepCopyElems(v.elems)
