@@ -307,62 +307,59 @@ func (p *plan) unmarshal(v Value, rv reflect.Value, owned bool) error {
 // the per-field fast paths never copy a full Value; only the reflection
 // fallback pays the copy.
 func (f *planField) decode(v *Value, rv reflect.Value, owned bool) error {
-	if v.IsNull() {
+	kind := kindOf(v) // fields, not value-receiver methods: those copy *v
+	if kind == KindNull {
 		// Null is the universal zero (see unmarshalValue).
 		rv.SetZero()
 		return nil
 	}
 	switch f.kind {
 	case pkBool:
-		if v.Kind() != KindBool {
-			return mismatch(*v, rv.Type())
+		if kind == KindBool {
+			rv.SetBool(v.b)
+			return nil
 		}
-		rv.SetBool(v.AsBool())
-		return nil
 	case pkInt:
-		if v.Kind() != KindInt {
-			return mismatch(*v, rv.Type())
+		if kind == KindInt {
+			i := int64(v.num)
+			if rv.OverflowInt(i) {
+				return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, i, rv.Type())
+			}
+			rv.SetInt(i)
+			return nil
 		}
-		if rv.OverflowInt(v.AsInt()) {
-			return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, v.AsInt(), rv.Type())
-		}
-		rv.SetInt(v.AsInt())
-		return nil
 	case pkUint:
-		if v.Kind() != KindInt {
-			return mismatch(*v, rv.Type())
+		if kind == KindInt {
+			i := int64(v.num)
+			if i < 0 || rv.OverflowUint(uint64(i)) {
+				return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, i, rv.Type())
+			}
+			rv.SetUint(uint64(i))
+			return nil
 		}
-		i := v.AsInt()
-		if i < 0 || rv.OverflowUint(uint64(i)) {
-			return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, i, rv.Type())
-		}
-		rv.SetUint(uint64(i))
-		return nil
 	case pkFloat:
-		switch v.Kind() {
+		switch kind {
 		case KindFloat:
-			rv.SetFloat(v.AsFloat())
+			rv.SetFloat(math.Float64frombits(v.num))
+			return nil
 		case KindInt:
-			rv.SetFloat(float64(v.AsInt()))
-		default:
-			return mismatch(*v, rv.Type())
+			rv.SetFloat(float64(int64(v.num)))
+			return nil
 		}
-		return nil
 	case pkString:
-		if v.Kind() != KindString {
-			return mismatch(*v, rv.Type())
+		if kind == KindString {
+			rv.SetString(v.s)
+			return nil
 		}
-		rv.SetString(v.AsString())
-		return nil
 	case pkBytes:
-		if v.Kind() != KindBytes {
-			return mismatch(*v, rv.Type())
+		if kind == KindBytes {
+			rv.SetBytes(ownBytes(v.bytes, owned))
+			return nil
 		}
-		rv.SetBytes(ownBytes(v.bytes, owned))
-		return nil
 	default:
 		return unmarshalValue(*v, rv, owned)
 	}
+	return mismatchKind(kind, rv.Type())
 }
 
 // unmarshalEncoded decodes an encoded-form dict straight into the struct:
@@ -394,70 +391,40 @@ func (p *plan) unmarshalEncoded(enc []byte, rv reflect.Value, owned bool) error 
 	return r.Err()
 }
 
-// decodeFrom reads one field's value off the cursor. It accepts and
-// refuses exactly what decode does with the decoded value.
+// decodeFrom reads one field's value off the cursor and hands it to
+// decode. A scalar, string or byte-slice field gets its value read into a
+// Value on the stack, so no tree is built and the type rules stay decode's;
+// any other field decodes its value's subtree.
 func (f *planField) decodeFrom(r *Reader, rv reflect.Value, owned bool) error {
-	start := r.buf
-	kind := Kind(r.Byte())
-	if kind == KindNull {
-		rv.SetZero()
-		return nil
-	}
+	var v Value
 	switch f.kind {
-	case pkBool:
-		if kind == KindBool {
-			rv.SetBool(r.Byte() != 0)
-			return nil
-		}
-	case pkInt:
-		if kind == KindInt {
-			i := unzigzag(r.Uvarint())
-			if rv.OverflowInt(i) {
-				return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, i, rv.Type())
-			}
-			rv.SetInt(i)
-			return nil
-		}
-	case pkUint:
-		if kind == KindInt {
-			i := unzigzag(r.Uvarint())
-			if i < 0 || rv.OverflowUint(uint64(i)) {
-				return fmt.Errorf("%w: %d overflows %s", ErrUnmarshal, i, rv.Type())
-			}
-			rv.SetUint(uint64(i))
-			return nil
-		}
-	case pkFloat:
-		switch kind {
-		case KindFloat:
-			rv.SetFloat(math.Float64frombits(r.U64()))
-			return nil
+	case pkBool, pkInt, pkUint, pkFloat, pkString, pkBytes:
+		start := r.buf
+		switch v.kind = Kind(r.Byte()); v.kind {
+		case KindNull:
+		case KindBool:
+			v.b = r.Byte() != 0
 		case KindInt:
-			rv.SetFloat(float64(unzigzag(r.Uvarint())))
-			return nil
+			v.num = uint64(unzigzag(r.Uvarint()))
+		case KindFloat:
+			v.num = r.U64()
+		case KindString:
+			v.s = r.String()
+		case KindBytes:
+			v.bytes = r.Bytes()
+		default:
+			// A list or dict, which decode refuses by its kind alone.
+			r.buf = start
+			r.skipRefFree(1)
 		}
-	case pkString:
-		if kind == KindString {
-			rv.SetString(r.String())
-			return nil
-		}
-	case pkBytes:
-		if kind == KindBytes {
-			rv.SetBytes(ownBytes(r.Bytes(), owned))
-			return nil
-		}
-	case pkActivityID, pkFutureRef:
-		// The encoded form holds no Ref and no Future: only Null fits.
 	default:
-		r.buf = start
 		d := Decoder{alias: owned}
-		v := r.Value(&d)
-		if err := r.Err(); err != nil {
-			return err
-		}
-		return f.decode(&v, rv, owned)
+		v = r.Value(&d)
 	}
-	return mismatchKind(kind, rv.Type())
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return f.decode(&v, rv, owned)
 }
 
 // unzigzag undoes binary.AppendVarint's zig-zag mapping.
@@ -504,15 +471,8 @@ func (c Codec[T]) UnmarshalOwned(v Value, out *T) error { return c.unmarshal(v, 
 
 func (c Codec[T]) unmarshal(v Value, out *T, owned bool) error {
 	rv := reflect.ValueOf(out).Elem()
-	if c.p == nil {
-		return unmarshalValue(v, rv, owned)
-	}
-	if v.IsNull() {
-		rv.SetZero()
-		return nil
-	}
-	if v.Kind() != KindDict {
-		return mismatch(v, rv.Type())
+	if c.p == nil || v.Kind() != KindDict {
+		return unmarshalValue(v, rv, owned) // which zeroes on Null, refuses the rest
 	}
 	return c.p.unmarshal(v, rv, owned)
 }

@@ -597,8 +597,9 @@ func Encode(dst []byte, v Value) []byte {
 // encodeTo recurses by pointer so nested lists and pairs-form dicts do not
 // copy each element Value per level.
 func encodeTo(dst []byte, v *Value) []byte {
-	dst = append(dst, byte(v.Kind()))
-	switch v.Kind() {
+	kind := kindOf(v)
+	dst = append(dst, byte(kind))
+	switch kind {
 	case KindNull:
 	case KindBool:
 		if v.b {
@@ -667,7 +668,7 @@ func EncodedSize(v Value) int {
 // sizeOf mirrors encodeTo case by case.
 func sizeOf(v *Value) int {
 	n := 1 // kind tag
-	switch v.Kind() {
+	switch kindOf(v) {
 	case KindBool:
 		n++
 	case KindInt:
@@ -685,11 +686,12 @@ func sizeOf(v *Value) int {
 			n += sizeOf(&v.elems[i])
 		}
 	case KindDict:
-		if v.isEncoded() {
-			return len(v.bytes)
+		if v.bytes != nil {
+			return len(v.bytes) // encoded form, tag included
 		}
-		// Both decoded forms; the map form needs no key order to be sized.
-		n += uvarintLen(uint64(v.Len()))
+		// Both decoded forms (one of dkeys and dict is empty); the map form
+		// needs no key order to be sized.
+		n += uvarintLen(uint64(len(v.dkeys) + len(v.dict)))
 		for i, k := range v.dkeys {
 			n += lenPrefixed(len(k)) + sizeOf(&v.elems[i])
 		}
@@ -703,6 +705,15 @@ func sizeOf(v *Value) int {
 			uvarintLen(uint64(v.ref.Node)) + uvarintLen(uint64(v.ref.Seq))
 	}
 	return n
+}
+
+// kindOf is Value.Kind for the pointer walks: calling a value-receiver
+// method through a *Value copies all of the Value first.
+func kindOf(v *Value) Kind {
+	if v.kind == 0 {
+		return KindNull
+	}
+	return v.kind
 }
 
 // sizeOfCopy sizes a map-form dict entry. The address of a range variable
