@@ -364,10 +364,9 @@ func (f *planField) decode(v *Value, rv reflect.Value, owned bool) error {
 
 // unmarshalEncoded decodes an encoded-form dict straight into the struct:
 // one merge walk of the plan's sorted keys against the dict's, which the
-// form guarantees strictly increasing. Scalars, strings and byte slices
-// are read off the bytes without building a Value; a byte slice shares
-// enc when owned is set. Other field kinds decode their value's subtree
-// and take the tree path.
+// form guarantees strictly increasing. No Value tree is built for
+// scalar, string and byte-slice fields (see decodeFrom); a byte slice
+// shares enc when owned is set.
 func (p *plan) unmarshalEncoded(enc []byte, rv reflect.Value, owned bool) error {
 	var r Reader
 	r.Reset(enc, ErrTruncated)
