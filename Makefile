@@ -127,9 +127,8 @@ chaos:
 	$(GO) run ./cmd/loadgen -duration $(CHAOS_DURATION) -mix 4:0:2 -restart-every 300ms
 
 # CI perf gate, runnable locally: measure a fresh suite and compare it
-# against the checked-in trajectory (fails on >20% p50/call-rate regress,
-# on the sends-1m-local scenario dropping under 10^6 ops/s, and on the
-# tree fan-out losing its ≥2× speedup over flat).
+# against the checked-in trajectory (fails on >20% p50/call-rate regress
+# and on the sends-1m-local scenario dropping under 10^6 ops/s).
 MAX_REGRESS ?= 20
 .PHONY: perf-gate
 perf-gate:

@@ -103,7 +103,6 @@ func compareSuites(baselinePath, candidatePath string, maxRegressPct float64) er
 	if matched == 0 {
 		return fmt.Errorf("no baseline scenario matched a candidate scenario")
 	}
-	violations = append(violations, checkTreeSpeedup(base, cand)...)
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "REGRESSION:", v)
@@ -202,42 +201,6 @@ func checkRestart(name string, c loadgen.Result) []string {
 			"%s: %d lost registered identities, want 0", name, c.LostIdentities))
 	}
 	return violations
-}
-
-// checkTreeSpeedup gates tree fan-out against flat: when the baseline
-// carries both bcast1024 arms, the candidate's tree arm must finish
-// broadcasts at least twice as fast (p50) as its own flat arm. Both
-// figures come from the same candidate run on the same machine, so the
-// ratio is immune to runner speed.
-func checkTreeSpeedup(base, cand suiteDoc) []string {
-	const treeName, flatName = "bcast1024-tree", "bcast1024-flat"
-	byName := func(doc suiteDoc, name string) (loadgen.Result, bool) {
-		return findScenario(doc.Scenarios, loadgen.Result{Config: loadgen.Config{Name: name}})
-	}
-	if _, ok := byName(base, treeName); !ok {
-		return nil
-	}
-	if _, ok := byName(base, flatName); !ok {
-		return nil
-	}
-	tree, okT := byName(cand, treeName)
-	flat, okF := byName(cand, flatName)
-	if !okT || !okF {
-		return nil // missing arms already reported as unmatched scenarios
-	}
-	treeP50 := tree.Broadcasts.Latency.P50Micros
-	flatP50 := flat.Broadcasts.Latency.P50Micros
-	fmt.Printf("%-24s p50 broadcast tree %5.0fµs vs flat %5.0fµs (%.1fx)\n",
-		"bcast1024", treeP50, flatP50, flatP50/treeP50)
-	if treeP50 <= 0 || flatP50 <= 0 {
-		return []string{"bcast1024: missing broadcast latency measurements"}
-	}
-	if treeP50*2 > flatP50 {
-		return []string{fmt.Sprintf(
-			"bcast1024: tree p50 %.0fµs not ≥2x faster than flat p50 %.0fµs",
-			treeP50, flatP50)}
-	}
-	return nil
 }
 
 // callsPerSec is the gated throughput figure: completed calls of the

@@ -61,7 +61,6 @@ func main() {
 		payload      = flag.Int("payload", 64, "payload bytes per request")
 		batch        = flag.Duration("batch", 0, "batch window (0 = batching off)")
 		dgcOff       = flag.Bool("no-dgc", false, "disable the DGC")
-		flatGroup    = flag.Bool("flat-group", false, "force flat (non-tree) group fan-out")
 		netCost      = flag.Duration("net-cost", 0, "sim backend: per-message interface overhead (simnet PerMessage)")
 		dropEvery    = flag.Duration("drop-every", 0, "chaos: drop all TCP connections at this period")
 		killEvery    = flag.Duration("kill-every", 0, "chaos: run a join-serve-die node lifecycle at this period (implies -cluster)")
@@ -96,25 +95,24 @@ func main() {
 		os.Exit(2)
 	}
 	base := loadgen.Config{
-		Backend:           *backend,
-		Nodes:             *nodes,
-		ActorsPerNode:     *actors,
-		GroupSize:         *group,
-		Workers:           *workers,
-		RatePerSec:        *rate,
-		Duration:          *duration,
-		Mix:               m,
-		PayloadBytes:      *payload,
-		BatchWindow:       *batch,
-		DisableDGC:        *dgcOff,
-		Colocate:          *colocate,
-		DisableTreeFanOut: *flatGroup,
-		NetPerMessage:     *netCost,
-		DropConnsEvery:    *dropEvery,
-		Cluster:           *clusterOn,
-		NodeKillEvery:     *killEvery,
-		RestartEvery:      *restartEvery,
-		Seed:              *seed,
+		Backend:        *backend,
+		Nodes:          *nodes,
+		ActorsPerNode:  *actors,
+		GroupSize:      *group,
+		Workers:        *workers,
+		RatePerSec:     *rate,
+		Duration:       *duration,
+		Mix:            m,
+		PayloadBytes:   *payload,
+		BatchWindow:    *batch,
+		DisableDGC:     *dgcOff,
+		Colocate:       *colocate,
+		NetPerMessage:  *netCost,
+		DropConnsEvery: *dropEvery,
+		Cluster:        *clusterOn,
+		NodeKillEvery:  *killEvery,
+		RestartEvery:   *restartEvery,
+		Seed:           *seed,
 	}
 
 	var doc any
@@ -169,14 +167,14 @@ func suiteLen(doc any) int {
 
 // runSuite executes the standard matrix — the same mixed closed-loop
 // workload over {sim, tcp} × {unbatched, batched} — plus the scale
-// scenarios: tree vs flat group broadcast at 1024 members, and the
+// scenarios: tree group broadcast at 1024 members, and the
 // 10^5-activity churn + migration + node-kill run the location directory
 // is proven by.
 func runSuite(base loadgen.Config) (suiteDoc, error) {
 	var doc suiteDoc
 	doc.Meta.GoVersion = runtime.Version()
 	doc.Meta.NumCPU = runtime.NumCPU()
-	doc.Meta.Note = "closed-loop mixed workload (call:broadcast:churn:pipeline = 6:2:1:2; pipeline = 4-stage forwarded-future chain) plus bcast1024 tree/flat, sends-1m-local, scale-churn and churn-restart scenarios, regenerate with: make bench"
+	doc.Meta.Note = "closed-loop mixed workload (call:broadcast:churn:pipeline = 6:2:1:2; pipeline = 4-stage forwarded-future chain) plus bcast1024-tree, sends-1m-local, scale-churn and churn-restart scenarios, regenerate with: make bench"
 
 	for _, backend := range []string{"sim", "tcp"} {
 		for _, window := range []time.Duration{0, 200 * time.Microsecond} {
@@ -192,28 +190,23 @@ func runSuite(base loadgen.Config) (suiteDoc, error) {
 		}
 	}
 
-	// Tree vs flat broadcast, 1024 members over 16 nodes: the paired
-	// arms behind the comparator's ≥2× tree-speedup gate.
-	for _, flat := range []bool{false, true} {
+	// Tree broadcast, 1024 members over 16 nodes.
+	{
 		cfg := base
 		cfg.Name = "bcast1024-tree"
-		if flat {
-			cfg.Name = "bcast1024-flat"
-		}
 		cfg.Backend = "sim"
 		cfg.Nodes = 16
 		cfg.ActorsPerNode = 64
 		cfg.GroupSize = 1024
 		cfg.Workers = 1
 		cfg.Mix = loadgen.Mix{Broadcast: 1}
-		cfg.DisableTreeFanOut = flat
-		// Both arms run over interfaces with realistic per-packet
-		// overhead (simnet PerMessage; the paper's own evaluation rode
-		// RMI through a SOCKS proxy, well above this): the packet-rate
-		// bottleneck at the root is precisely what the tree topology
-		// relieves, and what a zero-cost in-memory network would hide.
-		// One worker so the arms measure a single broadcast's latency,
-		// not self-contention at the shared root.
+		// Interfaces with realistic per-packet overhead (simnet
+		// PerMessage; the paper's own evaluation rode RMI through a SOCKS
+		// proxy, well above this): the packet-rate bottleneck at the root
+		// is precisely what the tree topology relieves, and what a
+		// zero-cost in-memory network would hide. One worker so the
+		// scenario measures a single broadcast's latency, not
+		// self-contention at the shared root.
 		cfg.NetPerMessage = 100 * time.Microsecond
 		res, err := loadgen.Run(cfg)
 		if err != nil {

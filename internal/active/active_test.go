@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -132,6 +133,40 @@ func TestHandleKeepsActivityAlive(t *testing.T) {
 	st := e.Stats()
 	if st.Collected[core.ReasonAcyclic] != 2 { // the pinned activity + the settle canary
 		t.Fatalf("collected = %+v, want two acyclic", st.Collected)
+	}
+}
+
+// gatedDeleteStore holds every checkpoint Delete until release closes.
+// Node.destroy deletes a collected activity's checkpoint after removing
+// the activity from its node, so the gate holds a collection mid-way.
+type gatedDeleteStore struct {
+	store.Store
+	release chan struct{}
+}
+
+func (s *gatedDeleteStore) Delete(id ids.ActivityID) error {
+	<-s.release
+	return s.Store.Delete(id)
+}
+
+// TestCollectedCountedWhenGone: once WaitCollected has seen an activity
+// leave, Stats().Collected counts it, even while the rest of its teardown
+// is still running.
+func TestCollectedCountedWhenGone(t *testing.T) {
+	st := &gatedDeleteStore{Store: store.NewMemStore(), release: make(chan struct{})}
+	e := NewEnv(Config{TTB: 10 * time.Millisecond, TTA: 25 * time.Millisecond, Store: st})
+	defer e.Close()
+	defer close(st.release)
+	h, err := e.NewNode().SpawnKind("counter", "test/cluster-counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if _, err := e.WaitCollected(0, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().Collected; got[core.ReasonAcyclic] != 1 {
+		t.Fatalf("collected = %+v once the activity is gone, want one acyclic", got)
 	}
 }
 

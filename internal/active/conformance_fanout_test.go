@@ -9,12 +9,15 @@ package active
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/ids"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -53,11 +56,8 @@ func TestConformanceTreeBroadcast(t *testing.T) {
 				h.Release()
 			}
 		}()
-		// 7 distinct remote destinations > the default degree of 4: the
-		// anchor must plan a relay tree for this group.
-		if trees := g.planTrees(); trees[root] == nil {
-			t.Fatal("broadcast over 7 remote nodes did not engage the tree path")
-		}
+		// 7 distinct remote destinations > the degree of 4: the group
+		// rides a relay tree of depth 2.
 		fg, err := g.Broadcast(21)
 		if err != nil {
 			t.Fatal(err)
@@ -108,54 +108,163 @@ func TestConformanceTreeScatter(t *testing.T) {
 	})
 }
 
-// TestTreeFanOutPlanning pins the engagement rule: the tree engages only
-// past the branching degree, and DisableTreeFanOut forces the flat
-// baseline regardless of spread.
-func TestTreeFanOutPlanning(t *testing.T) {
-	e := NewEnv(Config{TTB: 10 * time.Millisecond, FanOutDegree: 2})
-	defer e.Close()
-	root := e.NewNode()
-	nodes := []*Node{e.NewNode(), e.NewNode(), e.NewNode()}
-	g, hosted := treeGroup(t, root, nodes)
-	defer g.Release()
-	defer func() {
-		for _, h := range hosted {
-			h.Release()
-		}
-	}()
-	if trees := g.planTrees(); trees[root] == nil {
-		t.Fatal("3 remote destinations with degree 2 must engage the tree")
-	}
+// routeCounter wraps a transport and counts the one-way messages each
+// endpoint sends, per (source, destination, class).
+type routeCounter struct {
+	transport.Transport
+	mu   sync.Mutex
+	msgs map[route]int
+}
 
-	eFlat := NewEnv(Config{TTB: 10 * time.Millisecond, FanOutDegree: 2, DisableTreeFanOut: true})
-	defer eFlat.Close()
-	rootFlat := eFlat.NewNode()
-	nodesFlat := []*Node{eFlat.NewNode(), eFlat.NewNode(), eFlat.NewNode()}
-	gFlat, hostedFlat := treeGroup(t, rootFlat, nodesFlat)
-	defer gFlat.Release()
-	defer func() {
-		for _, h := range hostedFlat {
-			h.Release()
+type route struct {
+	src, dst ids.NodeID
+	class    transport.Class
+}
+
+func (c *routeCounter) Register(node ids.NodeID, h transport.Handler) transport.Endpoint {
+	return &routedEndpoint{Endpoint: c.Transport.Register(node, h), c: c}
+}
+
+// reset zeroes the counts.
+func (c *routeCounter) reset() {
+	c.mu.Lock()
+	c.msgs = make(map[route]int)
+	c.mu.Unlock()
+}
+
+// count sums the messages matching keep.
+func (c *routeCounter) count(keep func(route) bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := 0
+	for r, k := range c.msgs {
+		if keep(r) {
+			total += k
 		}
-	}()
-	if trees := gFlat.planTrees(); trees[rootFlat] != nil {
-		t.Fatal("DisableTreeFanOut must force the flat path")
 	}
-	// The flat group must still answer correctly — it is the baseline the
-	// perf gate compares the tree against.
-	fg, err := gFlat.Broadcast(5)
+	return total
+}
+
+type routedEndpoint struct {
+	transport.Endpoint
+	c *routeCounter
+}
+
+func (e *routedEndpoint) Send(dst ids.NodeID, class transport.Class, payload []byte) error {
+	e.c.mu.Lock()
+	e.c.msgs[route{e.Node(), dst, class}]++
+	e.c.mu.Unlock()
+	return e.Endpoint.Send(dst, class, payload)
+}
+
+// TestGroupFanOutAccounting pins what the one fan-out path costs the
+// root, counted message by message. A group over at most fanOutDegree
+// remote nodes is a depth-1 tree: one envelope per destination node out,
+// one direct future update per member back. A 1024-member group over 16
+// nodes sends at most fanOutDegree envelopes from the root and gets back
+// a handful of aggregates — not one update per member. (A beat's
+// expireRelays may ship a partial aggregate early, hence the loose bound.)
+func TestGroupFanOutAccounting(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		nodes, perNode int
+	}{
+		{"depth1-3x2", 3, 2},
+		{"tree-16x64", 16, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := &routeCounter{Transport: simnet.New(simnet.Config{}), msgs: make(map[route]int)}
+			e := NewEnv(Config{DisableDGC: true, Transport: rc})
+			defer e.Close()
+			root := e.NewNode()
+			svc := NewService(Method("double", func(_ *Context, req int64) (int64, error) {
+				return 2 * req, nil
+			}))
+			var anchored []*Handle
+			for n := 0; n < tc.nodes; n++ {
+				node := e.NewNode()
+				for a := 0; a < tc.perNode; a++ {
+					h, err := root.HandleFor(node.NewActive("member", svc).Ref())
+					if err != nil {
+						t.Fatal(err)
+					}
+					anchored = append(anchored, h)
+				}
+			}
+			g := NewGroup[int64, int64]("double", anchored...)
+			defer g.Release()
+			rc.reset()
+			fg, err := g.Broadcast(21)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps, err := fg.WaitAll(10 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range resps {
+				if r != 42 {
+					t.Fatalf("resp[%d] = %d, want 42", i, r)
+				}
+			}
+			fromRoot := rc.count(func(r route) bool { return r.src == root.ID() })
+			toRoot := func(class transport.Class) int {
+				return rc.count(func(r route) bool { return r.dst == root.ID() && r.class == class })
+			}
+			members := tc.nodes * tc.perNode
+			if tc.nodes <= fanOutDegree {
+				if fromRoot != tc.nodes || toRoot(transport.ClassFuture) != members || toRoot(transport.ClassApp) != 0 {
+					t.Fatalf("root sent %d messages, got %d updates and %d aggregates; want %d, %d and 0",
+						fromRoot, toRoot(transport.ClassFuture), toRoot(transport.ClassApp), tc.nodes, members)
+				}
+				return
+			}
+			if back := toRoot(transport.ClassFuture) + toRoot(transport.ClassApp); fromRoot > fanOutDegree || back >= 64 {
+				t.Fatalf("root sent %d messages and got %d back, want at most %d and fewer than 64 for %d members",
+					fromRoot, back, fanOutDegree, members)
+			}
+		})
+	}
+}
+
+// TestGroupWaitAnyRemote: a depth-1 bundle replies per member, at once.
+// One member on the remote node answers while its two co-located peers
+// stay parked; WaitAny must return it without waiting for them or for a
+// beat (the beat is a minute away).
+func TestGroupWaitAnyRemote(t *testing.T) {
+	e := NewEnv(Config{TTB: time.Minute, DisableDGC: true})
+	defer e.Close()
+	caller, worker := e.NewNode(), e.NewNode()
+	release := make(chan struct{})
+	defer close(release) // before Close, which waits for the parked services
+	var parked atomic.Int32
+	svc := NewService(Method("park", func(_ *Context, req int64) (int64, error) {
+		if req != 0 {
+			parked.Add(1)
+			<-release
+		}
+		return req, nil
+	}))
+	handles := make([]*Handle, 3)
+	for i := range handles {
+		h, err := caller.HandleFor(worker.NewActive("member", svc).Ref())
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+	}
+	g := NewGroup[int64, int64]("park", handles...)
+	defer g.Release()
+	fg, err := g.Scatter([]int64{1, 0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resps, err := fg.WaitAll(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
+	idx, got, err := fg.WaitAny(10 * time.Second)
+	if err != nil || idx != 1 || got != 0 {
+		t.Fatalf("WaitAny = (%d, %d, %v), want (1, 0, nil)", idx, got, err)
 	}
-	for i, r := range resps {
-		if r != 10 {
-			t.Fatalf("flat resp[%d] = %d, want 10", i, r)
-		}
-	}
+	// The peers reached their service and are held there still.
+	waitUntil(t, func() bool { return parked.Load() == 2 }, 10*time.Second)
 }
 
 // TestClusterTreeBroadcastRelayKilled kills a mid-tree relay node while

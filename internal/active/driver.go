@@ -8,39 +8,17 @@ import (
 	"repro/internal/transport"
 )
 
-// runDriver is the node's DGC driver goroutine: every TTB it runs a local
-// heap sweep (which fires the weak-tag edge removals of §2.2) and then the
-// collector broadcast of every hosted activity (Algorithm 2). Broadcasts
-// go out in parallel, as §4.2 prescribes, so one slow peer cannot delay
-// the rest of the beat.
+// runDriver is the node's driver goroutine: every TTB it runs one beat, a
+// local heap sweep (which fires the weak-tag edge removals of §2.2), the
+// collector broadcast of every hosted activity (Algorithm 2) and the
+// node's other periodic upkeep. Broadcasts go out in parallel, as §4.2
+// prescribes, so one slow peer cannot delay the rest of the beat.
 func (n *Node) runDriver() {
 	defer n.wg.Done()
-	if n.env.cfg.DisableDGC {
-		// Baseline mode: only the local heap (and the future table, whose
-		// lifecycle is purely local) is collected.
-		for {
-			select {
-			case <-n.stop:
-				return
-			case <-n.env.cfg.Clock.After(n.env.cfg.TTB):
-				n.heap.Collect()
-				n.futures.sweep(n.heap, n.env.cfg.Clock.Now(), n.env.cfg.TTA)
-				n.locationBeat(nil)
-				n.expireRelays()
-				n.checkpointBeat(n.env.cfg.Clock.Now())
-				if ag := n.env.cluster; ag != nil {
-					// No heartbeats to piggyback on in baseline mode, so the
-					// driver still advances the failure detector (silence
-					// then drives the suspect path's explicit probes).
-					ag.maybeTick(n)
-				}
-			}
-		}
-	}
 	// With adaptive beats (§7.1) the driver wakes at the fastest permitted
 	// period and beats each activity at its own adapted pace.
 	wake := n.env.cfg.TTB
-	if n.env.cfg.Adaptive.Enabled && n.env.cfg.Adaptive.MinTTB < wake {
+	if !n.env.cfg.DisableDGC && n.env.cfg.Adaptive.Enabled && n.env.cfg.Adaptive.MinTTB < wake {
 		wake = n.env.cfg.Adaptive.MinTTB
 	}
 	for {
@@ -59,19 +37,47 @@ type dgcOut struct {
 	ob core.Outbound
 }
 
-// beat runs one driver iteration: a local sweep plus the broadcast of
-// every activity whose beat is due. Without batching each message is its
-// own parallel exchange (§4.2); with batching the beat's messages are
-// grouped per destination node and each group travels as one exchange —
-// the per-destination groups still go out in parallel, so one slow peer
-// cannot delay the rest of the beat.
+// beat runs one driver iteration: a local sweep, the DGC broadcast (unless
+// the DGC is off: the paper's "No DGC" baseline), then the upkeep that
+// rides every beat — directory, relay records, checkpoints and the
+// failure detector.
 func (n *Node) beat() {
 	n.heap.Collect()
 	// Future entries are reclaimed right after the sweep refreshed the
 	// future-tag liveness: resolved entries whose last heap pin died a
 	// TTA-grace ago go; anything still owed an update stays.
 	n.futures.sweep(n.heap, n.env.cfg.Clock.Now(), n.env.cfg.TTA)
+	var beatDsts map[ids.NodeID]struct{}
+	if !n.env.cfg.DisableDGC {
+		beatDsts = n.broadcastDue()
+	}
+	// Directory upkeep rides the beat: gossip fresh rebinds to nodes this
+	// beat already exchanged traffic with (with batching on they share
+	// the frame the DGC exchange opened), and re-announce a rotating
+	// slice of origin entries to the current shard owners.
+	n.locationBeat(beatDsts)
+	// Partially flush and expire tree fan-out relay records (WIRE.md §10).
+	n.expireRelays()
+	// Durable activities whose checkpoint is due get a reserved-method
+	// request: the snapshot then happens on the activity's own goroutine,
+	// between two services, without stalling the pool.
+	n.checkpointBeat(n.env.cfg.Clock.Now())
+	if ag := n.env.cluster; ag != nil {
+		// The beat doubles as the failure detector's clock: advance it at
+		// most once per TTB across all local drivers. With the DGC off
+		// there are no heartbeats to piggyback on, and silence drives the
+		// suspect path's explicit probes.
+		ag.maybeTick(n)
+	}
+}
 
+// broadcastDue ticks every activity whose beat is due and sends its DGC
+// messages, returning the remote nodes the broadcast reached. Without
+// batching each message is its own parallel exchange (§4.2); with
+// batching the beat's messages are grouped per destination node and each
+// group travels as one exchange — the per-destination groups still go
+// out in parallel, so one slow peer cannot delay the rest of the beat.
+func (n *Node) broadcastDue() map[ids.NodeID]struct{} {
 	var broadcasts sync.WaitGroup
 	var byDst map[ids.NodeID][]dgcOut
 	var beatDsts map[ids.NodeID]struct{}
@@ -136,22 +142,7 @@ func (n *Node) beat() {
 		}(dst, outs)
 	}
 	broadcasts.Wait()
-	// Directory upkeep rides the beat: gossip fresh rebinds to nodes this
-	// beat already exchanged traffic with (with batching on they share
-	// the frame the DGC exchange opened), and re-announce a rotating
-	// slice of origin entries to the current shard owners.
-	n.locationBeat(beatDsts)
-	// Partially flush and expire tree fan-out relay records (WIRE.md §10).
-	n.expireRelays()
-	// Durable activities whose checkpoint is due get a reserved-method
-	// request: the snapshot then happens on the activity's own goroutine,
-	// between two services, without stalling the pool.
-	n.checkpointBeat(n.env.cfg.Clock.Now())
-	if ag := n.env.cluster; ag != nil {
-		// The beat doubles as the failure detector's clock: advance it at
-		// most once per TTB across all local drivers.
-		ag.maybeTick(n)
-	}
+	return beatDsts
 }
 
 // sendDGC performs one DGC message/response exchange with the node hosting
@@ -208,13 +199,6 @@ func (n *Node) sendDGCBatch(dst ids.NodeID, outs []dgcOut) {
 	}
 }
 
-// CollectNow forces one synchronous local heap sweep plus DGC beat on this
-// node (useful in tests to avoid waiting for the ticker).
-func (n *Node) CollectNow() {
-	if n.env.cfg.DisableDGC {
-		n.heap.Collect()
-		n.futures.sweep(n.heap, n.env.cfg.Clock.Now(), n.env.cfg.TTA)
-		return
-	}
-	n.beat()
-}
+// CollectNow forces one synchronous beat on this node: local heap sweep
+// plus DGC broadcast (useful in tests to avoid waiting for the ticker).
+func (n *Node) CollectNow() { n.beat() }

@@ -63,11 +63,11 @@ type Config struct {
 	// node's outbound one-way traffic flows through a per-destination
 	// flusher, and co-destination messages travel together in one batch
 	// frame. Plain one-way sends may linger up to BatchWindow waiting for
-	// companions; call requests, future updates and group fan-outs never
-	// wait on it — they are corked until their sender blocks (WIRE.md §5,
-	// "Who batches, and when") — and DGC beats collapse into one exchange
-	// per destination node. Zero (the default) disables
-	// batching entirely; the wire traffic is then byte-identical to the
+	// companions; call requests, future updates and group calls awaiting
+	// replies never wait on it — they are corked until their sender
+	// blocks (WIRE.md §5, "Who batches, and when") — and DGC beats
+	// collapse into one exchange per destination node. Zero (the default)
+	// disables batching entirely; the wire traffic is then byte-identical to the
 	// unbatched protocol. A batch frame carries at most 64 KiB of
 	// payload; a larger backlog is split across frames.
 	BatchWindow time.Duration
@@ -107,16 +107,6 @@ type Config struct {
 	// its directory shard, or moved by itself — before the least recently
 	// used is forgotten. Zero means location.DefaultCacheSize.
 	LocationCacheSize int
-	// FanOutDegree is the branching factor of tree-structured group
-	// fan-out (WIRE.md §10): a group scatter whose distinct remote
-	// destination nodes exceed the degree is shipped as a tree of relay
-	// nodes, each forwarding at most FanOutDegree subtrees and
-	// aggregating replies hop-by-hop. Zero means 4.
-	FanOutDegree int
-	// DisableTreeFanOut forces every group scatter onto the flat
-	// one-message-per-member path (the pre-tree baseline, used for
-	// comparison benchmarks).
-	DisableTreeFanOut bool
 	// OnEvent receives DGC trace events from every collector.
 	OnEvent func(core.Event)
 	// Store enables durable activity checkpoints: activities created from
@@ -143,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TTA == 0 {
 		c.TTA = 2*c.TTB + c.MaxComm + c.TTB/2
-	}
-	if c.FanOutDegree <= 0 {
-		c.FanOutDegree = 4
 	}
 	return c
 }
@@ -184,8 +171,13 @@ type Env struct {
 	nodes   map[ids.NodeID]*Node
 	names   map[string]ids.ActivityID
 	created int
-	reaped  map[core.Reason]int
 	closed  bool
+
+	// reaped counts collections by reason. It has its own lock because
+	// Node.destroy counts under Node.mu, in the critical section that
+	// removes the activity, and mu is taken before Node.mu elsewhere.
+	reapMu sync.Mutex
+	reaped map[core.Reason]int
 }
 
 // NewEnv creates an environment. Close it when done.
@@ -385,16 +377,20 @@ func (e *Env) Lookup(name string) (wire.Value, error) {
 	return wire.Ref(target), nil
 }
 
-// Stats returns a snapshot of activity counts.
+// Stats returns a snapshot of activity counts. Collected is read after
+// Live, so an activity missing from Live is already in Collected.
 func (e *Env) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := Stats{Created: e.created, Collected: make(map[core.Reason]int, len(e.reaped))}
-	for r, c := range e.reaped {
-		st.Collected[r] += c
-	}
+	st := Stats{Created: e.created}
 	for _, n := range e.nodes {
 		st.Live += n.liveCount()
+	}
+	e.mu.Unlock()
+	e.reapMu.Lock()
+	defer e.reapMu.Unlock()
+	st.Collected = make(map[core.Reason]int, len(e.reaped))
+	for r, c := range e.reaped {
+		st.Collected[r] = c
 	}
 	return st
 }
@@ -434,9 +430,9 @@ func (e *Env) noteCreated() {
 }
 
 func (e *Env) noteCollected(reason core.Reason) {
-	e.mu.Lock()
+	e.reapMu.Lock()
 	e.reaped[reason]++
-	e.mu.Unlock()
+	e.reapMu.Unlock()
 }
 
 // Close stops the network and all nodes. Pending futures fail with

@@ -1,13 +1,16 @@
 package active
 
-// Tree-structured group fan-out (WIRE.md §10). A flat Group.Broadcast
-// costs the root one envelope (and one reply) per member; past ~10^3
-// members the root's send loop and inbound reply burst dominate. The
-// tree path instead ships per-destination-node request bundles down a
-// relay tree of degree FanOutDegree: each relay delivers its own bundle
-// locally, splits the remaining bundles among at most FanOutDegree
-// child relays, and aggregates replies hop-by-hop — the root receives
-// O(degree) aggregate envelopes instead of O(members) updates.
+// Tree-structured group fan-out (WIRE.md §10), the one path every remote
+// group call takes. A flat fan-out would cost the root one envelope (and
+// one reply) per member; past ~10^3 members the root's send loop and
+// inbound reply burst dominate. The tree instead ships per-destination-
+// node request bundles down a relay tree of degree fanOutDegree: each
+// relay delivers its own bundle locally, splits the remaining bundles
+// among at most fanOutDegree child relays, and aggregates replies
+// hop-by-hop — the root receives O(degree) aggregate envelopes instead of
+// O(members) updates. A group over at most fanOutDegree remote nodes is a
+// depth-1 tree: no node forwards, nothing aggregates, and every member
+// replies straight to the root, exactly as a plain call would.
 //
 // Reliability model: relays are soft state. A reply that finds its
 // relay record gone (expired, flushed by a beat, or the relay restarted
@@ -59,6 +62,24 @@ const (
 	maxFanBundles = 1 << 12
 	maxFanEntries = 1 << 17
 )
+
+// fanOutDegree is the relay tree's branching factor: a node sends at most
+// this many subtree envelopes.
+const fanOutDegree = 4
+
+// subtrees splits bundles into at most fanOutDegree contiguous subtrees
+// of near-equal size; each subtree's first destination doubles as its
+// relay. Up to fanOutDegree bundles, every bundle is its own subtree.
+func subtrees(bundles []fanBundle) [][]fanBundle {
+	per := (len(bundles) + fanOutDegree - 1) / fanOutDegree
+	out := make([][]fanBundle, 0, fanOutDegree)
+	for len(bundles) > 0 {
+		k := min(per, len(bundles))
+		out = append(out, bundles[:k:k])
+		bundles = bundles[k:]
+	}
+	return out
+}
 
 // encodeFanOut packs: tag | root(4) | aggKey(8) | method | shared(1) |
 // [shared args] | uvarint bundle count | bundles. Each bundle is
@@ -332,8 +353,8 @@ func (n *Node) deliverFanAgg(payload []byte) {
 
 // deliverFanOut handles an inbound tree scatter: deliver this node's
 // bundle locally, split the remaining bundles among at most
-// FanOutDegree child relays, and leave a relay record awaiting the
-// subtree's replies.
+// fanOutDegree child relays, and — where replies aggregate — leave a
+// relay record awaiting the subtree's replies.
 func (n *Node) deliverFanOut(from ids.NodeID, payload []byte) {
 	e, err := decodeFanOut(payload)
 	if err != nil {
@@ -355,7 +376,11 @@ func (n *Node) deliverFanOut(from ids.NodeID, payload []byte) {
 		}
 	}
 	var key uint64
-	if len(pending) > 0 {
+	if len(pending) > 0 && (len(rest) > 0 || e.AggKey != 0) {
+		// Aggregate only inside a tree: this node relays for children, or
+		// its sender is a relay. A bundle straight from the root with
+		// nothing to forward replies per member, at once, so WaitAny on a
+		// small group never waits for a co-located straggler or a beat.
 		key = n.newRelay(from, e.AggKey, e.Root, pending)
 	}
 	n.forwardFanOut(e, rest, key)
@@ -375,30 +400,12 @@ func (n *Node) deliverFanOut(from ids.NodeID, payload []byte) {
 	}
 }
 
-// forwardFanOut splits bundles among at most FanOutDegree child relays
-// (contiguous slices; the first bundle's destination doubles as the
-// relay). A child that cannot be reached fails its subtree's futures
-// immediately — into the record when there is one, directly to the root
-// otherwise.
+// forwardFanOut splits bundles among at most fanOutDegree child relays
+// (see subtrees). A child that cannot be reached fails its subtree's
+// futures immediately — into the record when there is one, directly to
+// the root otherwise.
 func (n *Node) forwardFanOut(e fanOutEnv, rest []fanBundle, key uint64) {
-	if len(rest) == 0 {
-		return
-	}
-	degree := n.env.cfg.FanOutDegree
-	if degree <= 0 {
-		degree = 4
-	}
-	groups := degree
-	if len(rest) < groups {
-		groups = len(rest)
-	}
-	per := (len(rest) + groups - 1) / groups
-	for i := 0; i < len(rest); i += per {
-		end := i + per
-		if end > len(rest) {
-			end = len(rest)
-		}
-		group := rest[i:end]
+	for _, group := range subtrees(rest) {
 		child := fanOutEnv{
 			Root:   e.Root,
 			AggKey: key,

@@ -54,9 +54,9 @@ func (g *Group[Req, Resp]) Stub(i int) Stub[Req, Resp] {
 }
 
 // Broadcast sends the same request to every member and returns the future
-// group of their replies (in member order). The request is marshaled —
-// and, on a batching transport, serialized — exactly once for the whole
-// group; members sharing a destination node travel in one batch frame.
+// group of their replies (in member order). The request is marshaled
+// once for the whole group; members sharing a destination node travel in
+// one fan-out envelope that carries the encoded request once.
 func (g *Group[Req, Resp]) Broadcast(req Req, opts ...CallOption) (*FutureGroup[Resp], error) {
 	if len(g.members) == 0 {
 		return nil, ErrEmptyGroup
@@ -88,7 +88,8 @@ func (g *Group[Req, Resp]) Scatter(reqs []Req, opts ...CallOption) (*FutureGroup
 }
 
 // Send broadcasts a one-way request to every member (the fan-out path
-// with no reply expected, so co-destination members batch the same way).
+// with no reply expected, so co-destination members share an envelope the
+// same way).
 func (g *Group[Req, Resp]) Send(req Req) error {
 	if len(g.members) == 0 {
 		return ErrEmptyGroup
@@ -102,21 +103,23 @@ func (g *Group[Req, Resp]) Send(req Req) error {
 }
 
 // fanOut submits one request per member and collects the typed futures.
-// sharedArgs marks a broadcast: every member receives the same value, so
-// its serialization is computed once. On a batching transport the
-// requests are grouped per (anchor node, destination node) pair and each
-// group is submitted as one batch frame — the wire cost of a 16-member
-// broadcast across 4 nodes is 4 frames, not 16. Members hosted on their
-// handle's own node skip the codec entirely (deliverLocalRequest).
+// sharedArgs marks a broadcast: every member receives the same value,
+// encoded once per envelope. Members hosted on their handle's own node
+// skip the codec entirely (deliverLocalRequest); every other member rides
+// its anchor node's relay tree (WIRE.md §10). A group over at most
+// fanOutDegree remote nodes is a depth-1 tree — one envelope per
+// destination node, replies straight back per member — and a wider one
+// costs the root O(fanOutDegree) envelopes and aggregated replies,
+// however large the group.
 func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool, opts []CallOption) (*FutureGroup[Resp], error) {
 	o := applyOptions(opts)
 	futs := make([]*TypedFuture[Resp], len(g.members))
 	abort := func(i int, err error) (*FutureGroup[Resp], error) {
 		// Unwind the members already prepared: drop their value pins and
-		// remove their futures from the table — batched members' requests
-		// were never submitted (their staged payloads die with this call),
-		// and a dropped entry means a straggler update from an
-		// already-sent member is discarded instead of leaking the entry.
+		// remove their futures from the table — bundled members' requests
+		// were never sent (the trees die with this call), and a dropped
+		// entry means a straggler update from an already-sent member is
+		// discarded instead of leaking the entry.
 		for _, tf := range futs[:i] {
 			if tf.fut != nil {
 				tf.fut.node.futures.remove(tf.fut.id)
@@ -125,30 +128,7 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 		}
 		return nil, fmt.Errorf("member %d: %w", i, err)
 	}
-	type laneKey struct {
-		src *Node
-		dst ids.NodeID
-	}
-	type sentArgs struct {
-		src  *Node
-		dst  ids.NodeID
-		args wire.Value
-		fut  *Future // nil for no-reply members
-	}
-	var (
-		batches map[laneKey][]transport.BatchItem
-		argsEnc []byte // shared pre-encoded args (broadcast fast path)
-		// staged collects batched members' (src, dst, args) so forwarded
-		// futures register their holders only after SendBatch put the
-		// payloads on the wire.
-		staged []sentArgs
-	)
-	// Tree fan-out engagement (WIRE.md §10): an anchor node whose members
-	// spread over more distinct remote nodes than the branching degree
-	// ships one relay-tree scatter instead of per-member envelopes — the
-	// root sends O(degree) envelopes and receives O(degree) aggregated
-	// replies, however large the group.
-	trees := g.planTrees()
+	var trees map[*Node]*groupTree
 	for i, h := range g.members {
 		if h.released.Load() {
 			return abort(i, fmt.Errorf("call %q: %w", g.method, ErrHandleReleased))
@@ -158,6 +138,8 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 		if !ok {
 			return abort(i, fmt.Errorf("%w: %v", ErrNotARef, h.target))
 		}
+		// A cached migration skips the forwarder, as on sendRequest's path.
+		target = node.resolveRebind(target)
 		req := request{Target: target, Sender: h.dummy.id, Method: g.method, Args: argsFor(i)}
 		if o.noReply {
 			futs[i] = &TypedFuture[Resp]{}
@@ -169,115 +151,31 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 		switch {
 		case target.Node == node.id:
 			node.deliverLocalRequest(req)
-		case trees[node] != nil:
-			if err := node.routeCheck(target.Node); err != nil {
-				// Tree sends bypass transportSend until after the loop, so
-				// the dead-node fail-fast guard runs here, like the batch
-				// path's.
-				if futs[i].fut != nil {
-					node.futures.remove(futs[i].fut.ID())
-				}
-				return abort(i, err)
-			}
-			trees[node].add(target, req, sharedArgs, futs[i].fut)
-		case node.flusher != nil:
-			if err := node.routeCheck(target.Node); err != nil {
-				// The batch path bypasses transportSend, so the dead-node
-				// fail-fast guard runs here.
-				if futs[i].fut != nil {
-					node.futures.remove(futs[i].fut.ID())
-				}
-				return abort(i, err)
-			}
-			var payload []byte
-			if sharedArgs {
-				if argsEnc == nil {
-					argsEnc = wire.Encode(nil, req.Args)
-				}
-				payload = encodeRequestShared(req, argsEnc)
-			} else {
-				payload = encodeRequest(req)
-			}
-			if batches == nil {
-				batches = make(map[laneKey][]transport.BatchItem)
-			}
-			k := laneKey{src: node, dst: target.Node}
-			batches[k] = append(batches[k], transport.BatchItem{Class: transport.ClassApp, Payload: payload})
-			staged = append(staged, sentArgs{src: node, dst: target.Node, args: req.Args, fut: futs[i].fut})
-		default:
+		case node.env.isDeadNode(target.Node):
+			// sendRequest owns the dead-home fallbacks: location knowledge,
+			// then the directory shard, then the ErrNodeDead fail-fast.
 			if err := node.sendRequest(req); err != nil {
 				if futs[i].fut != nil {
 					node.futures.remove(futs[i].fut.ID())
 				}
 				return abort(i, err)
 			}
-		}
-	}
-	for k, items := range batches {
-		if err := k.src.flusher.SendBatch(k.dst, items); err != nil {
-			// The flusher only rejects after Close. Unwind every member:
-			// take the futures out of their tables (unsent ones can never
-			// resolve) and drop the pins.
-			for _, tf := range futs {
-				if tf.fut != nil {
-					tf.fut.node.futures.remove(tf.fut.id)
+		default:
+			t := trees[node]
+			if t == nil {
+				if trees == nil {
+					trees = make(map[*Node]*groupTree)
 				}
-				tf.Discard()
+				t = &groupTree{node: node, dstIdx: make(map[ids.NodeID]int)}
+				trees[node] = t
 			}
-			return nil, err
+			t.add(req, sharedArgs, futs[i].fut)
 		}
 	}
-	// Batched payloads are on the wire: register the scatter's forwarded
-	// futures (if any) with their new holder nodes.
-	for _, s := range staged {
-		if s.fut != nil && s.src.env.cluster != nil {
-			s.fut.awaitNode.Store(uint32(s.dst))
-		}
-		s.src.noteFutureValuesSent(s.dst, s.args)
-	}
-	for _, ts := range trees {
-		ts.send(g.method, sharedArgs, !o.noReply)
+	for _, t := range trees {
+		t.send(g.method, sharedArgs, !o.noReply)
 	}
 	return &FutureGroup[Resp]{futs: futs}, nil
-}
-
-// planTrees decides, per anchor node, whether this fan-out goes through
-// the relay tree (WIRE.md §10): engaged when the group's members spread
-// over more distinct remote destination nodes than the node's branching
-// degree, unless DisableTreeFanOut pins the flat baseline. Anchors below
-// the threshold are simply absent from the map.
-func (g *Group[Req, Resp]) planTrees() map[*Node]*groupTree {
-	var counts map[*Node]map[ids.NodeID]struct{}
-	for _, h := range g.members {
-		node := h.dummy.node
-		if node.env.cfg.DisableTreeFanOut {
-			continue
-		}
-		target, ok := h.target.AsRef()
-		if !ok || target.Node == node.id {
-			continue
-		}
-		if counts == nil {
-			counts = make(map[*Node]map[ids.NodeID]struct{})
-		}
-		set := counts[node]
-		if set == nil {
-			set = make(map[ids.NodeID]struct{})
-			counts[node] = set
-		}
-		set[target.Node] = struct{}{}
-	}
-	var trees map[*Node]*groupTree
-	for node, set := range counts {
-		if len(set) <= node.env.cfg.FanOutDegree {
-			continue
-		}
-		if trees == nil {
-			trees = make(map[*Node]*groupTree)
-		}
-		trees[node] = &groupTree{node: node, dstIdx: make(map[ids.NodeID]int, len(set))}
-	}
-	return trees
 }
 
 // groupTree accumulates one anchor node's tree-scatter during fanOut:
@@ -297,24 +195,25 @@ type groupTreeMember struct {
 	args wire.Value
 }
 
-func (t *groupTree) add(target ids.ActivityID, req request, sharedArgs bool, fut *Future) {
-	bi, ok := t.dstIdx[target.Node]
+func (t *groupTree) add(req request, sharedArgs bool, fut *Future) {
+	dst := req.Target.Node
+	bi, ok := t.dstIdx[dst]
 	if !ok {
 		bi = len(t.bundles)
-		t.dstIdx[target.Node] = bi
-		t.bundles = append(t.bundles, fanBundle{Dst: target.Node})
+		t.dstIdx[dst] = bi
+		t.bundles = append(t.bundles, fanBundle{Dst: dst})
 	}
-	en := fanEntry{Target: target, Sender: req.Sender, Future: req.Future}
+	en := fanEntry{Target: req.Target, Sender: req.Sender, Future: req.Future}
 	if sharedArgs {
 		t.shared = req.Args
 	} else {
 		en.Args = req.Args
 	}
 	t.bundles[bi].Entries = append(t.bundles[bi].Entries, en)
-	t.members = append(t.members, groupTreeMember{fut: fut, dst: target.Node, args: req.Args})
+	t.members = append(t.members, groupTreeMember{fut: fut, dst: dst, args: req.Args})
 }
 
-// send ships the accumulated bundles as at most FanOutDegree subtree
+// send ships the accumulated bundles as at most fanOutDegree subtree
 // envelopes (the first bundle's destination doubles as the subtree's
 // relay) and finishes the root-side bookkeeping: members whose subtree
 // could not leave fail immediately; the rest register their first-hop
@@ -323,23 +222,9 @@ func (t *groupTree) add(target ids.ActivityID, req request, sharedArgs bool, fut
 // of any futures forwarded in the arguments.
 func (t *groupTree) send(method string, sharedArgs, urgent bool) {
 	n := t.node
-	degree := n.env.cfg.FanOutDegree
-	if degree <= 0 {
-		degree = 4
-	}
-	groups := degree
-	if len(t.bundles) < groups {
-		groups = len(t.bundles)
-	}
-	per := (len(t.bundles) + groups - 1) / groups
 	relayOf := make(map[ids.NodeID]ids.NodeID, len(t.bundles))
 	var failed map[ids.NodeID]bool
-	for i := 0; i < len(t.bundles); i += per {
-		end := i + per
-		if end > len(t.bundles) {
-			end = len(t.bundles)
-		}
-		group := t.bundles[i:end]
+	for _, group := range subtrees(t.bundles) {
 		env := fanOutEnv{
 			Root:   n.id,
 			Method: method,

@@ -8,9 +8,9 @@ import (
 // benchGroup builds a 1024-member echo group spread over 16 nodes with
 // every handle anchored at a separate root node, mirroring the
 // bcast1024 loadgen scenario.
-func benchGroup(b *testing.B, disableTree bool) (*Env, *Group[int64, int64]) {
+func benchGroup(b *testing.B) (*Env, *Group[int64, int64]) {
 	b.Helper()
-	env := NewEnv(Config{DisableDGC: true, DisableTreeFanOut: disableTree})
+	env := NewEnv(Config{DisableDGC: true})
 	root := env.NewNode()
 	svc := NewService(Method("double", func(_ *Context, v int64) (int64, error) {
 		return v * 2, nil
@@ -30,8 +30,10 @@ func benchGroup(b *testing.B, disableTree bool) (*Env, *Group[int64, int64]) {
 	return env, NewGroup[int64, int64]("double", anchored...)
 }
 
-func benchBroadcast1024(b *testing.B, disableTree bool) {
-	env, g := benchGroup(b, disableTree)
+// BenchmarkGroupBroadcast1024Tree measures one full broadcast+gather
+// round over the tree fan-out path (WIRE.md §10).
+func BenchmarkGroupBroadcast1024Tree(b *testing.B) {
+	env, g := benchGroup(b)
 	defer env.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,11 +47,30 @@ func benchBroadcast1024(b *testing.B, disableTree bool) {
 	}
 }
 
-// BenchmarkGroupBroadcast1024Tree measures one full broadcast+gather
-// round over the tree fan-out path (WIRE.md §10).
-func BenchmarkGroupBroadcast1024Tree(b *testing.B) { benchBroadcast1024(b, false) }
-
-// BenchmarkGroupBroadcast1024Flat measures the same round with the tree
-// disabled: the root sends all 1024 requests and receives all 1024
-// updates itself.
-func BenchmarkGroupBroadcast1024Flat(b *testing.B) { benchBroadcast1024(b, true) }
+// BenchmarkGroupBroadcast1024Flat is the flat baseline the tree is
+// measured against: the same round as 1024 single-member calls, so the
+// root sends all 1024 requests and receives all 1024 updates itself.
+func BenchmarkGroupBroadcast1024Flat(b *testing.B) {
+	env, g := benchGroup(b)
+	defer env.Close()
+	stubs := make([]Stub[int64, int64], g.Size())
+	for i := range stubs {
+		stubs[i] = g.Stub(i)
+	}
+	futs := make([]*TypedFuture[int64], len(stubs))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, s := range stubs {
+			f, err := s.Call(21)
+			if err != nil {
+				b.Fatal(err)
+			}
+			futs[j] = f
+		}
+		for _, f := range futs {
+			if _, err := f.Wait(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -787,6 +787,11 @@ func (n *Node) destroy(ao *ActiveObject, reason core.Reason) {
 		return
 	}
 	delete(n.aos, ao.id)
+	if !ao.dummy {
+		// Counted in the critical section that removes the activity, so
+		// whoever sees it gone (WaitCollected, Stats) sees it counted.
+		n.env.noteCollected(reason)
+	}
 	if n.aosPeak >= 256 && len(n.aos) < n.aosPeak/4 {
 		// Go maps keep the buckets of their largest size: rebuild, so a
 		// population peak is not paid for in memory for good.
@@ -820,9 +825,6 @@ func (n *Node) destroy(ao *ActiveObject, reason core.Reason) {
 	// keep no checkpoint under the old identity (migration deleted it).
 	if ao.kind != "" && !ao.dummy && n.env.cfg.Store != nil && ao.forwardTarget().IsNil() {
 		_ = n.env.cfg.Store.Delete(ao.id)
-	}
-	if !ao.dummy {
-		n.env.noteCollected(reason)
 	}
 }
 

@@ -35,7 +35,7 @@ const (
 	envMigrate
 	// envFanOut carries a tree-structured group scatter (WIRE.md §10): a
 	// set of per-destination request bundles a relay node delivers
-	// locally and/or splits among at most FanOutDegree child relays.
+	// locally and/or splits among at most fanOutDegree child relays.
 	envFanOut
 	// envFanAgg carries aggregated group replies one tree hop toward the
 	// root: embedded future-update envelopes plus the parent relay
@@ -90,14 +90,6 @@ func appendRequestHeader(buf []byte, req request) []byte {
 func encodeRequest(req request) []byte {
 	buf := appendRequestHeader(make([]byte, 0, 64+wire.EncodedSize(req.Args)), req)
 	return wire.Encode(buf, req.Args)
-}
-
-// encodeRequestShared builds a request envelope around pre-encoded args
-// bytes: a broadcast encodes its shared arguments once and stamps only the
-// per-member header, instead of re-serializing the value N times.
-func encodeRequestShared(req request, argsEnc []byte) []byte {
-	buf := appendRequestHeader(make([]byte, 0, 64+len(argsEnc)), req)
-	return append(buf, argsEnc...)
 }
 
 // decodeRequestHeader decodes a request envelope. The wire decoding of Args is

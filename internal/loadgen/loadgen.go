@@ -102,10 +102,6 @@ type Config struct {
 	// (base population + churn + migration + chaos lifecycles). The
 	// 10^5-activity scale scenario is gated on this floor.
 	MinActivities uint64 `json:"min_activities,omitempty"`
-	// DisableTreeFanOut forces group broadcasts onto the flat
-	// root-sends-all path (active.Config.DisableTreeFanOut): the control
-	// arm of the tree-vs-flat comparison.
-	DisableTreeFanOut bool `json:"disable_tree_fanout,omitempty"`
 	// NetPerMessage models fixed per-message interface overhead on the
 	// sim backend (simnet.Config.PerMessage): messages serialize at each
 	// node's tx and rx interface, the packet-rate bottleneck a real
@@ -342,11 +338,10 @@ func Run(cfg Config) (Result, error) {
 	// beats and windows for a loaded deployment; explicit release-edge
 	// removal (the churn reclamation path) is unaffected by TTA.
 	envCfg := active.Config{
-		TTB:               100 * time.Millisecond,
-		TTA:               time.Second,
-		DisableDGC:        cfg.DisableDGC,
-		BatchWindow:       cfg.BatchWindow,
-		DisableTreeFanOut: cfg.DisableTreeFanOut,
+		TTB:         100 * time.Millisecond,
+		TTA:         time.Second,
+		DisableDGC:  cfg.DisableDGC,
+		BatchWindow: cfg.BatchWindow,
 		Cluster: active.ClusterConfig{
 			Enabled:      cfg.Cluster,
 			SuspectAfter: 500 * time.Millisecond,

@@ -239,37 +239,13 @@ func (f *Flusher) Send(dst ids.NodeID, class Class, payload []byte, urgent bool)
 	l.pending = append(l.pending, BatchItem{Class: class, Payload: payload})
 	l.bytes += len(payload)
 	l.enq++
-	f.dispatch(l, urgent)
-	return nil
-}
-
-// SendBatch queues a pre-assembled group of messages for dst (the group
-// fan-out path) as urgent traffic.
-func (f *Flusher) SendBatch(dst ids.NodeID, items []BatchItem) error {
-	l, err := f.laneFor(dst)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	l.pending = append(l.pending, items...)
-	for _, it := range items {
-		l.bytes += len(it.Payload)
-	}
-	l.enq += int64(len(items))
-	f.dispatch(l, true)
-	return nil
-}
-
-// dispatch finds the lane's new traffic a writer. Called with l.mu held;
-// releases it.
-func (f *Flusher) dispatch(l *lane, urgent bool) {
 	l.rush = l.rush || urgent
 	switch {
 	case l.active:
-		// The writer picks the new messages up on its next pass.
+		// The writer picks the new message up on its next pass.
 		l.cond.Broadcast()
 	case l.corked:
-		// They ride with the corked burst.
+		// It rides with the corked burst.
 	case urgent:
 		l.corked = true
 		f.corked.Add(1)
@@ -279,6 +255,7 @@ func (f *Flusher) dispatch(l *lane, urgent bool) {
 		go f.drain(l)
 	}
 	l.mu.Unlock()
+	return nil
 }
 
 // uncork makes the caller the writer of a corked lane, unless another

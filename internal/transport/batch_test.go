@@ -207,28 +207,20 @@ func TestFlusherCloseFlushes(t *testing.T) {
 	}
 }
 
-// TestFlusherCoalesces checks that a burst submitted with SendBatch goes
-// out in fewer frames than messages.
+// TestFlusherCoalesces checks that non-urgent messages lingering in the
+// window go out together: the lane's writer waits for companions, so a
+// burst of 8 leaves as one frame when Close rushes it.
 func TestFlusherCoalesces(t *testing.T) {
 	ep := &recordingEndpoint{}
-	fl := NewFlusher(ep, FlusherConfig{Window: time.Millisecond})
-	defer fl.Close()
-	items := make([]BatchItem, 8)
-	for i := range items {
-		items[i] = BatchItem{Class: ClassApp, Payload: []byte{byte(i)}}
-	}
-	if err := fl.SendBatch(2, items); err != nil {
-		t.Fatal(err)
+	fl := NewFlusher(ep, FlusherConfig{Window: time.Hour})
+	for i := 0; i < 8; i++ {
+		if err := fl.Send(2, ClassApp, []byte{byte(i)}, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fl.Close()
-	ep.mu.Lock()
-	frames := len(ep.frames)
-	ep.mu.Unlock()
-	if got := len(ep.messages()); got != 8 {
-		t.Fatalf("%d messages delivered, want 8", got)
-	}
-	if frames >= 8 {
-		t.Fatalf("burst of 8 used %d frames, want coalescing", frames)
+	if got := ep.frameSizes(); len(got) != 1 || got[0] != 8 {
+		t.Fatalf("burst of 8 went out as frames %v, want one frame of 8", got)
 	}
 }
 
