@@ -8,7 +8,6 @@ package active
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,15 +105,52 @@ func TestConformanceCorkedWindow(t *testing.T) {
 	}
 }
 
-// frameCounter wraps a transport and counts, per class, the one-way
-// frames its endpoints write and the messages those frames carry.
+// frameCounter wraps a transport and counts, per (source, destination,
+// class) route, the one-way frames its endpoints write and the messages
+// those frames carry.
 type frameCounter struct {
 	transport.Transport
-	frames, msgs [transport.NumClasses + 1]atomic.Int64
+	mu           sync.Mutex
+	frames, msgs map[route]int
+}
+
+type route struct {
+	src, dst ids.NodeID
+	class    transport.Class
 }
 
 func (c *frameCounter) Register(node ids.NodeID, h transport.Handler) transport.Endpoint {
 	return &countedEndpoint{Endpoint: c.Transport.Register(node, h), c: c}
+}
+
+func (c *frameCounter) add(r route, frames, msgs int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.msgs == nil {
+		c.frames, c.msgs = make(map[route]int), make(map[route]int)
+	}
+	c.frames[r] += frames
+	c.msgs[r] += msgs
+}
+
+// reset zeroes the counts.
+func (c *frameCounter) reset() {
+	c.mu.Lock()
+	c.frames, c.msgs = nil, nil
+	c.mu.Unlock()
+}
+
+// count sums the frames and messages over the routes keep accepts.
+func (c *frameCounter) count(keep func(route) bool) (frames, msgs int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for r, k := range c.msgs {
+		if keep(r) {
+			frames += c.frames[r]
+			msgs += k
+		}
+	}
+	return frames, msgs
 }
 
 type countedEndpoint struct {
@@ -123,17 +159,17 @@ type countedEndpoint struct {
 }
 
 func (e *countedEndpoint) Send(dst ids.NodeID, class transport.Class, payload []byte) error {
-	e.c.frames[class].Add(1)
-	e.c.msgs[class].Add(1)
+	e.c.add(route{e.Node(), dst, class}, 1, 1)
 	return e.Endpoint.Send(dst, class, payload)
 }
 
 // SendBatch counts the frame under its first message's class (the
 // scenario's frames are of one class each).
 func (e *countedEndpoint) SendBatch(dst ids.NodeID, items []transport.BatchItem) error {
-	e.c.frames[items[0].Class].Add(1)
+	frames := 1
 	for _, it := range items {
-		e.c.msgs[it.Class].Add(1)
+		e.c.add(route{e.Node(), dst, it.Class}, frames, 1)
+		frames = 0
 	}
 	return e.Endpoint.(transport.BatchSender).SendBatch(dst, items)
 }
@@ -188,7 +224,7 @@ func TestConformanceCorkedBacklog(t *testing.T) {
 				}
 			}
 			for _, class := range []transport.Class{transport.ClassApp, transport.ClassFuture} {
-				frames, msgs := fc.frames[class].Load(), fc.msgs[class].Load()
+				frames, msgs := fc.count(func(r route) bool { return r.class == class })
 				if msgs != backlog || frames >= msgs {
 					t.Errorf("%v: %d messages in %d frames, want %d messages in fewer frames", class, msgs, frames, backlog)
 				}

@@ -9,7 +9,6 @@ package active
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,55 +107,6 @@ func TestConformanceTreeScatter(t *testing.T) {
 	})
 }
 
-// routeCounter wraps a transport and counts the one-way messages each
-// endpoint sends, per (source, destination, class).
-type routeCounter struct {
-	transport.Transport
-	mu   sync.Mutex
-	msgs map[route]int
-}
-
-type route struct {
-	src, dst ids.NodeID
-	class    transport.Class
-}
-
-func (c *routeCounter) Register(node ids.NodeID, h transport.Handler) transport.Endpoint {
-	return &routedEndpoint{Endpoint: c.Transport.Register(node, h), c: c}
-}
-
-// reset zeroes the counts.
-func (c *routeCounter) reset() {
-	c.mu.Lock()
-	c.msgs = make(map[route]int)
-	c.mu.Unlock()
-}
-
-// count sums the messages matching keep.
-func (c *routeCounter) count(keep func(route) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for r, k := range c.msgs {
-		if keep(r) {
-			total += k
-		}
-	}
-	return total
-}
-
-type routedEndpoint struct {
-	transport.Endpoint
-	c *routeCounter
-}
-
-func (e *routedEndpoint) Send(dst ids.NodeID, class transport.Class, payload []byte) error {
-	e.c.mu.Lock()
-	e.c.msgs[route{e.Node(), dst, class}]++
-	e.c.mu.Unlock()
-	return e.Endpoint.Send(dst, class, payload)
-}
-
 // TestGroupFanOutAccounting pins what the one fan-out path costs the
 // root, counted message by message. A group over at most fanOutDegree
 // remote nodes is a depth-1 tree: one envelope per destination node out,
@@ -173,8 +123,8 @@ func TestGroupFanOutAccounting(t *testing.T) {
 		{"tree-16x64", 16, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rc := &routeCounter{Transport: simnet.New(simnet.Config{}), msgs: make(map[route]int)}
-			e := NewEnv(Config{DisableDGC: true, Transport: rc})
+			fc := &frameCounter{Transport: simnet.New(simnet.Config{})}
+			e := NewEnv(Config{DisableDGC: true, Transport: fc})
 			defer e.Close()
 			root := e.NewNode()
 			svc := NewService(Method("double", func(_ *Context, req int64) (int64, error) {
@@ -193,7 +143,7 @@ func TestGroupFanOutAccounting(t *testing.T) {
 			}
 			g := NewGroup[int64, int64]("double", anchored...)
 			defer g.Release()
-			rc.reset()
+			fc.reset()
 			fg, err := g.Broadcast(21)
 			if err != nil {
 				t.Fatal(err)
@@ -207,9 +157,10 @@ func TestGroupFanOutAccounting(t *testing.T) {
 					t.Fatalf("resp[%d] = %d, want 42", i, r)
 				}
 			}
-			fromRoot := rc.count(func(r route) bool { return r.src == root.ID() })
+			_, fromRoot := fc.count(func(r route) bool { return r.src == root.ID() })
 			toRoot := func(class transport.Class) int {
-				return rc.count(func(r route) bool { return r.dst == root.ID() && r.class == class })
+				_, msgs := fc.count(func(r route) bool { return r.dst == root.ID() && r.class == class })
+				return msgs
 			}
 			members := tc.nodes * tc.perNode
 			if tc.nodes <= fanOutDegree {
@@ -265,6 +216,38 @@ func TestGroupWaitAnyRemote(t *testing.T) {
 	}
 	// The peers reached their service and are held there still.
 	waitUntil(t, func() bool { return parked.Load() == 2 }, 10*time.Second)
+}
+
+// TestGroupUnreachableFailsAtOnce: an envelope the transport refuses
+// fails the group call itself with the transport's error, as a single
+// call's send does — Broadcast and one-way Send alike — and unwinds every
+// member's future, the co-located member's included.
+func TestGroupUnreachableFailsAtOnce(t *testing.T) {
+	var cut atomic.Uint32 // the node the caller can no longer reach
+	e := NewEnv(Config{DisableDGC: true, Reachable: func(_, dst ids.NodeID) bool {
+		return uint32(dst) != cut.Load()
+	}})
+	defer e.Close()
+	caller, worker := e.NewNode(), e.NewNode()
+	svc := NewService(Method("double", func(_ *Context, req int64) (int64, error) {
+		return 2 * req, nil
+	}))
+	remote, err := caller.HandleFor(worker.NewActive("remote", svc).Ref())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroup[int64, int64]("double", caller.NewActive("local", svc), remote)
+	defer g.Release()
+	cut.Store(uint32(worker.ID()))
+	if _, err := g.Broadcast(21); !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("Broadcast = %v, want ErrUnreachable", err)
+	}
+	if err := g.Send(21); !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("Send = %v, want ErrUnreachable", err)
+	}
+	if n := caller.futures.size(); n != 0 {
+		t.Fatalf("%d futures left in the caller's table, want 0", n)
+	}
 }
 
 // TestClusterTreeBroadcastRelayKilled kills a mid-tree relay node while

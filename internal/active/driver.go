@@ -199,6 +199,7 @@ func (n *Node) sendDGCBatch(dst ids.NodeID, outs []dgcOut) {
 	}
 }
 
-// CollectNow forces one synchronous beat on this node: local heap sweep
-// plus DGC broadcast (useful in tests to avoid waiting for the ticker).
+// CollectNow runs one driver beat synchronously on this node (useful in
+// tests to avoid waiting for the ticker). Like every beat it skips only
+// the DGC broadcast when the DGC is off; the sweeps and the upkeep run.
 func (n *Node) CollectNow() { n.beat() }

@@ -40,20 +40,26 @@ type fanBundle struct {
 // fanEntry is one member's request inside a bundle. Args is unset for
 // shared-args (broadcast) envelopes — every entry uses the envelope's
 // shared value.
+//
+// Args stay encoded (WIRE.md §1) from the root to the member's node: a
+// relay copies them into its child envelopes as they are, and the member
+// receives them exactly as a single request's args — ref-free args are
+// never decoded into a value tree (WIRE.md §2, "Payload ownership").
 type fanEntry struct {
 	Target ids.ActivityID
 	Sender ids.ActivityID
 	Future FutureID
-	Args   wire.Value
+	Args   []byte
 }
 
-// fanOutEnv is the decoded envFanOut envelope.
+// fanOutEnv is the decoded envFanOut envelope. A decoded envelope's args
+// alias the payload it was decoded from.
 type fanOutEnv struct {
 	Root   ids.NodeID // the caller's node: fallback reply destination
 	AggKey uint64     // relay-record key on the sender (0 = sender is the root)
 	Method string
 	Shared bool
-	Args   wire.Value // shared args; only meaningful when Shared
+	Args   []byte // encoded shared args; only meaningful when Shared
 	Bundle []fanBundle
 }
 
@@ -86,14 +92,21 @@ func subtrees(bundles []fanBundle) [][]fanBundle {
 // dst(4) | uvarint entry count | entries; each entry target(8) |
 // sender(8) | future(8) | [args] (args present iff !shared).
 func encodeFanOut(e fanOutEnv) []byte {
-	buf := make([]byte, 0, 256)
+	size := 1 + 4 + 8 + 2*binary.MaxVarintLen64 + len(e.Method) + 1 + len(e.Args)
+	for _, b := range e.Bundle {
+		size += 4 + binary.MaxVarintLen64 + 24*len(b.Entries)
+		for _, en := range b.Entries {
+			size += len(en.Args)
+		}
+	}
+	buf := make([]byte, 0, size)
 	buf = append(buf, envFanOut)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Root))
 	buf = binary.LittleEndian.AppendUint64(buf, e.AggKey)
 	buf = wire.AppendString(buf, e.Method)
 	if e.Shared {
 		buf = append(buf, 1)
-		buf = wire.Encode(buf, e.Args)
+		buf = append(buf, e.Args...)
 	} else {
 		buf = append(buf, 0)
 	}
@@ -106,7 +119,7 @@ func encodeFanOut(e fanOutEnv) []byte {
 			buf = wire.AppendID(buf, en.Sender)
 			buf = wire.AppendFuture(buf, en.Future)
 			if !e.Shared {
-				buf = wire.Encode(buf, en.Args)
+				buf = append(buf, en.Args...)
 			}
 		}
 	}
@@ -117,13 +130,14 @@ func decodeFanOut(buf []byte) (fanOutEnv, error) {
 	var r wire.Reader
 	r.Reset(buf, errBadEnvelope)
 	r.Expect(envFanOut)
-	var dec wire.Decoder
 	e := fanOutEnv{Root: ids.NodeID(r.U32()), AggKey: r.U64(), Method: r.String(), Shared: r.Byte() != 0}
 	if e.Shared {
-		e.Args = r.Value(&dec)
+		e.Args = r.RawValue()
 	}
 	total := 0 // entries across all bundles, capped at maxFanEntries
-	for nb := r.Count(maxFanBundles); nb > 0 && r.Err() == nil; nb-- {
+	nb := r.Count(maxFanBundles)
+	e.Bundle = make([]fanBundle, 0, nb)
+	for ; nb > 0 && r.Err() == nil; nb-- {
 		b := fanBundle{Dst: ids.NodeID(r.U32())}
 		b.Entries = make([]fanEntry, r.Count(maxFanEntries-total))
 		total += len(b.Entries)
@@ -131,7 +145,7 @@ func decodeFanOut(buf []byte) (fanOutEnv, error) {
 			en := &b.Entries[j]
 			en.Target, en.Sender, en.Future = r.ID(), r.ID(), r.Future()
 			if !e.Shared {
-				en.Args = r.Value(&dec)
+				en.Args = r.RawValue()
 			}
 		}
 		e.Bundle = append(e.Bundle, b)
@@ -360,50 +374,57 @@ func (n *Node) deliverFanOut(from ids.NodeID, payload []byte) {
 	if err != nil {
 		return
 	}
-	var mine []fanEntry
 	var rest []fanBundle
-	pending := make(map[FutureID]struct{})
 	for _, b := range e.Bundle {
-		for _, en := range b.Entries {
-			if !en.Future.IsZero() {
-				pending[en.Future] = struct{}{}
-			}
-		}
-		if b.Dst == n.id {
-			mine = append(mine, b.Entries...)
-		} else {
+		if b.Dst != n.id {
 			rest = append(rest, b)
 		}
 	}
 	var key uint64
-	if len(pending) > 0 && (len(rest) > 0 || e.AggKey != 0) {
+	if len(rest) > 0 || e.AggKey != 0 {
 		// Aggregate only inside a tree: this node relays for children, or
 		// its sender is a relay. A bundle straight from the root with
 		// nothing to forward replies per member, at once, so WaitAny on a
 		// small group never waits for a co-located straggler or a beat.
-		key = n.newRelay(from, e.AggKey, e.Root, pending)
+		pending := make(map[FutureID]struct{})
+		for _, b := range e.Bundle {
+			for _, en := range b.Entries {
+				if !en.Future.IsZero() {
+					pending[en.Future] = struct{}{}
+				}
+			}
+		}
+		if len(pending) > 0 {
+			key = n.newRelay(from, e.AggKey, e.Root, pending)
+		}
 	}
 	n.forwardFanOut(e, rest, key)
-	for _, en := range mine {
-		args := e.Args
-		if !e.Shared {
-			args = en.Args
+	for _, b := range e.Bundle {
+		if b.Dst != n.id {
+			continue
 		}
-		n.deliverLocalRequest(request{
-			Target: en.Target,
-			Sender: en.Sender,
-			Future: en.Future,
-			Method: e.Method,
-			Args:   args,
-			Via:    key,
-		})
+		for _, en := range b.Entries {
+			args := e.Args
+			if !e.Shared {
+				args = en.Args
+			}
+			// Each member gets its own copy of the args, as a single
+			// request's target does (deliverEncoded).
+			n.deliverEncoded(request{
+				Target: en.Target,
+				Sender: en.Sender,
+				Future: en.Future,
+				Method: e.Method,
+				Via:    key,
+			}, args)
+		}
 	}
 }
 
 // forwardFanOut splits bundles among at most fanOutDegree child relays
 // (see subtrees). A child that cannot be reached fails its subtree's
-// futures immediately — into the record when there is one, directly to
-// the root otherwise.
+// futures immediately, as replies — into the record when there is one,
+// directly to each future's home (the root) otherwise.
 func (n *Node) forwardFanOut(e fanOutEnv, rest []fanBundle, key uint64) {
 	for _, group := range subtrees(rest) {
 		child := fanOutEnv{
@@ -414,29 +435,17 @@ func (n *Node) forwardFanOut(e fanOutEnv, rest []fanBundle, key uint64) {
 			Args:   e.Args,
 			Bundle: group,
 		}
-		if err := n.transportSend(group[0].Dst, transport.ClassApp, encodeFanOut(child), true); err != nil {
-			n.failFanBundles(group, key, e.Root, err)
+		err := n.transportSend(group[0].Dst, transport.ClassApp, encodeFanOut(child), true)
+		if err == nil {
+			continue
 		}
-	}
-}
-
-// failFanBundles fails every future of the given bundles with err —
-// the subtree can never be delivered.
-func (n *Node) failFanBundles(bundles []fanBundle, key uint64, root ids.NodeID, err error) {
-	for _, b := range bundles {
-		for _, en := range b.Entries {
-			if en.Future.IsZero() {
-				continue
+		for _, b := range group {
+			for _, en := range b.Entries {
+				if !en.Future.IsZero() {
+					n.replyTo(request{Future: en.Future, Via: key},
+						futureUpdate{Future: en.Future, Failed: true, Err: err.Error()})
+				}
 			}
-			u := futureUpdate{Future: en.Future, Failed: true, Err: err.Error()}
-			if key != 0 && n.aggEnqueue(key, u) {
-				continue
-			}
-			if root == n.id {
-				n.deliverLocalFutureUpdate(u)
-				continue
-			}
-			_ = n.transportSend(root, transport.ClassFuture, encodeFutureUpdate(u), true)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func fuzzFanOutSeeds() [][]byte {
 		AggKey: 17,
 		Method: "double",
 		Shared: true,
-		Args:   wire.Int(21),
+		Args:   wire.Encode(nil, wire.Int(21)),
 		Bundle: []fanBundle{
 			{Dst: 4, Entries: []fanEntry{
 				{Target: ids.ActivityID{Node: 4, Seq: 1}, Sender: ids.ActivityID{Node: 3, Seq: 9}, Future: ids.FutureID{Node: 3, Seq: 2}},
@@ -43,7 +43,7 @@ func fuzzFanOutSeeds() [][]byte {
 					Target: ids.ActivityID{Node: 2, Seq: 7},
 					Sender: ids.ActivityID{Node: 1, Seq: 1},
 					Future: ids.FutureID{Node: 1, Seq: 4},
-					Args:   wire.List(wire.String("x"), wire.Ref(ids.ActivityID{Node: 1, Seq: 3})),
+					Args:   wire.Encode(nil, wire.List(wire.String("x"), wire.Ref(ids.ActivityID{Node: 1, Seq: 3}))),
 				},
 			}},
 		},
@@ -81,7 +81,7 @@ func FuzzFanOutEnvelope(f *testing.F) {
 				again.Shared != e.Shared || len(again.Bundle) != len(e.Bundle) {
 				t.Fatalf("fan-out round trip mismatch:\n%+v\n%+v", e, again)
 			}
-			if e.Shared && !again.Args.Equal(e.Args) {
+			if e.Shared && !bytes.Equal(again.Args, e.Args) {
 				t.Fatal("shared args mismatch")
 			}
 			for i := range e.Bundle {
@@ -94,7 +94,7 @@ func FuzzFanOutEnvelope(f *testing.F) {
 					if ge.Target != we.Target || ge.Sender != we.Sender || ge.Future != we.Future {
 						t.Fatalf("bundle[%d].entry[%d] mismatch", i, j)
 					}
-					if !e.Shared && !ge.Args.Equal(we.Args) {
+					if !e.Shared && !bytes.Equal(ge.Args, we.Args) {
 						t.Fatalf("bundle[%d].entry[%d] args mismatch", i, j)
 					}
 				}

@@ -106,7 +106,7 @@ var (
 		AggKey: 17,
 		Method: "double",
 		Shared: true,
-		Args:   wire.Int(21),
+		Args:   wire.Encode(nil, wire.Int(21)),
 		Bundle: []fanBundle{
 			{Dst: 2, Entries: []fanEntry{
 				{Target: goldenA27, Sender: goldenA13, Future: goldenF19},
@@ -122,8 +122,8 @@ var (
 		Method: "work",
 		Bundle: []fanBundle{
 			{Dst: 2, Entries: []fanEntry{
-				{Target: goldenA27, Sender: goldenA13, Future: goldenF19, Args: wire.String("a")},
-				{Target: ids.ActivityID{Node: 2, Seq: 8}, Sender: goldenA13, Args: wire.Ref(goldenA13)},
+				{Target: goldenA27, Sender: goldenA13, Future: goldenF19, Args: wire.Encode(nil, wire.String("a"))},
+				{Target: ids.ActivityID{Node: 2, Seq: 8}, Sender: goldenA13, Args: wire.Encode(nil, wire.Ref(goldenA13))},
 			}},
 		},
 	}

@@ -110,17 +110,21 @@ func (g *Group[Req, Resp]) Send(req Req) error {
 // fanOutDegree remote nodes is a depth-1 tree — one envelope per
 // destination node, replies straight back per member — and a wider one
 // costs the root O(fanOutDegree) envelopes and aggregated replies,
-// however large the group.
+// however large the group. An envelope the transport refuses fails the
+// whole call with the transport's error, as a single call's send does.
 func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool, opts []CallOption) (*FutureGroup[Resp], error) {
 	o := applyOptions(opts)
 	futs := make([]*TypedFuture[Resp], len(g.members))
 	abort := func(i int, err error) (*FutureGroup[Resp], error) {
-		// Unwind the members already prepared: drop their value pins and
-		// remove their futures from the table — bundled members' requests
-		// were never sent (the trees die with this call), and a dropped
-		// entry means a straggler update from an already-sent member is
-		// discarded instead of leaking the entry.
-		for _, tf := range futs[:i] {
+		// Unwind every member prepared so far: drop their value pins and
+		// remove their futures from the table — a request that was never
+		// sent can never be answered, and a dropped entry means a straggler
+		// update from an already-sent member is discarded instead of
+		// leaking the entry.
+		for _, tf := range futs {
+			if tf == nil {
+				continue
+			}
 			if tf.fut != nil {
 				tf.fut.node.futures.remove(tf.fut.id)
 			}
@@ -155,9 +159,6 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 			// sendRequest owns the dead-home fallbacks: location knowledge,
 			// then the directory shard, then the ErrNodeDead fail-fast.
 			if err := node.sendRequest(req); err != nil {
-				if futs[i].fut != nil {
-					node.futures.remove(futs[i].fut.ID())
-				}
 				return abort(i, err)
 			}
 		default:
@@ -166,14 +167,20 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 				if trees == nil {
 					trees = make(map[*Node]*groupTree)
 				}
-				t = &groupTree{node: node, dstIdx: make(map[ids.NodeID]int)}
+				t = &groupTree{
+					node:    node,
+					dstIdx:  make(map[ids.NodeID]int),
+					members: make([]groupTreeMember, 0, len(g.members)-i),
+				}
 				trees[node] = t
 			}
-			t.add(req, sharedArgs, futs[i].fut)
+			t.add(i, req, sharedArgs, futs[i].fut)
 		}
 	}
 	for _, t := range trees {
-		t.send(g.method, sharedArgs, !o.noReply)
+		if i, err := t.send(g.method, sharedArgs, !o.noReply, argsFor); err != nil {
+			return abort(i, err)
+		}
 	}
 	return &FutureGroup[Resp]{futs: futs}, nil
 }
@@ -185,17 +192,17 @@ type groupTree struct {
 	node    *Node
 	dstIdx  map[ids.NodeID]int
 	bundles []fanBundle
-	shared  wire.Value
+	shared  []byte // the encoded broadcast args
 	members []groupTreeMember
 }
 
 type groupTreeMember struct {
-	fut  *Future // nil for one-way members
-	dst  ids.NodeID
-	args wire.Value
+	i   int     // the member's index in the group
+	fut *Future // nil for one-way members
+	dst ids.NodeID
 }
 
-func (t *groupTree) add(req request, sharedArgs bool, fut *Future) {
+func (t *groupTree) add(i int, req request, sharedArgs bool, fut *Future) {
 	dst := req.Target.Node
 	bi, ok := t.dstIdx[dst]
 	if !ok {
@@ -204,26 +211,27 @@ func (t *groupTree) add(req request, sharedArgs bool, fut *Future) {
 		t.bundles = append(t.bundles, fanBundle{Dst: dst})
 	}
 	en := fanEntry{Target: req.Target, Sender: req.Sender, Future: req.Future}
-	if sharedArgs {
-		t.shared = req.Args
-	} else {
-		en.Args = req.Args
+	if !sharedArgs {
+		en.Args = wire.Encode(nil, req.Args)
+	} else if t.shared == nil {
+		t.shared = wire.Encode(nil, req.Args)
 	}
 	t.bundles[bi].Entries = append(t.bundles[bi].Entries, en)
-	t.members = append(t.members, groupTreeMember{fut: fut, dst: dst, args: req.Args})
+	t.members = append(t.members, groupTreeMember{i: i, fut: fut, dst: dst})
 }
 
 // send ships the accumulated bundles as at most fanOutDegree subtree
 // envelopes (the first bundle's destination doubles as the subtree's
-// relay) and finishes the root-side bookkeeping: members whose subtree
-// could not leave fail immediately; the rest register their first-hop
-// relay as the awaited node — a confirmed death of the relay fails them
-// instead of hanging the waiter — and their destination node as holder
-// of any futures forwarded in the arguments.
-func (t *groupTree) send(method string, sharedArgs, urgent bool) {
+// relay), stopping at the first envelope the transport refuses. Every
+// member whose envelope left registers its first-hop relay as the
+// awaited node — a confirmed death of the relay fails it instead of
+// hanging the waiter — and its destination node as holder of any futures
+// forwarded in the arguments. On a refusal send returns the transport's
+// error and the index of the first member left unsent.
+func (t *groupTree) send(method string, sharedArgs, urgent bool, argsFor func(int) wire.Value) (int, error) {
 	n := t.node
 	relayOf := make(map[ids.NodeID]ids.NodeID, len(t.bundles))
-	var failed map[ids.NodeID]bool
+	var sendErr error
 	for _, group := range subtrees(t.bundles) {
 		env := fanOutEnv{
 			Root:   n.id,
@@ -232,29 +240,28 @@ func (t *groupTree) send(method string, sharedArgs, urgent bool) {
 			Args:   t.shared,
 			Bundle: group,
 		}
-		if err := n.transportSend(group[0].Dst, transport.ClassApp, encodeFanOut(env), urgent); err != nil {
-			n.failFanBundles(group, 0, n.id, err)
-			if failed == nil {
-				failed = make(map[ids.NodeID]bool)
-			}
-			for _, b := range group {
-				failed[b.Dst] = true
-			}
-			continue
+		if sendErr = n.transportSend(group[0].Dst, transport.ClassApp, encodeFanOut(env), urgent); sendErr != nil {
+			break
 		}
 		for _, b := range group {
 			relayOf[b.Dst] = group[0].Dst
 		}
 	}
+	unsent := -1
 	for _, m := range t.members {
-		if failed[m.dst] {
+		relay, sent := relayOf[m.dst]
+		if !sent {
+			if unsent < 0 {
+				unsent = m.i
+			}
 			continue
 		}
 		if m.fut != nil && n.env.cluster != nil {
-			m.fut.awaitNode.Store(uint32(relayOf[m.dst]))
+			m.fut.awaitNode.Store(uint32(relay))
 		}
-		n.noteFutureValuesSent(m.dst, m.args)
+		n.noteFutureValuesSent(m.dst, argsFor(m.i))
 	}
+	return unsent, sendErr
 }
 
 // Release releases every member handle (idempotent). The members become

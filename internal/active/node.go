@@ -308,16 +308,23 @@ func (n *Node) redirectIfForwarder(ao *ActiveObject, from ids.NodeID) {
 	}
 }
 
-// deliverRequest decodes an application request, binds the reference-graph
-// hook to the recipient, roots the arguments for the duration of the
-// service, and enqueues the request. Arguments without a reference or a
-// future skip the decoder: the request keeps its own copy of their bytes
-// (WIRE.md §2, "Payload ownership").
+// deliverRequest decodes an application request envelope and delivers it.
 func (n *Node) deliverRequest(payload []byte) {
 	req, rawArgs, err := decodeRequestHeader(payload)
 	if err != nil {
 		return
 	}
+	n.deliverEncoded(req, rawArgs)
+}
+
+// deliverEncoded delivers a request that arrived over the transport, its
+// args still encoded in rawArgs, which the caller owns only for the
+// duration of the call: it binds the reference-graph hook to the
+// recipient, roots the arguments for the duration of the service, and
+// enqueues the request. Arguments without a reference or a future skip
+// the decoder: the request keeps its own copy of their bytes (WIRE.md §2,
+// "Payload ownership").
+func (n *Node) deliverEncoded(req request, rawArgs []byte) {
 	ao, ok := n.activity(req.Target)
 	if ok {
 		if newID := ao.forwardTarget(); !newID.IsNil() {
@@ -350,7 +357,7 @@ func (n *Node) deliverRequest(payload []byte) {
 		// Collected or explicitly terminated. If the caller expects a
 		// result, fail its future so it does not block forever.
 		if !req.Future.IsZero() {
-			n.sendFutureUpdate(req.Future, futureUpdate{
+			n.replyTo(req, futureUpdate{
 				Future: req.Future,
 				Failed: true,
 				Err:    ErrUnknownActivity.Error(),

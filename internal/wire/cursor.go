@@ -162,6 +162,28 @@ func (r *Reader) Value(d *Decoder) Value {
 	return v
 }
 
+// RawValue reads past one value (§1) and returns its encoding, aliasing
+// the input. It accepts exactly what Value accepts and fires no hook; a
+// canonical value without a Ref or a Future is checked without being
+// decoded.
+func (r *Reader) RawValue() []byte {
+	if r.err != nil {
+		return nil
+	}
+	probe := *r
+	probe.skipRefFree(0)
+	if probe.err != nil {
+		d := Decoder{alias: true}
+		_, rest, err := d.DecodePrefix(r.buf)
+		if err != nil {
+			r.err, r.buf = fmt.Errorf("%w: %w", r.bad, err), nil
+			return nil
+		}
+		probe.buf = rest
+	}
+	return r.Next(len(r.buf) - len(probe.buf))
+}
+
 // AppendID appends an activity identifier as Reader.ID reads it.
 func AppendID(buf []byte, id ids.ActivityID) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(id.Node))

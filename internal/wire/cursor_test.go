@@ -53,4 +53,29 @@ func TestReaderContract(t *testing.T) {
 	if v := r.Value(&d); !v.Equal(Value{}) || !errors.Is(r.Err(), bad) || !errors.Is(r.Err(), ErrBadTag) {
 		t.Fatalf("a bad value must report both sentinels, got %v", r.Err())
 	}
+	r.Reset([]byte{0xff}, bad)
+	if raw := r.RawValue(); raw != nil || !errors.Is(r.Err(), bad) || !errors.Is(r.Err(), ErrBadTag) {
+		t.Fatalf("a bad raw value must report both sentinels, got %v", r.Err())
+	}
+}
+
+// TestReaderRawValue: RawValue returns exactly one value's encoding and
+// leaves the cursor on the next byte, for the ref-free values it checks
+// without decoding and for the ones it has to decode — a Ref inside, or
+// dict keys out of canonical order.
+func TestReaderRawValue(t *testing.T) {
+	bad := errors.New("bad envelope")
+	unsorted := []byte{byte(KindDict), 2, 1, 'b', byte(KindNull), 1, 'a', byte(KindNull)}
+	for _, enc := range [][]byte{
+		Encode(nil, Int(-5)),
+		Encode(nil, Dict(map[string]Value{"k": String("v"), "n": List(Int(1), Bytes([]byte("x")))})),
+		Encode(nil, List(String("x"), Ref(ids.ActivityID{Node: 1, Seq: 3}))),
+		unsorted,
+	} {
+		var r Reader
+		r.Reset(append(append([]byte(nil), enc...), 9), bad)
+		if raw := r.RawValue(); string(raw) != string(enc) || r.Byte() != 9 || r.Done() != nil {
+			t.Errorf("RawValue of % x = % x, err %v", enc, raw, r.Err())
+		}
+	}
 }
