@@ -61,11 +61,14 @@ lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-# Regenerate the messaging trajectory via the loadgen/soak subsystem.
-BENCH_DURATION ?= 2s
+# The repository's benchmark (bench/README.md): all five workloads
+# round-robin, then the layer ladder and one traced pass per workload
+# (~2 min). The reports land in bench.json; the run exits 1 on any failed
+# operation. To compare two commits, run `bash bench/run.sh -out a.json`
+# on each and then `bash bench/run.sh -compare a.json b.json`.
 .PHONY: bench
 bench:
-	$(GO) run ./cmd/loadgen -suite -duration $(BENCH_DURATION) -out BENCH_messaging.json
+	bash bench/run.sh -out bench.json
 
 # The paper-figure and dispatch micro-benchmarks (EXPERIMENTS.md tables),
 # over the whole tree: the root package's paper figures plus the
@@ -112,38 +115,14 @@ golden:
 # Cluster chaos pass, exactly as the CI chaos job runs it: the
 # node-kill + join/leave conformance scenarios under the race detector
 # on both backends (the Kill tests exist in Sim and TCP variants), the
-# kill-and-restart / kill-and-failover recovery scenarios, the
-# internal/cluster and internal/store building blocks, a loadgen churn +
-# node-kill smoke that hard-kills a node every 300ms under a live
-# call/churn mix, and a crash-restart smoke that kills and recovers the
-# durable node every 300ms (gated on zero lost registered identities).
-CHAOS_DURATION ?= 3s
+# kill-and-restart / kill-and-failover recovery scenarios,
+# TestChaosUnderLoad (node kills, crash-restart cycles and migration
+# churn under closed-loop load) and the internal/cluster and
+# internal/store building blocks.
 .PHONY: chaos
 chaos:
-	$(GO) test -race -run 'TestConformanceClusterKill|TestCluster|TestConformanceRecover|TestConformanceFailover' ./internal/active/
+	$(GO) test -race -run 'TestConformanceClusterKill|TestCluster|TestConformanceRecover|TestConformanceFailover|TestChaosUnderLoad' ./internal/active/
 	$(GO) test -race ./internal/cluster/ ./internal/store/
-	$(GO) test -race -run 'TestRunNodeKillChaos|TestRunRestartChaos' ./internal/loadgen/
-	$(GO) run ./cmd/loadgen -duration $(CHAOS_DURATION) -mix 4:0:2 -kill-every 300ms
-	$(GO) run ./cmd/loadgen -duration $(CHAOS_DURATION) -mix 4:0:2 -restart-every 300ms
-
-# CI perf gate, runnable locally: measure a fresh suite and compare it
-# against the checked-in trajectory (fails on >20% p50/call-rate regress
-# and on the sends-1m-local scenario dropping under 10^6 ops/s).
-MAX_REGRESS ?= 20
-.PHONY: perf-gate
-perf-gate:
-	$(GO) run ./cmd/loadgen -suite -duration 2s -out /tmp/bench.json
-	$(GO) run ./cmd/loadgen -compare -candidate /tmp/bench.json -max-regress $(MAX_REGRESS)
-
-# Local before/after comparison: run the suite on the working tree and
-# print the per-scenario delta table against the checked-in baseline
-# (BENCH_messaging.json, or BASELINE=<file>). Exits nonzero when a delta
-# crosses the perf-gate thresholds — the same plumbing CI uses.
-BASELINE ?= BENCH_messaging.json
-.PHONY: bench-compare
-bench-compare:
-	$(GO) run ./cmd/loadgen -suite -duration $(BENCH_DURATION) -out /tmp/bench-candidate.json
-	$(GO) run ./cmd/loadgen -compare -baseline $(BASELINE) -candidate /tmp/bench-candidate.json -max-regress $(MAX_REGRESS)
 
 .PHONY: examples
 examples:

@@ -153,8 +153,8 @@ func TestAllocBytesPayloadCopies(t *testing.T) {
 }
 
 // TestAllocsOneWaySend gates the fire-and-forget send: marshal plus
-// enqueue, no future, no reply. This is the per-message bill of the
-// sends-1m-local loadgen scenario.
+// enqueue, no future, no reply: the per-message bill of the one-way
+// messaging floor that bench's active.send_ns ladder rung times.
 func TestAllocsOneWaySend(t *testing.T) {
 	env := repro.NewEnv(repro.Config{DisableDGC: true})
 	defer env.Close()

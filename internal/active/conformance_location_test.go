@@ -2,6 +2,8 @@ package active
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,9 +16,13 @@ import (
 // stepClock is the real clock plus an offset the test moves. With a TTB
 // of an hour the drivers never beat by themselves; the test beats the
 // nodes by hand and moves time on between beats. While a hook is set,
-// the next Now() runs it, once: the redirect path reads the clock
-// between rebinding a stub and adding the edge the stub backs, which
-// makes the clock the gate that holds a redirect at exactly that point.
+// the next Now() on the redirect path runs it, once: that path reads the
+// clock between rebinding a stub and adding the edge the stub backs,
+// which makes the clock the gate that holds a redirect at exactly that
+// point. Other goroutines reading the clock meanwhile, such as a simnet
+// queue delivering a message still in flight, leave the hook alone: run
+// there, the gate would not hold the redirect, and its t.Fatalf would
+// end that queue's goroutine and strand every later message on it.
 type stepClock struct {
 	vclock.Real
 	offset atomic.Int64
@@ -24,10 +30,26 @@ type stepClock struct {
 }
 
 func (c *stepClock) Now() time.Time {
-	if hook := c.hook.Swap(nil); hook != nil {
+	if hook := c.hook.Load(); hook != nil && onRedirectPath() && c.hook.CompareAndSwap(hook, nil) {
 		(*hook)()
 	}
 	return time.Now().Add(time.Duration(c.offset.Load()))
+}
+
+// onRedirectPath reports whether Node.rebindStubs is on the caller's
+// stack.
+func onRedirectPath() bool {
+	pc := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.Contains(f.Function, ".(*Node).rebindStubs") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // TestConformanceRedirectRacesRelease pins the invariant "no collector

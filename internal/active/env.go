@@ -93,9 +93,6 @@ type Config struct {
 	// (the paper's "No DGC" baseline runs): no heartbeats, no automatic
 	// termination; local heap sweeps still run.
 	DisableDGC bool
-	// DisableConsensusPropagation ablates the §4.3 dying-wave
-	// optimization.
-	DisableConsensusPropagation bool
 	// Adaptive enables the §7.1 dynamic per-activity beat period; the
 	// driver then wakes every Adaptive.MinTTB and beats each activity at
 	// its own adapted pace.

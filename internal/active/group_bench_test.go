@@ -6,8 +6,8 @@ import (
 )
 
 // benchGroup builds a 1024-member echo group spread over 16 nodes with
-// every handle anchored at a separate root node, mirroring the
-// bcast1024 loadgen scenario.
+// every handle anchored at a separate root node, so every member is a
+// remote send from the root.
 func benchGroup(b *testing.B) (*Env, *Group[int64, int64]) {
 	b.Helper()
 	env := NewEnv(Config{DisableDGC: true})

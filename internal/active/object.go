@@ -416,12 +416,11 @@ func (n *Node) newActivity(name string, b Behavior, dummy bool, opts ...SpawnOpt
 	// A fresh activity is idle until its first request.
 	ao.idleFlag.Store(true)
 	cfg := core.Config{
-		TTB:                         n.env.cfg.TTB,
-		TTA:                         n.env.cfg.TTA,
-		DisableConsensusPropagation: n.env.cfg.DisableConsensusPropagation,
-		Adaptive:                    n.env.cfg.Adaptive,
-		MinHeightTree:               n.env.cfg.MinHeightTree,
-		OnEvent:                     n.env.cfg.OnEvent,
+		TTB:           n.env.cfg.TTB,
+		TTA:           n.env.cfg.TTA,
+		Adaptive:      n.env.cfg.Adaptive,
+		MinHeightTree: n.env.cfg.MinHeightTree,
+		OnEvent:       n.env.cfg.OnEvent,
 	}
 	ao.collector = core.New(ao.id, cfg, ao.isIdle, n.env.cfg.Clock.Now())
 

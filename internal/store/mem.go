@@ -7,8 +7,8 @@ import (
 )
 
 // MemStore is the in-memory backend: the Store contract without the
-// disk, for tests and for the loadgen restart-chaos arm (where the
-// "durability" under test is the runtime's restore path, not the
+// disk, for tests such as the restart leg of TestChaosUnderLoad (where
+// the "durability" under test is the runtime's restore path, not the
 // filesystem). Payloads are copied on both sides, so a caller can never
 // alias the stored bytes.
 type MemStore struct {
