@@ -181,3 +181,33 @@ func TestAllocsOneWaySend(t *testing.T) {
 		t.Errorf("one-way send: %.1f allocs/op, budget 2", got)
 	}
 }
+
+// TestAllocsHandleForRelease gates the handle lifecycle. A handle is one
+// rooted stub of its node's root referencer, so HandleFor + Release
+// bills the Handle, the stub cell and its tag link (measured 3); the
+// budget is that plus one. The beat is an hour away, so a released stub
+// is never swept mid-measurement.
+func TestAllocsHandleForRelease(t *testing.T) {
+	env := repro.NewEnv(repro.Config{DisableDGC: true, TTB: time.Hour})
+	defer env.Close()
+	n := env.NewNode()
+	h := n.NewActive("alloc-handle", repro.NewService(
+		repro.Method("bump", func(ctx *repro.Context, v int64) (int64, error) {
+			return v + 1, nil
+		})))
+	defer h.Release()
+	ref := h.Ref()
+	cycle := func() {
+		hc, err := n.HandleFor(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc.Release()
+	}
+	cycle()
+	got := testing.AllocsPerRun(2000, cycle)
+	t.Logf("HandleFor + Release: %.1f allocs/op", got)
+	if got > 4 {
+		t.Errorf("HandleFor + Release: %.1f allocs/op, budget 4", got)
+	}
+}

@@ -1,8 +1,9 @@
 // Command registry demonstrates DGC roots (§4.1) with a typed service: a
 // registered service is never idle for the collector, so it survives with
 // no referencers at all; the moment it is unregistered it becomes
-// ordinary garbage. It also shows the dummy-referencer handles non-active
-// code gets, and the released-handle sentinel of the hardened lifecycle.
+// ordinary garbage. It also shows that a handle non-active code gets is a
+// stub of its node's root referencer, not an activity of its own, and the
+// released-handle sentinel of the hardened lifecycle.
 package main
 
 import (
@@ -65,6 +66,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	fmt.Println("live activities with a client handle:", env.LiveActivities(),
+		"(a handle is a stub of its node's root, not an activity)")
 	add := repro.NewStub[int64, int64](client, "add")
 	for i := int64(1); i <= 3; i++ {
 		total, err := add.CallSync(i, 5*time.Second)

@@ -355,8 +355,9 @@ func TestFutureRefsCreateEdges(t *testing.T) {
 	n := e.NewNode()
 	ha := n.NewActive("a", relay{})
 	defer ha.Release()
-	// Asking a for "self" hands the caller (the handle's dummy) a
-	// reference, which must appear in the dummy's reference list.
+	// Asking a for "self" hands the caller (the node's root, which the
+	// handle is a stub of) a reference, which must appear in the root's
+	// reference list beside the handle's own edge to a: one entry.
 	got, err := ha.CallSync("self", wire.Null(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -364,9 +365,9 @@ func TestFutureRefsCreateEdges(t *testing.T) {
 	if _, ok := got.AsRef(); !ok {
 		t.Fatalf("self = %v, want a ref", got)
 	}
-	refs := ha.dummy.Collector().Referenced()
+	refs := n.root.Collector().Referenced()
 	if len(refs) != 1 {
-		t.Fatalf("dummy.Referenced() = %v, want [a]", refs)
+		t.Fatalf("root.Referenced() = %v, want [a]", refs)
 	}
 }
 

@@ -167,7 +167,7 @@ func (n *Node) checkpointBeat(now time.Time) {
 		return
 	}
 	for _, ao := range n.snapshotActivities() {
-		if ao.dummy || ao.kind == "" || ao.terminated.Load() || !ao.forwardTarget().IsNil() {
+		if ao.kind == "" || ao.terminated.Load() || !ao.forwardTarget().IsNil() {
 			continue
 		}
 		if ao.nextCkpt.After(now) || !ao.ckptDirty.Load() {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ids"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // ErrNodeDead reports an operation against a node the cluster has
@@ -663,13 +662,10 @@ func (n *Node) Leave(dst ids.NodeID) error {
 	}
 	var moved []cluster.Rebind
 	for _, ao := range n.snapshotActivities() {
-		if ao.dummy || ao.terminated.Load() || !ao.forwardTarget().IsNil() {
+		if ao.terminated.Load() || !ao.forwardTarget().IsNil() {
 			continue
 		}
-		h, err := n.HandleFor(wire.Ref(ao.id))
-		if err != nil {
-			continue // destroyed since the snapshot
-		}
+		h := n.handle(ao.id)
 		fut, err := h.Migrate(dst)
 		if err == nil {
 			_, err = fut.Wait(30 * time.Second)

@@ -380,7 +380,7 @@ func TestClusterShardHandoffOnNodeDeath(t *testing.T) {
 	oldRef := h.Ref()
 	oldID := mustRef(t, oldRef)
 	// A keeper handle on n1 pins the activity across the deaths ahead —
-	// its spawn handle's dummy lives on n2 and dies with it, and a
+	// its spawn handle is a stub of n2's root and dies with it, and a
 	// referent with no referencer left is DGC'd, which is not the
 	// scenario under test. The keeper must learn the post-migration
 	// identity (via the forwarder's redirect) so its heartbeats follow

@@ -208,11 +208,10 @@ func TestConformanceFutureParityFIFO(t *testing.T) {
 	run := func(t *testing.T, mkCfg func(t *testing.T) Config, policy ServicePolicy) transport.Counters {
 		cfg := mkCfg(t)
 		cfg.DisableDGC = true // beats are timing-dependent; parity needs determinism
-		cfg.ServicePolicy = policy
 		e := NewEnv(cfg)
 		defer e.Close()
 		n1, n2 := e.NewNode(), e.NewNode()
-		h := n2.NewActive("svc", relay{})
+		h := n2.NewActive("svc", relay{}, WithPolicy(policy))
 		defer h.Release()
 		h1, err := n1.HandleFor(h.Ref())
 		if err != nil {

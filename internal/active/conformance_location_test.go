@@ -16,34 +16,40 @@ import (
 // stepClock is the real clock plus an offset the test moves. With a TTB
 // of an hour the drivers never beat by themselves; the test beats the
 // nodes by hand and moves time on between beats. While a hook is set,
-// the next Now() on the redirect path runs it, once: that path reads the
-// clock between rebinding a stub and adding the edge the stub backs,
-// which makes the clock the gate that holds a redirect at exactly that
-// point. Other goroutines reading the clock meanwhile, such as a simnet
-// queue delivering a message still in flight, leave the hook alone: run
-// there, the gate would not hold the redirect, and its t.Fatalf would
-// end that queue's goroutine and strand every later message on it.
+// the next Now() on the hooked path (the redirect path unless hookOn
+// names another Node method) runs it, once: that path reads the clock
+// between rebinding a stub and adding the edge the stub backs, which
+// makes the clock the gate that holds a redirect at exactly that point.
+// Other goroutines reading the clock meanwhile, such as a simnet queue
+// delivering a message still in flight, leave the hook alone: run there,
+// the gate would not hold the redirect, and its t.Fatalf would end that
+// queue's goroutine and strand every later message on it.
 type stepClock struct {
 	vclock.Real
 	offset atomic.Int64
 	hook   atomic.Pointer[func()]
+	hookOn string
 }
 
 func (c *stepClock) Now() time.Time {
-	if hook := c.hook.Load(); hook != nil && onRedirectPath() && c.hook.CompareAndSwap(hook, nil) {
+	if hook := c.hook.Load(); hook != nil && c.onHookedPath() && c.hook.CompareAndSwap(hook, nil) {
 		(*hook)()
 	}
 	return time.Now().Add(time.Duration(c.offset.Load()))
 }
 
-// onRedirectPath reports whether Node.rebindStubs is on the caller's
-// stack.
-func onRedirectPath() bool {
+// onHookedPath reports whether the hooked Node method (rebindStubs by
+// default) is on the caller's stack.
+func (c *stepClock) onHookedPath() bool {
+	method := c.hookOn
+	if method == "" {
+		method = "rebindStubs"
+	}
 	pc := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		f, more := frames.Next()
-		if strings.Contains(f.Function, ".(*Node).rebindStubs") {
+		if strings.Contains(f.Function, ".(*Node)."+method) {
 			return true
 		}
 		if !more {
@@ -59,8 +65,9 @@ func onRedirectPath() bool {
 // rebind of that stub and the edge it adds, and a sweep is started
 // there. The sweep must not get through: if it frees the stub first, the
 // tag death that would remove the new edge fires before the edge exists,
-// and the released handle's dummy references the migrated activity for
-// ever — nothing is ever collected. With rebind and edge in one critical
+// and the caller's root referencer, which the released handle was a stub
+// of, references the migrated activity for ever — nothing is ever
+// collected. With rebind and edge in one critical
 // section of the heap shard the sweep waits, takes stub and edge
 // together, and every activity of the scenario is collected.
 func TestConformanceRedirectRacesRelease(t *testing.T) {
@@ -137,17 +144,16 @@ func TestConformanceRedirectRacesRelease(t *testing.T) {
 			}
 			<-swept
 
-			// Beat by hand until the source's forwarder, the migrated
-			// activity and the released handle's dummy are all gone.
-			dummy := hc.dummy.id
+			// Beat by hand until the source's forwarder and the migrated
+			// activity are gone and the caller's root references nothing.
 			for beat := 0; ; beat++ {
-				_, dummyAlive := caller.activity(dummy)
-				if e.LiveActivities() == 0 && !dummyAlive {
+				rootRefs := caller.root.Collector().Referenced()
+				if e.LiveActivities() == 0 && len(rootRefs) == 0 {
 					break
 				}
 				if beat == 50 {
-					t.Fatalf("after %d beats: %d activities alive, dummy alive: %v — an edge outlived its stub",
-						beat, e.LiveActivities(), dummyAlive)
+					t.Fatalf("after %d beats: %d activities alive, caller root references %v — an edge outlived its stub",
+						beat, e.LiveActivities(), rootRefs)
 				}
 				clock.offset.Add(int64(time.Hour))
 				for _, n := range []*Node{caller, src, dst} {

@@ -253,10 +253,10 @@ func TestConformanceSelfMigration(t *testing.T) {
 		if got.AsInt() != 7 {
 			t.Fatalf("state after self-migration = %v, want 7", got)
 		}
-		if n1.liveCount() > 1 {
-			// The roamer itself must be gone from n1 (only the forwarder,
-			// and transiently the handle's dummy, remain).
-			t.Fatalf("n1 live = %d after self-migration", n1.liveCount())
+		if n1.LiveActivities() > 1 {
+			// The roamer itself must be gone from n1 (only the forwarder
+			// remains, until it collapses).
+			t.Fatalf("n1 live = %d after self-migration", n1.LiveActivities())
 		}
 	})
 }

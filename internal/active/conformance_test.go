@@ -259,7 +259,7 @@ func TestConformanceTwoEnvsOverTCP(t *testing.T) {
 		t.Fatal("client accounted no app traffic")
 	}
 
-	// Drop the server's own handle: the client's dummy is now the only
+	// Drop the server's own handle: the client node's root is now the only
 	// referencer, heartbeating across processes. Still alive after many
 	// TTA periods.
 	sh.Release()

@@ -82,7 +82,7 @@ func (n *Node) broadcastDue() map[ids.NodeID]struct{} {
 	var byDst map[ids.NodeID][]dgcOut
 	var beatDsts map[ids.NodeID]struct{}
 	batch := n.flusher != nil
-	for _, ao := range n.snapshotActivities() {
+	for _, ao := range append(n.snapshotActivities(), n.root) {
 		// Each tick gets the time of the tick: with many activities the
 		// loop itself takes a good part of a beat, and a referencer tested
 		// against the loop's starting time would wait one period more.
@@ -98,14 +98,8 @@ func (n *Node) broadcastDue() map[ids.NodeID]struct{} {
 		// Schedule slightly early so driver-wake jitter cannot make the
 		// deadline miss a whole wake period.
 		ao.nextBeat = now.Add(next - next/8)
-		switch {
-		case res.Terminated:
+		if res.Terminated {
 			n.destroy(ao, res.Reason)
-			continue
-		case ao.dummy && ao.wantStop.Load() && len(res.Messages) == 0:
-			// A released handle whose edge drop has been fully broadcast:
-			// the dummy has no referenced activities left and can go.
-			n.destroy(ao, core.ReasonNone)
 			continue
 		}
 		for _, ob := range res.Messages {

@@ -71,11 +71,6 @@ type Config struct {
 	// unbatched protocol. A batch frame carries at most 64 KiB of
 	// payload; a larger backlog is split across frames.
 	BatchWindow time.Duration
-	// ServicePolicy is the default request-selection discipline of every
-	// activity created in this environment (overridable per activity via
-	// WithPolicy). nil means FIFO, which is wire- and semantics-identical
-	// to the pre-policy serve loop.
-	ServicePolicy ServicePolicy
 	// FirstNode offsets node identifier allocation: the first NewNode
 	// returns FirstNode, the second FirstNode+1, and so on. Several
 	// processes sharing a TCP substrate set disjoint ranges so their
@@ -136,10 +131,10 @@ func (c Config) withDefaults() Config {
 
 // Stats summarizes an environment's DGC activity.
 type Stats struct {
-	// Created is the total number of activities ever created (dummy
-	// referencer handles excluded).
+	// Created is the total number of activities ever created. Handles
+	// are stubs of their node's root referencer, which is not counted.
 	Created int
-	// Live is the number of activities currently alive (dummies excluded).
+	// Live is the number of activities currently alive (roots excluded).
 	Live int
 	// Collected maps termination reasons to counts.
 	Collected map[core.Reason]int
@@ -380,7 +375,7 @@ func (e *Env) Stats() Stats {
 	e.mu.Lock()
 	st := Stats{Created: e.created}
 	for _, n := range e.nodes {
-		st.Live += n.liveCount()
+		st.Live += n.LiveActivities()
 	}
 	e.mu.Unlock()
 	e.reapMu.Lock()
@@ -392,14 +387,14 @@ func (e *Env) Stats() Stats {
 	return st
 }
 
-// LiveActivities returns the number of live activities (dummy handles
-// excluded).
+// LiveActivities returns the number of live activities (node roots, which
+// handles are stubs of, excluded).
 func (e *Env) LiveActivities() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var total int
 	for _, n := range e.nodes {
-		total += n.liveCount()
+		total += n.LiveActivities()
 	}
 	return total
 }

@@ -25,8 +25,8 @@ var (
 // analogue. It fans one method out over N member activities — Broadcast
 // ships the same request to all, Scatter one request per member — and
 // returns a FutureGroup collecting the replies. Each member is pinned by
-// its own Handle (one dummy DGC root per member); Release drops all of
-// them at once, handing the whole fan-out reference graph to the DGC.
+// its own Handle (a stub of its node's root); Release drops all of them
+// at once, handing the whole fan-out reference graph to the DGC.
 type Group[Req, Resp any] struct {
 	method   string
 	members  []*Handle
@@ -137,18 +137,14 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 		if h.released.Load() {
 			return abort(i, fmt.Errorf("call %q: %w", g.method, ErrHandleReleased))
 		}
-		node := h.dummy.node
-		target, ok := h.target.AsRef()
-		if !ok {
-			return abort(i, fmt.Errorf("%w: %v", ErrNotARef, h.target))
-		}
+		node := h.node
 		// A cached migration skips the forwarder, as on sendRequest's path.
-		target = node.resolveRebind(target)
-		req := request{Target: target, Sender: h.dummy.id, Method: g.method, Args: argsFor(i)}
+		target := node.resolveRebind(h.target)
+		req := request{Target: target, Sender: node.root.id, Method: g.method, Args: argsFor(i)}
 		if o.noReply {
 			futs[i] = &TypedFuture[Resp]{}
 		} else {
-			fut := node.futures.create(node, h.dummy.id)
+			fut := node.futures.create(node, node.root.id)
 			req.Future = fut.ID()
 			futs[i] = &TypedFuture[Resp]{fut: fut, timeout: o.timeout}
 		}

@@ -7,24 +7,30 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ids"
 	"repro/internal/localgc"
 	"repro/internal/wire"
 )
 
 // ErrHandleReleased is returned by calls through a handle whose reference
-// has been dropped: the dummy root is gone (or going), so the middleware
-// must not fabricate a fresh edge to the target. Check with errors.Is.
+// has been dropped: its stub is gone (or going), so the middleware must
+// not fabricate a fresh edge to the target. Check with errors.Is.
 var ErrHandleReleased = errors.New("active: handle released")
 
 // Handle lets non-active code (a main function, a test, a benchmark)
-// reference and call an activity. The middleware backs each handle with a
-// dummy activity (§4.1): it has no behavior and is permanently busy, so it
-// acts as a DGC root keeping the target alive — and it heartbeats the
-// target like any referencer would. Releasing the handle drops that edge
-// and lets the DGC reclaim the target once it is otherwise garbage.
+// reference and call an activity. A handle is one rooted stub owned by its
+// node's root referencer (§4.1), the permanently busy stand-in for the
+// node's non-active code, which heartbeats the target like any referencer
+// would. Release drops the stub; the root's edge goes with its last stub
+// for the target, which the DGC then reclaims once otherwise garbage.
+// Every handle on a node speaks as that one root: two handles to one
+// target share one edge and one beat; requests carry the root as Sender,
+// so per-sender FIFO holds across all of the node's handles; and the root
+// owns their futures, so a reply that lands after Release still resolves,
+// its references pinned until Wait or Discard.
 type Handle struct {
-	dummy    *ActiveObject
-	target   wire.Value
+	node     *Node
+	target   ids.ActivityID
 	stubRoot localgc.RootID
 	released atomic.Bool
 }
@@ -33,13 +39,7 @@ type Handle struct {
 // handle referencing it. Options configure the activity (e.g. WithPolicy
 // for a non-FIFO service discipline).
 func (n *Node) NewActive(name string, b Behavior, opts ...SpawnOption) *Handle {
-	ao := n.newActivity(name, b, false, opts...)
-	h, err := n.HandleFor(wire.Ref(ao.id))
-	if err != nil {
-		// The activity was created above and cannot be gone.
-		panic(fmt.Sprintf("active: HandleFor on fresh activity: %v", err))
-	}
-	return h
+	return n.handle(n.newActivity(name, b, opts...).id)
 }
 
 // HandleFor wraps an existing reference value (e.g. from Env.Lookup) in a
@@ -49,19 +49,24 @@ func (n *Node) HandleFor(ref wire.Value) (*Handle, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrNotARef, ref)
 	}
-	dummy := n.newActivity("handle:"+target.String(), nil, true)
-	now := n.env.cfg.Clock.Now()
-	dummy.collector.AddReferenced(target, now)
-	_, root := n.heap.NewStubRooted(dummy.id, target)
-	return &Handle{dummy: dummy, target: ref, stubRoot: root}, nil
+	return n.handle(target), nil
+}
+
+// handle makes the root's stub for target, then its edge: a sweep of an
+// older handle's stub that races this one then sees the tag alive (see
+// onTagDeath).
+func (n *Node) handle(target ids.ActivityID) *Handle {
+	_, stub := n.heap.NewStubRooted(n.root.id, target)
+	n.root.collector.AddReferenced(target, n.env.cfg.Clock.Now())
+	return &Handle{node: n, target: target, stubRoot: stub}
 }
 
 // Ref returns the reference value this handle holds. Embedding it in call
 // arguments shares the reference with the callee.
-func (h *Handle) Ref() wire.Value { return h.target }
+func (h *Handle) Ref() wire.Value { return wire.Ref(h.target) }
 
 // Node returns the node anchoring the handle.
-func (h *Handle) Node() *Node { return h.dummy.node }
+func (h *Handle) Node() *Node { return h.node }
 
 // Call performs an asynchronous method call on the target and returns a
 // future.
@@ -69,8 +74,7 @@ func (h *Handle) Call(method string, args wire.Value) (*Future, error) {
 	if h.released.Load() {
 		return nil, fmt.Errorf("call %q: %w", method, ErrHandleReleased)
 	}
-	ctx := &Context{ao: h.dummy}
-	return ctx.Call(h.target, method, args)
+	return (&Context{ao: h.node.root}).Call(wire.Ref(h.target), method, args)
 }
 
 // Send performs a one-way asynchronous call on the target.
@@ -78,8 +82,7 @@ func (h *Handle) Send(method string, args wire.Value) error {
 	if h.released.Load() {
 		return fmt.Errorf("send %q: %w", method, ErrHandleReleased)
 	}
-	ctx := &Context{ao: h.dummy}
-	return ctx.Send(h.target, method, args)
+	return (&Context{ao: h.node.root}).Send(wire.Ref(h.target), method, args)
 }
 
 // CallSync is Call followed by Wait.
@@ -95,19 +98,19 @@ func (h *Handle) CallSync(method string, args wire.Value, timeout time.Duration)
 // waitable Future adopted on this handle's node — the non-active-code
 // analogue of Context.Future.
 func (h *Handle) Future(v wire.Value) (*Future, error) {
-	return h.dummy.node.futureFor(v)
+	return h.node.futureFor(v)
 }
 
-// Release drops the handle's reference: the dummy root stops pinning the
-// target, which becomes collectable once otherwise garbage. The dummy
-// itself is destroyed by the driver after its edge drop has been
-// broadcast. Release is an idempotent no-op on a released handle.
+// Release drops the handle's stub. When it was the root's last stub for
+// the target, the next sweep removes the root's edge and the target
+// becomes collectable once otherwise garbage. Futures of calls made
+// through the handle are unaffected. Release is an idempotent no-op on a
+// released handle.
 func (h *Handle) Release() {
 	if h.released.Swap(true) {
 		return
 	}
-	h.dummy.node.heap.RemoveRoot(h.stubRoot)
-	h.dummy.wantStop.Store(true) // picked up by the driver for dummies
+	h.node.heap.RemoveRoot(h.stubRoot)
 }
 
 // Terminate explicitly destroys the target activity (the paper's NAS
@@ -118,10 +121,8 @@ func (h *Handle) Terminate() {
 	if h.released.Load() {
 		return
 	}
-	if tid, ok := h.target.AsRef(); ok {
-		if ao, alive := h.dummy.node.env.activity(tid); alive {
-			ao.node.destroy(ao, core.ReasonNone)
-		}
+	if ao, alive := h.node.env.activity(h.target); alive {
+		ao.node.destroy(ao, core.ReasonNone)
 	}
 	h.Release()
 }

@@ -224,7 +224,7 @@ func (n *Node) migrateOut(ao *ActiveObject, dst ids.NodeID) (ids.ActivityID, err
 	// the activity was destroyed during the exchange, dispose of them the
 	// way its close would have: release the pins, fail the futures.
 	ok, schedule := ao.queue.requeue(drained)
-	if schedule && !ao.dummy {
+	if schedule {
 		n.pool.schedule(ao)
 	}
 	if !ok {
@@ -283,7 +283,7 @@ func (n *Node) restoreFromEnvelope(m migration, keepID bool, failQueue error) (*
 	if keepID {
 		opts = append(opts, withForcedID(m.Old))
 	}
-	ao := n.newActivity(m.Name, rk.factory(), false, opts...)
+	ao := n.newActivity(m.Name, rk.factory(), opts...)
 	now := n.env.cfg.Clock.Now()
 	var scratch [8]ids.ActivityID
 	// State first: by the time the first replayed request is served, every

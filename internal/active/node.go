@@ -19,6 +19,7 @@ type Node struct {
 	env      *Env
 	id       ids.NodeID
 	gen      *ids.Generator
+	dgc      core.Config // every collector's configuration, root's included
 	heap     *localgc.Heap
 	endpoint transport.Endpoint
 	// flusher is the per-destination batching engine in front of the
@@ -33,6 +34,7 @@ type Node struct {
 	aos     map[ids.ActivityID]*ActiveObject
 	aosPeak int // largest len(aos) since the map was last rebuilt
 	closed  bool
+	root    *ActiveObject // owner of every Handle's stub (newRoot); not in aos
 
 	// Location state (WIRE.md §9). locCache is the node's one bounded,
 	// lazily compressed table of moved activities (Config.LocationCacheSize
@@ -71,6 +73,14 @@ func newNode(e *Env, id ids.NodeID) *Node {
 		stop:     make(chan struct{}),
 	}
 	n.heap = localgc.New(n.onTagDeath)
+	n.dgc = core.Config{
+		TTB:           e.cfg.TTB,
+		TTA:           e.cfg.TTA,
+		Adaptive:      e.cfg.Adaptive,
+		MinHeightTree: e.cfg.MinHeightTree,
+		OnEvent:       e.cfg.OnEvent,
+	}
+	n.root = n.newRoot()
 	n.pool = newWorkerPool(n)
 	n.endpoint = e.net.Register(id, n)
 	if e.cfg.BatchWindow > 0 {
@@ -139,36 +149,30 @@ func (n *Node) start() {
 
 // activity returns the live activity with the given ID on this node.
 func (n *Node) activity(id ids.ActivityID) (*ActiveObject, bool) {
+	if id == n.root.id {
+		return n.root, true
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ao, ok := n.aos[id]
 	return ao, ok
 }
 
-// LiveActivities returns the number of live non-dummy activities hosted
-// on this node (forwarders left by migrations included, until they
-// collapse).
-func (n *Node) LiveActivities() int { return n.liveCount() }
-
-// liveCount counts live non-dummy activities.
-func (n *Node) liveCount() int {
+// LiveActivities returns the number of live activities hosted on this
+// node (forwarders left by migrations included, until they collapse; the
+// node's root referencer, which handles are stubs of, excluded).
+func (n *Node) LiveActivities() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var c int
-	for _, ao := range n.aos {
-		if !ao.dummy {
-			c++
-		}
-	}
-	return c
+	return len(n.aos)
 }
 
-// snapshotActivities returns all live activities (dummies included: they
-// participate in the DGC as referencers).
+// snapshotActivities returns all live activities but the root; the one
+// spare slot lets the driver append it without a copy.
 func (n *Node) snapshotActivities() []*ActiveObject {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]*ActiveObject, 0, len(n.aos))
+	out := make([]*ActiveObject, 0, len(n.aos)+1)
 	for _, ao := range n.aos {
 		out = append(out, ao)
 	}
@@ -178,13 +182,17 @@ func (n *Node) snapshotActivities() []*ActiveObject {
 // onTagDeath is the localgc callback: activity owner no longer holds any
 // stub for target — remove the reference-graph edge (§2.2). A guard
 // against the re-intern race: if a fresh tag exists again, the edge was
-// re-created concurrently and must stay.
+// re-created concurrently and must stay. The second check restores an
+// edge removed here that a stub made meanwhile (Node.handle) relies on.
 func (n *Node) onTagDeath(d localgc.TagDeath) {
-	if n.heap.HasTag(d.Owner, d.Target) {
+	ao, ok := n.activity(d.Owner)
+	if !ok || n.heap.HasTag(d.Owner, d.Target) {
 		return
 	}
-	if ao, ok := n.activity(d.Owner); ok {
-		ao.collector.LostReferenced(d.Target, n.env.cfg.Clock.Now())
+	now := n.env.cfg.Clock.Now()
+	ao.collector.LostReferenced(d.Target, now)
+	if n.heap.HasTag(d.Owner, d.Target) {
+		ao.collector.AddReferenced(d.Target, now)
 	}
 }
 
@@ -794,11 +802,9 @@ func (n *Node) destroy(ao *ActiveObject, reason core.Reason) {
 		return
 	}
 	delete(n.aos, ao.id)
-	if !ao.dummy {
-		// Counted in the critical section that removes the activity, so
-		// whoever sees it gone (WaitCollected, Stats) sees it counted.
-		n.env.noteCollected(reason)
-	}
+	// Counted in the critical section that removes the activity, so
+	// whoever sees it gone (WaitCollected, Stats) sees it counted.
+	n.env.noteCollected(reason)
 	if n.aosPeak >= 256 && len(n.aos) < n.aosPeak/4 {
 		// Go maps keep the buckets of their largest size: rebuild, so a
 		// population peak is not paid for in memory for good.
@@ -830,7 +836,7 @@ func (n *Node) destroy(ao *ActiveObject, reason core.Reason) {
 	// nothing left to recover. Crash/shutdown never reach here, so their
 	// checkpoints survive — that is the durability contract. Forwarders
 	// keep no checkpoint under the old identity (migration deleted it).
-	if ao.kind != "" && !ao.dummy && n.env.cfg.Store != nil && ao.forwardTarget().IsNil() {
+	if ao.kind != "" && n.env.cfg.Store != nil && ao.forwardTarget().IsNil() {
 		_ = n.env.cfg.Store.Delete(ao.id)
 	}
 }

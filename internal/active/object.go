@@ -319,9 +319,6 @@ type ActiveObject struct {
 	id       ids.ActivityID
 	name     string
 	behavior Behavior
-	// dummy marks the referencer stand-in created for non-active code
-	// (§4.1): no activity, never idle, acts as a DGC root.
-	dummy bool
 	// kind is the registered behavior kind the activity was created from;
 	// empty means not migratable (the destination could not re-instantiate
 	// the behavior).
@@ -381,20 +378,17 @@ type stateEntry struct {
 	root localgc.RootID
 }
 
-// newActivity creates (and starts, unless dummy) an activity on the node.
-func (n *Node) newActivity(name string, b Behavior, dummy bool, opts ...SpawnOption) *ActiveObject {
+// newActivity creates an activity on the node; the worker pool serves it
+// once its queue goes non-empty.
+func (n *Node) newActivity(name string, b Behavior, opts ...SpawnOption) *ActiveObject {
 	var so spawnOptions
 	for _, opt := range opts {
 		opt(&so)
-	}
-	if so.policy == nil {
-		so.policy = n.env.cfg.ServicePolicy
 	}
 	ao := &ActiveObject{
 		node:       n,
 		name:       name,
 		behavior:   b,
-		dummy:      dummy,
 		kind:       so.kind,
 		stateRoots: make(map[string]stateEntry),
 		extraRoots: make(map[localgc.RootID]struct{}),
@@ -415,26 +409,27 @@ func (n *Node) newActivity(name string, b Behavior, dummy bool, opts ...SpawnOpt
 	ao.queue = newRequestQueue(&ao.idleFlag, so.policy)
 	// A fresh activity is idle until its first request.
 	ao.idleFlag.Store(true)
-	cfg := core.Config{
-		TTB:           n.env.cfg.TTB,
-		TTA:           n.env.cfg.TTA,
-		Adaptive:      n.env.cfg.Adaptive,
-		MinHeightTree: n.env.cfg.MinHeightTree,
-		OnEvent:       n.env.cfg.OnEvent,
-	}
-	ao.collector = core.New(ao.id, cfg, ao.isIdle, n.env.cfg.Clock.Now())
+	ao.collector = core.New(ao.id, n.dgc, ao.isIdle, n.env.cfg.Clock.Now())
 
 	n.mu.Lock()
 	n.aos[ao.id] = ao
 	n.aosPeak = max(n.aosPeak, len(n.aos))
 	n.mu.Unlock()
-
-	if !dummy {
-		n.env.noteCreated()
-		// No resident goroutine: the activity is served by the node's
-		// worker pool, scheduled when its queue first goes non-empty.
-	}
+	n.env.noteCreated()
 	return ao
+}
+
+// newRoot builds the node's root referencer, the §4.1 stand-in for its
+// non-active code: every Handle on the node is a stub it owns. It is never
+// idle, and its queue is closed from birth, so a request to it fails like
+// one to a terminated activity. It lives outside aos: no count sees it,
+// the driver ticks it every beat and Node.activity resolves it.
+func (n *Node) newRoot() *ActiveObject {
+	root := &ActiveObject{node: n, id: ids.ActivityID{Node: n.id}, name: "root"}
+	root.queue = newRequestQueue(&root.idleFlag, nil)
+	root.queue.closed = true
+	root.collector = core.New(root.id, n.dgc, func() bool { return false }, n.env.cfg.Clock.Now())
+	return root
 }
 
 // ID returns the activity identifier.
@@ -447,22 +442,20 @@ func (ao *ActiveObject) Name() string { return ao.name }
 func (ao *ActiveObject) Collector() *core.Collector { return ao.collector }
 
 // isIdle is the middleware's idleness notion fed to the collector (§4.1):
-// dummy referencer handles and registered activities are permanent roots.
+// registered activities are permanent roots.
 func (ao *ActiveObject) isIdle() bool {
-	if ao.dummy || ao.registered.Load() {
+	if ao.registered.Load() {
 		return false
 	}
 	return ao.idleFlag.Load()
 }
 
 // enqueue delivers a request to the activity, scheduling it on the node's
-// worker pool when the push flips it ready. Dummy activities (referencer
-// stand-ins) hold a queue nothing ever drains — matching the old
-// loop-less behavior — so they are never scheduled.
+// worker pool when the push flips it ready.
 func (ao *ActiveObject) enqueue(item *queuedRequest) {
 	ok, schedule := ao.queue.push(item)
 	if ok {
-		if schedule && !ao.dummy {
+		if schedule {
 			ao.node.pool.schedule(ao)
 		}
 		return
@@ -686,7 +679,7 @@ func (c *Context) ServeNext(policy ServicePolicy) error {
 // The reference is pinned until the end of the current service; Store it
 // to keep it alive longer. Options configure the child (e.g. WithPolicy).
 func (c *Context) Spawn(name string, b Behavior, opts ...SpawnOption) wire.Value {
-	child := c.ao.node.newActivity(name, b, false, opts...)
+	child := c.ao.node.newActivity(name, b, opts...)
 	now := c.ao.node.env.cfg.Clock.Now()
 	c.ao.collector.AddReferenced(child.id, now)
 	_, root := c.ao.node.heap.NewStubRooted(c.ao.id, child.id)

@@ -142,8 +142,8 @@ type spawnOptions struct {
 // Context.Spawn).
 type SpawnOption func(*spawnOptions)
 
-// WithPolicy sets the activity's standing service policy, overriding
-// Config.ServicePolicy. nil (the default) means FIFO.
+// WithPolicy sets the activity's standing service policy. nil (the
+// default) means FIFO.
 func WithPolicy(p ServicePolicy) SpawnOption {
 	return func(o *spawnOptions) { o.policy = p }
 }

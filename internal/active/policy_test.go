@@ -71,7 +71,7 @@ func queueAndDrain(t *testing.T, h *Handle, r *orderRecorder, reqs func(send fun
 	})
 	// Every queued request must be pending before the gate opens, so the
 	// policy ranks the full set.
-	ao, ok := h.dummy.node.activity(mustRef(t, h.Ref()))
+	ao, ok := h.Node().activity(mustRef(t, h.Ref()))
 	if !ok {
 		t.Fatal("activity not found")
 	}
@@ -139,27 +139,6 @@ func TestPolicyPriorityByMethod(t *testing.T) {
 	// urgent first (recorded negated), FIFO within each class.
 	if !eqOrder(got, []int64{-1, -2, 1, 2}) {
 		t.Fatalf("priority served %v", got)
-	}
-}
-
-// TestPolicyConfigDefault: Config.ServicePolicy applies to every activity
-// that does not override it.
-func TestPolicyConfigDefault(t *testing.T) {
-	e := NewEnv(Config{
-		TTB: 10 * time.Millisecond, TTA: 25 * time.Millisecond,
-		ServicePolicy: LIFO(),
-	})
-	t.Cleanup(e.Close)
-	r := newOrderRecorder()
-	h := e.NewNode().NewActive("default-lifo", r.service())
-	defer h.Release()
-	got := queueAndDrain(t, h, r, func(send func(string, int64)) {
-		send("item", 1)
-		send("item", 2)
-		send("item", 3)
-	})
-	if !eqOrder(got, []int64{3, 2, 1}) {
-		t.Fatalf("Config default policy served %v", got)
 	}
 }
 

@@ -53,7 +53,7 @@ type FutureID = ids.FutureID
 type request struct {
 	// Target is the activity being called.
 	Target ids.ActivityID
-	// Sender is the calling activity (an active object or a dummy handle).
+	// Sender is the calling activity (the node root for a Handle's call).
 	Sender ids.ActivityID
 	// Future is where the result should be delivered (zero for one-way).
 	Future FutureID

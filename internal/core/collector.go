@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -230,6 +231,7 @@ type Collector struct {
 	parentDepth uint32         // the parent's distance to the originator
 	referencers map[ids.ActivityID]*referencerState
 	referenced  map[ids.ActivityID]*referencedState
+	refPeak     int // largest len(referenced) since Tick last rebuilt it
 	lastMessage time.Time
 	status      Status
 	reason      Reason
@@ -238,7 +240,7 @@ type Collector struct {
 
 // New creates a collector for activity id. idle reports the middleware's
 // local idleness notion (§3, "provided by the middleware"); permanent roots
-// — registered activities and dummy referencer handles (§4.1) — simply
+// — registered activities and each node's root referencer (§4.1) — simply
 // always report false. now is the creation time; the TTA silence timer
 // starts from it.
 func New(id ids.ActivityID, cfg Config, idle func() bool, now time.Time) *Collector {
@@ -316,6 +318,7 @@ func (c *Collector) AddReferenced(target ids.ActivityID, now time.Time) {
 	d, ok := c.referenced[target]
 	if !ok {
 		c.referenced[target] = &referencedState{}
+		c.refPeak = max(c.refPeak, len(c.referenced))
 		c.emit(Event{Time: now, Kind: EventReferencedAdded, Peer: target})
 		return
 	}
@@ -525,6 +528,14 @@ func (c *Collector) Tick(now time.Time) TickResult {
 			c.emit(Event{Time: now, Kind: EventReferencedLost, Peer: dest})
 			c.advanceClockLocked(now)
 		}
+	}
+	if c.refPeak >= 256 && len(c.referenced) < c.refPeak/4 {
+		// Go maps keep the buckets of their largest size: rebuild, so a
+		// peak (a node root's is about one beat of handle releases) is
+		// not paid for in memory for good.
+		live := make(map[ids.ActivityID]*referencedState, len(c.referenced))
+		maps.Copy(live, c.referenced)
+		c.referenced, c.refPeak = live, len(live)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].To.Less(out[j].To) })
 	return TickResult{Messages: out, NextBeat: c.nextBeatLocked(idle)}

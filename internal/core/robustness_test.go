@@ -179,3 +179,26 @@ func TestMessagesSortedByDestination(t *testing.T) {
 		}
 	}
 }
+
+// TestReferencedMapRebuiltAfterPeak: once a collector's referenced set
+// falls under a quarter of its peak, the next Tick rebuilds the map, and
+// the edges left keep beating.
+func TestReferencedMapRebuiltAfterPeak(t *testing.T) {
+	c, now := newIdleCollector(t)
+	for seq := uint32(1); seq <= 1000; seq++ {
+		c.AddReferenced(ids.ActivityID{Node: 2, Seq: seq}, now)
+	}
+	c.Tick(now) // the mandatory first sends
+	for seq := uint32(11); seq <= 1000; seq++ {
+		c.LostReferenced(ids.ActivityID{Node: 2, Seq: seq}, now)
+	}
+	if c.refPeak != 1000 {
+		t.Fatalf("peak before the rebuild = %d, want 1000", c.refPeak)
+	}
+	if res := c.Tick(now); len(res.Messages) != 10 {
+		t.Fatalf("messages after the drop = %d, want 10", len(res.Messages))
+	}
+	if c.refPeak != 10 || len(c.Referenced()) != 10 {
+		t.Fatalf("after the rebuild: peak %d, referenced %d; want 10 and 10", c.refPeak, len(c.Referenced()))
+	}
+}

@@ -28,7 +28,8 @@ type ActivityID struct {
 	// Node is the process on which the activity was created. Activities do
 	// not migrate in this model, so Node is also where the activity lives.
 	Node NodeID
-	// Seq is the per-node creation sequence number, starting at 1.
+	// Seq is the per-node creation sequence number, starting at 1. Seq
+	// 0 names the node's root referencer, the owner of its handles.
 	Seq uint32
 }
 

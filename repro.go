@@ -40,7 +40,7 @@
 // remote failures) to every forwarding hop and flattens future-of-future
 // chains. The serve loop is policy-driven: FIFO (default), LIFO,
 // PriorityByMethod and ServeOldest select which pending request an
-// activity serves next (Config.ServicePolicy, WithPolicy), and
+// activity serves next (WithPolicy, or RegisterBehavior's options), and
 // Context.ServeNext serves selectively mid-service.
 //
 // The dynamic substrate remains available: a Behavior serves raw
@@ -304,8 +304,8 @@ func FutureFor[Resp any](ctx *Context, v Value) (*TypedFuture[Resp], error) {
 func Typed[Resp any](fut *Future) *TypedFuture[Resp] { return active.Typed[Resp](fut) }
 
 // Service policies: the request-selection disciplines of the serve loop
-// (paper §5–§6 serve primitives). Configure per environment via
-// Config.ServicePolicy, per activity via WithPolicy, or serve selectively
+// (paper §5–§6 serve primitives). Configure per activity via WithPolicy
+// (per kind through RegisterBehavior's options), or serve selectively
 // mid-service with Context.ServeNext.
 
 // FIFO returns the default arrival-order policy.
