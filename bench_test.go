@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -628,6 +629,44 @@ func BenchmarkGroupBroadcast(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(members), "fanout")
+}
+
+// BenchmarkHandleParallel measures handle churn from many goroutines on
+// one node with the DGC running: each iteration makes a handle to one of
+// 16 actors on a second node, calls it and releases it. Every handle
+// stub and every pinned reply of one node has the same owner, the node's
+// root referencer, so this is the run that shows contention on that
+// owner's heap shard and collector.
+func BenchmarkHandleParallel(b *testing.B) {
+	env := repro.NewEnv(repro.Config{TTB: 20 * time.Millisecond, TTA: 100 * time.Millisecond})
+	b.Cleanup(env.Close)
+	caller, callee := env.NewNode(), env.NewNode()
+	refs := make([]repro.Value, 16)
+	for i := range refs {
+		h := callee.NewActive(fmt.Sprintf("p-%d", i), repro.BehaviorFunc(
+			func(ctx *repro.Context, method string, args repro.Value) (repro.Value, error) {
+				return ctx.Self(), nil
+			}))
+		defer h.Release()
+		refs[i] = h.Ref()
+	}
+	var next atomic.Uint32
+	b.ReportAllocs()
+	b.SetParallelism(4)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		ref := refs[next.Add(1)%uint32(len(refs))]
+		for pb.Next() {
+			hc, err := caller.HandleFor(ref)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := hc.CallSync("self", repro.Null(), 30*time.Second); err != nil {
+				b.Fatal(err)
+			}
+			hc.Release()
+		}
+	})
 }
 
 // benchCrossNodeCall measures a synchronous typed round-trip where the

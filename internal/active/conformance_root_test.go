@@ -5,6 +5,7 @@ package active
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,55 +163,99 @@ func TestConformanceReleaseWithCallInFlight(t *testing.T) {
 	}
 }
 
-// TestConformanceTagDeathRacesHandleFor: a handle made while the tag
-// death of an older handle to the same target is being delivered keeps
-// its edge. The clock gate makes the new handle between the death's tag
-// check and its edge removal; the removal must find the new stub and put
-// the edge back, or the root stops beating the target, which is then
-// collected under a live handle.
-func TestConformanceTagDeathRacesHandleFor(t *testing.T) {
+// TestConformanceTagDeathRaces: the node root owns every handle stub
+// and every pinned handle reply, so a new stub for T can appear while
+// the tag death of the root's last older stub to T is being delivered.
+// The new stub must keep the root's edge to T, or the root stops beating
+// T, which is then collected under a live reference. Each case holds one
+// interleaving with the clock gate:
+//   - "handle inside death", "reply inside death": a HandleFor, or a
+//     reply carrying T to a pending call of the root, runs between the
+//     death's tag check and its edge removal (the gate is the death's
+//     clock read). Both fail if the death does not re-check the tag
+//     after removing the edge.
+//   - "death inside reply": the whole tag death runs while the reply is
+//     being bound (the gate is the clock read of the subscription that a
+//     future nested in the reply sends; only simnet reads the clock on a
+//     send, so this case runs on simnet alone). It fails if the reply
+//     adds its edge before it pins the value: the death then finds no
+//     tag on either check and removes the edge, and the pin made after
+//     it holds T with no edge behind it.
+func TestConformanceTagDeathRaces(t *testing.T) {
 	for _, s := range substrates {
-		s := s
-		t.Run(s.name, func(t *testing.T) {
-			t.Parallel()
-			clock := &stepClock{hookOn: "onTagDeath"}
-			cfg := s.cfg(t)
-			cfg.TTB, cfg.TTA, cfg.Clock = time.Hour, 0, clock
-			e := NewEnv(cfg)
-			t.Cleanup(e.Close)
-			n1, n2 := e.NewNode(), e.NewNode()
-			h := n2.NewActive("target", relay{})
-			old, err := n1.HandleFor(h.Ref())
-			if err != nil {
-				t.Fatal(err)
+		for _, c := range []struct{ name, hookOn string }{
+			{"handle inside death", "onTagDeath"},
+			{"reply inside death", "onTagDeath"},
+			{"death inside reply", "adoptFutures"},
+		} {
+			s, c := s, c
+			if c.hookOn == "adoptFutures" && s.name != "simnet" {
+				continue
 			}
-			h.Release()
-			old.Release()
-
-			var fresh *Handle
-			gate := func() {
-				if fresh, err = n1.HandleFor(h.Ref()); err != nil {
-					t.Error(err)
+			t.Run(s.name+"/"+c.name, func(t *testing.T) {
+				t.Parallel()
+				clock := &stepClock{hookOn: c.hookOn}
+				cfg := s.cfg(t)
+				cfg.TTB, cfg.TTA, cfg.Clock = time.Hour, 0, clock
+				e := NewEnv(cfg)
+				t.Cleanup(e.Close)
+				n1, n2 := e.NewNode(), e.NewNode()
+				h := n2.NewActive("target", relay{})
+				old, err := n1.HandleFor(h.Ref())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			clock.hook.Store(&gate)
-			n1.Heap().Collect()
-			if fresh == nil {
-				t.Fatal("no tag death ran the gate: the scenario did not set up the race")
-			}
-			defer fresh.Release()
+				h.Release()
+				old.Release()
 
-			// Beat by hand across more than two TTAs: the target hears
-			// only from n1's root, and only while the edge stands.
-			for beat := 0; beat < 6; beat++ {
-				clock.offset.Add(int64(time.Hour))
-				for _, n := range []*Node{n1, n2} {
-					n.CollectNow()
+				// A pending call of the root, as Handle.Call makes, whose
+				// reply carries T and a future unknown to n1 (adopting it
+				// subscribes at n2, its home).
+				fut := n1.futures.create(n1, n1.root.id)
+				defer fut.Discard()
+				reply := wire.List(h.Ref(), wire.FutureVal(wire.FutureRef{
+					ID:    FutureID{Node: n2.ID(), Seq: 1 << 30},
+					Owner: ids.ActivityID{Node: n2.ID(), Seq: 1 << 30},
+				}))
+				deliver := func() { n1.deliverLocalFutureUpdate(futureUpdate{Future: fut.ID(), Value: reply}) }
+				sweep := func() { n1.Heap().Collect() }
+				gate, trigger := deliver, sweep
+				switch c.name {
+				case "handle inside death":
+					gate = func() {
+						fresh, err := n1.HandleFor(h.Ref())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						t.Cleanup(fresh.Release)
+					}
+				case "death inside reply":
+					gate, trigger = sweep, deliver
 				}
-			}
-			if v, err := fresh.CallSync("ping", wire.Null(), 5*time.Second); err != nil || v.AsInt() != 1 {
-				t.Fatalf("call through the handle made during the tag death = %v, %v", v, err)
-			}
-		})
+				ran := false
+				hooked := func() { ran = true; gate() }
+				clock.hook.Store(&hooked)
+				trigger()
+				if !ran {
+					t.Fatal("the gate never ran: the scenario did not set up the race")
+				}
+
+				// Beat by hand across more than two TTAs: T hears only
+				// from n1's root, and only while the edge stands.
+				for beat := 0; beat < 6; beat++ {
+					clock.offset.Add(int64(time.Hour))
+					for _, n := range []*Node{n1, n2} {
+						n.CollectNow()
+					}
+				}
+				if got := n2.LiveActivities(); got != 1 {
+					t.Fatalf("n2 live activities = %d, want 1: T was collected under a live reference", got)
+				}
+				if got := n1.root.collector.Referenced(); !slices.Contains(got, h.target) {
+					t.Fatalf("root references %v, want %v among them", got, h.target)
+				}
+			})
+		}
 	}
 }

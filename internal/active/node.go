@@ -183,7 +183,8 @@ func (n *Node) snapshotActivities() []*ActiveObject {
 // stub for target — remove the reference-graph edge (§2.2). A guard
 // against the re-intern race: if a fresh tag exists again, the edge was
 // re-created concurrently and must stay. The second check restores an
-// edge removed here that a stub made meanwhile (Node.handle) relies on.
+// edge removed here that a stub made meanwhile relies on: stubs and pins
+// are made before their edges, so one of the two checks sees them.
 func (n *Node) onTagDeath(d localgc.TagDeath) {
 	ao, ok := n.activity(d.Owner)
 	if !ok || n.heap.HasTag(d.Owner, d.Target) {
@@ -575,14 +576,15 @@ func (n *Node) bindValueToFuture(f *Future, value wire.Value, subscribeNew bool)
 	now := n.env.cfg.Clock.Now()
 	roots := make([]localgc.RootID, 0, len(consumers))
 	for _, ao := range consumers {
+		// One pin — and thus one tag set — per consuming activity, made
+		// before its edges (see onTagDeath): every edge then has a tag
+		// whose death can remove it again.
+		_, root := n.heap.InternRooted(ao.id, value)
+		roots = append(roots, root)
 		for _, t := range refs {
 			ao.collector.AddReferenced(t, now)
 		}
 		n.adoptFutures(value, ao.id, subscribeNew)
-		// One pin — and thus one tag set — per consuming activity: every
-		// edge added above has a tag whose death can remove it again.
-		_, root := n.heap.InternRooted(ao.id, value)
-		roots = append(roots, root)
 	}
 	f.resolve(value, roots, nil)
 }
@@ -652,12 +654,12 @@ func (n *Node) resolveChainedFuture(c *Future, val wire.Value, err error) {
 	now := n.env.cfg.Clock.Now()
 	roots := make([]localgc.RootID, 0, len(consumers))
 	for _, ao := range consumers {
+		_, root := n.heap.InternRooted(ao.id, value)
+		roots = append(roots, root)
 		for _, t := range refs {
 			ao.collector.AddReferenced(t, now)
 		}
 		n.adoptFutures(value, ao.id, false)
-		_, root := n.heap.InternRooted(ao.id, value)
-		roots = append(roots, root)
 	}
 	c.resolveFromChain(value, roots, nil)
 }
