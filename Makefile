@@ -42,6 +42,15 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# Non-test Go lines (the GoFiles of every package, as go list sees them)
+# for the module, internal/active and internal/wire: the size a
+# simplicity change is measured by.
+.PHONY: loc
+loc:
+	@for p in ./... ./internal/active ./internal/wire; do \
+		printf '%-18s %s\n' "$$p" "$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' $$p | xargs cat | wc -l)"; \
+	done
+
 # Per-package timings + coverage summary from one full suite run. CI's
 # verify job runs this and uploads test-report.txt as an artifact; the
 # pipe stays a gate because cmd/testreport exits nonzero on any failed

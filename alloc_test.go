@@ -98,7 +98,8 @@ type payloadReq struct {
 // §2, "Payload ownership") in allocated bytes: a typed call carrying a
 // 4 KiB []byte allocates fewer than copies+1 payloads' worth per round
 // trip — copies = 2 across nodes (the request's encoding, the receiver's
-// copy out of the transport buffer), 1 within a node (the deep copy).
+// copy out of the transport buffer), 1 within a node (the request's
+// encoding, which the receiver takes over).
 // The rest of the call's bill is well under one payload.
 func TestAllocBytesPayloadCopies(t *testing.T) {
 	const size = 4096

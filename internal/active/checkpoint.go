@@ -130,19 +130,7 @@ func (n *Node) checkpointNow(ao *ActiveObject) error {
 // ServeNext selection from inside a running service is refused, because
 // the outer service is mid-mutation.
 func (ao *ActiveObject) serveCheckpoint(item *queuedRequest, nested bool) bool {
-	reply := func(v wire.Value, err error) {
-		if item.req.Future.IsZero() {
-			return
-		}
-		u := futureUpdate{Future: item.req.Future}
-		if err != nil {
-			u.Failed = true
-			u.Err = err.Error()
-		} else {
-			u.Value = v
-		}
-		ao.node.replyTo(item.req, u)
-	}
+	reply := func(v wire.Value, err error) { ao.node.reply(item.req, v, err) }
 	defer ao.node.heap.RemoveRoot(item.argsRoot)
 	if nested {
 		reply(wire.Null(), fmt.Errorf("%w: checkpoint refused mid-service (ServeNext)", ErrNotDurable))

@@ -7,6 +7,8 @@ package active
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 
@@ -159,7 +161,9 @@ func TestOwnershipServantKeepsPayload(t *testing.T) {
 
 // TestOwnershipFutureConsumers: two consumers of one future value that
 // carries bytes each get their own; a write through one reaches neither
-// the other nor the untyped view.
+// the other nor the untyped view. Then bind parity: a payload carrying a
+// Ref and a future homed on a third node leaves its recipient holding
+// the same on every substrate (bindParity).
 func TestOwnershipFutureConsumers(t *testing.T) {
 	ownershipEnvs(t, func(t *testing.T, e *Env, local bool) {
 		want := pattern(4096)
@@ -190,7 +194,81 @@ func TestOwnershipFutureConsumers(t *testing.T) {
 		if err != nil || !bytes.Equal(raw.Get("payload").AsBytes(), want) {
 			t.Fatalf("untyped consumer: %v; its bytes changed with the first's", err)
 		}
+		bindParity(t, e, local)
 	})
+}
+
+// bindView is what a delivered payload left its recipient holding.
+type bindView struct {
+	referenced []ids.ActivityID // the recipient's collector edges
+	pins       int              // heap roots the delivery added on its node
+	adopted    bool             // the future's entry there is a proxy held by the recipient
+}
+
+// bindParity delivers list(list(Ref T, future F)), F homed on a third
+// node and owned by O, once as a request and once as a reply, intra- or
+// cross-node. Either way the recipient — the servant, then the caller's
+// root — must end with edges to T and O (beside the root's handle edge),
+// one pin, F adopted for it, and F's home holding the recipient's node as
+// its one registered holder: the one bind site serves every substrate.
+func bindParity(t *testing.T, e *Env, local bool) {
+	third := e.NewNode()
+	tgt, owner := third.NewActive("T", relay{}), third.NewActive("O", relay{})
+	t.Cleanup(tgt.Release)
+	t.Cleanup(owner.Release)
+	tID, oID := mustRef(t, tgt.Ref()), mustRef(t, owner.Ref())
+	reqF, repF := third.futures.create(third, oID), third.futures.create(third, oID)
+	payload := func(f *Future) wire.Value {
+		return wire.List(wire.List(tgt.Ref(), wire.FutureVal(wire.FutureRef{ID: f.ID(), Owner: oID})))
+	}
+	byID := func(a, b ids.ActivityID) int { return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Seq, b.Seq)) }
+	view := func(ao *ActiveObject, f *Future, rootsBefore int) bindView {
+		ref := ao.collector.Referenced()
+		slices.SortFunc(ref, byID)
+		entry, ok := ao.node.futures.lookup(f.ID())
+		adopted := ok && entry.proxy && slices.Contains(entry.localHolderSnapshot(), ao.id)
+		return bindView{referenced: ref, pins: ao.node.heap.NumRoots() - rootsBefore, adopted: adopted}
+	}
+	check := func(what string, got bindView, want []ids.ActivityID, home *Future, recipient ids.NodeID) {
+		t.Helper()
+		slices.SortFunc(want, byID)
+		if !slices.Equal(got.referenced, want) || got.pins != 1 || !got.adopted {
+			t.Errorf("%s: recipient holds %+v; want edges %v, 1 pin, the future adopted", what, got, want)
+		}
+		waitUntil(t, func() bool {
+			home.mu.Lock()
+			defer home.mu.Unlock()
+			return slices.Equal(home.holders, []ids.NodeID{recipient})
+		}, 10*time.Second)
+	}
+
+	views := make(chan bindView, 1)
+	var rootsBefore int
+	svc := NewService(
+		Method("take", func(ctx *Context, _ wire.Value) (bool, error) {
+			views <- view(ctx.ao, reqF, rootsBefore)
+			return true, nil
+		}),
+		Method("give", func(*Context, bool) (wire.Value, error) { return payload(repF), nil }))
+	take, servant := ownershipServant[wire.Value, bool](t, e, local, "take", svc)
+	rootsBefore = servant.node.heap.NumRoots()
+	if _, err := take.CallSync(payload(reqF), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check("request", <-views, []ids.ActivityID{tID, oID}, reqF, servant.node.id)
+
+	give := NewStub[bool, wire.Value](take.Handle(), "give")
+	caller := take.Handle().node
+	rootsBefore = caller.heap.NumRoots()
+	fut, err := give.Call(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fut.Done()
+	check("reply", view(caller.root, repF, rootsBefore), []ids.ActivityID{servant.id, tID, oID}, repF, caller.id)
+	if _, err := fut.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestOwnershipDirectoryRelay: a call to an identity its node does not

@@ -174,23 +174,30 @@ func TestConformanceReleaseWithCallInFlight(t *testing.T) {
 //     death's tag check and its edge removal (the gate is the death's
 //     clock read). Both fail if the death does not re-check the tag
 //     after removing the edge.
-//   - "death inside reply": the whole tag death runs while the reply is
-//     being bound (the gate is the clock read of the subscription that a
-//     future nested in the reply sends; only simnet reads the clock on a
-//     send, so this case runs on simnet alone). It fails if the reply
-//     adds its edge before it pins the value: the death then finds no
-//     tag on either check and removes the edge, and the pin made after
-//     it holds T with no edge behind it.
+//   - "death inside reply", "death inside request delivery": the whole
+//     tag death runs while the reply, or a request carrying T to an
+//     activity R of n1 whose older stub to T is dying, is being bound.
+//     On simnet the gate is the clock read of the subscription that a
+//     future nested in the payload sends, after the edges; it fails if
+//     the bind adds its edge before it pins the value: the death then
+//     finds no tag on either check and removes the edge, and the pin
+//     made after it holds T with no edge behind it. Only simnet reads
+//     the clock on a send, so elsewhere the gate is the clock read of
+//     the edges, after the pin.
+//
+// Every delivery takes the one path a payload sent from this node takes:
+// sendFutureUpdate for the reply, a handle's call for the request.
 func TestConformanceTagDeathRaces(t *testing.T) {
 	for _, s := range substrates {
 		for _, c := range []struct{ name, hookOn string }{
 			{"handle inside death", "onTagDeath"},
 			{"reply inside death", "onTagDeath"},
 			{"death inside reply", "adoptFutures"},
+			{"death inside request delivery", "adoptFutures"},
 		} {
 			s, c := s, c
 			if c.hookOn == "adoptFutures" && s.name != "simnet" {
-				continue
+				c.hookOn = "hold"
 			}
 			t.Run(s.name+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
@@ -217,10 +224,32 @@ func TestConformanceTagDeathRaces(t *testing.T) {
 					ID:    FutureID{Node: n2.ID(), Seq: 1 << 30},
 					Owner: ids.ActivityID{Node: n2.ID(), Seq: 1 << 30},
 				}))
-				deliver := func() { n1.deliverLocalFutureUpdate(futureUpdate{Future: fut.ID(), Value: reply}) }
+				deliver := func() {
+					n1.sendFutureUpdate(fut.ID(), encodeFutureUpdate(futureUpdate{Future: fut.ID(), Value: reply}))
+				}
 				sweep := func() { n1.Heap().Collect() }
+				holder := n1.root // the activity that must keep its edge to T
 				gate, trigger := deliver, sweep
 				switch c.name {
+				case "death inside request delivery":
+					// R serves the request until the test ends, so its
+					// args pin, and with it T, is held throughout.
+					release := make(chan struct{})
+					t.Cleanup(func() { close(release) })
+					hr := n1.NewActive("holder", BehaviorFunc(func(*Context, string, wire.Value) (wire.Value, error) {
+						<-release
+						return wire.Null(), nil
+					}))
+					t.Cleanup(hr.Release)
+					holder, _ = n1.activity(mustRef(t, hr.Ref()))
+					_, stub := n1.heap.NewStubRooted(holder.id, h.target)
+					holder.collector.AddReferenced(h.target, clock.Now())
+					n1.heap.RemoveRoot(stub)
+					gate, trigger = sweep, func() {
+						if err := hr.Send("hold", reply); err != nil {
+							t.Error(err)
+						}
+					}
 				case "handle inside death":
 					gate = func() {
 						fresh, err := n1.HandleFor(h.Ref())
@@ -252,8 +281,8 @@ func TestConformanceTagDeathRaces(t *testing.T) {
 				if got := n2.LiveActivities(); got != 1 {
 					t.Fatalf("n2 live activities = %d, want 1: T was collected under a live reference", got)
 				}
-				if got := n1.root.collector.Referenced(); !slices.Contains(got, h.target) {
-					t.Fatalf("root references %v, want %v among them", got, h.target)
+				if got := holder.collector.Referenced(); !slices.Contains(got, h.target) {
+					t.Fatalf("%s references %v, want %v among them", holder.name, got, h.target)
 				}
 			})
 		}

@@ -224,26 +224,24 @@ func (n *Node) newRelay(parent ids.NodeID, parentKey uint64, root ids.NodeID, pe
 // delivery: buffered on the record and flushed upward once the subtree
 // is complete. Reports false when the record is gone — the caller then
 // replies directly (the fallback that makes aggregation lossless).
-func (n *Node) aggEnqueue(key uint64, u futureUpdate) bool {
+func (n *Node) aggEnqueue(key uint64, fid FutureID, payload []byte) bool {
 	n.relayMu.Lock()
 	rec, ok := n.relays[key]
 	if !ok {
 		n.relayMu.Unlock()
 		return false
 	}
-	delete(rec.pending, u.Future)
-	rec.buf = append(rec.buf, encodeFutureUpdate(u))
+	delete(rec.pending, fid)
+	rec.buf = append(rec.buf, payload)
 	done := len(rec.pending) == 0
 	if done {
 		delete(n.relays, key)
 	}
 	n.relayMu.Unlock()
-	if !u.Failed {
-		// The aggregate rides node-to-node, but holder registration for
-		// futures inside the value is the producing node's job, exactly
-		// as on the direct-reply path.
-		n.noteFutureValuesSent(rec.root, u.Value)
-	}
+	// The aggregate rides node-to-node, but holder registration for
+	// futures inside the value is the producing node's job, exactly as on
+	// the direct-reply path.
+	n.noteFutureValuesSent(rec.root, updateValue(payload))
 	if done {
 		n.flushRelay(rec)
 	}
@@ -314,7 +312,7 @@ type aggShipment struct {
 func (n *Node) deliverUpdatesToRoot(root ids.NodeID, updates [][]byte) {
 	for _, u := range updates {
 		if root == n.id {
-			n.deliverFutureUpdate(u)
+			n.deliverFutureUpdate(u, false)
 			continue
 		}
 		_ = n.transportSend(root, transport.ClassFuture, u, true)
@@ -416,7 +414,7 @@ func (n *Node) deliverFanOut(from ids.NodeID, payload []byte) {
 				Future: en.Future,
 				Method: e.Method,
 				Via:    key,
-			}, args)
+			}, args, false)
 		}
 	}
 }
@@ -441,23 +439,34 @@ func (n *Node) forwardFanOut(e fanOutEnv, rest []fanBundle, key uint64) {
 		}
 		for _, b := range group {
 			for _, en := range b.Entries {
-				if !en.Future.IsZero() {
-					n.replyTo(request{Future: en.Future, Via: key},
-						futureUpdate{Future: en.Future, Failed: true, Err: err.Error()})
-				}
+				n.reply(request{Future: en.Future, Via: key}, wire.Null(), err)
 			}
 		}
 	}
 }
 
-// replyTo routes a request's reply: into the relay record for tree
-// fan-out deliveries (Via), directly to the future's home otherwise —
-// including the fallback when the record has already expired.
-func (n *Node) replyTo(req request, u futureUpdate) {
-	if req.Via != 0 && n.aggEnqueue(req.Via, u) {
+// replyTo routes a request's reply, a future-update envelope it
+// consumes: into the relay record for tree fan-out deliveries (Via),
+// directly to the future's home otherwise — including the fallback when
+// the record has already expired.
+func (n *Node) replyTo(req request, payload []byte) {
+	if req.Via != 0 && n.aggEnqueue(req.Via, req.Future, payload) {
 		return
 	}
-	n.sendFutureUpdate(req.Future, u)
+	n.sendFutureUpdate(req.Future, payload)
+}
+
+// reply answers req with v, or with err's failure when err is set; a
+// one-way request gets nothing.
+func (n *Node) reply(req request, v wire.Value, err error) {
+	if req.Future.IsZero() {
+		return
+	}
+	u := futureUpdate{Future: req.Future, Value: v}
+	if err != nil {
+		u = futureUpdate{Future: req.Future, Failed: true, Err: err.Error()}
+	}
+	n.replyTo(req, encodeFutureUpdate(u))
 }
 
 // expireRelays runs the relay upkeep each driver beat: buffered replies

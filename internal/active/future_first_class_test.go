@@ -124,7 +124,7 @@ func TestForwardedFutureFlattening(t *testing.T) {
 }
 
 // TestForwardedFutureLocalHop: forwarding a future between two activities
-// on the same node takes the DeepCopy fast path; the receiving activity
+// on the same node takes the intra-node delivery; the receiving activity
 // lifts and waits on the home entry directly.
 func TestForwardedFutureLocalHop(t *testing.T) {
 	e := testEnv(t)

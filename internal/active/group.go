@@ -1,6 +1,7 @@
 package active
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -30,6 +31,7 @@ var (
 type Group[Req, Resp any] struct {
 	method   string
 	members  []*Handle
+	req      wire.Codec[Req]
 	released atomic.Bool
 }
 
@@ -37,9 +39,8 @@ type Group[Req, Resp any] struct {
 // ownership of the handles: Group.Release releases them all.
 func NewGroup[Req, Resp any](method string, members ...*Handle) *Group[Req, Resp] {
 	// Group construction registers the cached codec plans, like NewStub.
-	wire.RegisterType(*new(Req))
 	wire.RegisterType(*new(Resp))
-	return &Group[Req, Resp]{method: method, members: members}
+	return &Group[Req, Resp]{method: method, members: members, req: wire.CodecFor[Req]()}
 }
 
 // Size returns the number of members.
@@ -61,11 +62,11 @@ func (g *Group[Req, Resp]) Broadcast(req Req, opts ...CallOption) (*FutureGroup[
 	if len(g.members) == 0 {
 		return nil, ErrEmptyGroup
 	}
-	args, err := wire.Marshal(req)
+	args, err := g.encode(req)
 	if err != nil {
 		return nil, err
 	}
-	return g.fanOut(func(int) wire.Value { return args }, true, opts)
+	return g.fanOut(func(int) []byte { return args }, true, opts)
 }
 
 // Scatter sends reqs[i] to member i; len(reqs) must equal Size.
@@ -76,15 +77,15 @@ func (g *Group[Req, Resp]) Scatter(reqs []Req, opts ...CallOption) (*FutureGroup
 	if len(reqs) != len(g.members) {
 		return nil, fmt.Errorf("%w: %d requests for %d members", ErrGroupArity, len(reqs), len(g.members))
 	}
-	argsPer := make([]wire.Value, len(reqs))
+	argsPer := make([][]byte, len(reqs))
 	for i, req := range reqs {
-		args, err := wire.Marshal(req)
+		args, err := g.encode(req)
 		if err != nil {
 			return nil, fmt.Errorf("member %d: %w", i, err)
 		}
 		argsPer[i] = args
 	}
-	return g.fanOut(func(i int) wire.Value { return argsPer[i] }, false, opts)
+	return g.fanOut(func(i int) []byte { return argsPer[i] }, false, opts)
 }
 
 // Send broadcasts a one-way request to every member (the fan-out path
@@ -94,25 +95,33 @@ func (g *Group[Req, Resp]) Send(req Req) error {
 	if len(g.members) == 0 {
 		return ErrEmptyGroup
 	}
-	args, err := wire.Marshal(req)
+	args, err := g.encode(req)
 	if err != nil {
 		return err
 	}
-	_, err = g.fanOut(func(int) wire.Value { return args }, true, []CallOption{WithNoReply()})
+	_, err = g.fanOut(func(int) []byte { return args }, true, []CallOption{WithNoReply()})
 	return err
 }
 
+// encode encodes one request's args behind the room of the group
+// method's request header (sendRequest).
+func (g *Group[Req, Resp]) encode(req Req) ([]byte, error) {
+	return g.req.EncodeAfter(requestRoom(g.method), req)
+}
+
 // fanOut submits one request per member and collects the typed futures.
-// sharedArgs marks a broadcast: every member receives the same value,
-// encoded once per envelope. Members hosted on their handle's own node
-// skip the codec entirely (deliverLocalRequest); every other member rides
+// argsFor returns a member's encoded args behind the room of the
+// method's header (encode). sharedArgs marks a broadcast: every member
+// receives the same value, encoded once per envelope, and a member sent
+// from this node gets its own copy. Members hosted on their handle's own
+// node are delivered there (deliverEncoded); every other member rides
 // its anchor node's relay tree (WIRE.md §10). A group over at most
 // fanOutDegree remote nodes is a depth-1 tree — one envelope per
 // destination node, replies straight back per member — and a wider one
 // costs the root O(fanOutDegree) envelopes and aggregated replies,
 // however large the group. An envelope the transport refuses fails the
 // whole call with the transport's error, as a single call's send does.
-func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool, opts []CallOption) (*FutureGroup[Resp], error) {
+func (g *Group[Req, Resp]) fanOut(argsFor func(int) []byte, sharedArgs bool, opts []CallOption) (*FutureGroup[Resp], error) {
 	o := applyOptions(opts)
 	futs := make([]*TypedFuture[Resp], len(g.members))
 	abort := func(i int, err error) (*FutureGroup[Resp], error) {
@@ -140,7 +149,7 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 		node := h.node
 		// A cached migration skips the forwarder, as on sendRequest's path.
 		target := node.resolveRebind(h.target)
-		req := request{Target: target, Sender: node.root.id, Method: g.method, Args: argsFor(i)}
+		req := request{Target: target, Sender: node.root.id, Method: g.method}
 		if o.noReply {
 			futs[i] = &TypedFuture[Resp]{}
 		} else {
@@ -149,12 +158,15 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 			futs[i] = &TypedFuture[Resp]{fut: fut, timeout: o.timeout}
 		}
 		switch {
-		case target.Node == node.id:
-			node.deliverLocalRequest(req)
-		case node.env.isDeadNode(target.Node):
-			// sendRequest owns the dead-home fallbacks: location knowledge,
-			// then the directory shard, then the ErrNodeDead fail-fast.
-			if err := node.sendRequest(req); err != nil {
+		case target.Node == node.id, node.env.isDeadNode(target.Node):
+			// sendRequest delivers a local member and owns the dead-home
+			// fallbacks: location knowledge, then the directory shard,
+			// then the ErrNodeDead fail-fast.
+			enc := argsFor(i)
+			if sharedArgs {
+				enc = bytes.Clone(enc)
+			}
+			if err := node.sendRequest(req, enc); err != nil {
 				return abort(i, err)
 			}
 		default:
@@ -170,7 +182,7 @@ func (g *Group[Req, Resp]) fanOut(argsFor func(int) wire.Value, sharedArgs bool,
 				}
 				trees[node] = t
 			}
-			t.add(i, req, sharedArgs, futs[i].fut)
+			t.add(i, req, argsFor(i)[requestRoom(g.method):], sharedArgs, futs[i].fut)
 		}
 	}
 	for _, t := range trees {
@@ -198,7 +210,8 @@ type groupTreeMember struct {
 	dst ids.NodeID
 }
 
-func (t *groupTree) add(i int, req request, sharedArgs bool, fut *Future) {
+// add bundles one member; args are its encoded args (no header room).
+func (t *groupTree) add(i int, req request, args []byte, sharedArgs bool, fut *Future) {
 	dst := req.Target.Node
 	bi, ok := t.dstIdx[dst]
 	if !ok {
@@ -207,10 +220,10 @@ func (t *groupTree) add(i int, req request, sharedArgs bool, fut *Future) {
 		t.bundles = append(t.bundles, fanBundle{Dst: dst})
 	}
 	en := fanEntry{Target: req.Target, Sender: req.Sender, Future: req.Future}
-	if !sharedArgs {
-		en.Args = wire.Encode(nil, req.Args)
-	} else if t.shared == nil {
-		t.shared = wire.Encode(nil, req.Args)
+	if sharedArgs {
+		t.shared = args
+	} else {
+		en.Args = args
 	}
 	t.bundles[bi].Entries = append(t.bundles[bi].Entries, en)
 	t.members = append(t.members, groupTreeMember{i: i, fut: fut, dst: dst})
@@ -224,7 +237,7 @@ func (t *groupTree) add(i int, req request, sharedArgs bool, fut *Future) {
 // hanging the waiter — and its destination node as holder of any futures
 // forwarded in the arguments. On a refusal send returns the transport's
 // error and the index of the first member left unsent.
-func (t *groupTree) send(method string, sharedArgs, urgent bool, argsFor func(int) wire.Value) (int, error) {
+func (t *groupTree) send(method string, sharedArgs, urgent bool, argsFor func(int) []byte) (int, error) {
 	n := t.node
 	relayOf := make(map[ids.NodeID]ids.NodeID, len(t.bundles))
 	var sendErr error
@@ -255,7 +268,7 @@ func (t *groupTree) send(method string, sharedArgs, urgent bool, argsFor func(in
 		if m.fut != nil && n.env.cluster != nil {
 			m.fut.awaitNode.Store(uint32(relay))
 		}
-		n.noteFutureValuesSent(m.dst, argsFor(m.i))
+		n.noteFutureValuesSent(m.dst, argsFor(m.i)[requestRoom(method):])
 	}
 	return unsent, sendErr
 }

@@ -71,18 +71,29 @@ func (h *Handle) Node() *Node { return h.node }
 // Call performs an asynchronous method call on the target and returns a
 // future.
 func (h *Handle) Call(method string, args wire.Value) (*Future, error) {
+	return h.call(method, encodeArgs(method, args))
+}
+
+// call is Call with the args encoded behind the room of the request
+// header (see Node.sendRequest).
+func (h *Handle) call(method string, enc []byte) (*Future, error) {
 	if h.released.Load() {
 		return nil, fmt.Errorf("call %q: %w", method, ErrHandleReleased)
 	}
-	return (&Context{ao: h.node.root}).Call(wire.Ref(h.target), method, args)
+	return h.node.root.call(h.target, method, enc)
 }
 
 // Send performs a one-way asynchronous call on the target.
 func (h *Handle) Send(method string, args wire.Value) error {
+	return h.send(method, encodeArgs(method, args))
+}
+
+// send is Send with the args encoded as for call.
+func (h *Handle) send(method string, enc []byte) error {
 	if h.released.Load() {
 		return fmt.Errorf("send %q: %w", method, ErrHandleReleased)
 	}
-	return (&Context{ao: h.node.root}).Send(wire.Ref(h.target), method, args)
+	return h.node.root.send(h.target, method, enc)
 }
 
 // CallSync is Call followed by Wait.

@@ -165,12 +165,12 @@ func (n *Node) resolveLocation(id ids.ActivityID) (ids.ActivityID, bool) {
 // an activity this node does not host and has no cached location for —
 // before failing the caller, ask the ID's home shard. The exchange runs
 // on its own goroutine (a transport handler must not block on a nested
-// call); decode produces the request arguments on that goroutine. When
-// the shard does not know the ID either, the caller's future fails with
+// call), so raw, the request's encoded args, must be the relay's own.
+// When the shard does not know the ID either, the caller's future fails with
 // failErr — ErrUnknownActivity on the delivery paths, ErrNodeDead on
 // the dead-home send path, preserving each path's sentinel contract. It
 // reports whether the directory took responsibility for the request.
-func (n *Node) tryDirectoryRelay(req request, failErr error, decode func() (wire.Value, bool)) bool {
+func (n *Node) tryDirectoryRelay(req request, failErr error, raw []byte) bool {
 	owner, ok := n.env.ring.Load().Owner(req.Target)
 	if !ok || owner == n.id || n.env.isDeadNode(owner) {
 		// No shard to ask (or this node *is* the shard and already
@@ -190,25 +190,13 @@ func (n *Node) tryDirectoryRelay(req request, failErr error, decode func() (wire
 		if err == nil {
 			if newID, known, derr := location.DecodeReply(resp); derr == nil && known && newID != req.Target {
 				n.applyRedirect(req.Target, newID)
-				if args, okArgs := decode(); okArgs {
-					old := req.Target
-					req.Args = wire.Rebind(args, old, newID)
-					req.Target = newID
-					_ = n.sendRequest(req)
-					n.sendRedirect(req.Sender.Node, old, newID)
-				}
+				n.readdress(req, raw, newID)
 				return
 			}
 		}
 		// The shard does not know it either (never announced, or truly
 		// collected): fail the caller like the pre-directory path did.
-		if !req.Future.IsZero() {
-			n.replyTo(req, futureUpdate{
-				Future: req.Future,
-				Failed: true,
-				Err:    failErr.Error(),
-			})
-		}
+		n.reply(req, wire.Null(), failErr)
 	}()
 	return true
 }

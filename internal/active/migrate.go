@@ -143,19 +143,7 @@ func (h *Handle) Migrate(dst ids.NodeID) (*Future, error) {
 // Context.ServeNext from inside a running service: migrating then would
 // strand the outer service, so it is refused.
 func (ao *ActiveObject) serveMigrate(item *queuedRequest, nested bool) bool {
-	reply := func(v wire.Value, err error) {
-		if item.req.Future.IsZero() {
-			return
-		}
-		u := futureUpdate{Future: item.req.Future}
-		if err != nil {
-			u.Failed = true
-			u.Err = err.Error()
-		} else {
-			u.Value = v
-		}
-		ao.node.replyTo(item.req, u)
-	}
+	reply := func(v wire.Value, err error) { ao.node.reply(item.req, v, err) }
 	defer ao.node.heap.RemoveRoot(item.argsRoot)
 	if nested {
 		reply(wire.Null(), fmt.Errorf("%w: refused mid-service (ServeNext)", ErrMigrationFailed))
@@ -230,13 +218,7 @@ func (n *Node) migrateOut(ao *ActiveObject, dst ids.NodeID) (ids.ActivityID, err
 	if !ok {
 		for _, it := range drained {
 			n.heap.RemoveRoot(it.argsRoot)
-			if !it.req.Future.IsZero() {
-				n.replyTo(it.req, futureUpdate{
-					Future: it.req.Future,
-					Failed: true,
-					Err:    ErrUnknownActivity.Error(),
-				})
-			}
+			n.reply(it.req, wire.Null(), ErrUnknownActivity)
 		}
 	}
 	return ids.Nil, err
@@ -284,58 +266,30 @@ func (n *Node) restoreFromEnvelope(m migration, keepID bool, failQueue error) (*
 		opts = append(opts, withForcedID(m.Old))
 	}
 	ao := n.newActivity(m.Name, rk.factory(), opts...)
-	now := n.env.cfg.Clock.Now()
 	var scratch [8]ids.ActivityID
 	// State first: by the time the first replayed request is served, every
-	// Load must see the restored state.
+	// Load must see the restored state. Each value is stored (its pin),
+	// then held like any delivered payload; futures stored in state adopt
+	// local proxies and re-subscribe at their home node, since the
+	// sender-side holder registration of a normal delivery never happened
+	// for an envelope.
 	for _, e := range m.State {
-		v := e.Value
-		if m.Old != ao.id {
-			v = wire.Rebind(v, m.Old, ao.id)
-		}
-		for _, t := range v.Refs(scratch[:0]) {
-			ao.collector.AddReferenced(t, now)
-		}
-		// Futures stored in state adopt local proxies and re-subscribe at
-		// their home node: the sender-side holder registration of a normal
-		// payload delivery never happened for an envelope.
-		n.adoptFutures(v, ao.id, true)
-		obj, root := n.heap.InternRooted(ao.id, v)
-		ao.rootsMu.Lock()
-		ao.stateRoots[e.Key] = stateEntry{obj: obj, root: root}
-		ao.rootsMu.Unlock()
+		v := wire.Rebind(e.Value, m.Old, ao.id)
+		(&Context{ao: ao}).Store(e.Key, v)
+		n.hold(ao, v, v.Refs(scratch[:0]), true)
 	}
 	for _, q := range m.Queue {
+		req := request{Target: ao.id, Sender: q.Sender, Future: q.Future, Method: q.Method}
 		if failQueue != nil {
 			// A checkpointed in-flight request may already have executed
 			// between the checkpoint and the crash: fail it rather than
 			// risk running it twice. The update is dropped harmlessly if
 			// the future's home node died with the sender.
-			if !q.Future.IsZero() {
-				n.sendFutureUpdate(q.Future, futureUpdate{
-					Future: q.Future,
-					Failed: true,
-					Err:    failQueue.Error(),
-				})
-			}
+			n.reply(req, wire.Null(), failQueue)
 			continue
 		}
-		req := request{
-			Target: ao.id,
-			Sender: q.Sender,
-			Future: q.Future,
-			Method: q.Method,
-			Args:   wire.Rebind(q.Args, m.Old, ao.id),
-		}
-		item := getQueued(req)
-		if refs := req.Args.Refs(scratch[:0]); len(refs) > 0 {
-			for _, t := range refs {
-				ao.collector.AddReferenced(t, now)
-			}
-			_, item.argsRoot = n.heap.InternRooted(ao.id, req.Args)
-			n.adoptFutures(req.Args, ao.id, true)
-		}
-		ao.enqueue(item)
+		req.Args = wire.Rebind(q.Args, m.Old, ao.id)
+		n.admit(ao, req, true)
 	}
 	return ao, nil
 }
@@ -432,36 +386,41 @@ func (n *Node) handleMigrateIn(payload []byte) []byte {
 	return encodeMigrateResponse(ao.id, nil)
 }
 
-// forwardQueued relays one request that was addressed to a migrated
-// activity: target (and any self-references in the arguments) rewritten
-// to the new identity, then re-sent through the ordinary routing path —
-// which resolves further rebinds, so a chain of migrations is crossed in
-// one hop per forwarder. The sender's node is told to rebind.
+// forwardQueued relays one request that was queued for (or delivered
+// to) an activity that has since migrated: see readdress.
 func (n *Node) forwardQueued(ao *ActiveObject, req request) {
-	newID := ao.forwardTarget()
-	if newID.IsNil() {
-		return
+	if newID := ao.forwardTarget(); !newID.IsNil() {
+		req.Target = ao.id
+		n.readdress(req, wire.EncodeAfter(0, req.Args), newID)
 	}
-	req.Target = newID
-	req.Args = wire.Rebind(req.Args, ao.id, newID)
-	_ = n.sendRequest(req)
-	n.sendRedirect(req.Sender.Node, ao.id, newID)
 }
 
-// forwardRaw relays a freshly arrived wire request (header decoded, args
-// still raw) through a forwarder. The args are decoded without hooks —
-// edges bind at the final recipient, not at the relay — rebound, and
-// re-sent.
-func (n *Node) forwardRaw(oldID, newID ids.ActivityID, req request, rawArgs []byte) {
-	var dec wire.Decoder
-	args, err := dec.Decode(rawArgs)
-	if err != nil {
+// readdress relays a request, its args encoded in raw, to newID, the
+// identity its target moved to: every reference to the old identity in
+// the args is rewritten, and the request is re-sent through the ordinary
+// routing path — which resolves further rebinds, so a chain of
+// migrations is crossed in one hop per forwarder. The args are decoded
+// without binding anything: edges bind at the final recipient, not at
+// the relay. The sender's node is told to rebind.
+func (n *Node) readdress(req request, raw []byte, newID ids.ActivityID) {
+	enc, ok := rebindArgs(raw, req.Method, req.Target, newID)
+	if !ok {
 		return
 	}
+	old := req.Target
 	req.Target = newID
-	req.Args = wire.Rebind(args, oldID, newID)
-	_ = n.sendRequest(req)
-	n.sendRedirect(req.Sender.Node, oldID, newID)
+	_ = n.sendRequest(req, enc)
+	n.sendRedirect(req.Sender.Node, old, newID)
+}
+
+// rebindArgs re-encodes raw args for method's request with every
+// reference to old rewritten to new; ok is false for malformed args.
+func rebindArgs(raw []byte, method string, old, new ids.ActivityID) (enc []byte, ok bool) {
+	args, err := wire.DecodePayload(raw, false)
+	if err != nil {
+		return nil, false
+	}
+	return encodeArgs(method, wire.Rebind(args, old, new)), true
 }
 
 // sendRedirect ships a rebinding notice to dst (applying it locally when

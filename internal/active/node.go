@@ -1,6 +1,7 @@
 package active
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -210,9 +211,11 @@ func (n *Node) HandleOneWay(from ids.NodeID, class transport.Class, payload []by
 	}
 	switch payload[0] {
 	case envRequest:
-		n.deliverRequest(payload)
+		if req, rawArgs, err := decodeRequestHeader(payload); err == nil {
+			n.deliverEncoded(req, rawArgs, false)
+		}
 	case envFutureUpdate:
-		n.deliverFutureUpdate(payload)
+		n.deliverFutureUpdate(payload, false)
 	case envFutureSubscribe:
 		n.deliverFutureSubscribe(payload)
 	case envRedirect:
@@ -317,29 +320,20 @@ func (n *Node) redirectIfForwarder(ao *ActiveObject, from ids.NodeID) {
 	}
 }
 
-// deliverRequest decodes an application request envelope and delivers it.
-func (n *Node) deliverRequest(payload []byte) {
-	req, rawArgs, err := decodeRequestHeader(payload)
-	if err != nil {
-		return
-	}
-	n.deliverEncoded(req, rawArgs)
-}
-
-// deliverEncoded delivers a request that arrived over the transport, its
-// args still encoded in rawArgs, which the caller owns only for the
-// duration of the call: it binds the reference-graph hook to the
-// recipient, roots the arguments for the duration of the service, and
-// enqueues the request. Arguments without a reference or a future skip
-// the decoder: the request keeps its own copy of their bytes (WIRE.md §2,
-// "Payload ownership").
-func (n *Node) deliverEncoded(req request, rawArgs []byte) {
+// deliverEncoded is the one delivery path of a request, its args still
+// encoded in raw. local marks a request sent from this node: raw is then
+// the request's own, taken over rather than copied, and no remote sender
+// registered this node as a holder of the futures in it (see bind).
+// Otherwise raw is the transport's, readable only for the duration of
+// the call. A target that moved is readdressed; a target that is gone
+// fails the caller's future, after asking the directory.
+func (n *Node) deliverEncoded(req request, raw []byte, local bool) {
 	ao, ok := n.activity(req.Target)
 	if ok {
 		if newID := ao.forwardTarget(); !newID.IsNil() {
 			// The target migrated away: relay through the forwarder and
 			// teach the sender the new address.
-			n.forwardRaw(ao.id, newID, req, rawArgs)
+			n.readdress(req, raw, newID)
 			return
 		}
 	} else {
@@ -347,138 +341,90 @@ func (n *Node) deliverEncoded(req request, rawArgs []byte) {
 		// forwarder already collapsed), a late call still reaches it via
 		// the node's location knowledge: cache, origin table or shard.
 		if newID, okLoc := n.resolveLocation(req.Target); okLoc && newID != req.Target {
-			n.forwardRaw(req.Target, newID, req, rawArgs)
+			n.readdress(req, raw, newID)
 			return
 		}
 		// Nothing known locally: ask the ID's home shard before giving
 		// up (the slow path a cache eviction or collapsed forwarder
-		// falls back to). The raw args must be copied — the payload
-		// buffer is the transport's and is dead once this handler
-		// returns, while the query runs on its own goroutine.
-		raw := append([]byte(nil), rawArgs...)
-		if n.tryDirectoryRelay(req, ErrUnknownActivity, func() (wire.Value, bool) {
-			var dec wire.Decoder
-			args, decErr := dec.Decode(raw)
-			return args, decErr == nil
-		}) {
+		// falls back to). The query runs on its own goroutine, past the
+		// transport buffer's life: a remote request's args are copied.
+		if !local {
+			raw = bytes.Clone(raw)
+		}
+		if n.tryDirectoryRelay(req, ErrUnknownActivity, raw) {
 			return
 		}
 		// Collected or explicitly terminated. If the caller expects a
 		// result, fail its future so it does not block forever.
-		if !req.Future.IsZero() {
-			n.replyTo(req, futureUpdate{
-				Future: req.Future,
-				Failed: true,
-				Err:    ErrUnknownActivity.Error(),
-			})
-		}
+		n.reply(req, wire.Null(), ErrUnknownActivity)
 		return
 	}
-	if args, ok := wire.DecodeRefFree(rawArgs); ok {
-		// Nothing for the OnRef hook to report and nothing to root.
-		req.Args = args
-		ao.enqueue(getQueued(req))
-		return
-	}
-	now := n.env.cfg.Clock.Now()
-	refs := 0
-	dec := wire.Decoder{
-		OnRef: func(t ids.ActivityID) {
-			refs++
-			ao.collector.AddReferenced(t, now)
-		},
-		OnFuture: func(fr wire.FutureRef) {
-			// A first-class future arrived: adopt a local entry (a proxy,
-			// unless this is its home node) and record the recipient, so
-			// the propagated resolution binds its references here. The
-			// remote sender registered this node as a holder before the
-			// payload hit the wire, so no subscription is needed.
-			if fr.ID.IsZero() {
-				return
-			}
-			f, _ := n.futures.adopt(n, fr)
-			f.addLocalHolder(ao.id)
-		},
-	}
-	args, err := dec.Decode(rawArgs)
+	args, err := wire.DecodePayload(raw, local)
 	if err != nil {
 		return
 	}
 	req.Args = args
+	n.admit(ao, req, local)
+}
+
+// admit binds a delivered request's args to its recipient ao and queues
+// the request. The pin roots the args in the recipient's heap for the
+// lifetime of the request: stubs inside them keep the references alive
+// until the service completes (then only state-stored stubs survive).
+func (n *Node) admit(ao *ActiveObject, req request, local bool) {
 	item := getQueued(req)
-	if refs > 0 {
-		// Root the arguments in the recipient's heap for the lifetime of
-		// the request: stubs inside them keep the remote references alive
-		// until the service completes (then only state-stored stubs
-		// survive). Ref-free arguments pin nothing the DGC cares about, so
-		// they skip the heap entirely — the calling hot path allocates no
-		// cells.
-		_, item.argsRoot = n.heap.InternRooted(ao.id, args)
+	var pins [1]localgc.RootID
+	if n.bind(req.Args, []*ActiveObject{ao}, pins[:], local) > 0 {
+		item.argsRoot = pins[0]
 	}
 	ao.enqueue(item)
 }
 
-// deliverLocalRequest is the intra-node calling fast path: when caller
-// and callee live on the same node, the request skips the envelope codec
-// and the transport handler — a DeepCopy preserves the no-sharing
-// property (§2.1) and an explicit Refs walk feeds the reference-graph
-// hook exactly as deserialization would (§2.2). Wire traffic, accounting
-// and DGC edges are identical to the seed's encode→decode round-trip;
-// only the serialization work disappears.
-func (n *Node) deliverLocalRequest(req request) {
-	ao, ok := n.activity(req.Target)
-	if ok {
-		if newID := ao.forwardTarget(); !newID.IsNil() {
-			n.forwardQueued(ao, req)
-			return
-		}
-	} else {
-		if newID, okLoc := n.resolveLocation(req.Target); okLoc && newID != req.Target {
-			req.Args = wire.Rebind(req.Args, req.Target, newID)
-			req.Target = newID
-			_ = n.sendRequest(req)
-			return
-		}
-		// The relay runs after the caller's send returned, and a typed
-		// caller's arguments borrow its byte slices: copy them first.
-		args := wire.DeepCopy(req.Args)
-		if n.tryDirectoryRelay(req, ErrUnknownActivity, func() (wire.Value, bool) { return args, true }) {
-			return
-		}
-		if !req.Future.IsZero() {
-			n.replyTo(req, futureUpdate{
-				Future: req.Future,
-				Failed: true,
-				Err:    ErrUnknownActivity.Error(),
-			})
-		}
-		return
-	}
-	args := wire.DeepCopy(req.Args)
-	req.Args = args
-	item := getQueued(req)
+// bind is the one place a payload that entered this node becomes held
+// (§2.2): for each consumer, the rooted pin, then the edges to every
+// reference in v, then the adoption of v's futures on its behalf (hold).
+// The pin comes first so every edge has a tag whose death can remove it
+// again, and a tag death racing the bind sees the pin (onTagDeath). A
+// value without a reference pins nothing: the calling hot path allocates
+// no cells. A value nothing here consumes still has its futures adopted,
+// so a resolution's fan-out can register downstream holders on them.
+// local marks a payload this node sent: no remote sender registered it
+// as a holder, so a proxy adopted fresh subscribes at its home. pins has
+// a slot per consumer: bind reports how many it filled, none or all.
+func (n *Node) bind(v wire.Value, consumers []*ActiveObject, pins []localgc.RootID, local bool) int {
 	var scratch [8]ids.ActivityID
-	if refs := args.Refs(scratch[:0]); len(refs) > 0 {
-		now := n.env.cfg.Clock.Now()
-		for _, t := range refs {
-			ao.collector.AddReferenced(t, now)
-		}
-		_, item.argsRoot = n.heap.InternRooted(ao.id, args)
-		n.adoptFutures(args, ao.id, true)
+	refs := v.Refs(scratch[:0])
+	if len(refs) == 0 || len(consumers) == 0 {
+		n.adoptFutures(v, ids.Nil, local)
+		return 0
 	}
-	ao.enqueue(item)
+	for i, ao := range consumers {
+		_, pins[i] = n.heap.InternRooted(ao.id, v)
+		n.hold(ao, v, refs, local)
+	}
+	return len(consumers)
+}
+
+// hold adds ao's edges to refs, the references in v, and adopts v's
+// futures on ao's behalf. v must already be pinned for ao (bind).
+func (n *Node) hold(ao *ActiveObject, v wire.Value, refs []ids.ActivityID, local bool) {
+	now := n.env.cfg.Clock.Now()
+	for _, t := range refs {
+		ao.collector.AddReferenced(t, now)
+	}
+	n.adoptFutures(v, ao.id, local)
 }
 
 // adoptFutures walks a delivered value for first-class futures and
-// adopts entries for them on behalf of recipient (the DeepCopy twin of
-// deliverRequest's OnFuture hook). A Nil recipient adopts without
-// recording a local holder — used when a value must become forwardable
-// here even though no live local activity received it. subscribe is set
-// on the purely local delivery paths, where no remote sender has
-// registered this node: a freshly created remote-homed proxy then
-// subscribes at its home node (a handle on node A can legitimately be
-// given a future homed on node B through plain Go code). Values without
-// futures pay one walk that exits on the first non-container kind.
+// adopts entries for them on behalf of recipient. A Nil recipient adopts
+// without recording a local holder — used when a value must become
+// forwardable here even though no live local activity received it.
+// subscribe is set for payloads this node sent itself, where no remote
+// sender has registered this node: a freshly created remote-homed proxy
+// then subscribes at its home node (a handle on node A can legitimately
+// be given a future homed on node B through plain Go code). Values
+// without futures pay one walk that exits on the first non-container
+// kind.
 func (n *Node) adoptFutures(v wire.Value, recipient ids.ActivityID, subscribe bool) {
 	if !v.HasFutures() {
 		return
@@ -500,9 +446,11 @@ func (n *Node) adoptFutures(v wire.Value, recipient ids.ActivityID, subscribe bo
 
 // deliverFutureUpdate resolves a future with an arriving result: the
 // original callee's update at the home node, or a propagated one at a
-// holder node (WIRE.md §6). An unknown future means the caller terminated
-// or the update is a duplicate; it is dropped.
-func (n *Node) deliverFutureUpdate(payload []byte) {
+// holder node (WIRE.md §6). local marks an update sent from this node,
+// whose payload is then the receiver's own (see deliverEncoded). An
+// unknown future means the caller terminated or the update is a
+// duplicate; it is dropped.
+func (n *Node) deliverFutureUpdate(payload []byte, local bool) {
 	u, rawValue, err := decodeFutureUpdateHeader(payload)
 	if err != nil {
 		return
@@ -515,38 +463,21 @@ func (n *Node) deliverFutureUpdate(payload []byte) {
 		fut.fail(newRemoteFailure(u.Err))
 		return
 	}
-	value, ok := wire.DecodeRefFree(rawValue)
-	if !ok {
-		var dec wire.Decoder
-		if value, err = dec.Decode(rawValue); err != nil {
-			fut.fail(err)
-			return
-		}
-	}
-	n.bindValueToFuture(fut, value, false)
-}
-
-// deliverLocalFutureUpdate resolves a same-node future without the
-// envelope codec (the DeepCopy/Refs-walk twin of deliverLocalRequest).
-func (n *Node) deliverLocalFutureUpdate(u futureUpdate) {
-	fut, ok := n.futures.takeForUpdate(u.Future)
-	if !ok {
+	value, err := wire.DecodePayload(rawValue, local)
+	if err != nil {
+		fut.fail(err)
 		return
 	}
-	if u.Failed {
-		fut.fail(newRemoteFailure(u.Err))
-		return
-	}
-	n.bindValueToFuture(fut, wire.DeepCopy(u.Value), true)
+	n.bindValueToFuture(fut, value, local, false)
 }
 
 // bindValueToFuture installs an arrived result on a future entry: it
-// creates the reference-graph edges and heap pins for the activities that
-// will consume the value — the home entry's owner and/or every local
-// activity the future was forwarded to — adopts any futures nested in the
-// value, and resolves the entry (which fans the value out to downstream
-// holder nodes and chained futures).
-func (n *Node) bindValueToFuture(f *Future, value wire.Value, subscribeNew bool) {
+// binds the value to the activities that will consume it — the home
+// entry's owner and/or every local activity the future was forwarded to
+// — and resolves the entry (which fans the value out to downstream holder
+// nodes and chained futures). chained resolves a future flattened onto
+// another one (resolveFromChain).
+func (n *Node) bindValueToFuture(f *Future, value wire.Value, local, chained bool) {
 	var cscratch [4]*ActiveObject
 	consumers := cscratch[:0]
 	if !f.proxy && !f.emigrated.Load() {
@@ -562,29 +493,18 @@ func (n *Node) bindValueToFuture(f *Future, value wire.Value, subscribeNew bool)
 			consumers = append(consumers, ao)
 		}
 	}
-	var scratch [8]ids.ActivityID
-	refs := value.Refs(scratch[:0])
-	if len(refs) == 0 || len(consumers) == 0 {
-		// A proxy whose local holders all terminated still resolves, so
-		// the fan-out to downstream holders happens regardless — which
-		// means nested futures must still be adopted here, or the
-		// fan-out could not register the downstream holders on them.
-		n.adoptFutures(value, ids.Nil, subscribeNew)
-		f.resolve(value, nil, nil)
-		return
+	var pscratch [4]localgc.RootID
+	pins := pscratch[:]
+	if len(consumers) > len(pins) {
+		pins = make([]localgc.RootID, len(consumers))
 	}
-	now := n.env.cfg.Clock.Now()
-	roots := make([]localgc.RootID, 0, len(consumers))
-	for _, ao := range consumers {
-		// One pin — and thus one tag set — per consuming activity, made
-		// before its edges (see onTagDeath): every edge then has a tag
-		// whose death can remove it again.
-		_, root := n.heap.InternRooted(ao.id, value)
-		roots = append(roots, root)
-		for _, t := range refs {
-			ao.collector.AddReferenced(t, now)
-		}
-		n.adoptFutures(value, ao.id, subscribeNew)
+	var roots []localgc.RootID // the future keeps them: off the stack
+	if k := n.bind(value, consumers, pins, local); k > 0 {
+		roots = append(roots, pins[:k]...)
+	}
+	if chained {
+		f.resolveFromChain(value, roots, nil)
+		return
 	}
 	f.resolve(value, roots, nil)
 }
@@ -606,7 +526,7 @@ func (n *Node) fanOutFutureValue(fid FutureID, val wire.Value, failed bool, errS
 	for _, dst := range holders {
 		if dst == n.id {
 			// Holders are registered by remote senders only; guard anyway.
-			n.deliverLocalFutureUpdate(u)
+			n.deliverFutureUpdate(encodeFutureUpdate(u), true)
 			continue
 		}
 		if payload == nil {
@@ -617,66 +537,44 @@ func (n *Node) fanOutFutureValue(fid FutureID, val wire.Value, failed bool, errS
 		// for garbage. Updates are urgent: holders are (or will be)
 		// blocked on them.
 		_ = n.transportSend(dst, transport.ClassFuture, payload, true)
-		if !failed {
-			n.noteFutureValuesSent(dst, val)
-		}
+		n.noteFutureValuesSent(dst, updateValue(payload))
 	}
 }
 
 // resolveChainedFuture re-resolves a chainWait future with the concrete
 // value of the inner future it was flattened onto. The value crosses an
-// activity boundary, so it is deep-copied and re-pinned for the outer
-// future's consumers.
+// activity boundary, so it is encoded, as every crossing is, and the
+// copy is bound to the outer future's consumers.
 func (n *Node) resolveChainedFuture(c *Future, val wire.Value, err error) {
 	if err != nil {
 		c.resolveFromChain(wire.Null(), nil, err)
 		return
 	}
-	value := wire.DeepCopy(val)
-	var consumers []*ActiveObject
-	if !c.proxy && !c.emigrated.Load() {
-		if owner, ok := n.activity(c.owner); ok {
-			consumers = append(consumers, owner)
-		}
-	}
-	for _, a := range c.localHolderSnapshot() {
-		if ao, ok := n.activity(a); ok && (len(consumers) == 0 || ao != consumers[0]) {
-			consumers = append(consumers, ao)
-		}
-	}
-	var scratch [8]ids.ActivityID
-	refs := value.Refs(scratch[:0])
-	if len(refs) == 0 || len(consumers) == 0 {
-		n.adoptFutures(value, ids.Nil, false)
-		c.resolveFromChain(value, nil, nil)
+	value, err := wire.DecodePayload(wire.EncodeAfter(0, val), true)
+	if err != nil {
+		c.resolveFromChain(wire.Null(), nil, err)
 		return
 	}
-	now := n.env.cfg.Clock.Now()
-	roots := make([]localgc.RootID, 0, len(consumers))
-	for _, ao := range consumers {
-		_, root := n.heap.InternRooted(ao.id, value)
-		roots = append(roots, root)
-		for _, t := range refs {
-			ao.collector.AddReferenced(t, now)
-		}
-		n.adoptFutures(value, ao.id, false)
-	}
-	c.resolveFromChain(value, roots, nil)
+	n.bindValueToFuture(c, value, false, true)
+}
+
+// updateValue returns the encoded value of a future-update envelope.
+func updateValue(payload []byte) []byte {
+	_, raw, _ := decodeFutureUpdateHeader(payload)
+	return raw
 }
 
 // noteFutureValuesSent registers dst as a holder of every first-class
-// future inside an outgoing payload (ASP-style sender-side registration:
-// the resolution will be propagated to dst when — or if already — it
-// arrives here). Called after the payload is on the wire so a direct-send
-// of an already-resolved value follows the payload on the pair's FIFO
-// lane. A future unknown here is failed at dst if this is its home node
-// (it was reclaimed; dst's proxy would otherwise wait forever).
-func (n *Node) noteFutureValuesSent(dst ids.NodeID, v wire.Value) {
-	if !v.HasFutures() {
-		return
-	}
+// future inside an outgoing payload's encoded value enc (ASP-style
+// sender-side registration: the resolution will be propagated to dst
+// when — or if already — it arrives here). Called after the payload is
+// on the wire so a direct-send of an already-resolved value follows the
+// payload on the pair's FIFO lane. A future unknown here is failed at
+// dst if this is its home node (it was reclaimed; dst's proxy would
+// otherwise wait forever).
+func (n *Node) noteFutureValuesSent(dst ids.NodeID, enc []byte) {
 	var scratch [4]wire.FutureRef
-	for _, fr := range v.FutureRefs(scratch[:0]) {
+	for _, fr := range wire.FutureRefsIn(enc, scratch[:0]) {
 		if fr.ID.IsZero() || fr.ID.Node == dst {
 			// The future is going home: its entry there (or its absence)
 			// is authoritative; no registration needed.
@@ -700,32 +598,32 @@ func (n *Node) noteFutureValuesSent(dst ids.NodeID, v wire.Value) {
 	}
 }
 
-// sendFutureUpdate ships a result back to the caller's node.
-func (n *Node) sendFutureUpdate(to FutureID, u futureUpdate) {
+// sendFutureUpdate ships a future-update envelope, which it consumes, to
+// the future's home node: delivered here when that is this node.
+func (n *Node) sendFutureUpdate(to FutureID, payload []byte) {
 	if to.Node == n.id {
-		n.deliverLocalFutureUpdate(u)
+		n.deliverFutureUpdate(payload, true)
 		return
 	}
-	payload := encodeFutureUpdate(u)
 	// Errors (unreachable, closed) drop the update: per §4.1, a missing
 	// future update cannot wake anything and is acceptable for garbage.
 	// Updates are urgent: the caller is (or will be) blocked on them.
 	_ = n.transportSend(to.Node, transport.ClassFuture, payload, true)
-	if !u.Failed {
-		n.noteFutureValuesSent(to.Node, u.Value)
-	}
+	n.noteFutureValuesSent(to.Node, updateValue(payload))
 }
 
-// sendRequest ships an application request to the target's node (or
-// delivers it directly when the target is local). Requests that expect a
-// reply are urgent; plain one-way sends may linger in the batch window.
-// Targets known to have migrated are rewritten through the rebind table
-// first, so a stale reference pays the forwarder hop at most once per
-// node.
-func (n *Node) sendRequest(req request) error {
+// sendRequest ships an application request to the target's node, or
+// delivers it here when the target is local. enc holds the encoded args
+// behind requestRoom(req.Method) bytes of room for the header; the send
+// consumes it: it becomes the envelope, or the local delivery's own args.
+// Requests that expect a reply are urgent; plain one-way sends may linger
+// in the batch window. Targets known to have migrated are rewritten
+// through the rebind table first, so a stale reference pays the forwarder
+// hop at most once per node.
+func (n *Node) sendRequest(req request, enc []byte) error {
 	req.Target = n.resolveRebind(req.Target)
 	if req.Target.Node == n.id {
-		n.deliverLocalRequest(req)
+		n.deliverEncoded(req, enc[requestRoom(req.Method):], true)
 		return nil
 	}
 	if req.Via != 0 {
@@ -741,16 +639,16 @@ func (n *Node) sendRequest(req request) error {
 		// then the ID's home shard (WIRE.md §9). Only when the directory
 		// cannot help either does the send fail fast with the sentinel.
 		if newID, ok := n.resolveLocation(req.Target); ok && newID != req.Target && !n.env.isDeadNode(newID.Node) {
-			req.Args = wire.Rebind(req.Args, req.Target, newID)
-			req.Target = newID
-			return n.sendRequest(req)
+			if moved, ok := rebindArgs(enc[requestRoom(req.Method):], req.Method, req.Target, newID); ok {
+				req.Target = newID
+				return n.sendRequest(req, moved)
+			}
 		}
-		args := wire.DeepCopy(req.Args) // outlives the send, as on the local path
-		if n.tryDirectoryRelay(req, ErrNodeDead, func() (wire.Value, bool) { return args, true }) {
+		if n.tryDirectoryRelay(req, ErrNodeDead, enc[requestRoom(req.Method):]) {
 			return nil
 		}
 	}
-	err := n.transportSend(req.Target.Node, transport.ClassApp, encodeRequest(req), !req.Future.IsZero())
+	err := n.transportSend(req.Target.Node, transport.ClassApp, sealRequest(enc, req), !req.Future.IsZero())
 	if err == nil {
 		if n.env.cluster != nil && !req.Future.IsZero() {
 			// Remember who owes this future its result, so a confirmed
@@ -760,7 +658,7 @@ func (n *Node) sendRequest(req request) error {
 		// Register the destination as holder of any futures forwarded in
 		// the arguments — after the request, so a direct-send of an
 		// already-resolved value cannot overtake it on the FIFO lane.
-		n.noteFutureValuesSent(req.Target.Node, req.Args)
+		n.noteFutureValuesSent(req.Target.Node, enc[requestRoom(req.Method):])
 	}
 	return err
 }
@@ -824,13 +722,7 @@ func (n *Node) destroy(ao *ActiveObject, reason core.Reason) {
 		// A queued request whose callee terminates gracefully fails its
 		// caller's future now instead of leaving it to time out — the same
 		// answer an enqueue after close gets.
-		if !it.req.Future.IsZero() {
-			n.replyTo(it.req, futureUpdate{
-				Future: it.req.Future,
-				Failed: true,
-				Err:    ErrUnknownActivity.Error(),
-			})
-		}
+		n.reply(it.req, wire.Null(), ErrUnknownActivity)
 	}
 	ao.releaseAllRoots(n.heap)
 	n.futures.failOwned(ao.id, ErrOwnerTerminated)

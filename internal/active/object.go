@@ -468,13 +468,7 @@ func (ao *ActiveObject) enqueue(item *queuedRequest) {
 		ao.node.forwardQueued(ao, item.req)
 		return
 	}
-	if !item.req.Future.IsZero() {
-		ao.node.replyTo(item.req, futureUpdate{
-			Future: item.req.Future,
-			Failed: true,
-			Err:    ErrUnknownActivity.Error(),
-		})
-	}
+	ao.node.reply(item.req, wire.Null(), ErrUnknownActivity)
 }
 
 // drain is one pool worker's tenure on the activity: serve requests one at
@@ -533,18 +527,22 @@ func (ao *ActiveObject) serveOne(item *queuedRequest, nested bool) bool {
 		ctx.ao = ao
 		ctx.transientRoots = ctx.transientRoots[:0]
 	}
+	wantReply := !item.req.Future.IsZero()
 	var (
-		result wire.Value
-		err    error
+		reply []byte // the encoded result behind updateRoom
+		err   error
 	)
 	if svc, ok := ao.behavior.(*Service); ok {
-		// Every queued request owns its arguments (decoded from its own
-		// bytes, or deep-copied on this node): the typed methods may
-		// decode them in place.
-		result, err = svc.serve(ctx, item.req.Method, item.req.Args, true)
+		// Every queued request owns its arguments, decoded from its own
+		// bytes: the typed methods may decode them in place.
+		reply, err = svc.serve(ctx, item.req.Method, item.req.Args, true, wantReply)
 	} else {
 		// Dynamic code reads the Value tree, decoded here, once.
+		var result wire.Value
 		result, err = ao.behavior.Serve(ctx, item.req.Method, wire.Expand(item.req.Args))
+		if err == nil && wantReply {
+			reply = wire.EncodeAfter(updateRoom, result)
+		}
 	}
 	ctx.releaseTransients()
 	if ao.kind != "" && ao.node.env.cfg.Store != nil {
@@ -554,18 +552,13 @@ func (ao *ActiveObject) serveOne(item *queuedRequest, nested bool) bool {
 		ao.ckptDirty.Store(true)
 	}
 	ao.node.heap.RemoveRoot(item.argsRoot)
-	if item.req.Future.IsZero() {
-		putQueued(item)
-		return false
+	switch {
+	case !wantReply:
+	case err != nil:
+		ao.node.reply(item.req, wire.Null(), err)
+	default:
+		ao.node.replyTo(item.req, sealUpdate(reply, item.req.Future))
 	}
-	u := futureUpdate{Future: item.req.Future}
-	if err != nil {
-		u.Failed = true
-		u.Err = err.Error()
-	} else {
-		u.Value = result
-	}
-	ao.node.replyTo(item.req, u)
 	putQueued(item)
 	return false
 }
@@ -617,19 +610,25 @@ func (c *Context) Call(target wire.Value, method string, args wire.Value) (*Futu
 	if !ok {
 		return nil, fmt.Errorf("%w: Call target %v", ErrNotARef, target)
 	}
-	fut := c.ao.node.futures.create(c.ao.node, c.ao.id)
-	req := request{
-		Target: tid,
-		Sender: c.ao.id,
-		Future: fut.ID(),
-		Method: method,
-		Args:   args,
-	}
-	if err := c.ao.node.sendRequest(req); err != nil {
-		c.ao.node.futures.remove(fut.ID())
+	return c.ao.call(tid, method, encodeArgs(method, args))
+}
+
+// call sends a request to target that expects a reply and returns its
+// future; enc is the encoded args behind the room of the header (see
+// sendRequest).
+func (ao *ActiveObject) call(target ids.ActivityID, method string, enc []byte) (*Future, error) {
+	fut := ao.node.futures.create(ao.node, ao.id)
+	req := request{Target: target, Sender: ao.id, Future: fut.ID(), Method: method}
+	if err := ao.node.sendRequest(req, enc); err != nil {
+		ao.node.futures.remove(fut.ID())
 		return nil, err
 	}
 	return fut, nil
+}
+
+// send is call for a one-way request.
+func (ao *ActiveObject) send(target ids.ActivityID, method string, enc []byte) error {
+	return ao.node.sendRequest(request{Target: target, Sender: ao.id, Method: method}, enc)
 }
 
 // Future lifts a first-class future value received in arguments (or
@@ -647,13 +646,7 @@ func (c *Context) Send(target wire.Value, method string, args wire.Value) error 
 	if !ok {
 		return fmt.Errorf("%w: Send target %v", ErrNotARef, target)
 	}
-	req := request{
-		Target: tid,
-		Sender: c.ao.id,
-		Method: method,
-		Args:   args,
-	}
-	return c.ao.node.sendRequest(req)
+	return c.ao.send(tid, method, encodeArgs(method, args))
 }
 
 // ServeNext serves exactly one pending request selected by policy — the

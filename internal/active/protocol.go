@@ -59,10 +59,9 @@ type request struct {
 	Future FutureID
 	// Method is the behavior method name.
 	Method string
-	// Args is the request's own copy of the arguments: deep-copied on
-	// this node, decoded, or kept in encoded form (WIRE.md §2). On the
-	// send path, before that copy is made, it may borrow the caller's
-	// byte slices.
+	// Args is the delivered arguments, which the request owns: decoded
+	// from its own bytes, or kept in encoded form (WIRE.md §2). A request
+	// on the send path carries its args encoded instead (sendRequest).
 	Args wire.Value
 	// Via is the node-local relay-record key a tree fan-out delivery
 	// carries (WIRE.md §10): the reply is intercepted and aggregated
@@ -87,15 +86,30 @@ func appendRequestHeader(buf []byte, req request) []byte {
 	return buf
 }
 
-func encodeRequest(req request) []byte {
-	buf := appendRequestHeader(make([]byte, 0, 64+wire.EncodedSize(req.Args)), req)
-	return wire.Encode(buf, req.Args)
+// requestRoom is the length of a request envelope's header for method:
+// the room a sender leaves in front of the encoded args (wire.EncodeAfter,
+// wire.Codec.EncodeAfter), so the envelope is sealed in place.
+func requestRoom(method string) int { return 1 + 3*8 + 4 + len(method) }
+
+// encodeArgs encodes args behind the room of method's request header.
+func encodeArgs(method string, args wire.Value) []byte {
+	return wire.EncodeAfter(requestRoom(method), args)
 }
 
-// decodeRequestHeader decodes a request envelope. The wire decoding of Args is
-// done by the caller (node.deliverRequest) so that the OnRef hook can be
-// bound to the recipient activity; here only the header is parsed and the
-// raw args bytes returned.
+// sealRequest writes req's header into the room at the front of enc and
+// returns the envelope.
+func sealRequest(enc []byte, req request) []byte {
+	appendRequestHeader(enc[:0], req)
+	return enc
+}
+
+func encodeRequest(req request) []byte {
+	return sealRequest(encodeArgs(req.Method, req.Args), req)
+}
+
+// decodeRequestHeader decodes a request envelope's header and returns the
+// raw args bytes: the args are decoded at delivery (deliverEncoded), where
+// their recipient is known.
 func decodeRequestHeader(buf []byte) (request, []byte, error) {
 	var r wire.Reader
 	r.Reset(buf, errBadEnvelope)
@@ -120,13 +134,17 @@ type futureUpdate struct {
 	Failed bool
 	// Err is the error text when Failed.
 	Err string
-	// Value is the result (raw bytes decoded at the caller for the OnRef
-	// hook).
+	// Value is the result.
 	Value wire.Value
 }
 
-func encodeFutureUpdate(u futureUpdate) []byte {
-	buf := make([]byte, 0, 32+wire.EncodedSize(u.Value))
+// updateRoom is the header length of a successful future update: the
+// room a reply's encoding leaves in front of the value (sealUpdate).
+const updateRoom = 1 + 8 + 1 + 4
+
+// appendUpdateHeader encodes everything of a future-update envelope up
+// to (not including) the value.
+func appendUpdateHeader(buf []byte, u futureUpdate) []byte {
 	buf = append(buf, envFutureUpdate)
 	buf = wire.AppendFuture(buf, u.Future)
 	if u.Failed {
@@ -135,8 +153,19 @@ func encodeFutureUpdate(u futureUpdate) []byte {
 		buf = append(buf, 0)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(u.Err)))
-	buf = append(buf, u.Err...)
-	buf = wire.Encode(buf, u.Value)
+	return append(buf, u.Err...)
+}
+
+// sealUpdate writes the header of a successful update of fid into the
+// updateRoom bytes at the front of enc and returns the envelope.
+func sealUpdate(enc []byte, fid FutureID) []byte {
+	appendUpdateHeader(enc[:0], futureUpdate{Future: fid})
+	return enc
+}
+
+func encodeFutureUpdate(u futureUpdate) []byte {
+	buf := wire.EncodeAfter(updateRoom+len(u.Err), u.Value)
+	appendUpdateHeader(buf[:0], u)
 	return buf
 }
 

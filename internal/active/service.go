@@ -17,15 +17,16 @@ var ErrUnknownMethod = errors.New("active: unknown service method")
 type ServiceMethod struct {
 	name string
 	// handler runs one call; owned says the arguments are the request's
-	// own copy, which the decoded Req may share (WIRE.md §2).
-	handler func(ctx *Context, args wire.Value, owned bool) (wire.Value, error)
+	// own copy, which the decoded Req may share (WIRE.md §2). With reply
+	// set it returns the encoded Resp behind updateRoom bytes of room.
+	handler func(ctx *Context, args wire.Value, owned, reply bool) ([]byte, error)
 }
 
 // Name returns the method's wire name.
 func (m ServiceMethod) Name() string { return m.name }
 
 // Method declares a typed service operation: on every call, the wire
-// arguments are unmarshaled into Req, fn runs, and its Resp is marshaled
+// arguments are unmarshaled into Req, fn runs, and its Resp is encoded
 // back. Req and Resp follow the codec mapping of wire.Marshal — plain
 // structs with optional `wire` tags; embedded wire.Value or
 // ids.ActivityID fields carry remote references, keeping the DGC's
@@ -39,7 +40,7 @@ func Method[Req, Resp any](name string, fn func(ctx *Context, req Req) (Resp, er
 	reqCodec, respCodec := wire.CodecFor[Req](), wire.CodecFor[Resp]()
 	return ServiceMethod{
 		name: name,
-		handler: func(ctx *Context, args wire.Value, owned bool) (wire.Value, error) {
+		handler: func(ctx *Context, args wire.Value, owned, reply bool) ([]byte, error) {
 			var req Req
 			var err error
 			if owned {
@@ -48,15 +49,15 @@ func Method[Req, Resp any](name string, fn func(ctx *Context, req Req) (Resp, er
 				err = reqCodec.Unmarshal(args, &req)
 			}
 			if err != nil {
-				return wire.Null(), fmt.Errorf("method %q: bad arguments: %w", name, err)
+				return nil, fmt.Errorf("method %q: bad arguments: %w", name, err)
 			}
 			resp, err := fn(ctx, req)
-			if err != nil {
-				return wire.Null(), err
+			if err != nil || !reply {
+				return nil, err
 			}
-			// The reply may wait in a fan-out relay record after the
-			// service: it keeps its own copy of resp's bytes.
-			return respCodec.Marshal(resp)
+			// Encoded straight into the future-update envelope the reply
+			// travels in: it keeps no reference to resp's bytes.
+			return respCodec.EncodeAfter(updateRoom, resp)
 		},
 	}
 }
@@ -98,15 +99,21 @@ func (s *Service) Methods() []string {
 
 // Serve implements Behavior by dispatching to the declared method.
 func (s *Service) Serve(ctx *Context, method string, args wire.Value) (wire.Value, error) {
-	return s.serve(ctx, method, args, false)
+	enc, err := s.serve(ctx, method, args, false, true)
+	if err != nil {
+		return wire.Null(), err
+	}
+	v, err := wire.DecodePayload(enc[updateRoom:], true)
+	return wire.Expand(v), err
 }
 
 // serve is Serve for the runtime's own dispatch, which knows whether the
-// arguments are the request's own copy.
-func (s *Service) serve(ctx *Context, method string, args wire.Value, owned bool) (wire.Value, error) {
+// arguments are the request's own copy and whether a reply is awaited;
+// the result comes encoded behind updateRoom bytes of room (sealUpdate).
+func (s *Service) serve(ctx *Context, method string, args wire.Value, owned, reply bool) ([]byte, error) {
 	m, ok := s.methods[method]
 	if !ok {
-		return wire.Null(), fmt.Errorf("%w: %q (service declares %v)", ErrUnknownMethod, method, s.Methods())
+		return nil, fmt.Errorf("%w: %q (service declares %v)", ErrUnknownMethod, method, s.Methods())
 	}
-	return m.handler(ctx, args, owned)
+	return m.handler(ctx, args, owned, reply)
 }

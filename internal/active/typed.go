@@ -163,24 +163,23 @@ func (s Stub[Req, Resp]) Handle() *Handle { return s.h }
 // Method returns the wire method name the stub calls.
 func (s Stub[Req, Resp]) Method() string { return s.method }
 
-// Call marshals req, performs the asynchronous call and returns a typed
-// future for the result. req's byte slices are not copied into the
-// arguments: the request is encoded (remote target) or deep-copied (local
-// target) before Call returns, so the caller may reuse them at once
-// (WIRE.md §2, "Payload ownership").
+// Call encodes req, performs the asynchronous call and returns a typed
+// future for the result. The request is encoded before Call returns, so
+// the caller may reuse req's byte slices at once (WIRE.md §2, "Payload
+// ownership").
 func (s Stub[Req, Resp]) Call(req Req, opts ...CallOption) (*TypedFuture[Resp], error) {
 	o := applyOptions(opts)
-	args, err := s.req.MarshalBorrow(req)
+	enc, err := s.req.EncodeAfter(requestRoom(s.method), req)
 	if err != nil {
 		return nil, err
 	}
 	if o.noReply {
-		if err := s.h.Send(s.method, args); err != nil {
+		if err := s.h.send(s.method, enc); err != nil {
 			return nil, err
 		}
 		return &TypedFuture[Resp]{}, nil
 	}
-	fut, err := s.h.Call(s.method, args)
+	fut, err := s.h.call(s.method, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -197,19 +196,20 @@ func (s Stub[Req, Resp]) CallSync(req Req, timeout time.Duration) (Resp, error) 
 	return fut.Wait(timeout)
 }
 
-// Send performs a one-way, fire-and-forget call; req's bytes are borrowed
-// as in Call.
+// Send performs a one-way, fire-and-forget call; req is encoded before
+// Send returns, as in Call.
 func (s Stub[Req, Resp]) Send(req Req) error {
-	args, err := s.req.MarshalBorrow(req)
+	enc, err := s.req.EncodeAfter(requestRoom(s.method), req)
 	if err != nil {
 		return err
 	}
-	return s.h.Send(s.method, args)
+	return s.h.send(s.method, enc)
 }
 
 // CallTyped is the in-behavior analogue of Stub.Call: an activity calling
 // another activity through a reference value it holds, with typed
-// marshaling at both ends. req's bytes are borrowed as in Stub.Call.
+// marshaling at both ends. req's []byte fields are shared until the
+// request is encoded, before CallTyped returns (WIRE.md §2).
 func CallTyped[Resp any](ctx *Context, target wire.Value, method string, req any, opts ...CallOption) (*TypedFuture[Resp], error) {
 	o := applyOptions(opts)
 	args, err := wire.MarshalBorrow(req)

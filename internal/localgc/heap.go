@@ -12,8 +12,8 @@
 // reference" optimization verbatim.
 //
 // The no-sharing property (§2.1) is enforced at interning time: every cell
-// records its owning activity and values are deep-copied across activity
-// boundaries by the wire codec before they ever reach the heap.
+// records its owning activity, and values cross activity boundaries as
+// wire encodings before they ever reach the heap.
 //
 // The heap is sharded 32 ways by owning activity (the same shape as
 // simnet's routing shards): one activity's object graph never references

@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -140,12 +141,13 @@ func init() { RegisterType(allocBlob{}) }
 
 // TestAllocsDecodeRefFree gates the receive side of a ref-free request:
 // the walk allocates nothing, so the one allocation is the owned copy of
-// the bytes.
+// the bytes, and a payload handed over (an intra-node request) costs
+// nothing.
 func TestAllocsDecodeRefFree(t *testing.T) {
 	raw := Encode(nil, mustMarshal(t, allocBlob{Seq: 3, Payload: make([]byte, 4096)}))
 	var sink Value
 	assertAllocs(t, "decode ref-free", 1, func() {
-		v, ok := DecodeRefFree(raw)
+		v, ok := decodeRefFree(raw)
 		if !ok {
 			t.Fatal("refused a canonical ref-free dict")
 		}
@@ -154,6 +156,12 @@ func TestAllocsDecodeRefFree(t *testing.T) {
 	if EncodedSize(sink) != len(raw) {
 		t.Fatalf("encoded form sized %d, want %d", EncodedSize(sink), len(raw))
 	}
+	assertAllocs(t, "decode ref-free, owned", 0, func() {
+		v, err := DecodePayload(raw, true)
+		if err != nil || &v.bytes[0] != &raw[0] {
+			t.Fatal("an owned payload was refused or copied")
+		}
+	})
 }
 
 // TestAllocsPlanUnmarshalEncoded gates the typed decode straight from the
@@ -161,7 +169,7 @@ func TestAllocsDecodeRefFree(t *testing.T) {
 // []byte field costs its copy unless the caller owns the bytes.
 func TestAllocsPlanUnmarshalEncoded(t *testing.T) {
 	msg := allocMsg{A: 7, B: 9, F: 2.5, On: true, Tag: "alloc"}
-	enc, ok := DecodeRefFree(Encode(nil, mustMarshal(t, msg)))
+	enc, ok := decodeRefFree(Encode(nil, mustMarshal(t, msg)))
 	if !ok {
 		t.Fatal("refused a canonical ref-free dict")
 	}
@@ -176,7 +184,7 @@ func TestAllocsPlanUnmarshalEncoded(t *testing.T) {
 		t.Fatalf("round trip: got %+v, want %+v", *out, msg)
 	}
 
-	blob, ok := DecodeRefFree(Encode(nil, mustMarshal(t, allocBlob{Seq: 3, Payload: make([]byte, 4096)})))
+	blob, ok := decodeRefFree(Encode(nil, mustMarshal(t, allocBlob{Seq: 3, Payload: make([]byte, 4096)})))
 	if !ok {
 		t.Fatal("refused a canonical ref-free dict")
 	}
@@ -197,21 +205,22 @@ func TestAllocsPlanUnmarshalEncoded(t *testing.T) {
 	}
 }
 
-// TestAllocsMarshalBorrow gates the typed caller's marshal: the []Value
-// slab and the boxing of the sample, and no copy of the payload.
-func TestAllocsMarshalBorrow(t *testing.T) {
+// TestAllocsEncodeAfter gates the typed caller's encode: the buffer and
+// the boxing of the sample — no []Value slab — and the payload copied
+// once, into the buffer.
+func TestAllocsEncodeAfter(t *testing.T) {
 	msg := allocBlob{Seq: 3, Payload: make([]byte, 4096)}
 	codec := CodecFor[allocBlob]()
-	var sink Value
-	assertAllocs(t, "marshal borrow", 2, func() {
-		v, err := codec.MarshalBorrow(msg)
+	var sink []byte
+	assertAllocs(t, "encode after", 2, func() {
+		b, err := codec.EncodeAfter(8, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink = v
+		sink = b
 	})
-	if &sink.Get("payload").AsBytes()[0] != &msg.Payload[0] {
-		t.Fatal("MarshalBorrow copied the payload")
+	if !bytes.Equal(sink[8:], Encode(nil, mustMarshal(t, msg))) || cap(sink) != len(sink) {
+		t.Fatalf("EncodeAfter wrote %d bytes (cap %d), not the exact encoding", len(sink), cap(sink))
 	}
 }
 

@@ -68,9 +68,9 @@ var (
 func Marshal(v any) (Value, error) { return marshalAny(v, false) }
 
 // MarshalBorrow is Marshal without the copy of byte slices: the Value
-// shares v's []byte data, so it must be encoded or deep-copied before that
-// data changes. The typed calling path uses it because a request is
-// encoded (remote) or deep-copied (local) before the call returns.
+// shares v's []byte data, so it must be encoded before that data changes.
+// CallTyped and SendTyped use it: their request is encoded before the
+// call returns.
 func MarshalBorrow(v any) (Value, error) { return marshalAny(v, true) }
 
 func marshalAny(v any, borrow bool) (Value, error) {

@@ -1,14 +1,18 @@
 package wire
 
-// The encoded form: a dict that arrived from another node and carries no
-// Ref and no Future stays the bytes it arrived as (WIRE.md §2, "Payload
-// ownership"). The receiver copies the bytes out of the transport's
-// buffer once; a registered struct then decodes straight from them
-// (plan.unmarshalEncoded) without building a Value tree, and a forwarded
-// or checkpointed request re-encodes as those same bytes. Every other
-// reader sees the decoded value.
+// The encoded form: a delivered dict that carries no Ref and no Future
+// stays the bytes it arrived as (WIRE.md §2, "Payload ownership"). The
+// receiver copies the bytes out of the transport's buffer once, or takes
+// over an intra-node sender's own; a registered struct then decodes
+// straight from them (plan.unmarshalEncoded) without building a Value
+// tree, and a forwarded or checkpointed request re-encodes as those same
+// bytes. Every other reader sees the decoded value.
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/ids"
+)
 
 // errNotRefFree marks a walk that found a Ref, a Future or a non-canonical
 // encoding; it never leaves the package.
@@ -17,24 +21,48 @@ var errNotRefFree = errors.New("wire: not a canonical ref-free value")
 // isEncoded reports whether v is a dict in encoded form.
 func (v Value) isEncoded() bool { return v.kind == KindDict && v.bytes != nil }
 
-// DecodeRefFree returns a copy of buf as an encoded-form dict when buf is
-// exactly one canonical dict holding no Ref and no Future: the §2.2 OnRef
-// hook would have nothing to report, so the bytes need no decoding here.
-// Canonical means the bytes are the ones Encode writes for the decoded
-// value: minimal uvarints, Bools of 0 or 1, keys strictly increasing. The
-// check walks buf without allocating; when it fails, ok is false and the
-// caller decodes buf with its Decoder as before.
-func DecodeRefFree(buf []byte) (v Value, ok bool) {
+// DecodePayload decodes one value arriving for an activity. When buf is
+// exactly one canonical dict holding no Ref and no Future, the §2.2 OnRef
+// hook would have nothing to report, so the bytes are not decoded: the
+// value is an encoded-form dict over them. Canonical means the bytes are
+// the ones Encode writes for the decoded value: minimal uvarints, Bools
+// of 0 or 1, keys strictly increasing; the check walks buf without
+// allocating. Anything else is decoded. owned hands buf over — nothing
+// else reads or writes it from now on — so the value keeps buf, byte
+// values included, instead of copying it: the form an intra-node
+// sender's own encoding is delivered in (WIRE.md §2, "Payload
+// ownership").
+func DecodePayload(buf []byte, owned bool) (Value, error) {
+	if refFreeDict(buf) {
+		if !owned {
+			buf = append([]byte(nil), buf...)
+		}
+		return Value{kind: KindDict, bytes: buf[:len(buf):len(buf)]}, nil
+	}
+	d := Decoder{alias: owned}
+	return d.Decode(buf)
+}
+
+// refFreeDict reports whether buf is exactly one canonical dict holding
+// no Ref and no Future.
+func refFreeDict(buf []byte) bool {
 	if len(buf) == 0 || Kind(buf[0]) != KindDict {
-		return Value{}, false
+		return false
 	}
 	var r Reader
 	r.Reset(buf, errNotRefFree)
 	r.skipRefFree(0)
-	if r.Done() != nil {
-		return Value{}, false
-	}
-	return Value{kind: KindDict, bytes: append([]byte(nil), buf...)}, true
+	return r.Done() == nil
+}
+
+// FutureRefsIn appends to dst every future reference in enc, one encoded
+// value, in the order Value.FutureRefs reports them for its decoding, and
+// returns the extended slice. It walks the bytes without decoding them;
+// a malformed encoding ends the walk at the fault.
+func FutureRefsIn(enc []byte, dst []FutureRef) []FutureRef {
+	var r Reader
+	r.Reset(enc, errNotRefFree)
+	return r.walk(0, dst, false)
 }
 
 // Expand returns v as a Value tree: a dict in encoded form is decoded, and
@@ -54,15 +82,20 @@ func Expand(v Value) Value {
 // skipRefFree reads past one value and fails the cursor unless the value
 // is canonical and holds no Ref and no Future. Every input it accepts,
 // Decoder.Decode accepts too, with the same depth limit, firing no hook.
-func (r *Reader) skipRefFree(depth int) {
+func (r *Reader) skipRefFree(depth int) { r.walk(depth, nil, true) }
+
+// walk reads past one value and appends every future it passes to futs.
+// strict is skipRefFree's check: the walk then fails on a Ref, a Future
+// or a non-canonical encoding.
+func (r *Reader) walk(depth int, futs []FutureRef, strict bool) []FutureRef {
 	if depth > maxDepth {
 		r.fail()
-		return
+		return futs
 	}
 	switch Kind(r.Byte()) {
 	case KindNull:
 	case KindBool:
-		if r.Byte() > 1 {
+		if r.Byte() > 1 && strict {
 			r.fail()
 		}
 	case KindInt:
@@ -73,20 +106,37 @@ func (r *Reader) skipRefFree(depth int) {
 		r.Bytes()
 	case KindList:
 		for n := r.Count(r.Len()); n > 0 && r.err == nil; n-- {
-			r.skipRefFree(depth + 1)
+			futs = r.walk(depth+1, futs, strict)
 		}
 	case KindDict:
 		var prev []byte
 		for i, n := 0, r.Count(r.Len()); i < n && r.err == nil; i++ {
 			key := r.Bytes()
-			if i > 0 && string(key) <= string(prev) {
+			if strict && i > 0 && string(key) <= string(prev) {
 				r.fail()
 			}
 			prev = key
-			r.skipRefFree(depth + 1)
+			futs = r.walk(depth+1, futs, strict)
+		}
+	case KindRef:
+		if strict {
+			r.fail()
+		}
+		r.Uvarint()
+		r.Uvarint()
+	case KindFuture:
+		if strict {
+			r.fail()
+		}
+		fr := FutureRef{
+			ID:    ids.FutureID{Node: ids.NodeID(r.Uvarint()), Seq: uint32(r.Uvarint())},
+			Owner: ids.ActivityID{Node: ids.NodeID(r.Uvarint()), Seq: uint32(r.Uvarint())},
+		}
+		if r.err == nil {
+			futs = append(futs, fr)
 		}
 	default:
-		// Ref, Future, or no kind at all.
-		r.fail()
+		r.fail() // no kind at all
 	}
+	return futs
 }

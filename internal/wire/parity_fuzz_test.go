@@ -61,7 +61,8 @@ func init() { RegisterType(parityPlanMsg{}) }
 // decode that reproduces the same bytes from both unmarshal branches
 // (pairs-form merge walk and map-form lookup). A third arm decodes the
 // encoded form straight into the struct and holds it to the Value-tree
-// decode.
+// decode. The direct encoder (Codec.EncodeAfter) must write the bytes
+// Encode writes for Marshal's value.
 func FuzzPlanCodecParity(f *testing.F) {
 	f.Add(false, int64(0), int32(0), uint64(0), 0.0, float32(0), "", []byte(nil), []byte(nil), uint8(0), uint32(0), uint32(0), "", "", int64(0))
 	f.Add(true, int64(-7), int32(42), uint64(9), 2.5, float32(1.5), "hello", []byte{1, 2, 3}, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(1), uint32(3), uint32(8), "present", "k", int64(11))
@@ -100,16 +101,24 @@ func FuzzPlanCodecParity(f *testing.F) {
 
 		pv, perr := Marshal(plan)
 		rv, rerr := Marshal(refl)
-		if (perr != nil) != (rerr != nil) {
-			t.Fatalf("marshal error divergence: plan=%v refl=%v", perr, rerr)
+		// The direct encoder of the typed send path, along the plan and
+		// (the zero codec) through the reflection fallback, behind room.
+		const room = 3
+		dp, dperr := CodecFor[parityPlanMsg]().EncodeAfter(room, plan)
+		dr, drerr := Codec[parityReflMsg]{}.EncodeAfter(room, refl)
+		if (perr != nil) != (rerr != nil) || (perr != nil) != (dperr != nil) || (perr != nil) != (drerr != nil) {
+			t.Fatalf("marshal error divergence: plan=%v refl=%v direct plan=%v direct refl=%v", perr, rerr, dperr, drerr)
 		}
 		if perr != nil {
-			return // e.g. uint overflow — both paths rejected it
+			return // e.g. uint overflow — every path rejected it
 		}
 		pb := Encode(nil, pv)
 		rb := Encode(nil, rv)
 		if !bytes.Equal(pb, rb) {
 			t.Fatalf("encoding divergence:\nplan %x\nrefl %x", pb, rb)
+		}
+		if len(dp) != room+len(pb) || !bytes.Equal(dp[room:], pb) || !bytes.Equal(dr, dp) {
+			t.Fatalf("direct encoding divergence:\nwant %x\nplan %x\nrefl %x", pb, dp, dr)
 		}
 		// Pairs form and map form, sized without encoding.
 		if ps, rs := EncodedSize(pv), EncodedSize(rv); ps != len(pb) || rs != len(pb) {
@@ -166,7 +175,7 @@ func FuzzPlanCodecParity(f *testing.F) {
 			encodings = append(encodings, refFreeEncoding(decoded, i+1+int(vsel>>2)))
 		}
 		for _, raw := range encodings {
-			enc, ok := DecodeRefFree(raw)
+			enc, ok := decodeRefFree(raw)
 			if !ok {
 				t.Fatalf("DecodeRefFree refused the canonical ref-free dict %x", raw)
 			}
@@ -237,11 +246,20 @@ func checkEncodedParity(t *testing.T, enc, tree Value) {
 	}
 }
 
+// decodeRefFree is DecodePayload's fast path alone: the copied encoded
+// form, and whether buf took the path.
+func decodeRefFree(buf []byte) (Value, bool) {
+	v, err := DecodePayload(buf, false)
+	return v, err == nil && v.isEncoded()
+}
+
 // FuzzDecodeRefFree holds the receive fast path to its promise. The walk
 // accepts exactly the canonical dicts that Decoder.Decode accepts without
 // firing OnRef or OnFuture, so skipping the decoder can never skip a hook;
 // and what it accepts reads like its decoded tree through every accessor
-// and through the plan decode.
+// and through the plan decode. The owned DecodePayload and FutureRefsIn,
+// which the runtime delivers and registers holders with, are held to the
+// decoder on the same inputs.
 func FuzzDecodeRefFree(f *testing.F) {
 	parity, err := Marshal(parityPlanMsg{S: "s", Raw: []byte{1, 2}, V: List(Int(1), Bytes([]byte{3}))})
 	if err != nil {
@@ -266,7 +284,7 @@ func FuzzDecodeRefFree(f *testing.F) {
 	f.Add([]byte{byte(KindDict), 1, 1, 'k', byte(KindInt), 0x80, 0x00}) // non-minimal varint
 	f.Add([]byte{byte(KindDict), 1, 1, 'k', byte(KindBool), 2})         // a Bool of 2
 	f.Fuzz(func(t *testing.T, data []byte) {
-		enc, ok := DecodeRefFree(data)
+		enc, ok := decodeRefFree(data)
 		hooks := 0
 		d := Decoder{
 			OnRef:    func(ids.ActivityID) { hooks++ },
@@ -276,6 +294,15 @@ func FuzzDecodeRefFree(f *testing.F) {
 		canonical := err == nil && tree.Kind() == KindDict && bytes.Equal(Encode(nil, tree), data)
 		if want := canonical && hooks == 0; ok != want {
 			t.Fatalf("DecodeRefFree = %v; decode error %v, %d hooks, canonical %v", ok, err, hooks, canonical)
+		}
+		// An owned payload takes the same path and decodes to the same
+		// value; the byte walk for futures agrees with the tree's.
+		if pv, perr := DecodePayload(bytes.Clone(data), true); (perr == nil) != (err == nil) ||
+			pv.isEncoded() != ok || err == nil && !pv.Equal(tree) {
+			t.Fatalf("owned DecodePayload = %v, %v; decode gave %v, %v", pv, perr, tree, err)
+		}
+		if canonical && !slices.Equal(FutureRefsIn(data, nil), tree.FutureRefs(nil)) {
+			t.Fatalf("FutureRefsIn = %v, tree has %v", FutureRefsIn(data, nil), tree.FutureRefs(nil))
 		}
 		if !ok {
 			return

@@ -196,26 +196,53 @@ func classifyField(t reflect.Type) planKind {
 // plan's shared keys, so the only allocation is the value slice (and,
 // unless borrow is set, one copy per []byte field).
 func (p *plan) marshal(rv reflect.Value, borrow bool) (Value, error) {
-	n := len(p.fields)
-	vals := make([]Value, n)
-	cnt := 0
-	var keys []string // nil until a field is omitted; then a private copy
+	vals := make([]Value, len(p.fields))
+	keys, n, err := p.fill(vals, rv, borrow)
+	if err != nil {
+		return Null(), err
+	}
+	return Value{kind: KindDict, dkeys: keys, elems: vals[:n]}, nil
+}
+
+// encodeAfter is Codec.EncodeAfter for a registered struct: the field
+// values are staged on the stack, so the buffer is the only allocation
+// the plan's own fields cost; a type with more fields than the stage
+// stages them in one slice.
+func (p *plan) encodeAfter(room int, rv reflect.Value) ([]byte, error) {
+	var stage [16]Value
+	vals := stage[:]
+	if len(p.fields) > len(stage) {
+		vals = make([]Value, len(p.fields))
+	}
+	keys, n, err := p.fill(vals, rv, true)
+	if err != nil {
+		return nil, err
+	}
+	return encodePairsAfter(room, keys, vals[:n]), nil
+}
+
+// fill writes rv's present field values into the first n slots of vals
+// (one slot per plan field) and returns their keys: the pairs form of
+// the struct's dict. It returns no Value, so a stage passed in as vals
+// does not leave its caller's stack.
+func (p *plan) fill(vals []Value, rv reflect.Value, borrow bool) (keys []string, n int, err error) {
+	// keys stays nil until a field is omitted; then it is a private copy.
 	for i := range p.fields {
 		f := &p.fields[i]
 		fv := rv.Field(f.index)
 		if f.omitEmpty && fv.IsZero() {
 			if keys == nil {
-				keys = append(make([]string, 0, n-1), p.keys[:cnt]...)
+				keys = append(make([]string, 0, len(p.fields)-1), p.keys[:n]...)
 			}
 			continue
 		}
 		// encodeInto writes the field's value straight into its slot;
 		// passing Values through return slots would copy the full struct
 		// once per field (runtime.duffcopy, visible in the call profile).
-		if err := f.encodeInto(&vals[cnt], fv, borrow); err != nil {
-			return Null(), fmt.Errorf("field %s: %w", f.key, err)
+		if err := f.encodeInto(&vals[n], fv, borrow); err != nil {
+			return nil, 0, fmt.Errorf("field %s: %w", f.key, err)
 		}
-		cnt++
+		n++
 		if keys != nil {
 			keys = append(keys, f.key)
 		}
@@ -223,7 +250,7 @@ func (p *plan) marshal(rv reflect.Value, borrow bool) (Value, error) {
 	if keys == nil {
 		keys = p.keys
 	}
-	return Value{kind: KindDict, dkeys: keys, elems: vals[:cnt]}, nil
+	return keys, n, nil
 }
 
 func (f *planField) encodeInto(dst *Value, fv reflect.Value, borrow bool) error {
@@ -430,7 +457,7 @@ func (f *planField) decodeFrom(r *Reader, rv reflect.Value, owned bool) error {
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Codec is the struct codec of one Go type with its plan looked up once,
-// for call sites that marshal or unmarshal the same type on every call
+// for call sites that encode or unmarshal the same type on every call
 // (typed stubs, service methods, typed futures). The zero Codec is valid:
 // it looks the plan up per call, like Marshal and Unmarshal.
 type Codec[T any] struct{ p *plan }
@@ -445,19 +472,22 @@ func CodecFor[T any]() Codec[T] {
 	return Codec[T]{}
 }
 
-// Marshal is wire.Marshal for a T.
-func (c Codec[T]) Marshal(v T) (Value, error) { return c.marshal(v, false) }
-
-// MarshalBorrow is wire.MarshalBorrow for a T.
-func (c Codec[T]) MarshalBorrow(v T) (Value, error) { return c.marshal(v, true) }
-
-func (c Codec[T]) marshal(v T, borrow bool) (Value, error) {
-	if c.p == nil {
-		return marshalAny(v, borrow)
+// EncodeAfter returns the encoding of v behind room zero bytes, which
+// the caller fills in later (an envelope header), in one buffer of
+// exactly that size. The bytes are Encode(nil, Marshal(v)); a registered
+// struct is encoded along its plan without a Value in between, and v's
+// byte slices are read, not kept.
+func (c Codec[T]) EncodeAfter(room int, v T) ([]byte, error) {
+	if c.p != nil {
+		// Through an interface, like Marshal: taking &v instead would
+		// move v to the heap on the no-plan path too.
+		return c.p.encodeAfter(room, reflect.ValueOf(any(v)))
 	}
-	// Through an interface, like Marshal: taking &v instead would move v
-	// to the heap on the no-plan path too.
-	return c.p.marshal(reflect.ValueOf(any(v)), borrow)
+	val, err := marshalAny(v, true)
+	if err != nil {
+		return nil, err
+	}
+	return encodeAfter(room, &val), nil
 }
 
 // Unmarshal is wire.Unmarshal into a T; out must not be nil.

@@ -594,6 +594,22 @@ func Encode(dst []byte, v Value) []byte {
 	return encodeTo(dst, &v)
 }
 
+// EncodeAfter returns the encoding of v behind room zero bytes, which
+// the caller fills in later (an envelope header), in one buffer of
+// exactly that size.
+func EncodeAfter(room int, v Value) []byte { return encodeAfter(room, &v) }
+
+func encodeAfter(room int, v *Value) []byte {
+	return encodeTo(make([]byte, room, room+sizeOf(v)), v)
+}
+
+// encodePairsAfter is encodeAfter for a pairs-form dict given as its
+// keys and values (see appendPairs).
+func encodePairsAfter(room int, keys []string, vals []Value) []byte {
+	v := Value{kind: KindDict, dkeys: keys, elems: vals}
+	return appendPairs(append(make([]byte, room, room+sizeOf(&v)), byte(KindDict)), keys, vals)
+}
+
 // encodeTo recurses by pointer so nested lists and pairs-form dicts do not
 // copy each element Value per level.
 func encodeTo(dst []byte, v *Value) []byte {
@@ -632,12 +648,7 @@ func encodeTo(dst []byte, v *Value) []byte {
 		if v.dict == nil {
 			// Pairs form: already in canonical key order, no sort and no
 			// key-slice allocation on the way out.
-			dst = binary.AppendUvarint(dst, uint64(len(v.dkeys)))
-			for i, k := range v.dkeys {
-				dst = binary.AppendUvarint(dst, uint64(len(k)))
-				dst = append(dst, k...)
-				dst = encodeTo(dst, &v.elems[i])
-			}
+			dst = appendPairs(dst, v.dkeys, v.elems)
 			break
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(v.dict)))
@@ -654,6 +665,20 @@ func encodeTo(dst []byte, v *Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(v.fid.Seq))
 		dst = binary.AppendUvarint(dst, uint64(v.ref.Node))
 		dst = binary.AppendUvarint(dst, uint64(v.ref.Seq))
+	}
+	return dst
+}
+
+// appendPairs encodes the body of a pairs-form dict: the count, then
+// each key and value. The values are passed by slice, not inside a
+// Value, so a caller's stack-staged slice stays on its stack: encodeTo's
+// map branch would otherwise move every Value it is handed to the heap.
+func appendPairs(dst []byte, keys []string, vals []Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for i, k := range keys {
+		dst = binary.AppendUvarint(dst, uint64(len(k)))
+		dst = append(dst, k...)
+		dst = encodeTo(dst, &vals[i])
 	}
 	return dst
 }
