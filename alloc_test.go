@@ -48,6 +48,42 @@ func TestAllocsTypedCallRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocsDynamicCallRoundTrip gates the same call through the dynamic
+// surface, map-form dicts both ways (BenchmarkDynamicCall): each dict is
+// encoded without staging its keys or entries on the heap and expanded
+// once at the dynamic boundary, 15 allocations in all; the budget is that
+// plus one.
+func TestAllocsDynamicCallRoundTrip(t *testing.T) {
+	env := repro.NewEnv(repro.Config{DisableDGC: true})
+	defer env.Close()
+	h := env.NewNode().NewActive("alloc-dyn", repro.BehaviorFunc(
+		func(ctx *repro.Context, method string, args repro.Value) (repro.Value, error) {
+			return repro.Dict(map[string]repro.Value{
+				"sum": repro.Int(args.Get("a").AsInt() + args.Get("b").AsInt()),
+				"tag": args.Get("tag"),
+			}), nil
+		}))
+	defer h.Release()
+	args := repro.Dict(map[string]repro.Value{
+		"a": repro.Int(19), "b": repro.Int(23), "tag": repro.String("bench"),
+	})
+	call := func() {
+		out, err := h.CallSync("add", args, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Get("sum").AsInt() != 42 {
+			t.Fatalf("sum = %v", out.Get("sum"))
+		}
+	}
+	call()
+	got := testing.AllocsPerRun(200, call)
+	t.Logf("dynamic call round trip: %.1f allocs/op", got)
+	if got > 16 {
+		t.Errorf("dynamic call round trip: %.1f allocs/op, budget 16", got)
+	}
+}
+
 // TestAllocsCrossNodeCallRoundTrip gates the same call between two nodes
 // over simnet, where request and reply are each sized, encoded and
 // accounted, and each arrives as an encoded-form dict that decodes

@@ -208,15 +208,13 @@ func (f *Future) resolve(val wire.Value, roots []localgc.RootID, err error) {
 	}
 }
 
-// resolveFromChain delivers the concrete value of the inner future a
-// chainWait future was flattened onto. Clearing chainWait first lets the
-// normal resolve path run (and chain again if the value is yet another
-// future).
-func (f *Future) resolveFromChain(val wire.Value, roots []localgc.RootID, err error) {
+// endChain ends a chainWait: the inner future the entry was flattened
+// onto has resolved, so the next resolve — its concrete value, a failure,
+// or yet another future to chain onto — takes effect.
+func (f *Future) endChain() {
 	f.mu.Lock()
 	f.chainWait = false
 	f.mu.Unlock()
-	f.resolve(val, roots, err)
 }
 
 // fail resolves the future with an error (owner terminated, shutdown).

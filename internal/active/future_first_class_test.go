@@ -199,6 +199,81 @@ func TestForwardedFutureLocalHop(t *testing.T) {
 	}
 }
 
+// TestChainedFutureOwnerTerminated: the owner of a future that resolved
+// to another future terminates, and then the inner future resolves. The
+// outer future fails with ErrOwnerTerminated, as an unchained one does,
+// and a local activity it was forwarded to wakes with that failure
+// instead of waiting out its timeout.
+func TestChainedFutureOwnerTerminated(t *testing.T) {
+	e := testEnv(t)
+	n := e.NewNode()
+	gate := make(chan struct{})
+	worker := n.NewActive("worker", NewService(
+		Method("slow", func(_ *Context, _ struct{}) (int64, error) {
+			<-gate
+			return 42, nil
+		})))
+	defer worker.Release()
+	relay := n.NewActive("relay", NewService(
+		// Returns the worker's unresolved future: the caller's future
+		// chains onto it.
+		Method("fwd", func(ctx *Context, _ struct{}) (*TypedFuture[int64], error) {
+			return CallTyped[int64](ctx, worker.Ref(), "slow", struct{}{})
+		})))
+	defer relay.Release()
+	type outcome struct {
+		v   int64
+		err error
+	}
+	lifted, waited := make(chan struct{}), make(chan outcome, 1)
+	sink := n.NewActive("sink", NewService(
+		Method("consume", func(ctx *Context, req struct {
+			Fut wire.Value `wire:"fut"`
+		}) (struct{}, error) {
+			f, err := FutureFor[int64](ctx, req.Fut)
+			if err != nil {
+				return struct{}{}, err
+			}
+			close(lifted)
+			v, err := f.Wait(10 * time.Second)
+			waited <- outcome{v, err}
+			return struct{}{}, nil
+		})))
+	defer sink.Release()
+	var outer *Future
+	head := n.NewActive("head", NewService(
+		Method("start", func(ctx *Context, _ struct{}) (struct{}, error) {
+			f, err := CallTyped[int64](ctx, relay.Ref(), "fwd", struct{}{})
+			if err != nil {
+				return struct{}{}, err
+			}
+			outer = f.Raw()
+			return struct{}{}, SendTyped(ctx, sink.Ref(), "consume", struct {
+				Fut *TypedFuture[int64] `wire:"fut"`
+			}{Fut: f})
+		})))
+	if _, err := NewStub[struct{}, struct{}](head, "start").CallSync(struct{}{}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The sink holds the outer future, which is chain-waiting.
+	<-lifted
+	waitUntil(t, func() bool {
+		outer.mu.Lock()
+		defer outer.mu.Unlock()
+		return outer.chainWait
+	}, 5*time.Second)
+	head.Terminate()
+	close(gate)
+	select {
+	case o := <-waited:
+		if !errors.Is(o.err, ErrOwnerTerminated) {
+			t.Fatalf("forwarded chained future = %d, %v; want ErrOwnerTerminated", o.v, o.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("forwarded chained future never resolved after its owner terminated")
+	}
+}
+
 // TestFutureTableSweep: the future table must not accumulate entries —
 // resolved, consumed, unpinned entries are reclaimed by the driver sweep
 // on every node, including proxies adopted for forwarded futures.

@@ -468,16 +468,15 @@ func (n *Node) deliverFutureUpdate(payload []byte, local bool) {
 		fut.fail(err)
 		return
 	}
-	n.bindValueToFuture(fut, value, local, false)
+	n.bindValueToFuture(fut, value, local)
 }
 
 // bindValueToFuture installs an arrived result on a future entry: it
 // binds the value to the activities that will consume it — the home
 // entry's owner and/or every local activity the future was forwarded to
 // — and resolves the entry (which fans the value out to downstream holder
-// nodes and chained futures). chained resolves a future flattened onto
-// another one (resolveFromChain).
-func (n *Node) bindValueToFuture(f *Future, value wire.Value, local, chained bool) {
+// nodes and chained futures).
+func (n *Node) bindValueToFuture(f *Future, value wire.Value, local bool) {
 	var cscratch [4]*ActiveObject
 	consumers := cscratch[:0]
 	if !f.proxy && !f.emigrated.Load() {
@@ -501,10 +500,6 @@ func (n *Node) bindValueToFuture(f *Future, value wire.Value, local, chained boo
 	var roots []localgc.RootID // the future keeps them: off the stack
 	if k := n.bind(value, consumers, pins, local); k > 0 {
 		roots = append(roots, pins[:k]...)
-	}
-	if chained {
-		f.resolveFromChain(value, roots, nil)
-		return
 	}
 	f.resolve(value, roots, nil)
 }
@@ -544,18 +539,19 @@ func (n *Node) fanOutFutureValue(fid FutureID, val wire.Value, failed bool, errS
 // resolveChainedFuture re-resolves a chainWait future with the concrete
 // value of the inner future it was flattened onto. The value crosses an
 // activity boundary, so it is encoded, as every crossing is, and the
-// copy is bound to the outer future's consumers.
+// copy is bound to the outer future's consumers. The chain ends first, so
+// the bind's own outcome — a failure for a terminated owner included —
+// takes effect.
 func (n *Node) resolveChainedFuture(c *Future, val wire.Value, err error) {
+	c.endChain()
+	if err == nil {
+		val, err = wire.DecodePayload(wire.EncodeAfter(0, val), true)
+	}
 	if err != nil {
-		c.resolveFromChain(wire.Null(), nil, err)
+		c.fail(err)
 		return
 	}
-	value, err := wire.DecodePayload(wire.EncodeAfter(0, val), true)
-	if err != nil {
-		c.resolveFromChain(wire.Null(), nil, err)
-		return
-	}
-	n.bindValueToFuture(c, value, false, true)
+	n.bindValueToFuture(c, val, false)
 }
 
 // updateValue returns the encoded value of a future-update envelope.

@@ -651,12 +651,7 @@ func encodeTo(dst []byte, v *Value) []byte {
 			dst = appendPairs(dst, v.dkeys, v.elems)
 			break
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(v.dict)))
-		for _, k := range v.Keys() {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
-			dst = Encode(dst, v.dict[k])
-		}
+		dst = appendMap(dst, v.dict)
 	case KindRef:
 		dst = binary.AppendUvarint(dst, uint64(v.ref.Node))
 		dst = binary.AppendUvarint(dst, uint64(v.ref.Seq))
@@ -667,6 +662,21 @@ func encodeTo(dst []byte, v *Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(v.ref.Seq))
 	}
 	return dst
+}
+
+// appendMap encodes the body of a map-form dict as the pairs of its
+// sorted keys, staged on this frame (not encodeTo's, which every value
+// pays for) so neither the keys nor the entries reach the heap.
+func appendMap(dst []byte, m map[string]Value) []byte {
+	keys, vals := make([]string, 0, 8), make([]Value, 0, 8)
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		vals = append(vals, m[k])
+	}
+	return appendPairs(dst, keys, vals)
 }
 
 // appendPairs encodes the body of a pairs-form dict: the count, then
