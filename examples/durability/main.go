@@ -9,8 +9,9 @@
 //  2. Kill-and-failover: two cluster members share a checkpoint store;
 //     when one is hard-killed, the failure detector declares it dead and
 //     the surviving member adopts its checkpointed activity under a new
-//     identity, gossiping rebinds — the dead process's name and even a
-//     stale reference to the dead identity keep resolving.
+//     identity, announcing the relocation to every member — the dead
+//     process's name and even a stale reference to the dead identity
+//     keep resolving.
 package main
 
 import (
@@ -236,8 +237,8 @@ func failoverDemo() error {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// The client still holds the DEAD identity; the gossiped rebind
-	// routes it, exactly as after a live migration.
+	// The client still holds the DEAD identity; the announced
+	// relocation routes it, exactly as after a live migration.
 	total, err := callRetry(caller, "total", repro.Null(), 10*time.Second)
 	if err != nil {
 		return err

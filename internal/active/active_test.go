@@ -2,6 +2,8 @@ package active
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -589,6 +591,51 @@ func TestEnvCloseIsIdempotentAndFailsFutures(t *testing.T) {
 	e.Close()
 	if _, err := fut.Wait(time.Second); err == nil {
 		t.Fatal("future must fail on env close")
+	}
+}
+
+// TestNewEnvRejectsUnsafeTiming: a TTA at or below the §3.1 bound lets
+// a live referencer miss its window, so NewEnv refuses it (with the
+// formula in the message) whenever the DGC is on, and says nothing with
+// the DGC off.
+func TestNewEnvRejectsUnsafeTiming(t *testing.T) {
+	ms := time.Millisecond
+	adaptive := func(min, max time.Duration) core.Adaptive {
+		return core.Adaptive{Enabled: true, MinTTB: min, MaxTTB: max}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string // "" = accepted
+	}{
+		{"defaults", Config{}, ""},
+		{"default TTA over MaxComm", Config{TTB: 10 * ms, MaxComm: 40 * ms}, ""},
+		{"TTA = 2·TTB", Config{TTB: 10 * ms, TTA: 20 * ms}, "2*TTB+MaxComm"},
+		{"TTA below 2·TTB", Config{TTB: 10 * ms, TTA: 15 * ms}, "2*TTB+MaxComm"},
+		{"TTA = 2·TTB + MaxComm", Config{TTB: 10 * ms, TTA: 25 * ms, MaxComm: 5 * ms}, "2*TTB+MaxComm"},
+		{"adaptive, TTA = 2·MaxTTB", Config{TTB: 10 * ms, TTA: 40 * ms, Adaptive: adaptive(5*ms, 20*ms)}, "2*MaxTTB+MaxComm"},
+		{"adaptive, default TTA", Config{TTB: 10 * ms, Adaptive: adaptive(5*ms, 20*ms)}, ""},
+		{"adaptive, bounds miss TTB", Config{TTB: 10 * ms, TTA: 100 * ms, Adaptive: adaptive(15*ms, 20*ms)}, "bracket the base TTB"},
+		{"adaptive, safe", Config{TTB: 10 * ms, TTA: 45 * ms, Adaptive: adaptive(5*ms, 20*ms)}, ""},
+		{"DGC off", Config{TTB: 10 * ms, TTA: ms, DisableDGC: true}, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				NewEnv(c.cfg).Close()
+			}()
+			switch {
+			case c.want == "" && got != "":
+				t.Fatalf("NewEnv refused a safe config: %s", got)
+			case c.want != "" && !strings.Contains(got, c.want):
+				t.Fatalf("NewEnv panic = %q, want one naming %q", got, c.want)
+			}
+		})
 	}
 }
 

@@ -22,9 +22,9 @@ package active
 // is declared dead (ClusterConfig.Failover), the lowest-ID surviving
 // (non-tombstoned) member
 // adopts the dead node's checkpoints, restores them under fresh
-// identities, and gossips the old→new rebinds through the channel a
-// graceful Leave uses — holders of the dead identities rebind on first
-// contact, exactly like migration redirects.
+// identities, and publishes the old→new rebinds as the relocation
+// notice a graceful Leave sends — holders of the dead identities rebind
+// at once, exactly as a migration redirect rebinds them.
 
 import (
 	"encoding/binary"
@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/ids"
+	"repro/internal/location"
 	"repro/internal/wire"
 )
 
@@ -319,7 +320,7 @@ func (e *Env) Recover() (int, error) {
 // is hosted here: each is restored under a fresh identity (the dead
 // node's ID range must stay dead: identifiers are never reused),
 // re-checkpointed under the new identity, re-registered, and the
-// old→new rebinds are applied locally and gossiped to every member,
+// old→new rebinds go out as relocation notices (Env.relocate),
 // exactly as a graceful Node.Leave hands its activities off.
 func (e *Env) adoptDeadNode(dead ids.NodeID) {
 	st := e.cfg.Store
@@ -354,7 +355,7 @@ func (e *Env) adoptDeadNode(dead ids.NodeID) {
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	var moved []cluster.Rebind
+	var moved []location.Rebind
 	for _, old := range keys {
 		c, err := decodeCheckpoint(snap[old])
 		if err != nil {
@@ -377,13 +378,8 @@ func (e *Env) adoptDeadNode(dead ids.NodeID) {
 		for _, name := range c.Names {
 			e.registerRecovered(name, ao)
 		}
-		survivor.addRebind(old, ao.id)
 		survivor.announceLocation(old, ao.id)
-		moved = append(moved, cluster.Rebind{Old: old, New: ao.id})
+		moved = append(moved, location.Rebind{Old: old, New: ao.id})
 	}
-	if len(moved) == 0 {
-		return
-	}
-	e.applyRebinds(moved)
-	e.cluster.announceRebinds(moved)
+	e.relocate(moved)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/ids"
+	"repro/internal/location"
 	"repro/internal/transport"
 )
 
@@ -48,7 +49,8 @@ type ClusterConfig struct {
 	// Failover lets a surviving member adopt a confirmed-dead member's
 	// checkpointed activities (Config.Store must be set): the lowest-ID
 	// alive node restores them under fresh identities and the old→new
-	// rebinds gossip through the same channel a graceful Leave uses.
+	// pairs go to every member as the relocation notice a graceful Leave
+	// sends.
 	// Holders of the dead identities rebind transparently; requests that
 	// were in flight at the crash fail with ErrRecovered (at-most-once,
 	// DESIGN.md §9).
@@ -352,16 +354,6 @@ func (a *clusterAgent) spawnProbe(n *Node, p ids.NodeID) {
 	}()
 }
 
-// announceRebinds ships a leaving node's (old → new) activity pairs to
-// every member process. No relay is needed: the leaver holds the full
-// member view, so the announcement reaches everyone directly.
-func (a *clusterAgent) announceRebinds(rebinds []cluster.Rebind) {
-	a.mu.Lock()
-	targets := a.remoteAddrsLocked("")
-	a.mu.Unlock()
-	a.gossip(cluster.EncodeRebinds(rebinds), targets)
-}
-
 // onDeath runs the confirmed-death protocol for p (whose health state is
 // already Dead): purge its runtime state, fail what it owed, refuse new
 // sends, and tell the other member processes.
@@ -420,8 +412,8 @@ func (a *clusterAgent) HandleCall(from ids.NodeID, class transport.Class, payloa
 	case cluster.MsgNodeUp, cluster.MsgNodeDead, cluster.MsgNodeLeft:
 		a.handleEvent(payload)
 		return cluster.EncodeAck()
-	case cluster.MsgRebinds:
-		a.handleRebinds(payload)
+	case location.TagAnnounce:
+		a.env.applyAnnounce(payload)
 		return cluster.EncodeAck()
 	case cluster.MsgPing:
 		return cluster.EncodePong()
@@ -439,19 +431,7 @@ func (a *clusterAgent) HandleOneWay(from ids.NodeID, class transport.Class, payl
 	switch payload[0] {
 	case cluster.MsgNodeUp, cluster.MsgNodeDead, cluster.MsgNodeLeft:
 		a.handleEvent(payload)
-	case cluster.MsgRebinds:
-		a.handleRebinds(payload)
 	}
-}
-
-// handleRebinds applies a leaving node's relocation announcement to
-// every local node.
-func (a *clusterAgent) handleRebinds(payload []byte) {
-	rebinds, err := cluster.DecodeRebinds(payload)
-	if err != nil {
-		return
-	}
-	a.env.applyRebinds(rebinds)
 }
 
 // handleNodeCall answers node-addressed cluster exchanges (the suspect
@@ -635,13 +615,7 @@ func (e *Env) failDeadNode(p ids.NodeID) {
 	e.markDeadNode(p)
 	e.refreshRing()
 	err := fmt.Errorf("%w: node-%d", ErrNodeDead, p)
-	e.mu.Lock()
-	nodes := make([]*Node, 0, len(e.nodes))
-	for _, n := range e.nodes {
-		nodes = append(nodes, n)
-	}
-	e.mu.Unlock()
-	for _, n := range nodes {
+	for _, n := range e.localNodes() {
 		n.futures.failNodeDead(p, err)
 		n.purgeRebindsTo(p)
 		n.failRelaysVia(p)
@@ -660,7 +634,7 @@ func (n *Node) Leave(dst ids.NodeID) error {
 	if dst == n.id {
 		return fmt.Errorf("active: Leave: destination is the leaving node")
 	}
-	var moved []cluster.Rebind
+	var moved []location.Rebind
 	for _, ao := range n.snapshotActivities() {
 		if ao.terminated.Load() || !ao.forwardTarget().IsNil() {
 			continue
@@ -679,7 +653,7 @@ func (n *Node) Leave(dst ids.NodeID) error {
 		// disappears with this node, so the usual heartbeat-triggered
 		// redirect may never get its chance.
 		if newID := ao.forwardTarget(); !newID.IsNil() {
-			moved = append(moved, cluster.Rebind{Old: ao.id, New: newID})
+			moved = append(moved, location.Rebind{Old: ao.id, New: newID})
 			for _, ref := range ao.collector.Referencers() {
 				if ref.Node != n.id {
 					n.sendRedirect(ref.Node, ao.id, newID)
@@ -690,14 +664,9 @@ func (n *Node) Leave(dst ids.NodeID) error {
 	// Referencer lists are only as fresh as the last heartbeat, so a
 	// holder whose first beat has not landed yet would miss the pushed
 	// redirect and be left with a reference into a vanished node. The
-	// cluster layer closes that gap: the rebind pairs are applied on
-	// every local node and announced to every member process.
-	if len(moved) > 0 {
-		n.env.applyRebinds(moved)
-		if ag := n.env.cluster; ag != nil {
-			ag.announceRebinds(moved)
-		}
-	}
+	// relocation notice closes that gap: every local node and every
+	// member process applies it.
+	n.env.relocate(moved)
 	// Give the pushed redirects one beat to land before the node — and
 	// the forwarders with it — disappears.
 	n.env.cfg.Clock.Sleep(n.env.cfg.TTB)
@@ -708,19 +677,33 @@ func (n *Node) Leave(dst ids.NodeID) error {
 	return nil
 }
 
-// applyRebinds retargets stale references on every node of this
-// environment (rebind table plus in-heap stub rewrite via applyRedirect).
-func (e *Env) applyRebinds(rebinds []cluster.Rebind) {
-	e.mu.Lock()
-	nodes := make([]*Node, 0, len(e.nodes))
-	for _, n := range e.nodes {
-		nodes = append(nodes, n)
+// relocate publishes a batch of relocations (old → new) as directory
+// announces of at most location.MaxAnnounce pairs each: applied on every
+// local node at once, then sent to every other member process over the
+// acked cluster channel, so holders no forwarder knows of rebind before
+// the forwarders go away (a graceful Leave, a failover adoption).
+func (e *Env) relocate(rebinds []location.Rebind) {
+	var targets []string
+	if a := e.cluster; a != nil {
+		a.mu.Lock()
+		targets = a.remoteAddrsLocked("")
+		a.mu.Unlock()
 	}
-	e.mu.Unlock()
-	for _, n := range nodes {
-		for _, r := range rebinds {
-			n.applyRedirect(r.Old, r.New)
+	for len(rebinds) > 0 {
+		chunk := rebinds[:min(len(rebinds), location.MaxAnnounce)]
+		rebinds = rebinds[len(chunk):]
+		payload := location.AppendAnnounce(nil, chunk)
+		e.applyAnnounce(payload)
+		if len(targets) > 0 {
+			e.cluster.gossip(payload, targets)
 		}
+	}
+}
+
+// applyAnnounce hands a directory announce to every local node.
+func (e *Env) applyAnnounce(payload []byte) {
+	for _, n := range e.localNodes() {
+		n.handleLocAnnounce(payload)
 	}
 }
 

@@ -9,13 +9,15 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/location"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
 // stepClock is the real clock plus an offset the test moves. With a TTB
 // of an hour the drivers never beat by themselves; the test beats the
-// nodes by hand and moves time on between beats. While a hook is set,
+// nodes by hand and moves time on between beats. Sleep moves time on
+// too, at once, so Node.Leave's one-beat grace does not take an hour. While a hook is set,
 // the next Now() on the hooked path (the redirect path unless hookOn
 // names another Node method) runs it, once: that path reads the clock
 // between rebinding a stub and adding the edge the stub backs, which
@@ -37,6 +39,8 @@ func (c *stepClock) Now() time.Time {
 	}
 	return time.Now().Add(time.Duration(c.offset.Load()))
 }
+
+func (c *stepClock) Sleep(d time.Duration) { c.offset.Add(int64(d)) }
 
 // onHookedPath reports whether the hooked Node method (rebindStubs by
 // default) is on the caller's stack.
@@ -164,22 +168,22 @@ func TestConformanceRedirectRacesRelease(t *testing.T) {
 	}
 }
 
-// TestLocationEvictionCostsOnlyAFallback: with a location table of two
-// entries per node, flooding every node with unrelated rebinds evicts all
-// knowledge of a migration. A stale handle still reaches the activity
+// TestLocationEvictionCostsOnlyAFallback: flooding every node's location
+// table with one more unrelated rebind than it holds evicts all knowledge
+// of a migration. A stale handle still reaches the activity
 // while the forwarder lives (the fallback), state intact; once the
 // forwarder has collapsed and the tables have been flooded again, a
 // fresh stale reference fails with ErrUnknownActivity — the sentinel an
 // unknown target always had — and never reaches a wrong activity.
 func TestLocationEvictionCostsOnlyAFallback(t *testing.T) {
 	t.Parallel()
-	e := NewEnv(Config{TTB: 10 * time.Millisecond, TTA: 30 * time.Millisecond, LocationCacheSize: 2})
+	e := NewEnv(Config{TTB: 10 * time.Millisecond, TTA: 30 * time.Millisecond})
 	defer e.Close()
 	n0, n1, n2 := e.NewNode(), e.NewNode(), e.NewNode()
 	junk := uint32(0)
 	flood := func() {
 		for _, n := range []*Node{n0, n1, n2} {
-			for i := 0; i < 4; i++ {
+			for i := 0; i <= location.DefaultCacheSize; i++ {
 				junk++
 				n.addRebind(ids.ActivityID{Node: 900, Seq: junk}, ids.ActivityID{Node: 901, Seq: junk})
 			}

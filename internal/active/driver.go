@@ -47,15 +47,12 @@ func (n *Node) beat() {
 	// future-tag liveness: resolved entries whose last heap pin died a
 	// TTA-grace ago go; anything still owed an update stays.
 	n.futures.sweep(n.heap, n.env.cfg.Clock.Now(), n.env.cfg.TTA)
-	var beatDsts map[ids.NodeID]struct{}
 	if !n.env.cfg.DisableDGC {
-		beatDsts = n.broadcastDue()
+		n.broadcastDue()
 	}
-	// Directory upkeep rides the beat: gossip fresh rebinds to nodes this
-	// beat already exchanged traffic with (with batching on they share
-	// the frame the DGC exchange opened), and re-announce a rotating
-	// slice of origin entries to the current shard owners.
-	n.locationBeat(beatDsts)
+	// Directory upkeep rides the beat: re-announce a rotating slice of
+	// origin entries to the current shard owners.
+	n.locationBeat()
 	// Partially flush and expire tree fan-out relay records (WIRE.md §10).
 	n.expireRelays()
 	// Durable activities whose checkpoint is due get a reserved-method
@@ -72,15 +69,14 @@ func (n *Node) beat() {
 }
 
 // broadcastDue ticks every activity whose beat is due and sends its DGC
-// messages, returning the remote nodes the broadcast reached. Without
-// batching each message is its own parallel exchange (§4.2); with
-// batching the beat's messages are grouped per destination node and each
-// group travels as one exchange — the per-destination groups still go
-// out in parallel, so one slow peer cannot delay the rest of the beat.
-func (n *Node) broadcastDue() map[ids.NodeID]struct{} {
+// messages. Without batching each message is its own parallel exchange
+// (§4.2); with batching the beat's messages are grouped per destination
+// node and each group travels as one exchange — the per-destination
+// groups still go out in parallel, so one slow peer cannot delay the
+// rest of the beat.
+func (n *Node) broadcastDue() {
 	var broadcasts sync.WaitGroup
 	var byDst map[ids.NodeID][]dgcOut
-	var beatDsts map[ids.NodeID]struct{}
 	batch := n.flusher != nil
 	for _, ao := range append(n.snapshotActivities(), n.root) {
 		// Each tick gets the time of the tick: with many activities the
@@ -108,12 +104,6 @@ func (n *Node) broadcastDue() map[ids.NodeID]struct{} {
 				// side is gone and the send would only fail fast anyway.
 				continue
 			}
-			if ob.To.Node != n.id {
-				if beatDsts == nil {
-					beatDsts = make(map[ids.NodeID]struct{})
-				}
-				beatDsts[ob.To.Node] = struct{}{}
-			}
 			if batch {
 				if byDst == nil {
 					byDst = make(map[ids.NodeID][]dgcOut)
@@ -136,7 +126,6 @@ func (n *Node) broadcastDue() map[ids.NodeID]struct{} {
 		}(dst, outs)
 	}
 	broadcasts.Wait()
-	return beatDsts
 }
 
 // sendDGC performs one DGC message/response exchange with the node hosting

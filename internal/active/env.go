@@ -35,8 +35,11 @@ type Config struct {
 	// TTB is the DGC heartbeat period. Defaults to 30ms (the paper's 30s
 	// compressed ×1000; see DESIGN.md §3).
 	TTB time.Duration
-	// TTA is the TimeToAlone. Defaults to 2*TTB + MaxComm + TTB/2,
-	// satisfying the §3.1 formula.
+	// TTA is the TimeToAlone. Defaults to 2*TTB + MaxComm + TTB/2, with
+	// adaptive beats Adaptive.MaxTTB in place of TTB when it is larger,
+	// satisfying the §3.1 formula. With the DGC on, NewEnv panics on a
+	// TTA that does not exceed 2*TTB + MaxComm (2*Adaptive.MaxTTB +
+	// MaxComm with adaptive beats).
 	TTA time.Duration
 	// Clock provides time. Defaults to the real clock. With a custom
 	// Transport the clock should stay real: a TCP substrate delivers on
@@ -94,11 +97,6 @@ type Config struct {
 	Adaptive core.Adaptive
 	// MinHeightTree enables the §7.2 shallow-spanning-tree extension.
 	MinHeightTree bool
-	// LocationCacheSize bounds each node's location table (WIRE.md §9):
-	// how many moved activities a node remembers — learned, announced to
-	// its directory shard, or moved by itself — before the least recently
-	// used is forgotten. Zero means location.DefaultCacheSize.
-	LocationCacheSize int
 	// OnEvent receives DGC trace events from every collector.
 	OnEvent func(core.Event)
 	// Store enables durable activity checkpoints: activities created from
@@ -124,9 +122,29 @@ func (c Config) withDefaults() Config {
 		c.TTB = 30 * time.Millisecond
 	}
 	if c.TTA == 0 {
-		c.TTA = 2*c.TTB + c.MaxComm + c.TTB/2
+		slowest := c.TTB
+		if c.Adaptive.Enabled {
+			slowest = max(slowest, c.Adaptive.MaxTTB)
+		}
+		c.TTA = 2*slowest + c.MaxComm + slowest/2
 	}
 	return c
+}
+
+// validate checks the timing assumption the DGC's safety rests on
+// (§3.1): TTA must exceed 2·TTB + MaxComm, and with adaptive beats
+// 2·MaxTTB + MaxComm. Below it a live referencer can miss the window and
+// its activity is collected while still referenced. With the DGC off
+// nothing depends on it.
+func (c Config) validate() error {
+	if c.DisableDGC {
+		return nil
+	}
+	base := core.Config{TTB: c.TTB, TTA: c.TTA}
+	if err := base.Validate(c.MaxComm); err != nil {
+		return err
+	}
+	return c.Adaptive.Validate(base, c.MaxComm)
 }
 
 // Stats summarizes an environment's DGC activity.
@@ -172,13 +190,17 @@ type Env struct {
 	reaped map[core.Reason]int
 }
 
-// NewEnv creates an environment. Close it when done.
+// NewEnv creates an environment. Close it when done. It panics when the
+// DGC is on and the timing violates the §3.1 formula (see Config.TTA).
 func NewEnv(cfg Config) *Env {
 	if cfg.Transport != nil && cfg.MaxComm == 0 {
 		// Let the substrate's own bound feed the TTA formula.
 		cfg.MaxComm = cfg.Transport.MaxComm()
 	}
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		panic("active: NewEnv: " + err.Error())
+	}
 	e := &Env{
 		cfg:    cfg,
 		nodes:  make(map[ids.NodeID]*Node),
@@ -249,6 +271,17 @@ func (e *Env) node(id ids.NodeID) (*Node, bool) {
 	defer e.mu.Unlock()
 	n, ok := e.nodes[id]
 	return n, ok
+}
+
+// localNodes lists the nodes hosted by this environment.
+func (e *Env) localNodes() []*Node {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]*Node, 0, len(e.nodes))
+	for _, n := range e.nodes {
+		out = append(out, n)
+	}
+	return out
 }
 
 // localNodeIDs lists the node IDs hosted by this environment.

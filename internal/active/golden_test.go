@@ -212,11 +212,6 @@ func TestGoldenEnvelopes(t *testing.T) {
 				got, err := decodeDGCBatchResponse(b)
 				same(t, got, resps, err)
 			}},
-		{"env-redirect", "§7 redirect (kind 4): 2.7 moved to 3.1",
-			encodeRedirect(goldenA27, ids.ActivityID{Node: 3, Seq: 1}), func(t *testing.T, b []byte) {
-				old, new, err := decodeRedirect(b)
-				same(t, [2]ids.ActivityID{old, new}, [2]ids.ActivityID{goldenA27, {Node: 3, Seq: 1}}, err)
-			}},
 		{"env-migrate", `§7 migration envelope (kind 5): 2.7 "ctr" of kind "test/counter", state {peer: Ref 1.3, total: 41}, one queued "add" from 1.3`,
 			encodeMigration(goldenMigration), func(t *testing.T, b []byte) {
 				got, err := decodeMigration(b)

@@ -1,12 +1,12 @@
 package active
 
 // Sharded location directory (WIRE.md §9). Every node keeps one bounded
-// table of moved activities (location.Cache: LocationCacheSize entries,
-// least recently used evicted first, chains compressed lazily on
-// lookup), and the table plays three parts:
+// table of moved activities (location.Cache: location.DefaultCacheSize
+// entries, least recently used evicted first, chains compressed lazily
+// on lookup), and the table plays three parts:
 //
 //   - the cache of *learned* locations — the fast path every outgoing
-//     send consults, fed by redirect envelopes and gossip;
+//     send consults, fed by relocation notices;
 //   - the node's *origin* knowledge: the mappings it created by taking
 //     part in a migration (source and destination both record it),
 //     marked so that they are re-announced — what outlives forwarder
@@ -16,18 +16,21 @@ package active
 //     migration announcements are pushed to the owning shard, and the
 //     shard answers location queries from what it was told.
 //
-// One table means one bound: a node remembers the last LocationCacheSize
+// One table means one bound: a node remembers the last DefaultCacheSize
 // moves it heard of, its own included, not every move for ever. An
 // evicted entry costs the fallback below, never a wrong answer.
+//
+// Every relocation notice has one wire form, location.TagAnnounce, and
+// one receiver, handleLocAnnounce: a forwarder's redirect is a one-pair
+// announce, a shard announcement or re-announcement a batch, and a
+// graceful Leave or failover adoption sends its batch to every member
+// process over the cluster channel (Env.relocate).
 //
 // The directory is soft state on top of the migration protocol's
 // forwarders: a cache miss falls back to the forwarder hop; a dead
 // forwarder falls back to a shard query; a dead shard is repopulated by
 // the origin nodes re-announcing a few entries per DGC beat to the
-// ring's new owner. Fresh mappings also ride as gossip on the beat's
-// envelope traffic (with batching on they share the frame the DGC
-// exchange already opened), so steady-state lookups rarely need the
-// query at all.
+// ring's new owner.
 
 import (
 	"repro/internal/ids"
@@ -36,18 +39,10 @@ import (
 	"repro/internal/wire"
 )
 
-const (
-	// locRecentCap bounds the pending-gossip queue; overflow is dropped
-	// (the owner shard was told synchronously, gossip is opportunistic).
-	locRecentCap = 256
-	// locReannouncePerBeat is how many origin entries a node re-pushes
-	// to their current shard owner per DGC beat — the shard handoff
-	// mechanism after an owner death.
-	locReannouncePerBeat = 8
-	// locGossipFanout caps how many beat destinations receive the
-	// recent-rebinds gossip each beat.
-	locGossipFanout = 4
-)
+// locReannouncePerBeat is how many origin entries a node re-pushes to
+// their current shard owner per DGC beat — the shard handoff mechanism
+// after an owner death.
+const locReannouncePerBeat = 8
 
 // refreshRing rebuilds the environment's consistent-hash ring from the
 // current member view: every local node plus (with the cluster runtime
@@ -88,11 +83,6 @@ func (n *Node) announceLocation(old, new ids.ActivityID) {
 	}
 	n.locCache.AddOrigin(old, new)
 	n.rebindStubs(old, new)
-	n.locMu.Lock()
-	if len(n.locRecent) < locRecentCap {
-		n.locRecent = append(n.locRecent, location.Rebind{Old: old, New: new})
-	}
-	n.locMu.Unlock()
 	n.directoryAnnounce([]location.Rebind{{Old: old, New: new}})
 }
 
@@ -120,10 +110,10 @@ func (n *Node) directoryAnnounce(rebinds []location.Rebind) {
 	}
 }
 
-// handleLocAnnounce applies an inbound TagAnnounce — an announcement to
-// this node's shard or gossip, the two are handled alike: every entry is
-// a redirect, rebinding local stale stubs and entering the table that
-// answers both this node's sends and location queries.
+// handleLocAnnounce applies a relocation notice — a redirect, an
+// announcement to this node's shard, or a Leave's or failover's batch,
+// all handled alike: every entry rebinds local stale stubs and enters
+// the table that answers both this node's sends and location queries.
 func (n *Node) handleLocAnnounce(payload []byte) {
 	rebinds, err := location.DecodeAnnounce(payload)
 	if err != nil {
@@ -201,31 +191,15 @@ func (n *Node) tryDirectoryRelay(req request, failErr error, raw []byte) bool {
 	return true
 }
 
-// locationBeat runs the directory's per-beat work: gossip fresh
-// rebinds to a few nodes this beat already exchanged traffic with, and
-// re-announce a rotating slice of the origin entries to the current
-// shard owners (which repopulates a shard within a handful of beats of
-// its previous owner dying).
-func (n *Node) locationBeat(beatDsts map[ids.NodeID]struct{}) {
+// locationBeat runs the directory's per-beat work: re-announce a
+// rotating slice of the origin entries to the current shard owners,
+// which repopulates a shard within a handful of beats of its previous
+// owner dying.
+func (n *Node) locationBeat() {
 	n.locMu.Lock()
-	recent := n.locRecent
-	n.locRecent = nil
 	reannounce, next := n.locCache.ScanOrigin(n.locCursor, locReannouncePerBeat)
 	n.locCursor = next
 	n.locMu.Unlock()
-	if len(recent) > 0 && len(beatDsts) > 0 {
-		payload := location.AppendAnnounce(nil, recent)
-		sent := 0
-		for dst := range beatDsts {
-			if dst == n.id || n.env.isDeadNode(dst) {
-				continue
-			}
-			_ = n.transportSend(dst, transport.ClassApp, payload, false)
-			if sent++; sent >= locGossipFanout {
-				break
-			}
-		}
-	}
 	if len(reannounce) > 0 {
 		n.directoryAnnounce(reannounce)
 	}

@@ -6,7 +6,7 @@ package active
 // a *forwarder* under the old one. The forwarder relays requests, keeps
 // answering DGC heartbeats, holds a reference-graph edge to the new
 // identity (so the migrated activity cannot be collected while stale
-// holders exist), and pushes redirect envelopes at every contact — a
+// holders exist), and pushes redirects at every contact — a
 // request relay or a heartbeat — so holders rebind to the new identity on
 // first contact. Once every holder has rebound, nobody references the old
 // identity anymore: the forwarder goes TTA-alone and reclaims itself
@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"repro/internal/ids"
+	"repro/internal/location"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -424,9 +425,10 @@ func rebindArgs(raw []byte, method string, old, new ids.ActivityID) (enc []byte,
 }
 
 // sendRedirect ships a rebinding notice to dst (applying it locally when
-// dst is this node). Redirects are fire-and-forget: a lost notice only
-// means the holder pays one more forwarder hop (or one more heartbeat)
-// before the next one.
+// dst is this node): a one-pair directory announce, urgent because a
+// holder is contacting the old identity right now (WIRE.md §7). Redirects
+// are fire-and-forget: a lost notice only means the holder pays one more
+// forwarder hop (or one more heartbeat) before the next one.
 func (n *Node) sendRedirect(dst ids.NodeID, old, new ids.ActivityID) {
 	if old.IsNil() || new.IsNil() || old == new {
 		return
@@ -435,7 +437,7 @@ func (n *Node) sendRedirect(dst ids.NodeID, old, new ids.ActivityID) {
 		n.applyRedirect(old, new)
 		return
 	}
-	_ = n.transportSend(dst, transport.ClassApp, encodeRedirect(old, new), true)
+	_ = n.transportSend(dst, transport.ClassApp, location.AppendAnnounce(nil, []location.Rebind{{Old: old, New: new}}), true)
 }
 
 // applyRedirect rebinds this node to an activity's new identity: the

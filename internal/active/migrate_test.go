@@ -71,18 +71,6 @@ func TestMigrateResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRedirectRoundTrip(t *testing.T) {
-	old := ids.ActivityID{Node: 1, Seq: 2}
-	new := ids.ActivityID{Node: 3, Seq: 4}
-	gotOld, gotNew, err := decodeRedirect(encodeRedirect(old, new))
-	if err != nil || gotOld != old || gotNew != new {
-		t.Fatalf("redirect = %v → %v, %v", gotOld, gotNew, err)
-	}
-	if _, _, err := decodeRedirect([]byte{envRedirect, 1, 2}); err == nil {
-		t.Fatal("truncated redirect must not decode")
-	}
-}
-
 func TestRebindTablePathCompression(t *testing.T) {
 	e := NewEnv(Config{TTB: 10 * time.Millisecond})
 	defer e.Close()

@@ -38,17 +38,15 @@ type Node struct {
 	root    *ActiveObject // owner of every Handle's stub (newRoot); not in aos
 
 	// Location state (WIRE.md §9). locCache is the node's one bounded,
-	// lazily compressed table of moved activities (Config.LocationCacheSize
-	// entries, least recently used evicted first): what redirects, gossip
-	// and the announcements for its directory shard taught it, and — marked
-	// as origin, re-announced to the shard owners from locCursor on — the
-	// migrations it took part in. An evicted entry costs a fallback
-	// (forwarder hop, then shard query), never a wrong answer. locRecent
-	// queues fresh rebinds for gossip; locMu guards it and locCursor.
+	// lazily compressed table of moved activities (location.DefaultCacheSize
+	// entries, least recently used evicted first): what relocation notices
+	// taught it, and — marked as origin, re-announced to the shard owners
+	// from locCursor on — the migrations it took part in. An evicted entry
+	// costs a fallback (forwarder hop, then shard query), never a wrong
+	// answer. locMu guards locCursor.
 	locCache  *location.Cache
 	locMu     sync.Mutex
 	locCursor uint32
-	locRecent []location.Rebind
 
 	// Tree fan-out relay records (WIRE.md §10): in-flight subtrees whose
 	// replies this node aggregates before forwarding one hop up. Keys
@@ -70,7 +68,7 @@ func newNode(e *Env, id ids.NodeID) *Node {
 		gen:      ids.NewGenerator(id),
 		futures:  newFutureTable(),
 		aos:      make(map[ids.ActivityID]*ActiveObject),
-		locCache: location.NewCache(e.cfg.LocationCacheSize),
+		locCache: location.NewCache(location.DefaultCacheSize),
 		stop:     make(chan struct{}),
 	}
 	n.heap = localgc.New(n.onTagDeath)
@@ -218,10 +216,6 @@ func (n *Node) HandleOneWay(from ids.NodeID, class transport.Class, payload []by
 		n.deliverFutureUpdate(payload, false)
 	case envFutureSubscribe:
 		n.deliverFutureSubscribe(payload)
-	case envRedirect:
-		if old, new, err := decodeRedirect(payload); err == nil {
-			n.applyRedirect(old, new)
-		}
 	case envFanOut:
 		n.deliverFanOut(from, payload)
 	case envFanAgg:

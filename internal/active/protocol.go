@@ -25,10 +25,9 @@ const (
 	envRequest byte = iota + 1
 	envFutureUpdate
 	envFutureSubscribe
-	// envRedirect tells a holder node that an activity moved: the payload
-	// carries (old, new) identity and the receiver rebinds every local
-	// stub, edge and pending send toward the old identity (WIRE.md §7).
-	envRedirect
+	// Kind 4 was the redirect envelope; a redirect is now a one-pair
+	// location.TagAnnounce (WIRE.md §7). The number stays reserved.
+	_
 	// envMigrate is the migration envelope: an activity's serialized state
 	// (payload, pending queue), shipped source → destination as a
 	// request/response exchange whose response carries the new identity.
@@ -306,26 +305,6 @@ func decodeDGCBatchResponse(buf []byte) ([]*core.Response, error) {
 		}
 	}
 	return resps, r.Done()
-}
-
-// redirect is the rebinding notice a forwarder sends to every node that
-// still contacts an activity's old identity (WIRE.md §7): Old moved and is
-// now New. The receiver rebinds its stubs, reference-graph edges and send
-// routing; a chain of migrations collapses because each hop's notice is
-// applied through the same path-compressed rebind table.
-func encodeRedirect(old, new ids.ActivityID) []byte {
-	buf := make([]byte, 0, 1+8+8)
-	buf = append(buf, envRedirect)
-	buf = wire.AppendID(buf, old)
-	return wire.AppendID(buf, new)
-}
-
-func decodeRedirect(buf []byte) (old, new ids.ActivityID, err error) {
-	var r wire.Reader
-	r.Reset(buf, errBadEnvelope)
-	r.Expect(envRedirect)
-	old, new = r.ID(), r.ID()
-	return old, new, r.Done()
 }
 
 // migrationState is one persistent-state entry of a migrating activity.

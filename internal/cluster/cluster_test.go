@@ -150,15 +150,6 @@ func TestCodecRoundTrips(t *testing.T) {
 			t.Fatalf("event %d round-trip = (%d, %+v, %v)", kind, gotKind, gotEv, err)
 		}
 	}
-
-	rebinds := []Rebind{
-		{Old: ids.ActivityID{Node: 2, Seq: 7}, New: ids.ActivityID{Node: 3, Seq: 12}},
-		{Old: ids.ActivityID{Node: 2, Seq: 9}, New: ids.ActivityID{Node: 4, Seq: 1}},
-	}
-	gotR, err := DecodeRebinds(EncodeRebinds(rebinds))
-	if err != nil || !reflect.DeepEqual(gotR, rebinds) {
-		t.Fatalf("rebinds round-trip = %+v, %v", gotR, err)
-	}
 }
 
 func TestCodecRejectsMalformed(t *testing.T) {
@@ -173,12 +164,6 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 	if _, _, err := DecodeNodeEvent([]byte{MsgPing}); err == nil {
 		t.Fatal("event decode of a ping must fail")
-	}
-	if _, err := DecodeRebinds([]byte{MsgRebinds, 200}); err == nil {
-		t.Fatal("rebinds with absurd pair count must fail")
-	}
-	if _, err := DecodeRebinds([]byte{MsgRebinds, 1, 2, 3}); err == nil {
-		t.Fatal("truncated rebinds must fail")
 	}
 }
 

@@ -36,10 +36,6 @@ const (
 	MsgAck
 	// MsgErr reports a refused request; the error text follows.
 	MsgErr
-	// MsgRebinds announces activity relocations (old → new IDs) so every
-	// process can retarget stale references without waiting for a
-	// forwarder that is about to disappear (graceful leave).
-	MsgRebinds
 )
 
 // ErrBadEnvelope reports a malformed or unexpected cluster payload.
@@ -175,39 +171,6 @@ func DecodeNodeEvent(p []byte) (byte, NodeEvent, error) {
 	}
 	ev := NodeEvent{Node: ids.NodeID(r.Uvarint()), Addr: r.String()}
 	return kind, ev, r.Done()
-}
-
-// Rebind is one activity relocation: references to Old should retarget
-// to New.
-type Rebind struct {
-	Old ids.ActivityID
-	New ids.ActivityID
-}
-
-// EncodeRebinds encodes a MsgRebinds payload.
-func EncodeRebinds(rebinds []Rebind) []byte {
-	buf := []byte{MsgRebinds}
-	buf = binary.AppendUvarint(buf, uint64(len(rebinds)))
-	for _, r := range rebinds {
-		buf = binary.AppendUvarint(buf, uint64(r.Old.Node))
-		buf = binary.AppendUvarint(buf, uint64(r.Old.Seq))
-		buf = binary.AppendUvarint(buf, uint64(r.New.Node))
-		buf = binary.AppendUvarint(buf, uint64(r.New.Seq))
-	}
-	return buf
-}
-
-// DecodeRebinds decodes a MsgRebinds payload.
-func DecodeRebinds(p []byte) ([]Rebind, error) {
-	r := open(p, MsgRebinds)
-	id := func() ids.ActivityID {
-		return ids.ActivityID{Node: ids.NodeID(r.Uvarint()), Seq: uint32(r.Uvarint())}
-	}
-	out := make([]Rebind, r.Count(r.Len()))
-	for i := range out {
-		out[i] = Rebind{Old: id(), New: id()}
-	}
-	return out, r.Done()
 }
 
 // EncodePing returns the probe payload.

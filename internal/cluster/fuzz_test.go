@@ -8,20 +8,22 @@ import (
 )
 
 // FuzzClusterEnvelope throws arbitrary bytes at every cluster decoder
-// (WIRE.md §8, kinds 1–12): join and lease exchanges arrive from processes
+// (WIRE.md §8, kinds 1–11): join and lease exchanges arrive from processes
 // that are not members yet, so they are the first thing a hostile peer
 // reaches. None may panic, every refusal must carry ErrBadEnvelope, and
-// anything one accepts must survive encode ⇄ decode unchanged.
+// anything one accepts must survive encode ⇄ decode unchanged. The seeds
+// include the directory announce the cluster channel also carries and
+// the retired kind 12, which every cluster decoder must refuse.
 func FuzzClusterEnvelope(f *testing.F) {
 	for _, name := range []string{
 		"cluster-join", "cluster-join-ok", "cluster-lease", "cluster-lease-ok",
 		"cluster-node-up", "cluster-node-dead", "cluster-node-left", "cluster-ping",
-		"cluster-pong", "cluster-ack", "cluster-err", "cluster-rebinds",
+		"cluster-pong", "cluster-ack", "cluster-err", "location-announce",
 	} {
 		f.Add(vector(f, name))
 	}
 	f.Add([]byte{MsgJoinOK, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add([]byte{MsgRebinds, 0x80, 0x00})
+	f.Add([]byte{MsgErr + 1, 0x80, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(what string, got, again any, err, errAgain error) {
@@ -51,9 +53,6 @@ func FuzzClusterEnvelope(f *testing.F) {
 		kind, ev, err := DecodeNodeEvent(data)
 		kind2, ev2, err2 := DecodeNodeEvent(EncodeNodeEvent(kind, ev))
 		check("node event", [2]any{kind, ev}, [2]any{kind2, ev2}, err, err2)
-		rb, err := DecodeRebinds(data)
-		rb2, err2 := DecodeRebinds(EncodeRebinds(rb))
-		check("rebinds", rb, rb2, err, err2)
 		if err := DecodeResponse(data); err != nil && !errors.Is(err, ErrBadEnvelope) {
 			// A well-formed refusal: its reason survives a re-encode.
 			again := DecodeResponse(EncodeErr(strings.TrimPrefix(err.Error(), "cluster: ")))

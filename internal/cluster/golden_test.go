@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/ids"
 )
 
 // update rewrites the golden vectors from the current encoders (`make
@@ -71,7 +69,6 @@ func TestGoldenClusterEnvelopes(t *testing.T) {
 	join := Join{Addr: "10.0.0.1:7000", Want: 64}
 	joinOK := JoinOK{First: 65, Count: 64, Members: []Member{{Node: 1, Addr: "10.0.0.1:7000"}, {Node: 200, Addr: "10.0.0.2:7000"}}}
 	up := NodeEvent{Node: 65, Addr: "10.0.0.2:7000"}
-	rebinds := []Rebind{{Old: ids.ActivityID{Node: 65, Seq: 3}, New: ids.ActivityID{Node: 1, Seq: 200}}}
 
 	same := func(t *testing.T, got, want any, err error) {
 		t.Helper()
@@ -122,8 +119,6 @@ func TestGoldenClusterEnvelopes(t *testing.T) {
 					t.Fatalf("DecodeResponse = %v, want cluster: not the seed", err)
 				}
 			}},
-		{"cluster-rebinds", "§8 rebinds (kind 12): 65.3 → 1.200", EncodeRebinds(rebinds),
-			func(t *testing.T, b []byte) { got, err := DecodeRebinds(b); same(t, got, rebinds, err) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.check(t, golden(t, c.name, c.doc, c.enc))

@@ -20,10 +20,12 @@ const (
 // ErrMalformed reports a directory envelope that failed to decode.
 var ErrMalformed = errors.New("location: malformed directory envelope")
 
-// maxAnnounce bounds the rebind count a decoder will accept; an
-// announce batch is built from per-beat gossip and handoff slices, far
-// below this.
-const maxAnnounce = 1 << 16
+// MaxAnnounce bounds the rebind count a decoder will accept. Shard
+// announcements and per-beat re-announcements carry a handful of pairs;
+// a graceful Leave or a failover adoption carries one pair per relocated
+// activity and may exceed it, so its sender splits the batch into
+// envelopes of at most MaxAnnounce pairs.
+const MaxAnnounce = 1 << 16
 
 // Rebind maps a stale activity identity to a fresher one.
 type Rebind struct {
@@ -48,7 +50,7 @@ func DecodeAnnounce(p []byte) ([]Rebind, error) {
 	var r wire.Reader
 	r.Reset(p, ErrMalformed)
 	r.Expect(TagAnnounce)
-	out := make([]Rebind, r.Count(maxAnnounce))
+	out := make([]Rebind, r.Count(MaxAnnounce))
 	for i := range out {
 		out[i] = Rebind{Old: r.ID(), New: r.ID()}
 	}

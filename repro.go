@@ -330,9 +330,9 @@ func WithPolicy(p ServicePolicy) SpawnOption { return active.WithPolicy(p) }
 // another one over TCP — with Handle.Migrate / Context.MigrateTo. Its
 // state (Context.Store entries), pending request queue and first-class
 // futures follow it; a forwarder under the old identity relays requests,
-// answers DGC heartbeats and pushes redirects until every holder has
-// rebound to the new reference, then reclaims itself through the
-// ordinary TTA sweep. See examples/migration for the end-to-end shape.
+// answers DGC heartbeats and pushes redirects (one-pair directory
+// announces) until every holder has rebound to the new reference, then
+// reclaims itself through the ordinary TTA sweep. See examples/migration for the end-to-end shape.
 
 // RegisterBehavior registers a migratable behavior kind: the factory (and
 // spawn options, e.g. WithPolicy) every instance is created with — at
@@ -357,8 +357,9 @@ func WithKind(kind string) SpawnOption { return active.WithKind(kind) }
 // re-registers its names, and fails the checkpointed in-flight requests
 // with ErrRecovered — requests are never replayed (at-most-once). With
 // Config.Cluster.Failover enabled, the lowest-ID surviving member adopts a
-// dead node's checkpoints under new identities and gossips the rebinds,
-// so names and old references keep resolving. See examples/durability.
+// dead node's checkpoints under new identities and announces the
+// relocations to every member process, so names and old references keep
+// resolving. See examples/durability.
 
 // NewFileStore opens the file-backed checkpoint store rooted at dir:
 // per-node append-only logs with CRC-protected records, atomic segment
