@@ -43,11 +43,11 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Non-test Go lines (the GoFiles of every package, as go list sees them)
-# for the module, internal/active and internal/wire: the size a
-# simplicity change is measured by.
+# for the module, internal/active, internal/wire and internal/localgc:
+# the size a simplicity change is measured by.
 .PHONY: loc
 loc:
-	@for p in ./... ./internal/active ./internal/wire; do \
+	@for p in ./... ./internal/active ./internal/wire ./internal/localgc; do \
 		printf '%-18s %s\n' "$$p" "$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' $$p | xargs cat | wc -l)"; \
 	done
 
@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzClusterEnvelope -fuzztime $(FUZZTIME) ./internal/cluster/
 	$(GO) test -run xxx -fuzz FuzzLocationEnvelope -fuzztime $(FUZZTIME) ./internal/location/
 	$(GO) test -run xxx -fuzz FuzzCacheOps -fuzztime $(FUZZTIME) ./internal/location/
+	$(GO) test -run xxx -fuzz FuzzPinOps -fuzztime $(FUZZTIME) ./internal/localgc/
 	$(GO) test -run xxx -fuzz FuzzCheckpointRecord -fuzztime $(FUZZTIME) ./internal/store/
 
 # Rewrite the golden wire vectors (testdata/wire/*.hex) from the current

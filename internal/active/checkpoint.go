@@ -381,5 +381,10 @@ func (e *Env) adoptDeadNode(dead ids.NodeID) {
 		survivor.announceLocation(old, ao.id)
 		moved = append(moved, location.Rebind{Old: old, New: ao.id})
 	}
-	e.relocate(moved)
+	// The notice goes out from its own goroutine: a member process that
+	// died too would hold this death's handling, and the beat running it,
+	// for its dial timeouts. A member it misses still finds the adopted
+	// activities through the directory; the miss counts in
+	// Stats.RelocateFailures.
+	e.cluster.background(func() { _ = e.relocate(moved) })
 }

@@ -258,18 +258,25 @@ func (a *clusterAgent) gossip(payload []byte, targets []string) {
 	if a.pc == nil || len(targets) == 0 {
 		return
 	}
-	a.mu.Lock()
-	if a.stopped {
-		a.mu.Unlock()
-		return
-	}
-	a.wg.Add(1)
-	a.mu.Unlock()
-	go func() {
-		defer a.wg.Done()
+	a.background(func() {
 		for _, addr := range targets {
 			_, _ = a.pc.CallAddr(addr, transport.ClassCluster, payload)
 		}
+	})
+}
+
+// background runs f on a goroutine that stop waits for, unless the agent
+// has stopped.
+func (a *clusterAgent) background(f func()) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.stopped {
+		return
+	}
+	a.wg.Add(1)
+	go func() {
+		defer a.wg.Done()
+		f()
 	}()
 }
 
@@ -338,20 +345,12 @@ func (a *clusterAgent) maybeTick(n *Node) {
 // that exists only off the happy path. A pong resurrects the suspect; an
 // error leaves the dead countdown running.
 func (a *clusterAgent) spawnProbe(n *Node, p ids.NodeID) {
-	a.mu.Lock()
-	if a.stopped {
-		a.mu.Unlock()
-		return
-	}
-	a.wg.Add(1)
-	a.mu.Unlock()
-	go func() {
-		defer a.wg.Done()
+	a.background(func() {
 		resp, err := n.transportCall(p, transport.ClassCluster, cluster.EncodePing())
 		if err == nil && len(resp) > 0 && resp[0] == cluster.MsgPong {
 			a.health.Observe(p, a.env.cfg.Clock.Now())
 		}
-	}()
+	})
 }
 
 // onDeath runs the confirmed-death protocol for p (whose health state is
@@ -665,8 +664,9 @@ func (n *Node) Leave(dst ids.NodeID) error {
 	// holder whose first beat has not landed yet would miss the pushed
 	// redirect and be left with a reference into a vanished node. The
 	// relocation notice closes that gap: every local node and every
-	// member process applies it.
-	n.env.relocate(moved)
+	// member process applies it. The node leaves even if a member missed
+	// it (the directory still answers there); Leave reports the miss.
+	err := n.env.relocate(moved)
 	// Give the pushed redirects one beat to land before the node — and
 	// the forwarders with it — disappears.
 	n.env.cfg.Clock.Sleep(n.env.cfg.TTB)
@@ -674,30 +674,54 @@ func (n *Node) Leave(dst ids.NodeID) error {
 		ag.noteNodeLeft(n.id)
 	}
 	n.Crash()
+	if err != nil {
+		return fmt.Errorf("active: Leave: %w", err)
+	}
 	return nil
 }
+
+// relocateAttempts is how many times relocate tries each send.
+const relocateAttempts = 3
 
 // relocate publishes a batch of relocations (old → new) as directory
 // announces of at most location.MaxAnnounce pairs each: applied on every
 // local node at once, then sent to every other member process over the
 // acked cluster channel, so holders no forwarder knows of rebind before
-// the forwarders go away (a graceful Leave, a failover adoption).
-func (e *Env) relocate(rebinds []location.Rebind) {
-	var targets []string
-	if a := e.cluster; a != nil {
-		a.mu.Lock()
-		targets = a.remoteAddrsLocked("")
-		a.mu.Unlock()
-	}
+// the forwarders go away (a graceful Leave, a failover adoption). Each
+// member gets the announces in order, from this goroutine: its location
+// table evicts the least recently used entries, so a short announce that
+// overtook a long one would be evicted by it. Every failed send counts in
+// Stats.RelocateFailures and is retried; the error names the last lost.
+func (e *Env) relocate(rebinds []location.Rebind) (lost error) {
+	var payloads [][]byte
 	for len(rebinds) > 0 {
 		chunk := rebinds[:min(len(rebinds), location.MaxAnnounce)]
 		rebinds = rebinds[len(chunk):]
-		payload := location.AppendAnnounce(nil, chunk)
-		e.applyAnnounce(payload)
-		if len(targets) > 0 {
-			e.cluster.gossip(payload, targets)
+		payloads = append(payloads, location.AppendAnnounce(nil, chunk))
+		e.applyAnnounce(payloads[len(payloads)-1])
+	}
+	a := e.cluster
+	if a == nil || a.pc == nil {
+		return nil
+	}
+	a.mu.Lock()
+	targets := a.remoteAddrsLocked("")
+	a.mu.Unlock()
+	for _, addr := range targets {
+		for _, payload := range payloads {
+			for try := 1; ; try++ {
+				_, err := a.pc.CallAddr(addr, transport.ClassCluster, payload)
+				if err == nil {
+					break
+				}
+				if e.relocateFailures.Add(1); try == relocateAttempts {
+					lost = fmt.Errorf("active: relocate to %s: %w", addr, err)
+					break
+				}
+			}
 		}
 	}
+	return lost
 }
 
 // applyAnnounce hands a directory announce to every local node.

@@ -17,15 +17,16 @@ import (
 // stepClock is the real clock plus an offset the test moves. With a TTB
 // of an hour the drivers never beat by themselves; the test beats the
 // nodes by hand and moves time on between beats. Sleep moves time on
-// too, at once, so Node.Leave's one-beat grace does not take an hour. While a hook is set,
-// the next Now() on the hooked path (the redirect path unless hookOn
-// names another Node method) runs it, once: that path reads the clock
-// between rebinding a stub and adding the edge the stub backs, which
-// makes the clock the gate that holds a redirect at exactly that point.
-// Other goroutines reading the clock meanwhile, such as a simnet queue
-// delivering a message still in flight, leave the hook alone: run there,
-// the gate would not hold the redirect, and its t.Fatalf would end that
-// queue's goroutine and strand every later message on it.
+// too, at once, so Node.Leave's one-beat grace does not take an hour.
+// While a hook is set, the next Now() on the hooked path (the redirect
+// path unless hookOn names another method, as "(*Type).Method") runs it,
+// once. The heap reads the clock just before each critical section that
+// may add or remove an edge, which makes the clock the gate that runs
+// something at exactly that point. Other goroutines reading the clock
+// meanwhile, such as a simnet queue delivering a message still in
+// flight, leave the hook alone: run there, the gate would not run where
+// the test means it to, and its t.Fatalf would end that queue's goroutine
+// and strand every later message on it.
 type stepClock struct {
 	vclock.Real
 	offset atomic.Int64
@@ -42,18 +43,18 @@ func (c *stepClock) Now() time.Time {
 
 func (c *stepClock) Sleep(d time.Duration) { c.offset.Add(int64(d)) }
 
-// onHookedPath reports whether the hooked Node method (rebindStubs by
+// onHookedPath reports whether the hooked method (Node.applyRedirect by
 // default) is on the caller's stack.
 func (c *stepClock) onHookedPath() bool {
 	method := c.hookOn
 	if method == "" {
-		method = "rebindStubs"
+		method = "(*Node).applyRedirect"
 	}
 	pc := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		f, more := frames.Next()
-		if strings.Contains(f.Function, ".(*Node)."+method) {
+		if strings.Contains(f.Function, "."+method) {
 			return true
 		}
 		if !more {
@@ -65,15 +66,14 @@ func (c *stepClock) onHookedPath() bool {
 // TestConformanceRedirectRacesRelease pins the invariant "no collector
 // edge without a backing stub" (ROADMAP A(1)). A handle is released, so
 // its stub is unrooted but not yet swept, and then the redirect for the
-// activity it designates arrives. The redirect is held between the
-// rebind of that stub and the edge it adds, and a sweep is started
-// there. The sweep must not get through: if it frees the stub first, the
-// tag death that would remove the new edge fires before the edge exists,
-// and the caller's root referencer, which the released handle was a stub
-// of, references the migrated activity for ever — nothing is ever
-// collected. With rebind and edge in one critical
-// section of the heap shard the sweep waits, takes stub and edge
-// together, and every activity of the scenario is collected.
+// activity it designates arrives. The redirect is held just before the
+// heap's critical section that rebinds the stub, and a sweep runs there:
+// it frees the stub and removes the edge with it, so the rebind finds
+// nothing to move and adds no edge to the new identity. Had the rebind
+// added an edge without a stub, the caller's root referencer, which the
+// released handle was a stub of, would reference the migrated activity
+// for ever — nothing would ever be collected. Rebinding a stub and adding
+// its edge is one critical section, so every activity is collected.
 func TestConformanceRedirectRacesRelease(t *testing.T) {
 	for _, s := range substrates {
 		s := s
@@ -126,27 +126,19 @@ func TestConformanceRedirectRacesRelease(t *testing.T) {
 			hc.Release()
 			h.Release()
 
-			swept := make(chan struct{})
+			swept := false
 			gate := func() {
-				go func() {
-					caller.Heap().Collect()
-					close(swept)
-				}()
-				holdsFor(t, func() bool {
-					select {
-					case <-swept:
-						return false // the sweep ran between rebind and edge
-					default:
-						return true
-					}
-				}, 20*time.Millisecond)
+				if !caller.Heap().HasTag(caller.root.id, oldID) {
+					t.Error("the caller holds no stub to rebind: the scenario did not set up the race")
+				}
+				caller.Heap().Collect()
+				swept = true
 			}
 			clock.hook.Store(&gate)
 			caller.applyRedirect(oldID, newID)
-			if clock.hook.Load() != nil {
-				t.Fatal("the redirect found no stub to rebind: the scenario did not set up the race")
+			if !swept {
+				t.Fatal("the redirect never reached the heap: the sweep did not run")
 			}
-			<-swept
 
 			// Beat by hand until the source's forwarder and the migrated
 			// activity are gone and the caller's root references nothing.

@@ -18,6 +18,8 @@ package active
 // notice.
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,6 +28,7 @@ import (
 	"repro/internal/location"
 	"repro/internal/store"
 	"repro/internal/tcpnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -99,8 +102,8 @@ func spawnWhere(t *testing.T, n *Node, ok func(ids.ActivityID) bool) *Handle {
 	return nil
 }
 
-// awaitRelocation gives the notice, which travels on its own goroutine,
-// time to rebind holder's node. It does not fail: without the notice the
+// awaitRelocation gives the notice, which a failover adoption sends from
+// its own goroutine, time to rebind holder's node. It does not fail: without the notice the
 // call at the end of the scenario does.
 func awaitRelocation(holder *Node, old ids.ActivityID) {
 	for deadline := time.Now().Add(5 * time.Second); holder.resolveRebind(old) == old && time.Now().Before(deadline); {
@@ -230,11 +233,103 @@ func TestClusterRelocateSplitsLargeBatch(t *testing.T) {
 		}
 	}
 	last := moved[len(moved)-1]
-	envs[0].relocate(moved)
+	if err := envs[0].relocate(moved); err != nil {
+		t.Fatal(err)
+	}
 	for _, n := range nodes[:2] {
 		if got := n.resolveRebind(last.Old); got != last.New {
 			t.Fatalf("local node %v resolves %v to %v, want %v", n.ID(), last.Old, got, last.New)
 		}
 	}
 	waitUntil(t, func() bool { return nodes[2].resolveRebind(last.Old) == last.New }, 10*time.Second)
+}
+
+// lossyNetwork is a TCP transport whose next drops process-addressed
+// exchanges with the process at lose fail without being sent.
+type lossyNetwork struct {
+	*tcpnet.Network
+	lose  atomic.Pointer[string]
+	drops atomic.Int32
+}
+
+var errLostSend = errors.New("test: send dropped")
+
+func (l *lossyNetwork) CallAddr(addr string, class transport.Class, payload []byte) ([]byte, error) {
+	if p := l.lose.Load(); p != nil && *p == addr && l.drops.Add(-1) >= 0 {
+		return nil, errLostSend
+	}
+	return l.Network.CallAddr(addr, class, payload)
+}
+
+// TestClusterRelocateRetriesLostSend: a relocation announce whose send
+// to a member process fails is sent again. One lost send still gets the
+// relocation to the other process; a send lost every time makes Leave
+// report it. Both count every failed attempt in Stats.
+func TestClusterRelocateRetriesLostSend(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		drops  int
+		arrive bool
+	}{
+		{"first send lost", 1, true},
+		{"every send lost", relocateAttempts, false},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			clock := &stepClock{}
+			tr, err := tcpnet.New(tcpnet.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lossy := &lossyNetwork{Network: tr}
+			seed := NewEnv(Config{TTB: time.Hour, Clock: clock, Transport: lossy, Cluster: ClusterConfig{Enabled: true}})
+			t.Cleanup(seed.Close)
+			if err := seed.Join(); err != nil {
+				t.Fatal(err)
+			}
+			dst, leaver := seed.NewNode(), seed.NewNode()
+			tr2, err := tcpnet.New(tcpnet.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := NewEnv(Config{TTB: time.Hour, Clock: clock, Transport: tr2, Cluster: ClusterConfig{Enabled: true, Seed: tr.Addr()}})
+			t.Cleanup(other.Close)
+			if err := other.Join(); err != nil {
+				t.Fatal(err)
+			}
+			remote := other.NewNode()
+			waitUntil(t, func() bool {
+				return seed.NodeHealth(remote.ID()) == cluster.StateAlive && other.NodeHealth(leaver.ID()) == cluster.StateAlive
+			}, 10*time.Second)
+
+			// The identity's directory shard is not on the other process,
+			// or the shard's announcement would rebind it there too.
+			h := spawnWhere(t, leaver, func(id ids.ActivityID) bool {
+				return shardOwner(id, dst.ID(), leaver.ID(), remote.ID()) != remote.ID()
+			})
+			old := mustRef(t, h.Ref())
+			h.Release()
+			addr := tr2.Addr()
+			lossy.lose.Store(&addr)
+			lossy.drops.Store(int32(c.drops))
+			err = leaver.Leave(dst.ID())
+			if c.arrive && err != nil {
+				t.Fatalf("Leave after one lost send: %v", err)
+			}
+			if !c.arrive && !errors.Is(err, errLostSend) {
+				t.Fatalf("Leave with every send lost = %v, want the lost send reported", err)
+			}
+			if got := seed.Stats().RelocateFailures; got != c.drops {
+				t.Fatalf("RelocateFailures = %d, want %d", got, c.drops)
+			}
+			moved := dst.resolveRebind(old)
+			if moved == old {
+				t.Fatalf("the leaving node's activity %v did not move to %v", old, dst.ID())
+			}
+			if got := remote.resolveRebind(old); (got == moved) != c.arrive {
+				t.Fatalf("the other process resolves %v to %v; the relocation to %v should arrive: %v", old, got, moved, c.arrive)
+			}
+		})
+	}
 }

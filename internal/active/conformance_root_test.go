@@ -6,6 +6,7 @@ package active
 import (
 	"errors"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,42 +164,33 @@ func TestConformanceReleaseWithCallInFlight(t *testing.T) {
 	}
 }
 
-// TestConformanceTagDeathRaces: the node root owns every handle stub
-// and every pinned handle reply, so a new stub for T can appear while
-// the tag death of the root's last older stub to T is being delivered.
-// The new stub must keep the root's edge to T, or the root stops beating
-// T, which is then collected under a live reference. Each case holds one
-// interleaving with the clock gate:
+// TestConformanceTagDeathRaces: a new stub for T can appear while the
+// tag of an older stub to T dies. The new stub must keep its holder's
+// edge to T, or the holder stops beating T, which is then collected
+// under a live reference. The heap pins a stub and adds its edge in one
+// critical section, and frees a stub and removes its edge in one, so
+// each case runs one side just before the other's critical section; the
+// gate is the clock read the heap makes there:
 //   - "handle inside death", "reply inside death": a HandleFor, or a
-//     reply carrying T to a pending call of the root, runs between the
-//     death's tag check and its edge removal (the gate is the death's
-//     clock read). Both fail if the death does not re-check the tag
-//     after removing the edge.
-//   - "death inside reply", "death inside request delivery": the whole
-//     tag death runs while the reply, or a request carrying T to an
-//     activity R of n1 whose older stub to T is dying, is being bound.
-//     On simnet the gate is the clock read of the subscription that a
-//     future nested in the payload sends, after the edges; it fails if
-//     the bind adds its edge before it pins the value: the death then
-//     finds no tag on either check and removes the edge, and the pin
-//     made after it holds T with no edge behind it. Only simnet reads
-//     the clock on a send, so elsewhere the gate is the clock read of
-//     the edges, after the pin.
+//     reply carrying T to a pending call of the node root, pins T just
+//     before the sweep that kills the root's older stub to T.
+//   - "death inside reply", "death inside request delivery", "death
+//     inside Lookup": the sweep that kills the holder's older stub to T
+//     runs just before the pin of the reply, of a request carrying T to
+//     an activity R of n1, or of the stub Context.Lookup hands R.
 //
 // Every delivery takes the one path a payload sent from this node takes:
 // sendFutureUpdate for the reply, a handle's call for the request.
 func TestConformanceTagDeathRaces(t *testing.T) {
 	for _, s := range substrates {
 		for _, c := range []struct{ name, hookOn string }{
-			{"handle inside death", "onTagDeath"},
-			{"reply inside death", "onTagDeath"},
-			{"death inside reply", "adoptFutures"},
-			{"death inside request delivery", "adoptFutures"},
+			{"handle inside death", "(*Heap).Collect"},
+			{"reply inside death", "(*Heap).Collect"},
+			{"death inside reply", "(*Node).bindValueToFuture"},
+			{"death inside request delivery", "(*Node).admit"},
+			{"death inside Lookup", "(*Context).Lookup"},
 		} {
 			s, c := s, c
-			if c.hookOn == "adoptFutures" && s.name != "simnet" {
-				c.hookOn = "hold"
-			}
 			t.Run(s.name+"/"+c.name, func(t *testing.T) {
 				t.Parallel()
 				clock := &stepClock{hookOn: c.hookOn}
@@ -230,26 +222,48 @@ func TestConformanceTagDeathRaces(t *testing.T) {
 				sweep := func() { n1.Heap().Collect() }
 				holder := n1.root // the activity that must keep its edge to T
 				gate, trigger := deliver, sweep
-				switch c.name {
-				case "death inside request delivery":
+				if c.name == "death inside request delivery" || c.name == "death inside Lookup" {
 					// R serves the request until the test ends, so its
-					// args pin, and with it T, is held throughout.
-					release := make(chan struct{})
+					// args pin, or the stub Lookup pinned, holds T
+					// throughout. R's older stub to T is unrooted, not yet
+					// swept.
+					release, looked := make(chan struct{}), make(chan struct{})
 					t.Cleanup(func() { close(release) })
-					hr := n1.NewActive("holder", BehaviorFunc(func(*Context, string, wire.Value) (wire.Value, error) {
+					hr := n1.NewActive("holder", BehaviorFunc(func(ctx *Context, method string, _ wire.Value) (wire.Value, error) {
+						if method == "lookup" {
+							if _, err := ctx.Lookup("target"); err != nil {
+								t.Error(err)
+							}
+							close(looked)
+						}
 						<-release
 						return wire.Null(), nil
 					}))
 					t.Cleanup(hr.Release)
 					holder, _ = n1.activity(mustRef(t, hr.Ref()))
 					_, stub := n1.heap.NewStubRooted(holder.id, h.target)
-					holder.collector.AddReferenced(h.target, clock.Now())
 					n1.heap.RemoveRoot(stub)
 					gate, trigger = sweep, func() {
 						if err := hr.Send("hold", reply); err != nil {
 							t.Error(err)
 						}
 					}
+					if c.name == "death inside Lookup" {
+						if err := e.RegisterName("target", h.Ref()); err != nil {
+							t.Fatal(err)
+						}
+						trigger = func() {
+							if err := hr.Send("lookup", wire.Null()); err != nil {
+								t.Error(err)
+							}
+							<-looked
+							// Registered activities are roots: unregister,
+							// so only R's stub keeps T alive.
+							e.Unregister("target")
+						}
+					}
+				}
+				switch c.name {
 				case "handle inside death":
 					gate = func() {
 						fresh, err := n1.HandleFor(h.Ref())
@@ -262,16 +276,16 @@ func TestConformanceTagDeathRaces(t *testing.T) {
 				case "death inside reply":
 					gate, trigger = sweep, deliver
 				}
-				ran := false
-				hooked := func() { ran = true; gate() }
+				var ran atomic.Bool
+				hooked := func() { ran.Store(true); gate() }
 				clock.hook.Store(&hooked)
 				trigger()
-				if !ran {
+				if !ran.Load() {
 					t.Fatal("the gate never ran: the scenario did not set up the race")
 				}
 
 				// Beat by hand across more than two TTAs: T hears only
-				// from n1's root, and only while the edge stands.
+				// from the holder, and only while the edge stands.
 				for beat := 0; beat < 6; beat++ {
 					clock.offset.Add(int64(time.Hour))
 					for _, n := range []*Node{n1, n2} {

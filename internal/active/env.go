@@ -97,7 +97,10 @@ type Config struct {
 	Adaptive core.Adaptive
 	// MinHeightTree enables the §7.2 shallow-spanning-tree extension.
 	MinHeightTree bool
-	// OnEvent receives DGC trace events from every collector.
+	// OnEvent receives DGC trace events from every collector. It is
+	// called with that collector's lock held, and sometimes also under a
+	// lock of the node's heap (whose pins add and remove edges), so it
+	// must not call back into the Env.
 	OnEvent func(core.Event)
 	// Store enables durable activity checkpoints: activities created from
 	// a registered behavior kind are snapshotted into it — on the
@@ -156,6 +159,9 @@ type Stats struct {
 	Live int
 	// Collected maps termination reasons to counts.
 	Collected map[core.Reason]int
+	// RelocateFailures counts the relocation sends (Node.Leave, failover)
+	// a member process did not acknowledge, each retry included.
+	RelocateFailures int
 }
 
 // Env is one simulated distributed system: a set of nodes sharing a
@@ -188,6 +194,8 @@ type Env struct {
 	// removes the activity, and mu is taken before Node.mu elsewhere.
 	reapMu sync.Mutex
 	reaped map[core.Reason]int
+
+	relocateFailures atomic.Int64 // Stats.RelocateFailures
 }
 
 // NewEnv creates an environment. Close it when done. It panics when the
@@ -406,7 +414,7 @@ func (e *Env) Lookup(name string) (wire.Value, error) {
 // Live, so an activity missing from Live is already in Collected.
 func (e *Env) Stats() Stats {
 	e.mu.Lock()
-	st := Stats{Created: e.created}
+	st := Stats{Created: e.created, RelocateFailures: int(e.relocateFailures.Load())}
 	for _, n := range e.nodes {
 		st.Live += n.LiveActivities()
 	}

@@ -78,9 +78,8 @@ type Future struct {
 	val      wire.Value
 	err      error
 	// valueRoots pin refs inside the value in the holder's heap — one pin
-	// per consuming activity, so every AddReferenced edge the value
-	// created has a matching tag whose death can remove it — until the
-	// value is consumed by Wait (or the owner dies).
+	// per consuming activity, each carrying that activity's edges — until
+	// the value is consumed by Wait (or the owner dies).
 	valueRoots  []localgc.RootID
 	rootDropped bool
 	// discarded marks a Discard that happened before resolution: the pin

@@ -75,9 +75,9 @@ func TestForwardedFutureRingCollected(t *testing.T) {
 	if _, err := e.WaitCollected(0, 10*time.Second); err != nil {
 		for _, n := range nodes {
 			for _, ao := range n.snapshotActivities() {
-				t.Logf("live %v name=%s idle=%v pending=%d stubTargets=%v referencedBy/collector=%v",
+				t.Logf("live %v name=%s idle=%v pending=%d referenced=%v referencedBy/collector=%v",
 					ao.ID(), ao.Name(), ao.isIdle(), ao.queue.pendingCount(),
-					n.heap.StubTargets(ao.ID()), ao.collector)
+					ao.collector.Referenced(), ao.collector)
 			}
 			t.Logf("node %v futures=%d heap=%v", n.ID(), n.futures.size(), n.heap)
 		}

@@ -52,12 +52,9 @@ func (n *Node) HandleFor(ref wire.Value) (*Handle, error) {
 	return n.handle(target), nil
 }
 
-// handle makes the root's stub for target, then its edge: a sweep of an
-// older handle's stub that races this one then sees the tag alive (see
-// onTagDeath).
+// handle pins the root's stub for target, which carries the root's edge.
 func (n *Node) handle(target ids.ActivityID) *Handle {
 	_, stub := n.heap.NewStubRooted(n.root.id, target)
-	n.root.collector.AddReferenced(target, n.env.cfg.Clock.Now())
 	return &Handle{node: n, target: target, stubRoot: stub}
 }
 

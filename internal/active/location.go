@@ -82,7 +82,7 @@ func (n *Node) announceLocation(old, new ids.ActivityID) {
 		return
 	}
 	n.locCache.AddOrigin(old, new)
-	n.rebindStubs(old, new)
+	n.heap.RebindStubs(old, new)
 	n.directoryAnnounce([]location.Rebind{{Old: old, New: new}})
 }
 

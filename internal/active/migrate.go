@@ -267,17 +267,15 @@ func (n *Node) restoreFromEnvelope(m migration, keepID bool, failQueue error) (*
 		opts = append(opts, withForcedID(m.Old))
 	}
 	ao := n.newActivity(m.Name, rk.factory(), opts...)
-	var scratch [8]ids.ActivityID
 	// State first: by the time the first replayed request is served, every
-	// Load must see the restored state. Each value is stored (its pin),
-	// then held like any delivered payload; futures stored in state adopt
-	// local proxies and re-subscribe at their home node, since the
-	// sender-side holder registration of a normal delivery never happened
-	// for an envelope.
+	// Load must see the restored state. Each value is stored (its pin, with
+	// its edges); futures stored in state adopt local proxies and
+	// re-subscribe at their home node, since the sender-side holder
+	// registration of a normal delivery never happened for an envelope.
 	for _, e := range m.State {
 		v := wire.Rebind(e.Value, m.Old, ao.id)
 		(&Context{ao: ao}).Store(e.Key, v)
-		n.hold(ao, v, v.Refs(scratch[:0]), true)
+		n.adoptFutures(v, ao.id, true)
 	}
 	for _, q := range m.Queue {
 		req := request{Target: ao.id, Sender: q.Sender, Future: q.Future, Method: q.Method}
@@ -303,7 +301,6 @@ func (n *Node) restoreFromEnvelope(m migration, keepID bool, failQueue error) (*
 // ordinary TTA machinery reclaims the forwarder once every holder has
 // rebound and its beats have ceased.
 func (n *Node) installForwarder(ao *ActiveObject, newID ids.ActivityID) {
-	now := n.env.cfg.Clock.Now()
 	ao.fwd.Store(&newID)
 	// Rebind this node immediately: local holders (handles, co-located
 	// activities) never round-trip through the forwarder, and their old
@@ -314,17 +311,16 @@ func (n *Node) installForwarder(ao *ActiveObject, newID ids.ActivityID) {
 	for _, it := range ao.queue.close(n.heap) {
 		n.forwardQueued(ao, it.req)
 	}
-	// The forwarder's own edge to the migrated activity: referenced +
-	// pinned, so the forwarder beats it and the DGC cannot reclaim the
-	// migrated activity while the forwarder (standing in for every holder
-	// that has not rebound yet) is alive.
-	ao.collector.AddReferenced(newID, now)
+	// The forwarder's own edge to the migrated activity: a pinned stub,
+	// so the forwarder beats it and the DGC cannot reclaim the migrated
+	// activity while the forwarder (standing in for every holder that has
+	// not rebound yet) is alive.
 	_, root := n.heap.NewStubRooted(ao.id, newID)
 	ao.rootsMu.Lock()
 	ao.extraRoots[root] = struct{}{}
 	ao.rootsMu.Unlock()
 	// State moved: drop its pins. The stub tags die at the next sweep,
-	// firing LostReferenced for everything the activity referenced — the
+	// removing the edge to everything the activity referenced — the
 	// destination holds its own edges now.
 	releaseStateRoots(ao, n)
 	// Home futures owned by the migrated activity stay in this node's
@@ -338,7 +334,7 @@ func (n *Node) installForwarder(ao *ActiveObject, newID ids.ActivityID) {
 	// view, and once the last stale holder rebinds (or dies), its beats
 	// stop and the TTA sweep reclaims it like any other alone activity.
 	ao.idleFlag.Store(true)
-	ao.collector.BecomeIdle(now)
+	ao.collector.BecomeIdle(n.env.cfg.Clock.Now())
 	if ao.registered.Load() {
 		n.env.rebindRegistered(ao.id, newID)
 	}
@@ -441,35 +437,17 @@ func (n *Node) sendRedirect(dst ids.NodeID, old, new ids.ActivityID) {
 }
 
 // applyRedirect rebinds this node to an activity's new identity: the
-// location cache (send routing), every heap stub (state and pinned
-// payloads), and the reference-graph edges of every activity that held
-// one. The old stub tags die at the next sweep, firing the ordinary
-// LostReferenced — which is what stops this node's beats toward the
-// forwarder and lets it collapse.
+// location cache (send routing) and every heap stub (state and pinned
+// payloads), whose pins move their holders' edges to the new identity.
+// The old stub tags die at the next sweep, removing the old edges —
+// which is what stops this node's beats toward the forwarder and lets it
+// collapse.
 func (n *Node) applyRedirect(old, new ids.ActivityID) {
 	if old.IsNil() || new.IsNil() || old == new {
 		return
 	}
 	n.addRebind(old, new)
-	n.rebindStubs(old, new)
-}
-
-// rebindStubs is the heap and reference-graph half of a redirect.
-//
-// Invariant: no collector edge without a backing stub. Each (owner → new)
-// edge is added inside the heap shard's critical section that rebinds the
-// owner's stubs (lock order: heap shard, then node, then collector; tag
-// deaths are delivered outside heap locks), so a sweep racing the
-// redirect either runs first and leaves no stub to rebind, or runs after
-// and finds stub and edge together — and the tag death of a stub released
-// meanwhile removes the edge again. An edge added after the sweep freed
-// its stub would keep the owner beating the new identity for ever.
-func (n *Node) rebindStubs(old, new ids.ActivityID) {
-	n.heap.RebindStubs(old, new, func(owner ids.ActivityID) {
-		if ao, ok := n.activity(owner); ok {
-			ao.collector.AddReferenced(new, n.env.cfg.Clock.Now())
-		}
-	})
+	n.heap.RebindStubs(old, new)
 }
 
 // addRebind records old → new in the node's learned-location cache.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -14,8 +15,8 @@ import (
 )
 
 // Node is one process (address space) of the distributed system: it hosts
-// activities, a local heap with its tracing collector, a future table, and
-// the DGC driver goroutine.
+// activities, a local heap of counted pins, a future table, and the DGC
+// driver goroutine.
 type Node struct {
 	env      *Env
 	id       ids.NodeID
@@ -71,7 +72,7 @@ func newNode(e *Env, id ids.NodeID) *Node {
 		locCache: location.NewCache(location.DefaultCacheSize),
 		stop:     make(chan struct{}),
 	}
-	n.heap = localgc.New(n.onTagDeath)
+	n.heap = localgc.New(nodeEdges{n})
 	n.dgc = core.Config{
 		TTB:           e.cfg.TTB,
 		TTA:           e.cfg.TTA,
@@ -178,23 +179,19 @@ func (n *Node) snapshotActivities() []*ActiveObject {
 	return out
 }
 
-// onTagDeath is the localgc callback: activity owner no longer holds any
-// stub for target — remove the reference-graph edge (§2.2). A guard
-// against the re-intern race: if a fresh tag exists again, the edge was
-// re-created concurrently and must stay. The second check restores an
-// edge removed here that a stub made meanwhile relies on: stubs and pins
-// are made before their edges, so one of the two checks sees them.
-func (n *Node) onTagDeath(d localgc.TagDeath) {
-	ao, ok := n.activity(d.Owner)
-	if !ok || n.heap.HasTag(d.Owner, d.Target) {
-		return
+// nodeEdges hands the heap the collectors of the node's activities: the
+// heap adds and removes their reference-graph edges as it pins and frees
+// stubs (§2.2), so the edges are a function of the pins.
+type nodeEdges struct{ n *Node }
+
+func (e nodeEdges) Referencer(owner ids.ActivityID) localgc.Referencer {
+	if ao, ok := e.n.activity(owner); ok {
+		return ao.collector
 	}
-	now := n.env.cfg.Clock.Now()
-	ao.collector.LostReferenced(d.Target, now)
-	if n.heap.HasTag(d.Owner, d.Target) {
-		ao.collector.AddReferenced(d.Target, now)
-	}
+	return nil
 }
+
+func (e nodeEdges) Now() time.Time { return e.n.env.cfg.Clock.Now() }
 
 // HandleOneWay implements transport.Handler: application requests and future
 // updates.
@@ -375,12 +372,10 @@ func (n *Node) admit(ao *ActiveObject, req request, local bool) {
 }
 
 // bind is the one place a payload that entered this node becomes held
-// (§2.2): for each consumer, the rooted pin, then the edges to every
-// reference in v, then the adoption of v's futures on its behalf (hold).
-// The pin comes first so every edge has a tag whose death can remove it
-// again, and a tag death racing the bind sees the pin (onTagDeath). A
+// (§2.2): for each consumer, the rooted pin, which carries the edges to
+// every reference in v, then the adoption of v's futures on its behalf. A
 // value without a reference pins nothing: the calling hot path allocates
-// no cells. A value nothing here consumes still has its futures adopted,
+// no pins. A value nothing here consumes still has its futures adopted,
 // so a resolution's fan-out can register downstream holders on them.
 // local marks a payload this node sent: no remote sender registered it
 // as a holder, so a proxy adopted fresh subscribes at its home. pins has
@@ -394,19 +389,9 @@ func (n *Node) bind(v wire.Value, consumers []*ActiveObject, pins []localgc.Root
 	}
 	for i, ao := range consumers {
 		_, pins[i] = n.heap.InternRooted(ao.id, v)
-		n.hold(ao, v, refs, local)
+		n.adoptFutures(v, ao.id, local)
 	}
 	return len(consumers)
-}
-
-// hold adds ao's edges to refs, the references in v, and adopts v's
-// futures on ao's behalf. v must already be pinned for ao (bind).
-func (n *Node) hold(ao *ActiveObject, v wire.Value, refs []ids.ActivityID, local bool) {
-	now := n.env.cfg.Clock.Now()
-	for _, t := range refs {
-		ao.collector.AddReferenced(t, now)
-	}
-	n.adoptFutures(v, ao.id, local)
 }
 
 // adoptFutures walks a delivered value for first-class futures and

@@ -673,8 +673,6 @@ func (c *Context) ServeNext(policy ServicePolicy) error {
 // to keep it alive longer. Options configure the child (e.g. WithPolicy).
 func (c *Context) Spawn(name string, b Behavior, opts ...SpawnOption) wire.Value {
 	child := c.ao.node.newActivity(name, b, opts...)
-	now := c.ao.node.env.cfg.Clock.Now()
-	c.ao.collector.AddReferenced(child.id, now)
 	_, root := c.ao.node.heap.NewStubRooted(c.ao.id, child.id)
 	c.transientRoots = append(c.transientRoots, root)
 	return wire.Ref(child.id)
@@ -708,7 +706,7 @@ func (c *Context) Load(key string) wire.Value {
 }
 
 // Delete removes a state entry; stubs it was pinning become collectable at
-// the next local sweep (firing LostReferenced as the paper's weak tag
+// the next local sweep (removing their edges as the paper's weak tag
 // mechanism would).
 func (c *Context) Delete(key string) {
 	c.ao.rootsMu.Lock()
@@ -728,11 +726,9 @@ func (c *Context) Lookup(name string) (wire.Value, error) {
 	if err != nil {
 		return wire.Null(), err
 	}
-	// Looking a name up hands this activity a reference: record the edge
-	// exactly as a deserialization would.
+	// Looking a name up hands this activity a reference: pin its stub,
+	// and with it the edge, exactly as a deserialization would.
 	target, _ := v.AsRef()
-	now := c.ao.node.env.cfg.Clock.Now()
-	c.ao.collector.AddReferenced(target, now)
 	_, root := c.ao.node.heap.NewStubRooted(c.ao.id, target)
 	c.transientRoots = append(c.transientRoots, root)
 	return v, nil

@@ -5,9 +5,9 @@
 // (goroutine) and request queue. Method calls are asynchronous and return a
 // future. Every value crossing an activity boundary goes through the wire
 // codec, enforcing the no-sharing property and giving the DGC its
-// deserialization hook. Each node (process) owns a localgc.Heap whose stub
-// tags feed edge-removal events to the per-activity core.Collector, and a
-// driver goroutine broadcasts DGC messages every TTB.
+// deserialization hook. Each node (process) owns a localgc.Heap whose
+// pinned stubs make and remove the per-activity core.Collector's edges,
+// and a driver goroutine broadcasts DGC messages every TTB.
 package active
 
 import (

@@ -3,7 +3,7 @@
 package localgc
 
 // Complexity guard for RebindStubs: it once scanned every cell of every
-// shard. Timing ratios mean nothing under the race detector, hence the
+// shard; the pin table finds the pins to rebind through its target index. Timing ratios mean nothing under the race detector, hence the
 // build tag.
 
 import (
@@ -14,8 +14,8 @@ import (
 	"repro/internal/ids"
 )
 
-// stubHeap returns a heap of cells stubs, one target each, spread over
-// 256 owners (so over every shard).
+// stubHeap returns a heap of cells stub pins, one target each, spread
+// over 256 owners (so over every shard).
 func stubHeap(cells int) *Heap {
 	h := New(nil)
 	for i := 0; i < cells; i++ {
@@ -29,7 +29,7 @@ func stubHeap(cells int) *Heap {
 func rebindRound(h *Heap, n int, from, to ids.NodeID) time.Duration {
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		h.RebindStubs(ids.ActivityID{Node: from, Seq: uint32(i + 1)}, ids.ActivityID{Node: to, Seq: uint32(i + 1)}, func(ids.ActivityID) {})
+		h.RebindStubs(ids.ActivityID{Node: from, Seq: uint32(i + 1)}, ids.ActivityID{Node: to, Seq: uint32(i + 1)})
 	}
 	return time.Since(start)
 }
@@ -51,7 +51,7 @@ func BenchmarkRebindStubs(b *testing.B) {
 }
 
 // TestRebindStubsCostIndependentOfHeapSize: rebinding one stub in a heap
-// of 16k cells costs at most 4x what it costs in a heap of 1k (a scan
+// of 16k pins costs at most 4x what it costs in a heap of 1k (a scan
 // would cost 16x). Each side is the fastest of several rounds.
 func TestRebindStubsCostIndependentOfHeapSize(t *testing.T) {
 	const n, rounds = 1024, 8

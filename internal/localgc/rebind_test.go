@@ -9,41 +9,57 @@ import (
 )
 
 // checkIndex compares every shard's byTarget index with a full scan of
-// its cells: the index must list exactly the stub and future-stub cells,
-// each under the target it designates and at the slot it remembers.
+// its pins: the index must list exactly the pins carrying a tag key for
+// each target, and every key count must be what the pins, and the tombs
+// of rebinds awaiting the next Collect, carry.
 func checkIndex(t *testing.T, h *Heap) {
 	t.Helper()
 	for i := range h.shards {
 		s := &h.shards[i]
-		stubs := 0
-		for ref, c := range s.cells {
-			if c.kind != kindStub && c.kind != kindFutureStub {
-				continue
-			}
-			stubs++
-			list := s.byTarget[c.target]
-			if int(c.pos) >= len(list) || list[c.pos] != c {
-				t.Fatalf("shard %d: stub %d of %v not at slot %d of %v", i, ref, c.target, c.pos, list)
+		carried := make(map[key]int32)
+		for p := range s.dying {
+			if _, pinned := s.pins[p.ref]; !pinned {
+				for _, k := range p.keys {
+					carried[k]++
+				}
 			}
 		}
-		listed := 0
-		for target, list := range s.byTarget {
-			if len(list) == 0 {
-				t.Fatalf("shard %d: empty list kept for %v", i, target)
+		listed := make(map[ids.ActivityID]int)
+		for ref, p := range s.pins {
+			seen := make(map[ids.ActivityID]bool)
+			for _, k := range p.keys {
+				carried[k]++
+				if k.isFut || seen[k.target] {
+					continue
+				}
+				seen[k.target] = true
+				listed[k.target]++
+				if _, ok := s.byTarget[k.target][p]; !ok {
+					t.Fatalf("shard %d: pin %d carries %v but is not indexed under it", i, ref, k.target)
+				}
 			}
-			listed += len(list)
 		}
-		if listed != stubs {
-			t.Fatalf("shard %d: index lists %d cells, the shard holds %d stubs", i, listed, stubs)
+		for target, set := range s.byTarget {
+			if len(set) == 0 || len(set) != listed[target] {
+				t.Fatalf("shard %d: index lists %d pins under %v, the pins carry it %d times", i, len(set), target, listed[target])
+			}
+		}
+		if len(s.counts) != len(carried) {
+			t.Fatalf("shard %d: %d keys counted, %d carried", i, len(s.counts), len(carried))
+		}
+		for k, n := range s.counts {
+			if n != carried[k] {
+				t.Fatalf("shard %d: key %v counted %d, carried by %d pins", i, k, n, carried[k])
+			}
 		}
 	}
 }
 
 // TestRebindStubsMatchesFullScan drives random intern / unroot / sweep /
-// rebind sequences. Each rebind is predicted by scanning every cell of
-// every shard, as RebindStubs itself used to; the indexed rebind must
-// move exactly those cells, report exactly their owners, once each, and
-// leave the index consistent — and empty once the heap is.
+// rebind sequences. Each rebind is predicted by scanning every pin of
+// every shard; the indexed rebind must move exactly those pins, give each
+// of their owners exactly one edge to the new identity, and leave the
+// index consistent — and empty once the heap is.
 func TestRebindStubsMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	activity := func(n int) ids.ActivityID { return ids.ActivityID{Node: 9, Seq: uint32(1 + rng.Intn(n))} }
@@ -65,7 +81,8 @@ func TestRebindStubsMatchesFullScan(t *testing.T) {
 		return wire.List(elems...)
 	}
 	for iter := 0; iter < 40; iter++ {
-		h := New(nil)
+		edges := newEdgeLog(t)
+		h := New(edges)
 		var roots []RootID
 		for step := 0; step < 120; step++ {
 			switch rng.Intn(6) {
@@ -85,7 +102,7 @@ func TestRebindStubsMatchesFullScan(t *testing.T) {
 			case 4:
 				h.Collect()
 			case 5:
-				rebindAndCompare(t, h, activity(5), activity(5))
+				rebindAndCompare(t, h, edges, activity(5), activity(5))
 			}
 			checkIndex(t, h)
 		}
@@ -95,91 +112,91 @@ func TestRebindStubsMatchesFullScan(t *testing.T) {
 		h.Collect()
 		checkIndex(t, h)
 		for i := range h.shards {
-			if n := len(h.shards[i].byTarget); n != 0 {
-				t.Fatalf("iter %d: shard %d still indexes %d targets in an empty heap", iter, i, n)
+			if s := &h.shards[i]; len(s.byTarget)+len(s.counts)+len(s.pins) != 0 {
+				t.Fatalf("iter %d: shard %d keeps %d index entries, %d keys, %d pins in an empty heap",
+					iter, i, len(s.byTarget), len(s.counts), len(s.pins))
 			}
 		}
-		if h.NumCells() != 0 {
-			t.Fatalf("iter %d: %d cells left", iter, h.NumCells())
+		if len(edges.edges) != 0 {
+			t.Fatalf("iter %d: edges %v outlived every pin", iter, edges.edges)
 		}
 	}
 }
 
-func rebindAndCompare(t *testing.T, h *Heap, old, new ids.ActivityID) {
+func rebindAndCompare(t *testing.T, h *Heap, edges *edgeLog, old, new ids.ActivityID) {
 	t.Helper()
-	// The full scan: which cells designate old, and who owns them.
-	type hit struct {
-		shard *heapShard
-		ref   ObjRef
-	}
-	var hits []hit
-	wantOwners := make(map[ids.ActivityID]int)
+	// The full scan: which pins designate old, and what they become.
+	want := make(map[*pin]wire.Value)
+	owners := make(map[ids.ActivityID]bool)
 	if old != new {
 		for i := range h.shards {
-			s := &h.shards[i]
-			for ref, c := range s.cells {
-				if (c.kind == kindStub || c.kind == kindFutureStub) && c.target == old {
-					hits = append(hits, hit{s, ref})
-					wantOwners[c.owner] = 1
+			for _, p := range h.shards[i].pins {
+				for _, k := range p.keys {
+					if !k.isFut && k.target == old {
+						want[p] = wire.Rebind(p.val, old, new)
+						owners[p.owner] = true
+					}
 				}
 			}
 		}
 	}
-	gotOwners := make(map[ids.ActivityID]int)
-	h.RebindStubs(old, new, func(owner ids.ActivityID) { gotOwners[owner]++ })
-	if len(gotOwners) != len(wantOwners) {
-		t.Fatalf("rebind %v→%v reported owners %v, full scan %v", old, new, gotOwners, wantOwners)
-	}
-	for owner, n := range gotOwners {
-		if n != 1 || wantOwners[owner] != 1 {
-			t.Fatalf("rebind %v→%v reported %v %d times (full scan: %d)", old, new, owner, n, wantOwners[owner])
+	h.RebindStubs(old, new)
+	for p, v := range want {
+		if !p.val.Equal(v) {
+			t.Fatalf("pin %d materializes %v after rebind %v→%v, want %v", p.ref, p.val, old, new, v)
 		}
 	}
-	for _, hit := range hits {
-		c := hit.shard.cells[hit.ref]
-		if c.target != new || c.children[0] != hit.shard.tags[tagKey{owner: c.owner, target: new}] {
-			t.Fatalf("cell %d: target %v tag %d after rebind to %v", hit.ref, c.target, c.children[0], new)
-		}
-		if fr, ok := c.scalar.AsFutureRef(); ok && fr.Owner != new {
-			t.Fatalf("future stub %d still materializes owner %v", hit.ref, fr.Owner)
+	for owner := range owners {
+		if !edges.has(owner, new) || !h.HasTag(owner, new) {
+			t.Fatalf("rebind %v→%v left %v without the tag or edge to %v", old, new, owner, new)
 		}
 	}
 	if old == new {
 		return
 	}
 	for i := range h.shards {
-		for ref, c := range h.shards[i].cells {
-			if (c.kind == kindStub || c.kind == kindFutureStub) && c.target == old {
-				t.Fatalf("cell %d still designates %v", ref, old)
+		for ref, p := range h.shards[i].pins {
+			for _, k := range p.keys {
+				if !k.isFut && k.target == old {
+					t.Fatalf("pin %d still designates %v", ref, old)
+				}
 			}
 		}
 	}
 }
 
 // TestRebindStubsEdgeInsideCriticalSection pins what the redirect path
-// relies on: the edge callback runs while the owner's shard is locked, so
-// no sweep can run between a stub's rebind and the edge it backs.
+// relies on: the edge to the new identity is added while the owner's
+// shard is locked and after the stub was rebound, so no sweep can run
+// between a stub's rebind and the edge it backs.
 func TestRebindStubsEdgeInsideCriticalSection(t *testing.T) {
-	h := New(nil)
+	edges := newEdgeLog(t)
+	h := New(edges)
 	newID := ids.ActivityID{Node: 3, Seq: 1}
 	h.NewStub(owner, remote)
 	h.NewStub(owner2, remote)
 	calls := 0
-	h.RebindStubs(remote, newID, func(o ids.ActivityID) {
+	edges.onAdd = func(o, target ids.ActivityID) {
+		if target != newID {
+			return
+		}
 		calls++
-		if s := h.shardOf(o); s.mu.TryLock() {
+		s := h.shardOf(o)
+		if s.mu.TryLock() {
 			s.mu.Unlock()
 			t.Errorf("edge(%v) ran with its shard unlocked", o)
 		}
-		if !h.shardOf(o).hasStubLocked(o, newID) {
+		if _, ok := s.counts[key{owner: o, target: newID}]; !ok {
 			t.Errorf("edge(%v) ran before the stub was rebound", o)
 		}
-	})
+	}
+	h.RebindStubs(remote, newID)
 	if calls != 2 {
 		t.Fatalf("edge ran %d times, want once per owner", calls)
 	}
-	// Unrooted stubs: the sweep now takes stub and both tags, and reports
-	// the death of the new tag too — the event that removes the edge.
+	// Unrooted stubs: the sweep takes both, and reports the death of the
+	// old tags, which the rebind left to a tomb, and of the new ones — the
+	// events that remove the edges.
 	deaths := h.Collect().TagDeaths
 	want := map[TagDeath]bool{
 		{Owner: owner, Target: remote}: true, {Owner: owner, Target: newID}: true,
@@ -193,65 +210,50 @@ func TestRebindStubsEdgeInsideCriticalSection(t *testing.T) {
 			t.Fatalf("unexpected tag death %v", d)
 		}
 	}
-}
-
-// hasStubLocked reports whether owner holds a stub designating target;
-// the caller holds s.mu.
-func (s *heapShard) hasStubLocked(owner, target ids.ActivityID) bool {
-	for _, c := range s.byTarget[target] {
-		if c.owner == owner {
-			return true
-		}
+	if len(edges.edges) != 0 {
+		t.Fatalf("edges %v outlived their stubs", edges.edges)
 	}
-	return false
 }
 
 // TestShrinkKeepsLiveState: a shard that falls under half of its peak
-// rebuilds its maps; roots, tags, weak references, the stub index and
-// the cells themselves must come through, and the peak must restart.
+// rebuilds its maps; pins, keys, roots and the target index must come
+// through, and the peak must restart.
 func TestShrinkKeepsLiveState(t *testing.T) {
-	var deaths []TagDeath
-	h := New(func(d TagDeath) { deaths = append(deaths, d) })
+	edges := newEdgeLog(t)
+	h := New(edges)
 	s := h.shardOf(owner)
-	type kept struct {
-		ref  ObjRef
-		weak *Weak
-	}
-	var keep []kept
+	var keep []ObjRef
 	var drop []RootID
 	for i := 0; i < 400; i++ {
 		target := ids.ActivityID{Node: 2, Seq: uint32(1 + i%7)}
 		ref, root := h.InternRooted(owner, wire.List(wire.Int(int64(i)), wire.Ref(target)))
 		if i%10 == 0 {
-			keep = append(keep, kept{ref, h.NewWeak(ref)})
+			keep = append(keep, ref)
 		} else {
 			drop = append(drop, root)
 		}
 	}
 	h.Collect()
-	if s.peak != len(s.cells) || s.peak < 400 {
-		t.Fatalf("peak %d with %d cells before the drop", s.peak, len(s.cells))
+	if s.peak != len(s.pins) || s.peak < 400 {
+		t.Fatalf("peak %d with %d pins before the drop", s.peak, len(s.pins))
 	}
 	for _, root := range drop {
 		h.RemoveRoot(root)
 	}
-	h.Collect()
-	if s.peak != len(s.cells) || s.peak > 200 {
-		t.Fatalf("peak %d with %d cells: the shard did not shrink", s.peak, len(s.cells))
+	st := h.Collect()
+	if s.peak != len(s.pins) || s.peak > 200 {
+		t.Fatalf("peak %d with %d pins: the shard did not shrink", s.peak, len(s.pins))
 	}
 	checkIndex(t, h)
-	for i, k := range keep {
+	for i, ref := range keep {
 		want := wire.List(wire.Int(int64(10*i)), wire.Ref(ids.ActivityID{Node: 2, Seq: uint32(1 + 10*i%7)}))
-		if got := h.Materialize(k.ref); !got.Equal(want) {
+		if got := h.Materialize(ref); !got.Equal(want) {
 			t.Fatalf("kept value %d = %v, want %v", i, got, want)
 		}
-		if !k.weak.Alive() {
-			t.Fatalf("weak reference %d died with its referent rooted", i)
-		}
 	}
-	if len(deaths) != 0 || h.NumRoots() != len(keep) {
-		t.Fatalf("after shrink: tag deaths %v, %d roots for %d kept values", deaths, h.NumRoots(), len(keep))
+	if len(st.TagDeaths) != 0 || h.NumRoots() != len(keep) {
+		t.Fatalf("after shrink: tag deaths %v, %d roots for %d kept values", st.TagDeaths, h.NumRoots(), len(keep))
 	}
-	rebindAndCompare(t, h, ids.ActivityID{Node: 2, Seq: 1}, ids.ActivityID{Node: 3, Seq: 1})
+	rebindAndCompare(t, h, edges, ids.ActivityID{Node: 2, Seq: 1}, ids.ActivityID{Node: 3, Seq: 1})
 	checkIndex(t, h)
 }

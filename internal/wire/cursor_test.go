@@ -61,21 +61,30 @@ func TestReaderContract(t *testing.T) {
 
 // TestReaderRawValue: RawValue returns exactly one value's encoding and
 // leaves the cursor on the next byte, for the ref-free values it checks
-// without decoding and for the ones it has to decode — a Ref inside, or
-// dict keys out of canonical order.
+// without decoding and for the ones it has to decode — a Ref inside. Dict
+// keys out of canonical order fail it, as they fail the decoder.
 func TestReaderRawValue(t *testing.T) {
 	bad := errors.New("bad envelope")
-	unsorted := []byte{byte(KindDict), 2, 1, 'b', byte(KindNull), 1, 'a', byte(KindNull)}
 	for _, enc := range [][]byte{
 		Encode(nil, Int(-5)),
 		Encode(nil, Dict(map[string]Value{"k": String("v"), "n": List(Int(1), Bytes([]byte("x")))})),
 		Encode(nil, List(String("x"), Ref(ids.ActivityID{Node: 1, Seq: 3}))),
-		unsorted,
 	} {
 		var r Reader
 		r.Reset(append(append([]byte(nil), enc...), 9), bad)
 		if raw := r.RawValue(); string(raw) != string(enc) || r.Byte() != 9 || r.Done() != nil {
 			t.Errorf("RawValue of % x = % x, err %v", enc, raw, r.Err())
+		}
+	}
+	for _, enc := range [][]byte{
+		{byte(KindDict), 2, 1, 'b', byte(KindNull), 1, 'a', byte(KindNull)},         // unsorted
+		{byte(KindDict), 2, 1, 'a', byte(KindNull), 1, 'a', byte(KindRef), 1, 2},    // duplicate, a ref inside
+		{byte(KindList), 1, byte(KindDict), 2, 1, 'b', byte(KindInt), 2, 1, 'a', 1}, // nested
+	} {
+		var r Reader
+		r.Reset(enc, bad)
+		if raw := r.RawValue(); raw != nil || !errors.Is(r.Err(), bad) || !errors.Is(r.Err(), ErrMalformed) {
+			t.Errorf("RawValue of non-canonical % x = % x, err %v", enc, raw, r.Err())
 		}
 	}
 }

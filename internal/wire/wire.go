@@ -123,12 +123,11 @@ type Value struct {
 	elems []Value
 	dict  map[string]Value
 	// A dict carries exactly one of two representations: the map form
-	// (dict), built by the Dict constructor and by decodes of
-	// non-canonical inputs, or the sorted-pairs form (dkeys/elems,
-	// strictly increasing keys), produced by the plan codec and by
-	// decodes of canonically ordered inputs. The pairs form encodes,
-	// walks and deep-copies in key order without sorting or map
-	// iteration — that is what makes the cached-plan marshal path
+	// (dict), built by the Dict constructor, or the sorted-pairs form
+	// (dkeys/elems, strictly increasing keys), produced by the plan codec
+	// and by the decoder, which accepts no other key order. The pairs
+	// form encodes, walks and deep-copies in key order without sorting
+	// or map iteration — that is what makes the cached-plan marshal path
 	// allocation-lean — and both forms encode to identical bytes. All
 	// accessors handle both. A dict received from another node may also
 	// stay in encoded form (encoded.go): bytes then holds its canonical
@@ -582,6 +581,9 @@ var (
 	ErrTrailing = errors.New("wire: trailing bytes after value")
 	// ErrTooDeep indicates nesting beyond the decoder limit.
 	ErrTooDeep = errors.New("wire: value nesting too deep")
+	// ErrMalformed indicates a dict whose keys are not strictly
+	// increasing: unsorted, or duplicated.
+	ErrMalformed = errors.New("wire: dict keys not strictly increasing")
 )
 
 // maxDepth bounds decoder recursion to keep hostile or corrupted inputs
@@ -884,40 +886,31 @@ func (d *Decoder) decode(buf []byte, depth int) (Value, []byte, error) {
 		if n > uint64(len(buf)) {
 			return Null(), nil, ErrTruncated
 		}
-		// Decode into the sorted-pairs form as long as keys arrive in
-		// canonical (strictly increasing) order — every encoder in this
-		// package emits that order, so map construction only happens for
-		// foreign or hand-crafted inputs (including duplicate keys, where
-		// the map keeps last-wins semantics).
+		// Keys must arrive in canonical, strictly increasing order — the
+		// order every encoder emits — so a dict decodes into the
+		// sorted-pairs form and re-encodes to the same bytes. Unsorted or
+		// duplicate keys are malformed (WIRE.md §1).
 		keys := make([]string, 0, n)
 		vals := make([]Value, 0, n)
-		sorted := true
 		for i := uint64(0); i < n; i++ {
 			k, rest, err := decodeLenPrefixed(buf)
 			if err != nil {
 				return Null(), nil, err
 			}
 			buf = rest
+			ks := string(k)
+			if len(keys) > 0 && ks <= keys[len(keys)-1] {
+				return Null(), nil, ErrMalformed
+			}
 			var e Value
 			e, buf, err = d.decode(buf, depth+1)
 			if err != nil {
 				return Null(), nil, err
 			}
-			ks := string(k)
-			if sorted && len(keys) > 0 && ks <= keys[len(keys)-1] {
-				sorted = false
-			}
 			keys = append(keys, ks)
 			vals = append(vals, e)
 		}
-		if sorted {
-			return Value{kind: KindDict, dkeys: keys, elems: vals}, buf, nil
-		}
-		m := make(map[string]Value, n)
-		for i, k := range keys {
-			m[k] = vals[i]
-		}
-		return Value{kind: KindDict, dict: m}, buf, nil
+		return Value{kind: KindDict, dkeys: keys, elems: vals}, buf, nil
 	case KindRef:
 		node, sz := binary.Uvarint(buf)
 		if sz <= 0 {
