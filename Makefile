@@ -91,7 +91,9 @@ bench-go:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
 # Short fuzz pass over every fuzzable decoder (longer runs: raise
-# FUZZTIME).
+# FUZZTIME). FuzzPlanCodecParity holds the struct plans to the test-side
+# reflection oracle; FuzzFutureValue holds a decoded value's Refs and
+# FutureRefs walks to walks of its bytes.
 FUZZTIME ?= 15s
 .PHONY: fuzz
 fuzz:

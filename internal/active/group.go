@@ -38,8 +38,6 @@ type Group[Req, Resp any] struct {
 // NewGroup types the given handles' method into a group. The group takes
 // ownership of the handles: Group.Release releases them all.
 func NewGroup[Req, Resp any](method string, members ...*Handle) *Group[Req, Resp] {
-	// Group construction registers the cached codec plans, like NewStub.
-	wire.RegisterType(*new(Resp))
 	return &Group[Req, Resp]{method: method, members: members, req: wire.CodecFor[Req]()}
 }
 

@@ -402,12 +402,8 @@ func (n *Node) bind(v wire.Value, consumers []*ActiveObject, pins []localgc.Root
 // sender has registered this node: a freshly created remote-homed proxy
 // then subscribes at its home node (a handle on node A can legitimately
 // be given a future homed on node B through plain Go code). Values
-// without futures pay one walk that exits on the first non-container
-// kind.
+// without futures pay one walk, which allocates nothing.
 func (n *Node) adoptFutures(v wire.Value, recipient ids.ActivityID, subscribe bool) {
-	if !v.HasFutures() {
-		return
-	}
 	var scratch [4]wire.FutureRef
 	for _, fr := range v.FutureRefs(scratch[:0]) {
 		if fr.ID.IsZero() {

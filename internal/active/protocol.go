@@ -359,9 +359,8 @@ func encodeMigration(m migration) []byte {
 	return buf
 }
 
-// decodeMigration unpacks a migration envelope. Values are decoded with a
-// plain decoder (no hooks): the caller re-binds references explicitly
-// against the freshly created activity, after rewriting self-references.
+// decodeMigration unpacks a migration envelope. The caller binds the
+// values to the freshly created activity after rewriting self-references.
 func decodeMigration(buf []byte) (migration, error) {
 	var r wire.Reader
 	r.Reset(buf, errBadEnvelope)

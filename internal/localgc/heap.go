@@ -68,6 +68,7 @@ type pin struct {
 	owner ids.ActivityID
 	val   wire.Value
 	roots int
+	dying bool // on its shard's dying list, which holds each pin once
 	keys  []key
 }
 
@@ -79,8 +80,8 @@ type shard struct {
 	pins         map[ObjRef]*pin
 	counts       map[key]int32
 	byTarget     map[ids.ActivityID]map[*pin]struct{}
-	dying        map[*pin]struct{} // unrooted since the last Collect
-	peak         int               // the most pins since the maps were built
+	dying        []*pin // unrooted since the last Collect
+	peak         int    // the most pins since the maps were built
 }
 
 // Heap is the object heap of one process. It is safe for concurrent use.
@@ -105,7 +106,7 @@ func New(edges Edges) *Heap {
 // build remakes the maps at their size: Go maps never give buckets back.
 func (s *shard) build() {
 	s.pins, s.counts, s.byTarget = rebuilt(s.pins), rebuilt(s.counts), rebuilt(s.byTarget)
-	s.dying, s.peak = rebuilt(s.dying), len(s.pins)
+	s.dying, s.peak = nil, len(s.pins) // dying is empty: in New, and after a sweep
 }
 
 func rebuilt[K comparable, V any](m map[K]V) map[K]V {
@@ -135,11 +136,7 @@ func (h *Heap) each(f func(s *shard)) {
 }
 
 // Intern pins v for owner unrooted: the next Collect frees it, unrooted.
-func (h *Heap) Intern(owner ids.ActivityID, v wire.Value) ObjRef {
-	ref, root := h.InternRooted(owner, v)
-	h.RemoveRoot(root)
-	return ref
-}
+func (h *Heap) Intern(owner ids.ActivityID, v wire.Value) ObjRef { return h.intern(owner, v, 0) }
 
 // NewStub pins a bare stub, a reference held outside any value.
 func (h *Heap) NewStub(owner, target ids.ActivityID) ObjRef {
@@ -153,7 +150,13 @@ func (h *Heap) NewStubRooted(owner, target ids.ActivityID) (ObjRef, RootID) {
 
 // InternRooted pins v rooted: no Collect ever sees it unrooted.
 func (h *Heap) InternRooted(owner ids.ActivityID, v wire.Value) (ObjRef, RootID) {
-	p := &pin{owner: owner, val: v, roots: 1}
+	ref := h.intern(owner, v, 1)
+	return ref, RootID(ref)
+}
+
+// intern pins v with roots roots (0 or 1) in one critical section.
+func (h *Heap) intern(owner ids.ActivityID, v wire.Value, roots int) ObjRef {
+	p := &pin{owner: owner, val: v, roots: roots, dying: roots == 0}
 	var refs [8]ids.ActivityID
 	for _, t := range v.Refs(refs[:0]) {
 		p.keys = append(p.keys, key{owner: owner, target: t})
@@ -171,7 +174,10 @@ func (h *Heap) InternRooted(owner ids.ActivityID, v wire.Value) (ObjRef, RootID)
 	for _, k := range p.keys {
 		h.count(s, p, k, now)
 	}
-	return p.ref, RootID(p.ref)
+	if p.dying {
+		s.dying = append(s.dying, p)
+	}
+	return p.ref
 }
 
 // count adds p to the pins carrying k; a tag key's first adds its edge.
@@ -240,8 +246,8 @@ func (h *Heap) RemoveRoot(id RootID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p := s.pins[ObjRef(id)]; p != nil && p.roots > 0 {
-		if p.roots--; p.roots == 0 {
-			s.dying[p] = struct{}{}
+		if p.roots--; p.roots == 0 && !p.dying {
+			p.dying, s.dying = true, append(s.dying, p)
 		}
 	}
 }
@@ -264,8 +270,8 @@ func (h *Heap) RebindStubs(old, new ids.ActivityID) {
 					continue
 				}
 				if tomb == nil {
-					tomb = &pin{}
-					s.dying[tomb] = struct{}{}
+					tomb = &pin{dying: true}
+					s.dying = append(s.dying, tomb)
 				}
 				tomb.keys = append(tomb.keys, k)
 				p.keys[j].target = new
@@ -285,8 +291,8 @@ func (h *Heap) Collect() (st Stats) {
 
 func (h *Heap) collect(s *shard, now time.Time, st *Stats) {
 	s.peak = max(s.peak, len(s.pins)) // pins are only freed here
-	for p := range s.dying {
-		if p.roots > 0 {
+	for _, p := range s.dying {
+		if p.dying = false; p.roots > 0 {
 			continue
 		}
 		delete(s.pins, p.ref)
@@ -295,7 +301,8 @@ func (h *Heap) collect(s *shard, now time.Time, st *Stats) {
 			h.uncount(s, p, k, now, st)
 		}
 	}
-	clear(s.dying)
+	clear(s.dying) // drop the pointers: the array is kept
+	s.dying = s.dying[:0]
 	if st.Live += len(s.pins); s.peak >= 32 && len(s.pins) < s.peak/2 {
 		s.build() // a sweep left the maps under half their peak
 	}

@@ -17,7 +17,12 @@ func checkIndex(t *testing.T, h *Heap) {
 	for i := range h.shards {
 		s := &h.shards[i]
 		carried := make(map[key]int32)
-		for p := range s.dying {
+		onList := make(map[*pin]bool)
+		for _, p := range s.dying {
+			if onList[p] || !p.dying {
+				t.Fatalf("shard %d: the dying list holds a pin twice, or one not flagged dying", i)
+			}
+			onList[p] = true
 			if _, pinned := s.pins[p.ref]; !pinned {
 				for _, k := range p.keys {
 					carried[k]++

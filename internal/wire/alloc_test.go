@@ -88,9 +88,8 @@ func TestAllocsEncodedSize(t *testing.T) {
 	}
 }
 
-// TestAllocsPlanUnmarshal gates the registered-struct decode of a
-// canonical (sorted-pairs) dict: the merge walk itself allocates nothing
-// for plan-fast-path fields.
+// TestAllocsPlanUnmarshal gates the struct decode of a decoded dict: the
+// merge walk itself allocates nothing for plan-fast-path fields.
 func TestAllocsPlanUnmarshal(t *testing.T) {
 	msg := allocMsg{A: 7, B: 9, F: 2.5, On: true, Tag: "alloc"}
 	v, err := Marshal(msg)
@@ -114,8 +113,8 @@ func TestAllocsPlanUnmarshal(t *testing.T) {
 	}
 }
 
-// TestAllocsDeepCopy gates the intra-node isolation copy of a canonical
-// pairs-form dict with scalar fields: exactly the one []Value slab.
+// TestAllocsDeepCopy gates the deep copy of a dict with scalar fields:
+// exactly the one []Value slab.
 func TestAllocsDeepCopy(t *testing.T) {
 	msg := allocMsg{A: 7, B: 9, F: 2.5, On: true, Tag: "alloc"}
 	v, err := Marshal(msg)
@@ -205,6 +204,91 @@ func TestAllocsPlanUnmarshalEncoded(t *testing.T) {
 	}
 }
 
+// twinPlain and twinNested are registered; each Unreg twin is the same
+// type never registered, which gets its plan on first use.
+type (
+	twinPlain struct {
+		A   int64  `wire:"a"`
+		S   string `wire:"s"`
+		Raw []byte `wire:"raw"`
+	}
+	twinPlainUnreg struct {
+		A   int64  `wire:"a"`
+		S   string `wire:"s"`
+		Raw []byte `wire:"raw"`
+	}
+	twinNested struct {
+		In  twinPlain        `wire:"in"`
+		Ptr *twinPlain       `wire:"ptr"`
+		M   map[string]int64 `wire:"m"`
+		L   []string         `wire:"l"`
+	}
+	twinNestedUnreg struct {
+		In  twinPlainUnreg   `wire:"in"`
+		Ptr *twinPlainUnreg  `wire:"ptr"`
+		M   map[string]int64 `wire:"m"`
+		L   []string         `wire:"l"`
+	}
+)
+
+func init() {
+	RegisterType(twinPlain{})
+	RegisterType(twinNested{})
+}
+
+// TestAllocsUnregisteredStruct holds an unregistered struct type to its
+// registered twin: the same encoding, and the same allocations to marshal
+// it and to unmarshal its decoding. Registering is a warm-up, not a
+// second codec.
+func TestAllocsUnregisteredStruct(t *testing.T) {
+	plain := twinPlain{A: 7, S: "twin", Raw: []byte{1, 2}}
+	for _, c := range []struct {
+		name          string
+		reg, unreg    any // struct values
+		regOut, unOut any // pointers to their types
+	}{
+		{"plain", plain, twinPlainUnreg(plain), new(twinPlain), new(twinPlainUnreg)},
+		{"nested",
+			twinNested{In: plain, Ptr: &plain, M: map[string]int64{"b": 2, "a": 1}, L: []string{"x"}},
+			twinNestedUnreg{In: twinPlainUnreg(plain), Ptr: (*twinPlainUnreg)(&plain), M: map[string]int64{"b": 2, "a": 1}, L: []string{"x"}},
+			new(twinNested), new(twinNestedUnreg)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			enc := Encode(nil, mustMarshal(t, c.reg))
+			if got := Encode(nil, mustMarshal(t, c.unreg)); !bytes.Equal(got, enc) {
+				t.Fatalf("unregistered encoding\n%x\nregistered\n%x", got, enc)
+			}
+			var dec Decoder
+			tree, err := dec.Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := func(v, out any) (marshal, unmarshal float64) {
+				marshal = testing.AllocsPerRun(200, func() {
+					if _, err := Marshal(v); err != nil {
+						t.Fatal(err)
+					}
+				})
+				unmarshal = testing.AllocsPerRun(200, func() {
+					if err := Unmarshal(tree, out); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return marshal, unmarshal
+			}
+			rm, ru := allocs(c.reg, c.regOut)
+			um, uu := allocs(c.unreg, c.unOut)
+			t.Logf("registered %.1f/%.1f allocs, unregistered %.1f/%.1f (marshal/unmarshal)", rm, ru, um, uu)
+			if rm != um || ru != uu {
+				t.Errorf("unregistered %.1f/%.1f allocs, registered %.1f/%.1f (marshal/unmarshal)", um, uu, rm, ru)
+			}
+			if got := Encode(nil, mustMarshal(t, c.unOut)); !bytes.Equal(got, enc) {
+				t.Fatalf("unregistered round trip\n%x\nwant\n%x", got, enc)
+			}
+		})
+	}
+}
+
 // TestAllocsEncodeAfter gates the typed caller's encode: the buffer and
 // the boxing of the sample — no []Value slab — and the payload copied
 // once, into the buffer.
@@ -222,13 +306,4 @@ func TestAllocsEncodeAfter(t *testing.T) {
 	if !bytes.Equal(sink[8:], Encode(nil, mustMarshal(t, msg))) || cap(sink) != len(sink) {
 		t.Fatalf("EncodeAfter wrote %d bytes (cap %d), not the exact encoding", len(sink), cap(sink))
 	}
-}
-
-func mustMarshal(t *testing.T, v any) Value {
-	t.Helper()
-	mv, err := Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mv
 }

@@ -1,13 +1,14 @@
-// Struct codec: a reflection bridge between Go values and the closed
-// value model.
+// Struct codec: a bridge between Go values and the closed value model.
 //
 // Marshal and Unmarshal let application code exchange plain Go structs
 // while everything on the wire remains the closed model of this package —
-// so the no-sharing property and the Decoder.OnRef reference-graph hook
-// (paper §2.1–§2.2) keep holding by construction. A remote reference never
-// hides inside an opaque blob: it is either an explicit wire.Value field
-// passed through verbatim, or an ids.ActivityID field mapped to a Ref
-// node, and in both cases the decoder sees it.
+// so the no-sharing property and the reference graph built from decoded
+// values' Refs (paper §2.1–§2.2) keep holding by construction. A remote
+// reference never hides inside an opaque blob: it is either an explicit
+// wire.Value field passed through verbatim, or an ids.ActivityID field
+// mapped to a Ref node, and in both cases Value.Refs reports it. Structs
+// go through their compiled plan (plan.go); every other kind through
+// reflection.
 //
 // The mapping:
 //
@@ -43,8 +44,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/ids"
 )
@@ -127,34 +128,19 @@ func marshalValue(rv reflect.Value, borrow bool) (Value, error) {
 		if rv.Type().Key().Kind() != reflect.String {
 			return Null(), fmt.Errorf("%w: map key type %s (need string)", ErrMarshal, rv.Type().Key())
 		}
-		m := make(map[string]Value, rv.Len())
-		iter := rv.MapRange()
-		for iter.Next() {
-			ev, err := marshalValue(iter.Value(), borrow)
+		mk := rv.MapKeys()
+		slices.SortFunc(mk, func(a, b reflect.Value) int { return strings.Compare(a.String(), b.String()) })
+		keys, vals := make([]string, len(mk)), make([]Value, len(mk))
+		for i, k := range mk {
+			ev, err := marshalValue(rv.MapIndex(k), borrow)
 			if err != nil {
 				return Null(), err
 			}
-			m[iter.Key().String()] = ev
+			keys[i], vals[i] = k.String(), ev
 		}
-		return Value{kind: KindDict, dict: m}, nil
+		return Value{kind: KindDict, dkeys: keys, elems: vals}, nil
 	case reflect.Struct:
-		if p := planFor(rv.Type()); p != nil {
-			return p.marshal(rv, borrow)
-		}
-		fields := fieldsOf(rv.Type())
-		m := make(map[string]Value, len(fields))
-		for _, f := range fields {
-			fv := rv.Field(f.index)
-			if f.omitEmpty && fv.IsZero() {
-				continue
-			}
-			ev, err := marshalValue(fv, borrow)
-			if err != nil {
-				return Null(), fmt.Errorf("field %s: %w", f.name, err)
-			}
-			m[f.name] = ev
-		}
-		return Value{kind: KindDict, dict: m}, nil
+		return planFor(rv.Type()).marshal(rv, borrow)
 	case reflect.Pointer, reflect.Interface:
 		if rv.IsNil() {
 			return Null(), nil
@@ -208,12 +194,10 @@ func unmarshalValue(v Value, rv reflect.Value, owned bool) error {
 		return nil
 	}
 	if v.isEncoded() && rv.Kind() != reflect.Pointer {
-		// A planned struct decodes straight from the bytes; every other
-		// target reads the decoded tree.
-		if rv.Kind() == reflect.Struct {
-			if p := planFor(rv.Type()); p != nil {
-				return p.unmarshalEncoded(v.bytes, rv, owned)
-			}
+		// A struct decodes straight from the bytes; every other target
+		// reads the decoded tree.
+		if p := planFor(rv.Type()); p != nil {
+			return p.unmarshalEncoded(v.bytes, rv, owned)
 		}
 		v = Expand(v)
 	}
@@ -299,9 +283,9 @@ func unmarshalValue(v Value, rv reflect.Value, owned bool) error {
 		}
 		m := reflect.MakeMapWithSize(rv.Type(), v.Len())
 		et := rv.Type().Elem()
-		for _, k := range v.Keys() {
+		for i, k := range v.dkeys { // v is expanded: see above
 			ev := reflect.New(et).Elem()
-			if err := unmarshalValue(v.Get(k), ev, owned); err != nil {
+			if err := unmarshalValue(v.elems[i], ev, owned); err != nil {
 				return fmt.Errorf("key %q: %w", k, err)
 			}
 			m.SetMapIndex(reflect.ValueOf(k).Convert(rv.Type().Key()), ev)
@@ -309,24 +293,12 @@ func unmarshalValue(v Value, rv reflect.Value, owned bool) error {
 		rv.Set(m)
 		return nil
 	case reflect.Struct:
-		if v.Kind() != KindDict {
+		// A FutureSource struct has no plan: it marshals to a future.
+		p := planFor(rv.Type())
+		if p == nil || v.Kind() != KindDict {
 			return mismatch(v, rv.Type())
 		}
-		if p := planFor(rv.Type()); p != nil {
-			return p.unmarshal(v, rv, owned)
-		}
-		for _, f := range fieldsOf(rv.Type()) {
-			fv, present := v.getOK(f.name)
-			if !present {
-				// Absent key: leave the field untouched (an explicit Null
-				// entry, by contrast, zeroes it).
-				continue
-			}
-			if err := unmarshalValue(fv, rv.Field(f.index), owned); err != nil {
-				return fmt.Errorf("field %s: %w", f.name, err)
-			}
-		}
-		return nil
+		return p.unmarshal(v, rv, owned)
 	case reflect.Pointer:
 		if rv.IsNil() {
 			rv.Set(reflect.New(rv.Type().Elem()))
@@ -436,49 +408,4 @@ func mismatch(v Value, t reflect.Type) error { return mismatchKind(v.Kind(), t) 
 
 func mismatchKind(k Kind, t reflect.Type) error {
 	return fmt.Errorf("%w: %s value into %s", ErrUnmarshal, k, t)
-}
-
-// fieldInfo describes one marshaled struct field.
-type fieldInfo struct {
-	name      string
-	index     int
-	omitEmpty bool
-}
-
-var fieldCache sync.Map // reflect.Type → []fieldInfo
-
-// fieldsOf returns the marshaled fields of a struct type, honoring wire
-// tags, with a per-type cache (dispatch benchmarks hit this on every
-// call).
-func fieldsOf(t reflect.Type) []fieldInfo {
-	if cached, ok := fieldCache.Load(t); ok {
-		return cached.([]fieldInfo)
-	}
-	fields := make([]fieldInfo, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		info := fieldInfo{name: f.Name, index: i}
-		if tag, ok := f.Tag.Lookup("wire"); ok {
-			name, opts, _ := strings.Cut(tag, ",")
-			if name == "-" && opts == "" {
-				continue
-			}
-			if name != "" {
-				info.name = name
-			}
-			for opts != "" {
-				var opt string
-				opt, opts, _ = strings.Cut(opts, ",")
-				if opt == "omitempty" {
-					info.omitEmpty = true
-				}
-			}
-		}
-		fields = append(fields, info)
-	}
-	fieldCache.Store(t, fields)
-	return fields
 }

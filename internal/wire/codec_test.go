@@ -12,7 +12,7 @@ import (
 )
 
 // tagged is the kitchen-sink struct the property tests round-trip: every
-// codec mapping, tags included, plus nested refs the DGC hook must see.
+// codec mapping, tags included, plus nested refs the DGC must see.
 type tagged struct {
 	B     bool    `wire:"b"`
 	I     int64   `wire:"i"`
@@ -73,6 +73,15 @@ func (tagged) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(v)
 }
 
+func mustMarshal(t *testing.T, v any) Value {
+	t.Helper()
+	mv, err := Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mv
+}
+
 func randString(r *rand.Rand) string {
 	const alphabet = "abcdefghijklmnopqrstuvwxyzäöü-_ 0123456789"
 	b := make([]byte, r.Intn(12))
@@ -93,7 +102,7 @@ func randID(r *rand.Rand) ids.ActivityID {
 }
 
 // refCount returns how many Ref nodes the struct marshals to — the number
-// of OnRef callbacks a decode must fire.
+// of targets the decoded value's Refs must report.
 func (v tagged) refCount() int {
 	n := 1 + len(v.Peers) // Self + Peers
 	if v.Inner != nil {
@@ -127,8 +136,8 @@ func normalize(v tagged) tagged {
 }
 
 // TestCodecRoundTripProperty is the satellite property test: arbitrary
-// tagged structs survive Marshal → Encode → Decode → Unmarshal, and every
-// Ref is reported through Decoder.OnRef exactly once.
+// tagged structs survive Marshal → Encode → Decode → Unmarshal, and the
+// decoded value's Refs reports every Ref exactly once.
 func TestCodecRoundTripProperty(t *testing.T) {
 	prop := func(in tagged) bool {
 		mv, err := Marshal(in)
@@ -138,12 +147,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		}
 		buf := Encode(nil, mv)
 
-		seen := make(map[ids.ActivityID]int)
-		var total int
-		dec := Decoder{OnRef: func(target ids.ActivityID) {
-			seen[target]++
-			total++
-		}}
+		var dec Decoder
 		decoded, err := dec.Decode(buf)
 		if err != nil {
 			t.Logf("Decode: %v", err)
@@ -163,18 +167,15 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Logf("round-trip mismatch:\n in=%+v\nout=%+v", want, normalize(out))
 			return false
 		}
-		if total != in.refCount() {
-			t.Logf("OnRef fired %d times, want %d", total, in.refCount())
+		refs := decoded.Refs(nil)
+		if len(refs) != in.refCount() {
+			t.Logf("Refs reported %d targets, want %d", len(refs), in.refCount())
 			return false
 		}
-		// Exactly once per Ref *occurrence*: multiplicity must match the
-		// marshaled value's own ref inventory.
-		wantMult := make(map[ids.ActivityID]int)
-		for _, id := range mv.Refs(nil) {
-			wantMult[id]++
-		}
-		if !reflect.DeepEqual(seen, wantMult) {
-			t.Logf("OnRef multiset %v, want %v", seen, wantMult)
+		// Exactly once per Ref *occurrence*, in the marshaled value's
+		// own order.
+		if !reflect.DeepEqual(refs, mv.Refs(nil)) {
+			t.Logf("decoded Refs %v, marshaled %v", refs, mv.Refs(nil))
 			return false
 		}
 		return true
@@ -199,14 +200,10 @@ func FuzzCodecDecodeUnmarshal(f *testing.F) {
 	f.Add(Encode(nil, List(Int(1), Dict(map[string]Value{"k": Float(2.5)}))))
 	f.Add([]byte{0xff, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var refs int
-		dec := Decoder{OnRef: func(ids.ActivityID) { refs++ }}
+		var dec Decoder
 		v, err := dec.Decode(data)
 		if err != nil {
 			return
-		}
-		if got := len(v.Refs(nil)); got != refs {
-			t.Fatalf("OnRef fired %d times for a value containing %d refs", refs, got)
 		}
 		enc := Encode(nil, v)
 		if got := EncodedSize(v); got != len(enc) {

@@ -3,10 +3,10 @@ package wire
 // The encoded form: a delivered dict that carries no Ref and no Future
 // stays the bytes it arrived as (WIRE.md §2, "Payload ownership"). The
 // receiver copies the bytes out of the transport's buffer once, or takes
-// over an intra-node sender's own; a registered struct then decodes
-// straight from them (plan.unmarshalEncoded) without building a Value
-// tree, and a forwarded or checkpointed request re-encodes as those same
-// bytes. Every other reader sees the decoded value.
+// over an intra-node sender's own; a struct then decodes straight from
+// them (plan.unmarshalEncoded) without building a Value tree, and a
+// forwarded or checkpointed request re-encodes as those same bytes.
+// Every other reader sees the decoded value.
 
 import (
 	"errors"
@@ -22,9 +22,9 @@ var errNotRefFree = errors.New("wire: not a canonical ref-free value")
 func (v Value) isEncoded() bool { return v.kind == KindDict && v.bytes != nil }
 
 // DecodePayload decodes one value arriving for an activity. When buf is
-// exactly one canonical dict holding no Ref and no Future, the §2.2 OnRef
-// hook would have nothing to report, so the bytes are not decoded: the
-// value is an encoded-form dict over them. Canonical means the bytes are
+// exactly one canonical dict holding no Ref and no Future, the value has
+// no reference for the §2.2 graph to see, so the bytes are not decoded:
+// the value is an encoded-form dict over them. Canonical means the bytes are
 // the ones Encode writes for the decoded value: minimal uvarints, Bools
 // of 0 or 1, keys strictly increasing; the check walks buf without
 // allocating. Anything else is decoded. owned hands buf over — nothing
@@ -81,7 +81,8 @@ func Expand(v Value) Value {
 
 // skipRefFree reads past one value and fails the cursor unless the value
 // is canonical and holds no Ref and no Future. Every input it accepts,
-// Decoder.Decode accepts too, with the same depth limit, firing no hook.
+// Decoder.Decode accepts too, with the same depth limit, into a value
+// whose Refs are empty.
 func (r *Reader) skipRefFree(depth int) { r.walk(depth, nil, true) }
 
 // walk reads past one value and appends every future it passes to futs.

@@ -1,10 +1,11 @@
 package wire
 
 // Tests and fuzzing for the first-class future value kind (KindFuture):
-// codec round trips, the Refs/FutureRefs walks, the OnRef/OnFuture decode
-// hooks, and the struct-codec passthrough forms.
+// codec round trips, the Refs/FutureRefs walks of decoded values, and the
+// struct-codec passthrough forms.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -38,28 +39,6 @@ func TestFutureValueRoundTrip(t *testing.T) {
 	}
 	if len(Encode(nil, v)) != EncodedSize(v) {
 		t.Fatalf("EncodedSize mismatch")
-	}
-}
-
-func TestFutureValueDecodeHooks(t *testing.T) {
-	fr := testFR(2, 5, 4, 8)
-	v := List(Ref(ids.ActivityID{Node: 1, Seq: 1}), FutureVal(fr))
-	var refs []ids.ActivityID
-	var futs []FutureRef
-	dec := Decoder{
-		OnRef:    func(target ids.ActivityID) { refs = append(refs, target) },
-		OnFuture: func(got FutureRef) { futs = append(futs, got) },
-	}
-	if _, err := dec.Decode(Encode(nil, v)); err != nil {
-		t.Fatal(err)
-	}
-	// OnRef must see the plain ref AND the future's owner (holding a
-	// future holds a reference to its owner, §2.2 completeness).
-	if len(refs) != 2 || refs[0] != (ids.ActivityID{Node: 1, Seq: 1}) || refs[1] != fr.Owner {
-		t.Fatalf("OnRef saw %v", refs)
-	}
-	if len(futs) != 1 || futs[0] != fr {
-		t.Fatalf("OnFuture saw %v", futs)
 	}
 }
 
@@ -143,11 +122,40 @@ func TestFutureCodecPassthrough(t *testing.T) {
 	}
 }
 
+// refsIn is the byte walk Value.Refs is held to: every Ref target and
+// future owner of the one canonical value at r, in encoding order.
+func refsIn(r *Reader, dst []ids.ActivityID) []ids.ActivityID {
+	id := func() ids.ActivityID { return ids.ActivityID{Node: ids.NodeID(r.Uvarint()), Seq: uint32(r.Uvarint())} }
+	switch kind := Kind(r.Byte()); kind {
+	case KindBool:
+		r.Byte()
+	case KindInt:
+		r.Uvarint()
+	case KindFloat:
+		r.Next(8)
+	case KindString, KindBytes:
+		r.Bytes()
+	case KindList, KindDict:
+		for n := r.Count(r.Len()); n > 0 && r.Err() == nil; n-- {
+			if kind == KindDict {
+				r.Bytes() // the key
+			}
+			dst = refsIn(r, dst)
+		}
+	case KindRef:
+		dst = append(dst, id())
+	case KindFuture:
+		id() // the future's home identity
+		dst = append(dst, id())
+	}
+	return dst
+}
+
 // FuzzFutureValue round-trips arbitrary bytes through the decoder and,
-// for every accepted value, checks that encode(decode(x)) is a fixpoint,
-// that the Refs walk agrees with the OnRef hook (future owners included),
-// and that the FutureRefs walk agrees with the OnFuture hook. This is the
-// CI gate for the future-value encoding (WIRE.md §6).
+// for every accepted value, checks that encode(decode(x)) is a fixpoint
+// and that the decoded value's walks agree with walks of its bytes: Refs
+// (future owners included) with refsIn, FutureRefs with FutureRefsIn.
+// This is the CI gate for the future-value encoding (WIRE.md §6).
 func FuzzFutureValue(f *testing.F) {
 	seeds := []Value{
 		FutureVal(testFR(1, 1, 1, 1)),
@@ -163,40 +171,28 @@ func FuzzFutureValue(f *testing.F) {
 		f.Add(Encode(nil, v))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var hookRefs []ids.ActivityID
-		var hookFuts []FutureRef
-		dec := Decoder{
-			OnRef:    func(target ids.ActivityID) { hookRefs = append(hookRefs, target) },
-			OnFuture: func(fr FutureRef) { hookFuts = append(hookFuts, fr) },
-		}
+		var dec Decoder
 		v, err := dec.Decode(data)
 		if err != nil {
 			return
 		}
 		enc := Encode(nil, v)
-		again, err := dec.Decode(enc) // hooks fire twice; compare halves below
+		again, err := dec.Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
 		if !again.Equal(v) {
 			t.Fatalf("decode(encode(v)) != v:\n%v\n%v", again, v)
 		}
-		half := len(hookRefs) / 2
-		walkRefs := v.Refs(nil)
-		if len(walkRefs) != half {
-			t.Fatalf("Refs walk (%d) disagrees with OnRef (%d)", len(walkRefs), half)
+		// The canonical encoding is in the walks' order (sorted dict
+		// keys, depth first).
+		var r Reader
+		r.Reset(enc, ErrTruncated)
+		if walk, held := v.Refs(nil), refsIn(&r, nil); r.Done() != nil || !slices.Equal(walk, held) {
+			t.Fatalf("Refs = %v, the bytes hold %v (walk error %v)", walk, held, r.Done())
 		}
-		halfF := len(hookFuts) / 2
-		walkFuts := v.FutureRefs(nil)
-		if len(walkFuts) != halfF {
-			t.Fatalf("FutureRefs walk (%d) disagrees with OnFuture (%d)", len(walkFuts), halfF)
-		}
-		// The second hook half came from decoding the canonical encoding,
-		// whose order matches the deterministic walk (sorted dict keys).
-		for i, fr := range walkFuts {
-			if hookFuts[halfF+i] != fr {
-				t.Fatalf("FutureRefs[%d] = %v, OnFuture saw %v", i, fr, hookFuts[halfF+i])
-			}
+		if walk, held := v.FutureRefs(nil), FutureRefsIn(enc, nil); !slices.Equal(walk, held) {
+			t.Fatalf("FutureRefs = %v, the bytes hold %v", walk, held)
 		}
 		// A future value must survive the struct codec both ways.
 		var fr FutureRef

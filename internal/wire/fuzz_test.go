@@ -29,8 +29,8 @@ type fuzzNested struct {
 // FuzzUnmarshal feeds arbitrary encodings through Decode and then through
 // Unmarshal into every target shape. Nothing may panic; and any value a
 // typed target accepts must survive Marshal → Unmarshal again unchanged
-// at the wire level (the codec cannot invent or lose structure the DGC's
-// OnRef hook would see).
+// at the wire level (the codec cannot invent or lose structure the DGC
+// would see through Value.Refs).
 func FuzzUnmarshal(f *testing.F) {
 	// Seed corpus: canonical encodings of values that exercise every
 	// branch of the target battery.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -32,47 +33,58 @@ type parityPlanMsg struct {
 	M   map[string]int64 `wire:"m"`
 }
 
-// parityReflMsg is the field-for-field mirror of parityPlanMsg. It is
-// never registered, so marshaling it always takes the reflection
-// fallback — the differential oracle for the cached-plan codec.
-type parityReflMsg struct {
-	B   bool             `wire:"b"`
-	I   int64            `wire:"i"`
-	I32 int32            `wire:"i32"`
-	U   uint64           `wire:"u"`
-	F   float64          `wire:"f"`
-	F32 float32          `wire:"f32"`
-	S   string           `wire:"s"`
-	Raw []byte           `wire:"raw"`
-	Fs  []float64        `wire:"fs"`
-	V   Value            `wire:"v"`
-	Act ids.ActivityID   `wire:"act"`
-	Fut FutureRef        `wire:"fut"`
-	Opt string           `wire:"opt,omitempty"`
-	M   map[string]int64 `wire:"m"`
+// reflectMarshal is the field-by-field reflection marshal of a struct
+// that plans replaced, kept as the oracle FuzzPlanCodecParity holds them
+// to: each field of the plan's table through marshalValue, not its
+// fast path, and the dict built by Dict, not from the plan's keys.
+func reflectMarshal(rv reflect.Value) (Value, error) {
+	m := make(map[string]Value)
+	for _, f := range planFor(rv.Type()).fields {
+		fv := rv.Field(f.index)
+		if f.omitEmpty && fv.IsZero() {
+			continue
+		}
+		ev, err := marshalValue(fv, false)
+		if err != nil {
+			return Null(), fmt.Errorf("field %s: %w", f.key, err)
+		}
+		m[f.key] = ev
+	}
+	return Dict(m), nil
 }
 
-func init() { RegisterType(parityPlanMsg{}) }
+// reflectUnmarshal is the oracle's unmarshal of a dict: each field whose
+// key the dict has, looked up by key, through unmarshalValue; an absent
+// key leaves its field untouched.
+func reflectUnmarshal(v Value, rv reflect.Value, owned bool) error {
+	v = Expand(v)
+	for _, f := range planFor(rv.Type()).fields {
+		i, present := slices.BinarySearch(v.dkeys, f.key)
+		if !present {
+			continue
+		}
+		if err := unmarshalValue(v.elems[i], rv.Field(f.index), owned); err != nil {
+			return fmt.Errorf("field %s: %w", f.key, err)
+		}
+	}
+	return nil
+}
 
-// FuzzPlanCodecParity feeds the same arbitrary value through the
-// cached-plan encoder (registered type) and the reflection fallback
-// (identical unregistered mirror type) and requires byte-identical
-// canonical encodings, matching error behavior, and a re-marshal after
-// decode that reproduces the same bytes from both unmarshal branches
-// (pairs-form merge walk and map-form lookup). A third arm decodes the
-// encoded form straight into the struct and holds it to the Value-tree
-// decode. The direct encoder (Codec.EncodeAfter) must write the bytes
-// Encode writes for Marshal's value.
+// FuzzPlanCodecParity feeds the same arbitrary struct through its plan
+// and through the reflection oracle and requires byte-identical canonical
+// encodings, matching error behavior, and a re-marshal after decode that
+// reproduces the same bytes from the plan's merge walk and from the
+// oracle's unmarshal. A third arm decodes the encoded form straight into
+// the struct and holds it to the Value-tree decode and the oracle. The
+// direct encoder (Codec.EncodeAfter, with the plan held or looked up per
+// call) must write the bytes Encode writes for Marshal's value.
 func FuzzPlanCodecParity(f *testing.F) {
 	f.Add(false, int64(0), int32(0), uint64(0), 0.0, float32(0), "", []byte(nil), []byte(nil), uint8(0), uint32(0), uint32(0), "", "", int64(0))
 	f.Add(true, int64(-7), int32(42), uint64(9), 2.5, float32(1.5), "hello", []byte{1, 2, 3}, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, uint8(1), uint32(3), uint32(8), "present", "k", int64(11))
 	f.Add(true, int64(math.MaxInt64), int32(math.MinInt32), uint64(math.MaxUint64), math.Inf(-1), float32(math.MaxFloat32), "√", []byte("bytes"), []byte("0123456789abcdef"), uint8(2), uint32(1), uint32(1), "", "key", int64(-1))
 	f.Fuzz(func(t *testing.T, b bool, i int64, i32 int32, u uint64, fl float64, f32 float32, s string, raw, fsRaw []byte, vsel uint8, node, seq uint32, opt, mk string, mv int64) {
 		if planFor(reflect.TypeOf(parityPlanMsg{})) == nil {
-			t.Fatal("parityPlanMsg lost its plan")
-		}
-		if planFor(reflect.TypeOf(parityReflMsg{})) != nil {
-			t.Fatal("parityReflMsg must stay unregistered")
+			t.Fatal("parityPlanMsg has no plan")
 		}
 		fs := make([]float64, 0, len(fsRaw)/8)
 		for len(fsRaw) >= 8 {
@@ -92,22 +104,18 @@ func FuzzPlanCodecParity(f *testing.F) {
 		}
 		act := ids.ActivityID{Node: ids.NodeID(node), Seq: seq}
 		fut := FutureRef{ID: ids.FutureID{Node: ids.NodeID(seq), Seq: node}, Owner: act}
-		m := map[string]int64{mk: mv}
+		msg := parityPlanMsg{B: b, I: i, I32: i32, U: u, F: fl, F32: f32, S: s,
+			Raw: raw, Fs: fs, V: v, Act: act, Fut: fut, Opt: opt, M: map[string]int64{mk: mv}}
 
-		plan := parityPlanMsg{B: b, I: i, I32: i32, U: u, F: fl, F32: f32, S: s,
-			Raw: raw, Fs: fs, V: v, Act: act, Fut: fut, Opt: opt, M: m}
-		refl := parityReflMsg{B: b, I: i, I32: i32, U: u, F: fl, F32: f32, S: s,
-			Raw: raw, Fs: fs, V: v, Act: act, Fut: fut, Opt: opt, M: m}
-
-		pv, perr := Marshal(plan)
-		rv, rerr := Marshal(refl)
-		// The direct encoder of the typed send path, along the plan and
-		// (the zero codec) through the reflection fallback, behind room.
+		pv, perr := Marshal(msg)
+		rv, rerr := reflectMarshal(reflect.ValueOf(msg))
+		// The direct encoder of the typed send path, with the plan held
+		// and (the zero codec) looked up per call, behind room.
 		const room = 3
-		dp, dperr := CodecFor[parityPlanMsg]().EncodeAfter(room, plan)
-		dr, drerr := Codec[parityReflMsg]{}.EncodeAfter(room, refl)
-		if (perr != nil) != (rerr != nil) || (perr != nil) != (dperr != nil) || (perr != nil) != (drerr != nil) {
-			t.Fatalf("marshal error divergence: plan=%v refl=%v direct plan=%v direct refl=%v", perr, rerr, dperr, drerr)
+		dp, dperr := CodecFor[parityPlanMsg]().EncodeAfter(room, msg)
+		dz, dzerr := Codec[parityPlanMsg]{}.EncodeAfter(room, msg)
+		if (perr != nil) != (rerr != nil) || (perr != nil) != (dperr != nil) || (perr != nil) != (dzerr != nil) {
+			t.Fatalf("marshal error divergence: plan=%v oracle=%v direct=%v zero codec=%v", perr, rerr, dperr, dzerr)
 		}
 		if perr != nil {
 			return // e.g. uint overflow — every path rejected it
@@ -115,55 +123,37 @@ func FuzzPlanCodecParity(f *testing.F) {
 		pb := Encode(nil, pv)
 		rb := Encode(nil, rv)
 		if !bytes.Equal(pb, rb) {
-			t.Fatalf("encoding divergence:\nplan %x\nrefl %x", pb, rb)
+			t.Fatalf("encoding divergence:\nplan   %x\noracle %x", pb, rb)
 		}
-		if len(dp) != room+len(pb) || !bytes.Equal(dp[room:], pb) || !bytes.Equal(dr, dp) {
-			t.Fatalf("direct encoding divergence:\nwant %x\nplan %x\nrefl %x", pb, dp, dr)
+		if len(dp) != room+len(pb) || !bytes.Equal(dp[room:], pb) || !bytes.Equal(dz, dp) {
+			t.Fatalf("direct encoding divergence:\nwant %x\nplan %x\nzero codec %x", pb, dp, dz)
 		}
-		// Pairs form and map form, sized without encoding.
 		if ps, rs := EncodedSize(pv), EncodedSize(rv); ps != len(pb) || rs != len(pb) {
-			t.Fatalf("EncodedSize plan %d, refl %d; Encode wrote %d bytes", ps, rs, len(pb))
+			t.Fatalf("EncodedSize plan %d, oracle %d; Encode wrote %d bytes", ps, rs, len(pb))
 		}
 
-		// Decode the canonical bytes (pairs-form dict) and unmarshal into
-		// both types: the plan's sorted merge walk against the reflection
-		// decoder.
+		// Decode the canonical bytes and unmarshal them along the plan's
+		// sorted merge walk and through the oracle; the oracle's own value
+		// along the plan too.
 		var dec Decoder
 		decoded, err := dec.Decode(pb)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		var backP parityPlanMsg
-		var backR parityReflMsg
+		var backP, backR, backO parityPlanMsg
 		if err := Unmarshal(decoded, &backP); err != nil {
 			t.Fatalf("plan unmarshal: %v", err)
 		}
-		if err := Unmarshal(decoded, &backR); err != nil {
-			t.Fatalf("refl unmarshal: %v", err)
+		if err := reflectUnmarshal(decoded, reflect.ValueOf(&backR).Elem(), false); err != nil {
+			t.Fatalf("oracle unmarshal: %v", err)
 		}
-		remarshal := func(x any) []byte {
-			mv, err := Marshal(x)
-			if err != nil {
-				t.Fatalf("re-marshal %T: %v", x, err)
+		if err := Unmarshal(rv, &backO); err != nil {
+			t.Fatalf("plan unmarshal of the oracle's value: %v", err)
+		}
+		for _, back := range []parityPlanMsg{backP, backR, backO} {
+			if got := Encode(nil, mustMarshal(t, back)); !bytes.Equal(got, pb) {
+				t.Fatalf("round trip diverged:\nwant %x\ngot  %x", pb, got)
 			}
-			return Encode(nil, mv)
-		}
-		if got := remarshal(backP); !bytes.Equal(got, pb) {
-			t.Fatalf("plan round trip diverged:\nwant %x\ngot  %x", pb, got)
-		}
-		if got := remarshal(backR); !bytes.Equal(got, pb) {
-			t.Fatalf("refl round trip diverged:\nwant %x\ngot  %x", pb, got)
-		}
-
-		// The reflection marshal of the mirror type produced a map-form
-		// dict: unmarshaling it into the registered type exercises the
-		// plan's map-form branch, which must agree with the merge walk.
-		var backP2 parityPlanMsg
-		if err := Unmarshal(rv, &backP2); err != nil {
-			t.Fatalf("plan unmarshal (map form): %v", err)
-		}
-		if got := remarshal(backP2); !bytes.Equal(got, pb) {
-			t.Fatalf("map-form round trip diverged:\nwant %x\ngot  %x", pb, got)
 		}
 
 		// Third arm: without its Ref and Future values the message may
@@ -207,42 +197,38 @@ func refFreeEncoding(v Value, at int) []byte {
 }
 
 // checkEncodedParity decodes enc, an encoded-form dict, straight into the
-// registered parity struct and tree, its decoded Value tree, the usual
-// way, copying and owning: both must give the same struct or the same
-// error. The unregistered mirror reads the encoded form through its tree.
+// parity struct, and tree, its decoded Value tree, along the plan and
+// through the oracle, copying and owning: all must give the same struct
+// or the same error.
 func checkEncodedParity(t *testing.T, enc, tree Value) {
 	t.Helper()
 	codec := CodecFor[parityPlanMsg]()
 	for _, owned := range []bool{false, true} {
-		var fromBytes, fromTree parityPlanMsg
+		var fromBytes, fromTree, fromOracle parityPlanMsg
 		unmarshal := codec.Unmarshal
 		if owned {
 			unmarshal = codec.UnmarshalOwned
 		}
 		errB, errT := unmarshal(enc, &fromBytes), unmarshal(tree, &fromTree)
-		if (errB == nil) != (errT == nil) || errB != nil && errB.Error() != errT.Error() {
-			t.Fatalf("owned=%v: encoded-form decode error %v, tree decode error %v", owned, errB, errT)
+		errO := reflectUnmarshal(tree, reflect.ValueOf(&fromOracle).Elem(), owned)
+		for _, err := range []error{errT, errO} {
+			if (errB == nil) != (err == nil) || errB != nil && errB.Error() != err.Error() {
+				t.Fatalf("owned=%v: encoded-form decode error %v, tree decode error %v, oracle %v", owned, errB, errT, errO)
+			}
 		}
 		if errB != nil {
 			continue
 		}
-		mb, errMB := Marshal(fromBytes)
-		mt, errMT := Marshal(fromTree)
-		if errMB != nil || errMT != nil {
-			t.Fatalf("re-marshal: %v / %v", errMB, errMT)
+		b := Encode(nil, mustMarshal(t, fromBytes))
+		for _, other := range []parityPlanMsg{fromTree, fromOracle} {
+			if ob := Encode(nil, mustMarshal(t, other)); !bytes.Equal(b, ob) {
+				t.Fatalf("owned=%v: encoded-form decode gave\n%x\ntree or oracle decode gave\n%x", owned, b, ob)
+			}
+			if (fromBytes.Raw == nil) != (other.Raw == nil) || (fromBytes.Fs == nil) != (other.Fs == nil) ||
+				(fromBytes.M == nil) != (other.M == nil) {
+				t.Fatalf("owned=%v: nil slices or maps differ: %+v vs %+v", owned, fromBytes, other)
+			}
 		}
-		if b, tb := Encode(nil, mb), Encode(nil, mt); !bytes.Equal(b, tb) {
-			t.Fatalf("owned=%v: encoded-form decode gave\n%x\ntree decode gave\n%x", owned, b, tb)
-		}
-		if (fromBytes.Raw == nil) != (fromTree.Raw == nil) || (fromBytes.Fs == nil) != (fromTree.Fs == nil) ||
-			(fromBytes.M == nil) != (fromTree.M == nil) {
-			t.Fatalf("owned=%v: nil slices or maps differ: %+v vs %+v", owned, fromBytes, fromTree)
-		}
-	}
-	var viaRefl, viaTree parityReflMsg
-	errR, errT := Unmarshal(enc, &viaRefl), Unmarshal(tree, &viaTree)
-	if (errR == nil) != (errT == nil) || errR != nil && errR.Error() != errT.Error() {
-		t.Fatalf("reflection decode of the encoded form: %v, of the tree: %v", errR, errT)
 	}
 }
 
@@ -254,9 +240,9 @@ func decodeRefFree(buf []byte) (Value, bool) {
 }
 
 // FuzzDecodeRefFree holds the receive fast path to its promise. The walk
-// accepts exactly the canonical dicts that Decoder.Decode accepts without
-// firing OnRef or OnFuture, so skipping the decoder can never skip a hook;
-// and what it accepts reads like its decoded tree through every accessor
+// accepts exactly the canonical dicts that Decoder.Decode accepts into a
+// value whose Refs are empty (no Ref, no future owner), so skipping the
+// decoder can never hide a reference; and what it accepts reads like its decoded tree through every accessor
 // and through the plan decode. The owned DecodePayload and FutureRefsIn,
 // which the runtime delivers and registers holders with, are held to the
 // decoder on the same inputs.
@@ -285,15 +271,11 @@ func FuzzDecodeRefFree(f *testing.F) {
 	f.Add([]byte{byte(KindDict), 1, 1, 'k', byte(KindBool), 2})         // a Bool of 2
 	f.Fuzz(func(t *testing.T, data []byte) {
 		enc, ok := decodeRefFree(data)
-		hooks := 0
-		d := Decoder{
-			OnRef:    func(ids.ActivityID) { hooks++ },
-			OnFuture: func(FutureRef) { hooks++ },
-		}
-		tree, err := d.Decode(data)
+		tree, err := dec.Decode(data)
+		refs := len(tree.Refs(nil))
 		canonical := err == nil && tree.Kind() == KindDict && bytes.Equal(Encode(nil, tree), data)
-		if want := canonical && hooks == 0; ok != want {
-			t.Fatalf("DecodeRefFree = %v; decode error %v, %d hooks, canonical %v", ok, err, hooks, canonical)
+		if want := canonical && refs == 0; ok != want {
+			t.Fatalf("DecodeRefFree = %v; decode error %v, %d refs, canonical %v", ok, err, refs, canonical)
 		}
 		// An owned payload takes the same path and decodes to the same
 		// value; the byte walk for futures agrees with the tree's.
@@ -325,7 +307,7 @@ func FuzzDecodeRefFree(f *testing.F) {
 				t.Fatalf("Get(%q) = %v, tree has %v", k, enc.Get(k), tree.Get(k))
 			}
 		}
-		if len(enc.Refs(nil)) != 0 || enc.HasFutures() {
+		if len(enc.Refs(nil)) != 0 || len(enc.FutureRefs(nil)) != 0 {
 			t.Fatal("the encoded form reports a reference")
 		}
 		checkEncodedParity(t, enc, tree)

@@ -1,23 +1,20 @@
-// Cached-plan codec: the allocation-lean fast path of the struct codec.
+// Cached-plan codec: the struct codec.
 //
-// RegisterType compiles a per-struct-type plan once — the sorted wire
-// names, the field indices and a small kind tag per field — so hot-path
-// Marshal/Unmarshal walk a flat field table instead of re-deriving the
-// mapping reflectively on every call. A plan marshal emits the
-// sorted-pairs dict representation with the plan's shared key slice, so
-// the steady-state cost of marshaling a registered struct is one []Value
-// allocation; a plan unmarshal of a canonically ordered dict is a single
-// merge walk over two sorted key lists and allocates nothing for scalar
-// fields. A dict in encoded form (encoded.go) is decoded the same way,
-// straight off its bytes. Codec holds a type's plan so hot call sites
-// skip the per-call lookup.
+// Every struct type gets a plan, compiled once on its first use — the
+// sorted wire names, the field indices and a small kind tag per field —
+// so Marshal/Unmarshal walk a flat field table instead of re-deriving
+// the mapping reflectively on every call. A plan marshal emits the dict
+// with the plan's shared key slice, so the steady-state cost of
+// marshaling a struct is one []Value allocation; a plan unmarshal is a
+// single merge walk over two sorted key lists and allocates nothing for
+// scalar fields. A dict in encoded form (encoded.go) is decoded the same
+// way, straight off its bytes. Codec holds a type's plan so hot call
+// sites skip the per-call lookup.
 //
-// Wire bytes are unchanged: both dict representations encode to the same
-// canonical sorted-key bytes, and field kinds replicate the reflection
-// codec's semantics exactly (FuzzPlanCodecParity holds the two paths
-// byte-identical). Reflection survives in the plan compiler, in the
-// fallback for unregistered types, and per-field for the rare field
-// types the flat table does not special-case.
+// FuzzPlanCodecParity holds the plans byte-identical to a field-by-field
+// reflection marshal kept in the tests. Reflection survives in the plan
+// compiler and per-field for the field types the flat table does not
+// special-case.
 package wire
 
 import (
@@ -25,6 +22,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/ids"
@@ -57,9 +55,8 @@ type planField struct {
 	kind      planKind
 }
 
-// plan is the compiled codec of one registered struct type.
+// plan is the compiled codec of one struct type.
 type plan struct {
-	typ reflect.Type
 	// keys holds the wire names in canonical (sorted) order. Every
 	// marshal without omitted fields shares this one slice as the dict's
 	// dkeys, so repeated marshals of the same type allocate no key
@@ -68,82 +65,64 @@ type plan struct {
 	fields []planField // aligned with keys
 }
 
-// planCache maps reflect.Type → *plan for every registered struct type.
+// planCache maps reflect.Type → *plan for every struct type used so far.
 var planCache sync.Map
 
-// planFor returns the compiled plan for t, or nil when t was never
-// registered.
+// planFor returns the plan of t, compiling it on first use. It returns
+// nil for a type that is not a struct or that the codec maps otherwise:
+// Value, ActivityID, FutureRef, and a FutureSource, which marshals as a
+// future identity, never as a field dict.
 func planFor(t reflect.Type) *plan {
 	if p, ok := planCache.Load(t); ok {
 		return p.(*plan)
 	}
-	return nil
+	if t.Kind() != reflect.Struct || t == valueType || t == activityIDType || t == futureRefType ||
+		t.Implements(futureSourceType) {
+		return nil
+	}
+	p, _ := planCache.LoadOrStore(t, compilePlan(t))
+	return p.(*plan)
 }
 
-// RegisterType compiles and caches the encode/decode plan for the type
-// of sample, walking through pointers, slices, arrays and map values to
-// the underlying struct and recursing into nested struct field types.
-// Non-struct types are ignored, so generic call sites can register their
-// Req/Resp parameters unconditionally. Registration is idempotent and
-// safe for concurrent use; unregistered types keep working through the
-// reflection fallback.
+// RegisterType compiles the plan of sample's type ahead of its first use.
+// Every struct type gets its plan on first use anyway, so this only moves
+// the compile off the first call; any other type is ignored, so generic
+// call sites can register their Req/Resp parameters unconditionally.
 func RegisterType(sample any) {
-	if sample == nil {
-		return
+	if sample != nil {
+		planFor(reflect.TypeOf(sample))
 	}
-	registerType(reflect.TypeOf(sample), 0)
 }
 
-func registerType(t reflect.Type, depth int) {
-	if depth > maxDepth {
-		return
-	}
-	for {
-		switch t.Kind() {
-		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
-			t = t.Elem()
+// compilePlan builds the flat field table: the exported fields, honoring
+// wire tags, sorted by wire name (the canonical dict order), with a
+// fast-path kind per field.
+func compilePlan(t reflect.Type) *plan {
+	p := &plan{}
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if !sf.IsExported() {
 			continue
 		}
-		break
-	}
-	if t.Kind() != reflect.Struct {
-		return
-	}
-	switch t {
-	case valueType, activityIDType, futureRefType:
-		return
-	}
-	if t.Implements(futureSourceType) {
-		// Marshaled as a future identity, never as a field dict.
-		return
-	}
-	if _, ok := planCache.Load(t); ok {
-		return
-	}
-	planCache.Store(t, compilePlan(t))
-	for i := 0; i < t.NumField(); i++ {
-		if f := t.Field(i); f.IsExported() {
-			registerType(f.Type, depth+1)
+		f := planField{key: sf.Name, index: i}
+		if tag, ok := sf.Tag.Lookup("wire"); ok {
+			name, opts, _ := strings.Cut(tag, ",")
+			if name == "-" && opts == "" {
+				continue
+			}
+			if name != "" {
+				f.key = name
+			}
+			for opts != "" {
+				var opt string
+				opt, opts, _ = strings.Cut(opts, ",")
+				if opt == "omitempty" {
+					f.omitEmpty = true
+				}
+			}
 		}
-	}
-}
-
-// compilePlan builds the flat field table: fieldsOf order re-sorted by
-// wire name (the canonical dict order) with a fast-path kind per field.
-func compilePlan(t reflect.Type) *plan {
-	fields := fieldsOf(t)
-	p := &plan{
-		typ:    t,
-		keys:   make([]string, 0, len(fields)),
-		fields: make([]planField, 0, len(fields)),
-	}
-	for _, f := range fields {
-		p.fields = append(p.fields, planField{
-			key:       f.name,
-			index:     f.index,
-			omitEmpty: f.omitEmpty,
-			kind:      classifyField(t.Field(f.index).Type),
-		})
+		f.kind = classifyField(sf.Type)
+		p.fields = append(p.fields, f)
 	}
 	sort.Slice(p.fields, func(i, j int) bool { return p.fields[i].key < p.fields[j].key })
 	for _, f := range p.fields {
@@ -156,7 +135,8 @@ func compilePlan(t reflect.Type) *plan {
 // mirroring marshalValue's dispatch order: the special wire types first,
 // FutureSource implementors to the fallback, then the kind switch.
 // Anything without an exact fast-path twin (slices of structs, maps,
-// pointers, interfaces, nested structs) stays on the reflection codec.
+// pointers, interfaces, nested structs) goes through marshalValue, which
+// hands a nested struct to its own plan.
 func classifyField(t reflect.Type) planKind {
 	switch t {
 	case valueType:
@@ -191,10 +171,10 @@ func classifyField(t reflect.Type) planKind {
 	return pkFallback
 }
 
-// marshal encodes one struct value along the plan. The produced dict is
-// in sorted-pairs form; with no omitted fields its key slice is the
-// plan's shared keys, so the only allocation is the value slice (and,
-// unless borrow is set, one copy per []byte field).
+// marshal encodes one struct value along the plan. With no omitted
+// fields the dict's key slice is the plan's shared keys, so the only
+// allocation is the value slice (and, unless borrow is set, one copy per
+// []byte field).
 func (p *plan) marshal(rv reflect.Value, borrow bool) (Value, error) {
 	vals := make([]Value, len(p.fields))
 	keys, n, err := p.fill(vals, rv, borrow)
@@ -204,7 +184,7 @@ func (p *plan) marshal(rv reflect.Value, borrow bool) (Value, error) {
 	return Value{kind: KindDict, dkeys: keys, elems: vals[:n]}, nil
 }
 
-// encodeAfter is Codec.EncodeAfter for a registered struct: the field
+// encodeAfter is Codec.EncodeAfter for a struct: the field
 // values are staged on the stack, so the buffer is the only allocation
 // the plan's own fields cost; a type with more fields than the stage
 // stages them in one slice.
@@ -222,8 +202,7 @@ func (p *plan) encodeAfter(room int, rv reflect.Value) ([]byte, error) {
 }
 
 // fill writes rv's present field values into the first n slots of vals
-// (one slot per plan field) and returns their keys: the pairs form of
-// the struct's dict. It returns no Value, so a stage passed in as vals
+// (one slot per plan field) and returns their keys: the struct's dict. It returns no Value, so a stage passed in as vals
 // does not leave its caller's stack.
 func (p *plan) fill(vals []Value, rv reflect.Value, borrow bool) (keys []string, n int, err error) {
 	// keys stays nil until a field is omitted; then it is a private copy.
@@ -293,27 +272,14 @@ var floatsType = reflect.TypeOf([]float64(nil))
 
 // unmarshal decodes a dict into one struct value along the plan. The
 // caller (unmarshalValue) has already established v.Kind() == KindDict.
-// Absent keys leave their fields untouched; unknown keys are ignored —
-// exactly the reflection codec's contract.
+// Absent keys leave their fields untouched (an explicit Null entry, by
+// contrast, zeroes its field); unknown keys are ignored.
 func (p *plan) unmarshal(v Value, rv reflect.Value, owned bool) error {
 	if v.isEncoded() {
 		return p.unmarshalEncoded(v.bytes, rv, owned)
 	}
-	if v.dict != nil {
-		for i := range p.fields {
-			f := &p.fields[i]
-			fv, present := v.getOK(f.key)
-			if !present {
-				continue
-			}
-			if err := f.decode(&fv, rv.Field(f.index), owned); err != nil {
-				return fmt.Errorf("field %s: %w", f.key, err)
-			}
-		}
-		return nil
-	}
-	// Pairs form: both key lists are sorted, so one merge walk pairs
-	// every present field with its value — no map, no per-key search.
+	// Both key lists are sorted, so one merge walk pairs every present
+	// field with its value — no map, no per-key search.
 	j := 0
 	for i := range p.fields {
 		f := &p.fields[i]
@@ -330,7 +296,7 @@ func (p *plan) unmarshal(v Value, rv reflect.Value, owned bool) error {
 	return nil
 }
 
-// decode takes its value by pointer (into the pairs slice or a local) so
+// decode takes its value by pointer (into the dict's values or a local) so
 // the per-field fast paths never copy a full Value; only the reflection
 // fallback pays the copy.
 func (f *planField) decode(v *Value, rv reflect.Value, owned bool) error {
@@ -462,21 +428,14 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // it looks the plan up per call, like Marshal and Unmarshal.
 type Codec[T any] struct{ p *plan }
 
-// CodecFor registers T (see RegisterType) and returns its codec.
-func CodecFor[T any]() Codec[T] {
-	var zero T
-	RegisterType(zero)
-	if t := reflect.TypeFor[T](); t.Kind() == reflect.Struct {
-		return Codec[T]{p: planFor(t)}
-	}
-	return Codec[T]{}
-}
+// CodecFor returns T's codec, with T's plan when T is a struct.
+func CodecFor[T any]() Codec[T] { return Codec[T]{p: planFor(reflect.TypeFor[T]())} }
 
 // EncodeAfter returns the encoding of v behind room zero bytes, which
 // the caller fills in later (an envelope header), in one buffer of
-// exactly that size. The bytes are Encode(nil, Marshal(v)); a registered
-// struct is encoded along its plan without a Value in between, and v's
-// byte slices are read, not kept.
+// exactly that size. The bytes are Encode(nil, Marshal(v)); a struct held
+// in the codec is encoded along its plan without a Value in between, and
+// v's byte slices are read, not kept.
 func (c Codec[T]) EncodeAfter(room int, v T) ([]byte, error) {
 	if c.p != nil {
 		// Through an interface, like Marshal: taking &v instead would

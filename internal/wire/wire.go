@@ -8,18 +8,19 @@
 // (including stubs of remote activities) is ever shared between two
 // activities.
 //
-// The decoder exposes the hook the paper's §2.2 builds the reference graph
-// on: every Ref decoded on behalf of a recipient activity is reported
-// through Decoder.OnRef, and the middleware records "recipient references
-// Ref.Target" in response.
+// The paper's §2.2 builds the reference graph from the stubs that
+// deserialization creates. Here a decoded value carries its references
+// (Value.Refs, future owners included), and the local collector derives
+// the graph's edges from the values it pins (internal/localgc).
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -119,19 +120,15 @@ type Value struct {
 	// encoded form.
 	bytes []byte
 	// elems holds the elements of a list (KindList) and the values of a
-	// pairs-form dict (KindDict with dkeys set).
+	// dict (KindDict), aligned with dkeys.
 	elems []Value
-	dict  map[string]Value
-	// A dict carries exactly one of two representations: the map form
-	// (dict), built by the Dict constructor, or the sorted-pairs form
-	// (dkeys/elems, strictly increasing keys), produced by the plan codec
-	// and by the decoder, which accepts no other key order. The pairs
-	// form encodes, walks and deep-copies in key order without sorting
-	// or map iteration — that is what makes the cached-plan marshal path
-	// allocation-lean — and both forms encode to identical bytes. All
-	// accessors handle both. A dict received from another node may also
+	// A dict is its sorted pairs: dkeys holds the keys, strictly
+	// increasing, and elems their values. Dict sorts once, and the struct
+	// codec and the decoder produce the canonical order directly, so a
+	// dict encodes, walks and deep-copies in key order without sorting
+	// or map iteration. A dict received from another node may instead
 	// stay in encoded form (encoded.go): bytes then holds its canonical
-	// encoding, tag included, and dict, dkeys and elems are nil.
+	// encoding, tag included, and dkeys and elems are nil.
 	dkeys []string
 	// ref is the target of KindRef and the owner activity of KindFuture;
 	// fid is the future's home identity (together they form a FutureRef).
@@ -179,13 +176,18 @@ func List(elems ...Value) Value {
 	return Value{kind: KindList, elems: cp}
 }
 
-// Dict returns a dictionary value. The map is copied.
+// Dict returns a dictionary value. The map is copied, its keys sorted.
 func Dict(m map[string]Value) Value {
-	cp := make(map[string]Value, len(m))
-	for k, v := range m {
-		cp[k] = v
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return Value{kind: KindDict, dict: cp}
+	slices.Sort(keys)
+	vals := make([]Value, len(keys))
+	for i, k := range keys {
+		vals[i] = m[k]
+	}
+	return Value{kind: KindDict, dkeys: keys, elems: vals}
 }
 
 // Ref returns a remote-reference value (a stub) designating target.
@@ -264,17 +266,12 @@ func (v Value) AsFloats() []float64 {
 // a blob or string, and 0 otherwise.
 func (v Value) Len() int {
 	switch v.kind {
-	case KindList:
-		return len(v.elems)
-	case KindDict:
+	case KindList, KindDict:
 		if v.isEncoded() {
 			n, _ := binary.Uvarint(v.bytes[1:])
 			return int(n)
 		}
-		if v.dict != nil {
-			return len(v.dict)
-		}
-		return len(v.dkeys)
+		return len(v.elems)
 	case KindBytes:
 		return len(v.bytes)
 	case KindString:
@@ -295,34 +292,13 @@ func (v Value) At(i int) Value {
 
 // Get returns the dict entry for key (null if absent or not a dict).
 func (v Value) Get(key string) Value {
-	e, _ := v.getOK(key)
-	return e
-}
-
-// getOK returns the dict entry for key and whether it is present,
-// distinguishing an explicit Null entry from an absent key.
-func (v Value) getOK(key string) (Value, bool) {
-	if v.kind != KindDict {
-		return Null(), false
-	}
 	if v.isEncoded() {
-		return Expand(v).getOK(key)
+		return Expand(v).Get(key)
 	}
-	if v.dict != nil {
-		e, ok := v.dict[key]
-		if !ok {
-			return Null(), false
-		}
-		return e, true
+	if i, ok := slices.BinarySearch(v.dkeys, key); ok { // only a dict has keys
+		return v.elems[i]
 	}
-	// Pairs form: registered structs carry a handful of fields, so a
-	// linear scan beats binary-search bookkeeping.
-	for i, k := range v.dkeys {
-		if k == key {
-			return v.elems[i], true
-		}
-	}
-	return Null(), false
+	return Null()
 }
 
 // Keys returns the sorted keys of a dict (nil otherwise).
@@ -333,16 +309,8 @@ func (v Value) Keys() []string {
 	if v.isEncoded() {
 		return Expand(v).dkeys
 	}
-	if v.dict == nil {
-		// Pairs form is already sorted; copy so callers may keep it.
-		return append([]string(nil), v.dkeys...)
-	}
-	keys := make([]string, 0, len(v.dict))
-	for k := range v.dict {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	// Already sorted; copy so callers may keep it.
+	return append([]string(nil), v.dkeys...)
 }
 
 // AsRef returns the target of a reference value and whether the value is a
@@ -374,60 +342,15 @@ func (v Value) Refs(dst []ids.ActivityID) []ids.ActivityID {
 		return append(dst, v.ref)
 	case KindFuture:
 		return append(dst, v.ref)
-	case KindList:
+	case KindList, KindDict:
+		// The encoded form has no elems and, by construction, no
+		// reference either.
 		for _, e := range v.elems {
 			dst = e.Refs(dst)
 		}
 		return dst
-	case KindDict:
-		if v.dict == nil {
-			// Pairs form; the encoded form has no elems and, by
-			// construction, no reference either.
-			for _, e := range v.elems {
-				dst = e.Refs(dst)
-			}
-			return dst
-		}
-		for _, k := range v.Keys() {
-			dst = v.dict[k].Refs(dst)
-		}
-		return dst
 	default:
 		return dst
-	}
-}
-
-// HasFutures reports whether any future value is reachable from v. It
-// allocates nothing (dict iteration order does not matter for a pure
-// existence check), so hot paths can gate the FutureRefs walk — and its
-// sorted-key allocations — behind it: payloads without futures, the
-// overwhelmingly common case, pay one pointer-chasing scan and nothing
-// else.
-func (v Value) HasFutures() bool {
-	switch v.kind {
-	case KindFuture:
-		return true
-	case KindList:
-		for _, e := range v.elems {
-			if e.HasFutures() {
-				return true
-			}
-		}
-		return false
-	case KindDict:
-		for _, e := range v.dict {
-			if e.HasFutures() {
-				return true
-			}
-		}
-		for _, e := range v.elems {
-			if e.HasFutures() {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
 	}
 }
 
@@ -439,20 +362,9 @@ func (v Value) FutureRefs(dst []FutureRef) []FutureRef {
 	switch v.kind {
 	case KindFuture:
 		return append(dst, FutureRef{ID: v.fid, Owner: v.ref})
-	case KindList:
+	case KindList, KindDict:
 		for _, e := range v.elems {
 			dst = e.FutureRefs(dst)
-		}
-		return dst
-	case KindDict:
-		if v.dict == nil {
-			for _, e := range v.elems {
-				dst = e.FutureRefs(dst)
-			}
-			return dst
-		}
-		for _, k := range v.Keys() {
-			dst = v.dict[k].FutureRefs(dst)
 		}
 		return dst
 	default:
@@ -487,49 +399,16 @@ func (v Value) Equal(o Value) bool {
 			}
 		}
 		return true
-	case KindList:
-		if len(v.elems) != len(o.elems) {
-			return false
-		}
-		for i := range v.elems {
-			if !v.elems[i].Equal(o.elems[i]) {
-				return false
-			}
-		}
-		return true
-	case KindDict:
-		if v.Len() != o.Len() {
-			return false
-		}
+	case KindList, KindDict:
 		if v.isEncoded() || o.isEncoded() {
 			// Not bytes.Equal: NaN equals NaN here, and 0 equals -0.
 			return Expand(v).Equal(Expand(o))
 		}
-		if v.dict == nil && o.dict == nil {
-			for i, k := range v.dkeys {
-				if k != o.dkeys[i] || !v.elems[i].Equal(o.elems[i]) {
-					return false
-				}
-			}
-			return true
+		if len(v.elems) != len(o.elems) || !slices.Equal(v.dkeys, o.dkeys) {
+			return false
 		}
-		// At least one side has the map form; index through it.
-		p, m := v, o
-		if p.dict != nil {
-			p, m = o, v
-		}
-		if p.dict != nil {
-			for k, e := range p.dict {
-				oe, ok := m.dict[k]
-				if !ok || !e.Equal(oe) {
-					return false
-				}
-			}
-			return true
-		}
-		for i, k := range p.dkeys {
-			me, ok := m.dict[k]
-			if !ok || !p.elems[i].Equal(me) {
+		for i := range v.elems {
+			if !v.elems[i].Equal(o.elems[i]) {
 				return false
 			}
 		}
@@ -605,15 +484,15 @@ func encodeAfter(room int, v *Value) []byte {
 	return encodeTo(make([]byte, room, room+sizeOf(v)), v)
 }
 
-// encodePairsAfter is encodeAfter for a pairs-form dict given as its
-// keys and values (see appendPairs).
+// encodePairsAfter is encodeAfter for a dict given as its keys and
+// values (see appendPairs).
 func encodePairsAfter(room int, keys []string, vals []Value) []byte {
 	v := Value{kind: KindDict, dkeys: keys, elems: vals}
 	return appendPairs(append(make([]byte, room, room+sizeOf(&v)), byte(KindDict)), keys, vals)
 }
 
-// encodeTo recurses by pointer so nested lists and pairs-form dicts do not
-// copy each element Value per level.
+// encodeTo recurses by pointer so nested lists and dicts do not copy each
+// element Value per level.
 func encodeTo(dst []byte, v *Value) []byte {
 	kind := kindOf(v)
 	dst = append(dst, byte(kind))
@@ -647,13 +526,9 @@ func encodeTo(dst []byte, v *Value) []byte {
 			// kind pays for it.)
 			return append(dst[:len(dst)-1], v.bytes...)
 		}
-		if v.dict == nil {
-			// Pairs form: already in canonical key order, no sort and no
-			// key-slice allocation on the way out.
-			dst = appendPairs(dst, v.dkeys, v.elems)
-			break
-		}
-		dst = appendMap(dst, v.dict)
+		// Already in canonical key order: no sort and no key-slice
+		// allocation on the way out.
+		dst = appendPairs(dst, v.dkeys, v.elems)
 	case KindRef:
 		dst = binary.AppendUvarint(dst, uint64(v.ref.Node))
 		dst = binary.AppendUvarint(dst, uint64(v.ref.Seq))
@@ -666,25 +541,9 @@ func encodeTo(dst []byte, v *Value) []byte {
 	return dst
 }
 
-// appendMap encodes the body of a map-form dict as the pairs of its
-// sorted keys, staged on this frame (not encodeTo's, which every value
-// pays for) so neither the keys nor the entries reach the heap.
-func appendMap(dst []byte, m map[string]Value) []byte {
-	keys, vals := make([]string, 0, 8), make([]Value, 0, 8)
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		vals = append(vals, m[k])
-	}
-	return appendPairs(dst, keys, vals)
-}
-
-// appendPairs encodes the body of a pairs-form dict: the count, then
-// each key and value. The values are passed by slice, not inside a
-// Value, so a caller's stack-staged slice stays on its stack: encodeTo's
-// map branch would otherwise move every Value it is handed to the heap.
+// appendPairs encodes the body of a dict — the count, then each key and
+// value. The values are passed by slice, not inside a Value, so a
+// caller's stack-staged slice stays on its stack.
 func appendPairs(dst []byte, keys []string, vals []Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(keys)))
 	for i, k := range keys {
@@ -717,23 +576,16 @@ func sizeOf(v *Value) int {
 		n += lenPrefixed(len(v.s))
 	case KindBytes:
 		n += lenPrefixed(len(v.bytes))
-	case KindList:
+	case KindList, KindDict:
+		if v.bytes != nil {
+			return len(v.bytes) // a dict in encoded form, tag included
+		}
 		n += uvarintLen(uint64(len(v.elems)))
 		for i := range v.elems {
 			n += sizeOf(&v.elems[i])
 		}
-	case KindDict:
-		if v.bytes != nil {
-			return len(v.bytes) // encoded form, tag included
-		}
-		// Both decoded forms (one of dkeys and dict is empty); the map form
-		// needs no key order to be sized.
-		n += uvarintLen(uint64(len(v.dkeys) + len(v.dict)))
-		for i, k := range v.dkeys {
-			n += lenPrefixed(len(k)) + sizeOf(&v.elems[i])
-		}
-		for k, e := range v.dict {
-			n += lenPrefixed(len(k)) + sizeOfCopy(e)
+		for _, k := range v.dkeys { // a dict's keys, one per element
+			n += lenPrefixed(len(k))
 		}
 	case KindRef:
 		n += uvarintLen(uint64(v.ref.Node)) + uvarintLen(uint64(v.ref.Seq))
@@ -753,13 +605,6 @@ func kindOf(v *Value) Kind {
 	return v.kind
 }
 
-// sizeOfCopy sizes a map-form dict entry. The address of a range variable
-// passed down a recursive call escapes; out of line, the copy stays on
-// this function's stack.
-//
-//go:noinline
-func sizeOfCopy(v Value) int { return sizeOf(&v) }
-
 // lenPrefixed is the encoded size of n bytes behind their uvarint length.
 func lenPrefixed(n int) int { return uvarintLen(uint64(n)) + n }
 
@@ -772,19 +617,9 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// Decoder decodes values and reports decoded references through OnRef,
-// which is the reference-graph construction hook of the paper's §2.2.
+// Decoder decodes encoded values. The zero Decoder copies every decoded
+// byte value out of its input.
 type Decoder struct {
-	// OnRef, if non-nil, is invoked once per decoded Ref value with its
-	// target, in decoding order. It also fires once per decoded future
-	// value with the future's owner activity: holding a future is holding
-	// a reference to its owner, and the graph hook must see the edge the
-	// moment it enters the recipient's address space.
-	OnRef func(target ids.ActivityID)
-	// OnFuture, if non-nil, is invoked once per decoded future value, in
-	// decoding order (after the owner's OnRef). The runtime adopts a local
-	// proxy for the future here.
-	OnFuture func(fr FutureRef)
 	// alias makes decoded Bytes values share buf (capacity-capped) instead
 	// of copying it: set only for a buffer that nothing else writes.
 	alias bool
@@ -887,8 +722,8 @@ func (d *Decoder) decode(buf []byte, depth int) (Value, []byte, error) {
 			return Null(), nil, ErrTruncated
 		}
 		// Keys must arrive in canonical, strictly increasing order — the
-		// order every encoder emits — so a dict decodes into the
-		// sorted-pairs form and re-encodes to the same bytes. Unsorted or
+		// order every encoder emits — so a dict decodes into its sorted
+		// keys and values and re-encodes to the same bytes. Unsorted or
 		// duplicate keys are malformed (WIRE.md §1).
 		keys := make([]string, 0, n)
 		vals := make([]Value, 0, n)
@@ -922,11 +757,7 @@ func (d *Decoder) decode(buf []byte, depth int) (Value, []byte, error) {
 			return Null(), nil, ErrTruncated
 		}
 		buf = buf[sz:]
-		target := ids.ActivityID{Node: ids.NodeID(node), Seq: uint32(seq)}
-		if d.OnRef != nil {
-			d.OnRef(target)
-		}
-		return Ref(target), buf, nil
+		return Ref(ids.ActivityID{Node: ids.NodeID(node), Seq: uint32(seq)}), buf, nil
 	case KindFuture:
 		var raw [4]uint64
 		for i := range raw {
@@ -937,17 +768,10 @@ func (d *Decoder) decode(buf []byte, depth int) (Value, []byte, error) {
 			raw[i] = x
 			buf = buf[sz:]
 		}
-		fr := FutureRef{
+		return FutureVal(FutureRef{
 			ID:    ids.FutureID{Node: ids.NodeID(raw[0]), Seq: uint32(raw[1])},
 			Owner: ids.ActivityID{Node: ids.NodeID(raw[2]), Seq: uint32(raw[3])},
-		}
-		if d.OnRef != nil {
-			d.OnRef(fr.Owner)
-		}
-		if d.OnFuture != nil {
-			d.OnFuture(fr)
-		}
-		return FutureVal(fr), buf, nil
+		}), buf, nil
 	default:
 		return Null(), nil, fmt.Errorf("%w: %d", ErrBadTag, uint8(kind))
 	}
@@ -992,7 +816,7 @@ func rebind(v Value, from, to ids.ActivityID) (Value, bool) {
 			return FutureVal(FutureRef{ID: v.fid, Owner: to}), true
 		}
 		return v, false
-	case KindList:
+	case KindList, KindDict:
 		var cp []Value
 		for i, e := range v.elems {
 			r, changed := rebind(e, from, to)
@@ -1008,85 +832,20 @@ func rebind(v Value, from, to ids.ActivityID) (Value, bool) {
 		if cp == nil {
 			return v, false
 		}
-		return Value{kind: KindList, elems: cp}, true
-	case KindDict:
-		if v.dict == nil {
-			var cp []Value
-			for i, e := range v.elems {
-				r, changed := rebind(e, from, to)
-				if cp == nil {
-					if !changed {
-						continue
-					}
-					cp = make([]Value, len(v.elems))
-					copy(cp, v.elems)
-				}
-				cp[i] = r
-			}
-			if cp == nil {
-				return v, false
-			}
-			// Keys are immutable; the copy shares them.
-			return Value{kind: KindDict, dkeys: v.dkeys, elems: cp}, true
-		}
-		var cp map[string]Value
-		for k, e := range v.dict {
-			r, changed := rebind(e, from, to)
-			if cp == nil {
-				if !changed {
-					continue
-				}
-				cp = make(map[string]Value, len(v.dict))
-				for k2, e2 := range v.dict {
-					cp[k2] = e2
-				}
-			}
-			cp[k] = r
-		}
-		if cp == nil {
-			return v, false
-		}
-		return Value{kind: KindDict, dict: cp}, true
+		// A dict's keys are immutable; the copy shares them.
+		return Value{kind: v.kind, dkeys: v.dkeys, elems: cp}, true
 	default:
 		return v, false
 	}
 }
 
-// DeepCopy returns a structurally independent copy of v. Transferring a
-// value between two activities on the same node uses DeepCopy instead of a
-// full encode/decode round-trip: it preserves the no-sharing property
-// (paper §2.1) without paying for serialization, matching the paper's
-// intra-JVM pass-by-reference of DGC messages being exempt from traffic
-// accounting (§5).
+// DeepCopy returns a structurally independent copy of v: it shares no
+// byte or element slice with v, only the immutable dict keys. The runtime
+// does not call it: a value between two activities, even on one node,
+// travels encoded (WIRE.md §2).
 func DeepCopy(v Value) Value {
-	switch v.Kind() {
-	case KindBytes:
-		return Bytes(v.bytes)
-	case KindList:
-		return Value{kind: KindList, elems: deepCopyElems(v.elems)}
-	case KindDict:
-		if v.isEncoded() {
-			// One copy of the bytes; the copy stays in encoded form.
-			return Value{kind: KindDict, bytes: append([]byte(nil), v.bytes...)}
-		}
-		if v.dict == nil {
-			if v.elems == nil {
-				return v
-			}
-			// Keys are immutable strings; sharing the slice keeps the copy
-			// cheap and preserves the plan codec's key-identity fast path
-			// across the intra-node DeepCopy boundary.
-			return Value{kind: KindDict, dkeys: v.dkeys, elems: deepCopyElems(v.elems)}
-		}
-		cp := make(map[string]Value, len(v.dict))
-		for k, e := range v.dict {
-			cp[k] = DeepCopy(e)
-		}
-		return Value{kind: KindDict, dict: cp}
-	default:
-		// Scalars and refs are immutable value types.
-		return v
-	}
+	deepenInPlace(&v)
+	return v
 }
 
 // deepCopyElems copies an element slice wholesale and deepens each copied
@@ -1104,34 +863,12 @@ func deepCopyElems(elems []Value) []Value {
 }
 
 // deepenInPlace replaces every shared mutable container reachable from v
-// with a private copy, mutating v's own fields directly. v must point into
-// a heap slice owned by the caller.
+// with a private copy, mutating v's own fields directly.
 func deepenInPlace(v *Value) {
-	switch v.Kind() {
-	case KindBytes:
-		cp := make([]byte, len(v.bytes))
-		copy(cp, v.bytes)
-		v.bytes = cp
-	case KindList:
+	// The only mutable fields: a blob's or an encoded dict's bytes, and a
+	// list's or a dict's elements. Dict keys are immutable strings, shared.
+	v.bytes = bytes.Clone(v.bytes)
+	if v.elems != nil {
 		v.elems = deepCopyElems(v.elems)
-	case KindDict:
-		if v.isEncoded() {
-			v.bytes = append([]byte(nil), v.bytes...)
-			return
-		}
-		if v.dict == nil {
-			if v.elems != nil {
-				v.elems = deepCopyElems(v.elems)
-			}
-			return
-		}
-		// Map form recurses by value: map entries are not addressable, and
-		// a pointer to the loop variable would escape to the heap per entry.
-		cp := make(map[string]Value, len(v.dict))
-		for k, e := range v.dict {
-			cp[k] = DeepCopy(e)
-		}
-		v.dict = cp
 	}
-	// Scalars and refs are immutable value types: nothing to deepen.
 }

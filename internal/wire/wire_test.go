@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ids"
 )
@@ -150,24 +151,15 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 }
 
 // TestEncodedSizeEveryKind pins the size walk to the encoder case by
-// case: every kind, the varint length boundaries, nesting, and both dict
-// forms.
+// case: every kind, the varint length boundaries, nesting, and dicts.
 func TestEncodedSizeEveryKind(t *testing.T) {
 	act := ids.ActivityID{Node: 300, Seq: 1 << 20}
 	fut := FutureRef{ID: ids.FutureID{Node: 2, Seq: 130}, Owner: act}
-	mapDict := Dict(map[string]Value{
+	dict := Dict(map[string]Value{
 		"list": List(Int(1), List(String("deep"), List())),
 		"ref":  Ref(act),
 		"":     Dict(nil),
 	})
-	var dec Decoder
-	pairsDict, err := dec.Decode(Encode(nil, mapDict))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pairsDict.dict != nil || mapDict.dict == nil {
-		t.Fatal("want one dict of each form")
-	}
 	cases := []Value{
 		{}, Null(), Bool(false), Bool(true),
 		Int(0), Int(-1), Int(63), Int(64), Int(-64), Int(-65), Int(math.MaxInt64), Int(math.MinInt64),
@@ -176,33 +168,11 @@ func TestEncodedSizeEveryKind(t *testing.T) {
 		Bytes(nil), Bytes(make([]byte, 4096)), Bytes(make([]byte, 1<<14)), Floats([]float64{1, 2}),
 		List(), List(Null(), Bool(true), List(Int(7), Ref(act)), FutureVal(fut)),
 		Ref(ids.ActivityID{}), Ref(act), FutureVal(FutureRef{}), FutureVal(fut),
-		mapDict, pairsDict, List(pairsDict, mapDict),
+		dict, List(dict, Dict(map[string]Value{"d": dict})),
 	}
 	for _, v := range cases {
 		if got, want := EncodedSize(v), len(Encode(nil, v)); got != want {
 			t.Errorf("EncodedSize(%v) = %d, Encode wrote %d bytes", v, got, want)
-		}
-	}
-}
-
-func TestDecoderOnRefHook(t *testing.T) {
-	inner := ids.ActivityID{Node: 1, Seq: 1}
-	outer := ids.ActivityID{Node: 2, Seq: 7}
-	v := List(Ref(inner), Dict(map[string]Value{"r": Ref(outer)}), Int(3))
-	buf := Encode(nil, v)
-
-	var seen []ids.ActivityID
-	d := Decoder{OnRef: func(target ids.ActivityID) { seen = append(seen, target) }}
-	if _, err := d.Decode(buf); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 {
-		t.Fatalf("OnRef fired %d times, want 2 (%v)", len(seen), seen)
-	}
-	want := map[ids.ActivityID]bool{inner: true, outer: true}
-	for _, id := range seen {
-		if !want[id] {
-			t.Fatalf("unexpected ref %v reported", id)
 		}
 	}
 }
@@ -215,9 +185,14 @@ func TestRefsTraversal(t *testing.T) {
 		"y": List(Ref(b), Ref(a)),
 		"z": Int(0),
 	})
-	got := v.Refs(nil)
-	if len(got) != 3 {
-		t.Fatalf("Refs returned %v, want 3 targets", got)
+	// Depth-first in key order, each occurrence once, and the same for
+	// the value's decoding.
+	want := []ids.ActivityID{a, b, a}
+	if got := v.Refs(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Refs returned %v, want %v", got, want)
+	}
+	if got := roundTrip(t, List(Int(3), v)).Refs(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded Refs returned %v, want %v", got, want)
 	}
 }
 
@@ -332,6 +307,15 @@ func TestAccessorsWrongKind(t *testing.T) {
 	}
 	if Null().Len() != 0 {
 		t.Fatal("Len of null must be 0")
+	}
+}
+
+// TestValueSize gates the size of Value: it is copied on every queue push,
+// serve and marshal, so each word it gains is paid on the hot path
+// (runtime.duffcopy in the call profile).
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 120 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d B, budget 120", got)
 	}
 }
 
