@@ -43,12 +43,14 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Non-test Go lines (the GoFiles of every package, as go list sees them)
-# for the module, internal/active, internal/wire and internal/localgc:
+# for the module, internal/active, internal/wire, internal/localgc and the
+# substrate layer (internal/transport, internal/simnet, internal/tcpnet):
 # the size a simplicity change is measured by.
 .PHONY: loc
 loc:
-	@for p in ./... ./internal/active ./internal/wire ./internal/localgc; do \
-		printf '%-18s %s\n' "$$p" "$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' $$p | xargs cat | wc -l)"; \
+	@for p in ./... ./internal/active ./internal/wire ./internal/localgc \
+		./internal/transport ./internal/simnet ./internal/tcpnet; do \
+		printf '%-22s %s\n' "$$p" "$$($(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' $$p | xargs cat | wc -l)"; \
 	done
 
 # Per-package timings + coverage summary from one full suite run. CI's

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,6 +238,10 @@ func TestBusyCycleNotCollected(t *testing.T) {
 	e := testEnv(t)
 	n := e.NewNode()
 	gate := make(chan struct{})
+	// Cleanups run last-in first-out, so a failed check below still opens
+	// the gate before e.Close waits for the parked activity.
+	openGate := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(openGate)
 	// a is a relay that can additionally park on a gate, so the test
 	// controls exactly when its busy phase ends.
 	ha := n.NewActive("a", BehaviorFunc(func(ctx *Context, method string, args wire.Value) (wire.Value, error) {
@@ -264,7 +269,7 @@ func TestBusyCycleNotCollected(t *testing.T) {
 		t.Fatalf("live = %d during busy phase, want 2", e.LiveActivities())
 	}
 	// After the busy phase ends the cycle is idle garbage.
-	close(gate)
+	openGate()
 	if _, err := e.WaitCollected(0, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}

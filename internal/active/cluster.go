@@ -43,9 +43,6 @@ type ClusterConfig struct {
 	// DeadAfter is how long a member may stay suspect before it is
 	// declared dead. Defaults to TTA.
 	DeadAfter time.Duration
-	// LeaseBlock is how many node IDs a process leases from the seed at
-	// once. Defaults to 64.
-	LeaseBlock int
 	// Failover lets a surviving member adopt a confirmed-dead member's
 	// checkpointed activities (Config.Store must be set): the lowest-ID
 	// alive node restores them under fresh identities and the old→new
@@ -98,6 +95,10 @@ type clusterAgent struct {
 
 var _ transport.Handler = (*clusterAgent)(nil)
 
+// leaseBlock is how many node IDs a process leases from the seed at once
+// (the Want of Join and Lease, WIRE.md §8).
+const leaseBlock = 64
+
 func newClusterAgent(e *Env) *clusterAgent {
 	cc := e.cfg.Cluster
 	if cc.SuspectAfter <= 0 {
@@ -105,9 +106,6 @@ func newClusterAgent(e *Env) *clusterAgent {
 	}
 	if cc.DeadAfter <= 0 {
 		cc.DeadAfter = e.cfg.TTA
-	}
-	if cc.LeaseBlock <= 0 {
-		cc.LeaseBlock = 64
 	}
 	a := &clusterAgent{
 		env:     e,
@@ -138,12 +136,12 @@ func (a *clusterAgent) ensureJoinedLocked() error {
 		return nil
 	}
 	if a.leaser != nil {
-		first, count := a.leaser.Grant(a.cfg.LeaseBlock)
+		first, count := a.leaser.Grant(leaseBlock)
 		a.leaseNext, a.leaseEnd = uint32(first), uint32(first)+uint32(count)-1
 		a.joined = true
 		return nil
 	}
-	req := cluster.EncodeJoin(cluster.Join{Addr: a.selfAddr, Want: a.cfg.LeaseBlock})
+	req := cluster.EncodeJoin(cluster.Join{Addr: a.selfAddr, Want: leaseBlock})
 	resp, err := a.pc.CallAddr(a.seedAddr, transport.ClassCluster, req)
 	if err != nil {
 		return fmt.Errorf("active: join cluster via %s: %w", a.seedAddr, err)
@@ -180,10 +178,10 @@ func (a *clusterAgent) nextNodeID() ids.NodeID {
 	}
 	if a.leaseNext > a.leaseEnd {
 		if a.leaser != nil {
-			first, count := a.leaser.Grant(a.cfg.LeaseBlock)
+			first, count := a.leaser.Grant(leaseBlock)
 			a.leaseNext, a.leaseEnd = uint32(first), uint32(first)+uint32(count)-1
 		} else {
-			resp, err := a.pc.CallAddr(a.seedAddr, transport.ClassCluster, cluster.EncodeLease(cluster.Lease{Want: a.cfg.LeaseBlock}))
+			resp, err := a.pc.CallAddr(a.seedAddr, transport.ClassCluster, cluster.EncodeLease(cluster.Lease{Want: leaseBlock}))
 			if err == nil {
 				err = cluster.DecodeResponse(resp)
 			}

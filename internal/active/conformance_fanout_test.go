@@ -224,9 +224,9 @@ func TestGroupWaitAnyRemote(t *testing.T) {
 // member's future, the co-located member's included.
 func TestGroupUnreachableFailsAtOnce(t *testing.T) {
 	var cut atomic.Uint32 // the node the caller can no longer reach
-	e := NewEnv(Config{DisableDGC: true, Reachable: func(_, dst ids.NodeID) bool {
-		return uint32(dst) != cut.Load()
-	}})
+	e := NewEnv(Config{DisableDGC: true, Transport: simnet.New(simnet.Config{
+		Reachable: func(_, dst ids.NodeID) bool { return uint32(dst) != cut.Load() },
+	})})
 	defer e.Close()
 	caller, worker := e.NewNode(), e.NewNode()
 	svc := NewService(Method("double", func(_ *Context, req int64) (int64, error) {

@@ -198,7 +198,7 @@ func TestConformanceTypedGroupBroadcast(t *testing.T) {
 
 // TestConformanceTwoEnvsOverTCP is the multi-process shape in miniature:
 // two environments, each with its own tcpnet substrate and a disjoint
-// node-identifier range, wired together through Peers address books. The
+// node-identifier range, wired together through AddPeer address books. The
 // client references a server activity, calls it, heartbeats it across the
 // wire, and after the release the server collects it acyclically — the
 // full DGC loop with every byte passing through real TCP connections.
@@ -223,12 +223,11 @@ func TestConformanceTwoEnvsOverTCP(t *testing.T) {
 	// and the server learns the client's address for the return path of
 	// future updates (DGC responses need no such entry — they ride the
 	// caller's connection).
-	clientTr, err := tcpnet.New(tcpnet.Config{
-		Peers: map[ids.NodeID]string{serverFirstNode: serverTr.Addr()},
-	})
+	clientTr, err := tcpnet.New(tcpnet.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clientTr.AddPeer(serverFirstNode, serverTr.Addr())
 	serverTr.AddPeer(1, clientTr.Addr())
 	clientEnv := NewEnv(Config{
 		TTB: 10 * time.Millisecond, TTA: 40 * time.Millisecond,

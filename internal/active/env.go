@@ -49,15 +49,11 @@ type Config struct {
 	// only consulted when the environment builds its own simnet substrate,
 	// i.e. when Transport is nil.
 	Latency func(src, dst ids.NodeID) time.Duration
-	// Reachable restricts connectivity (see simnet). Like Latency it only
-	// applies to the default simnet substrate; a custom Transport owns its
-	// own reachability rules.
-	Reachable func(src, dst ids.NodeID) bool
 	// MaxComm bounds one-way communication time for the TTA formula. If
 	// zero and a Transport is set, the transport's own MaxComm() is used.
 	MaxComm time.Duration
 	// Transport selects the network substrate the nodes communicate over.
-	// nil builds an in-memory simnet from Clock/Latency/Reachable/MaxComm;
+	// nil builds an in-memory simnet from Clock/Latency/MaxComm;
 	// a non-nil value (e.g. a tcpnet.Network) is used as-is and those
 	// simnet-only fields are ignored. The environment takes ownership and
 	// closes the transport in Close.
@@ -222,10 +218,9 @@ func NewEnv(cfg Config) *Env {
 		e.net = cfg.Transport
 	} else {
 		e.net = simnet.New(simnet.Config{
-			Clock:     cfg.Clock,
-			Latency:   cfg.Latency,
-			Reachable: cfg.Reachable,
-			MaxComm:   cfg.MaxComm,
+			Clock:   cfg.Clock,
+			Latency: cfg.Latency,
+			MaxComm: cfg.MaxComm,
 		})
 	}
 	if cfg.Cluster.Enabled {

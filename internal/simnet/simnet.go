@@ -70,8 +70,8 @@ type Config struct {
 	// Latency returns the one-way latency between two distinct nodes.
 	// Defaults to zero latency. Intra-node delivery is always immediate.
 	Latency func(src, dst ids.NodeID) time.Duration
-	// Reachable reports whether src may open a connection to dst. Defaults
-	// to full reachability. Replies are always allowed back over an
+	// Reachable reports whether src may open a connection to dst. nil means
+	// full reachability. Replies are always allowed back over an
 	// established exchange.
 	Reachable func(src, dst ids.NodeID) bool
 	// MaxComm is an upper bound on one-way communication time, used by the
@@ -147,9 +147,6 @@ func New(cfg Config) *Network {
 	}
 	if cfg.Latency == nil {
 		cfg.Latency = func(_, _ ids.NodeID) time.Duration { return 0 }
-	}
-	if cfg.Reachable == nil {
-		cfg.Reachable = func(_, _ ids.NodeID) bool { return true }
 	}
 	n := &Network{cfg: cfg}
 	if cfg.PerMessage > 0 || cfg.PerByte > 0 {
@@ -307,24 +304,18 @@ func (n *Network) account(class Class, size int) {
 	n.counters.Account(class, size)
 }
 
-func (n *Network) handlerFor(node ids.NodeID) (Handler, error) {
-	if n.closed.Load() {
-		return nil, ErrClosed
-	}
-	s := n.shardFor(node)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.nodes[node]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownNode, node)
-	}
-	return h, nil
-}
-
-// route resolves dst's handler and the pair's delivery queue in one shard
+// route is the step Send, SendBatch and Call share: it resolves dst's
+// handler and, for a remote dst, the pair's delivery queue, in one shard
 // critical section (queues are sharded by destination, so both live in the
-// same shard).
+// same shard). A nil queue means same-node traffic, delivered directly and
+// not accounted (paper §5). Failures come in a fixed order: errKilled, then
+// ErrClosed, ErrUnknownNode, and only then ErrUnreachable, so an unknown
+// node behind the reachability rules still reports itself unknown.
 func (n *Network) route(src, dst ids.NodeID) (Handler, *pairQueue, error) {
+	if n.isKilled(dst) || n.isKilled(src) {
+		return nil, nil, errKilled
+	}
+	reachable := src == dst || n.cfg.Reachable == nil || n.cfg.Reachable(src, dst)
 	s := n.shardFor(dst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -332,8 +323,13 @@ func (n *Network) route(src, dst ids.NodeID) (Handler, *pairQueue, error) {
 		return nil, nil, ErrClosed
 	}
 	h, ok := s.nodes[dst]
-	if !ok {
+	switch {
+	case !ok:
 		return nil, nil, fmt.Errorf("%w: %v", ErrUnknownNode, dst)
+	case src == dst:
+		return h, nil, nil
+	case !reachable:
+		return nil, nil, fmt.Errorf("%w: %v -> %v", ErrUnreachable, src, dst)
 	}
 	key := pairKey{src: src, dst: dst}
 	q, okQ := s.queues[key]
@@ -347,6 +343,24 @@ func (n *Network) route(src, dst ids.NodeID) (Handler, *pairQueue, error) {
 		}()
 	}
 	return h, q, nil
+}
+
+// errKilled is route's report of traffic from or to a KillNode victim. A
+// killed machine acknowledges nothing and emits nothing: one-way traffic
+// is accepted and the bytes vanish (not accounted — they never hit a
+// wire), while an exchange fails fast like a connection reset, the signal
+// failure detectors feed on. The source side matters for detection tests:
+// a victim's own runtime keeps trying to send until its goroutines are
+// reaped, and none of that may prove it alive.
+var errKilled = fmt.Errorf("%w (killed)", ErrUnreachable)
+
+// oneWay is a one-way send's view of a route error: traffic touching a
+// killed node is dropped silently.
+func oneWay(err error) error {
+	if err == errKilled {
+		return nil
+	}
+	return err
 }
 
 // linkSchedule computes when a message of the given size, sent now,
@@ -392,33 +406,13 @@ func (e *Endpoint) Node() ids.NodeID { return e.node }
 // Send transmits a one-way message to dst with FIFO ordering relative to
 // all other traffic from this node to dst.
 func (e *Endpoint) Send(dst ids.NodeID, class Class, payload []byte) error {
-	if e.net.isKilled(dst) || e.net.isKilled(e.node) {
-		// A killed machine acknowledges nothing and emits nothing: the
-		// send is accepted and the bytes vanish (not accounted — they
-		// never hit a wire). The source-side check matters for detection
-		// tests: a victim's own runtime keeps trying to send until its
-		// goroutines are reaped, and none of that may prove it alive.
-		return nil
-	}
-	if e.node == dst {
-		// Intra-process: direct delivery, not accounted (paper §5).
-		h, err := e.net.handlerFor(dst)
-		if err != nil {
-			return err
-		}
+	h, q, err := e.net.route(e.node, dst)
+	switch {
+	case err != nil:
+		return oneWay(err)
+	case q == nil:
 		h.HandleOneWay(e.node, class, payload)
 		return nil
-	}
-	if !e.net.cfg.Reachable(e.node, dst) {
-		// Resolve first so an unknown node still reports ErrUnknownNode.
-		if _, err := e.net.handlerFor(dst); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: %v -> %v", ErrUnreachable, e.node, dst)
-	}
-	h, q, err := e.net.route(e.node, dst)
-	if err != nil {
-		return err
 	}
 	e.net.account(class, len(payload))
 	return q.push(item{
@@ -436,28 +430,15 @@ func (e *Endpoint) SendBatch(dst ids.NodeID, items []transport.BatchItem) error 
 	if len(items) == 0 {
 		return nil
 	}
-	if e.net.isKilled(dst) || e.net.isKilled(e.node) {
-		return nil // see Send: a killed machine neither receives nor sends
-	}
-	if e.node == dst {
-		h, err := e.net.handlerFor(dst)
-		if err != nil {
-			return err
-		}
+	h, q, err := e.net.route(e.node, dst)
+	switch {
+	case err != nil:
+		return oneWay(err)
+	case q == nil:
 		for _, it := range items {
 			h.HandleOneWay(e.node, it.Class, it.Payload)
 		}
 		return nil
-	}
-	if !e.net.cfg.Reachable(e.node, dst) {
-		if _, err := e.net.handlerFor(dst); err != nil {
-			return err
-		}
-		return fmt.Errorf("%w: %v -> %v", ErrUnreachable, e.node, dst)
-	}
-	h, q, err := e.net.route(e.node, dst)
-	if err != nil {
-		return err
 	}
 	total := 0
 	for _, it := range items {
@@ -481,50 +462,29 @@ func (e *Endpoint) SendBatch(dst ids.NodeID, items []transport.BatchItem) error 
 // back over the same logical connection, so it is permitted even when the
 // reachability rules forbid dst → src connections.
 func (e *Endpoint) Call(dst ids.NodeID, class Class, payload []byte) ([]byte, error) {
-	if e.net.isKilled(dst) || e.net.isKilled(e.node) {
-		// An exchange against (or from) a dead peer fails fast, like a
-		// connection reset — the signal failure detectors feed on.
-		return nil, fmt.Errorf("%w: %v (killed)", ErrUnreachable, dst)
-	}
-	if e.node == dst {
-		h, err := e.net.handlerFor(dst)
-		if err != nil {
-			return nil, err
-		}
+	h, q, err := e.net.route(e.node, dst)
+	switch {
+	case err != nil:
+		return nil, err
+	case q == nil:
 		return h.HandleCall(e.node, class, payload), nil
 	}
-	if !e.net.cfg.Reachable(e.node, dst) {
-		if _, err := e.net.handlerFor(dst); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: %v -> %v", ErrUnreachable, e.node, dst)
-	}
-	h, q, err := e.net.route(e.node, dst)
-	if err != nil {
-		return nil, err
-	}
 	e.net.account(class, len(payload))
-	type result struct {
-		resp []byte
-	}
-	done := make(chan result, 1)
+	done := make(chan []byte, 1)
 	err = q.push(item{
 		deliverAt: e.net.linkSchedule(e.node, dst, len(payload)),
-		fn: func() {
-			resp := h.HandleCall(e.node, class, payload)
-			done <- result{resp: resp}
-		},
+		fn:        func() { done <- h.HandleCall(e.node, class, payload) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	r := <-done
+	resp := <-done
 	// The response pays the return latency on the same connection.
 	if l := e.net.cfg.Latency(dst, e.node); l > 0 {
 		e.net.cfg.Clock.Sleep(l)
 	}
-	e.net.account(class, len(r.resp))
-	return r.resp, nil
+	e.net.account(class, len(resp))
+	return resp, nil
 }
 
 // item is one queued delivery.

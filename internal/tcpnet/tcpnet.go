@@ -22,10 +22,12 @@
 // One Network instance represents one process: it serves every node
 // registered on it from a single listener, demultiplexing inbound frames
 // by destination node. Nodes living in other processes are resolved
-// through the static Peers address book. Pairs whose two ends live in the
-// same process still communicate over real (loopback) TCP — only
-// node-to-itself traffic takes the direct unaccounted path, exactly like
-// simnet's intra-process delivery.
+// through one address book, filled by AddPeer, by the hello frame that
+// opens every inbound connection, and by the cluster's join and gossip
+// traffic. Pairs whose two ends live in the same process still
+// communicate over real (loopback) TCP — only node-to-itself traffic
+// takes the direct unaccounted path, exactly like simnet's intra-process
+// delivery.
 package tcpnet
 
 import (
@@ -48,16 +50,6 @@ type Config struct {
 	// Defaults to "127.0.0.1:0" (an ephemeral loopback port; read the
 	// bound address back with Addr).
 	Listen string
-	// Peers maps node identifiers hosted by other processes to the TCP
-	// address (host:port) their Network listens on. Nodes registered
-	// locally need no entry: they are resolved to this process's own
-	// listener. A node in neither place is unknown.
-	Peers map[ids.NodeID]string
-	// Reachable reports whether src may open a connection to dst,
-	// modelling a firewall in front of dst. Defaults to full
-	// reachability. Responses are always allowed back over an established
-	// exchange — they ride the caller's connection.
-	Reachable func(src, dst ids.NodeID) bool
 	// MaxComm is the upper bound on one-way communication time fed to the
 	// DGC deadline formula (§3.1). Unlike simnet the transport cannot
 	// derive it from a latency model, so it must be configured for the
@@ -134,9 +126,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.MaxComm == 0 {
 		cfg.MaxComm = 5 * time.Millisecond
 	}
-	if cfg.Reachable == nil {
-		cfg.Reachable = func(_, _ ids.NodeID) bool { return true }
-	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", cfg.Listen, err)
@@ -145,12 +134,9 @@ func New(cfg Config) (*Network, error) {
 		cfg:      cfg,
 		ln:       ln,
 		handlers: make(map[ids.NodeID]transport.Handler),
-		peers:    make(map[ids.NodeID]string, len(cfg.Peers)),
+		peers:    make(map[ids.NodeID]string),
 		conns:    make(map[pairKey]*clientConn),
 		inbound:  make(map[net.Conn]struct{}),
-	}
-	for node, addr := range cfg.Peers {
-		n.peers[node] = addr
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -158,7 +144,7 @@ func New(cfg Config) (*Network, error) {
 }
 
 // Addr returns the address the listener is bound to (useful with an
-// ephemeral Listen port: other processes put it in their Peers map).
+// ephemeral Listen port: other processes pass it to AddPeer).
 func (n *Network) Addr() string { return n.ln.Addr().String() }
 
 // MaxComm returns the configured upper bound on one-way communication
@@ -166,10 +152,10 @@ func (n *Network) Addr() string { return n.ln.Addr().String() }
 func (n *Network) MaxComm() time.Duration { return n.cfg.MaxComm }
 
 // AddPeer maps a node hosted by another process to the TCP address its
-// Network listens on, extending (or correcting) the Config.Peers book at
-// runtime — the bootstrap order of a multi-process deployment rarely
-// allows every address to be known up front. The pair's next dial uses
-// the new address; established connections are unaffected.
+// Network listens on, adding to (or correcting) the address book. Nodes
+// registered locally need no entry: they resolve to this process's own
+// listener, and a node in neither place is unknown. The pair's next dial
+// uses the new address; established connections are unaffected.
 func (n *Network) AddPeer(node ids.NodeID, addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -266,7 +252,7 @@ func (n *Network) Register(node ids.NodeID, h transport.Handler) transport.Endpo
 }
 
 // Deregister detaches a node: inbound frames for it are dropped (calls
-// are answered with an unknown-node response) and, absent a Peers entry,
+// are answered with an unknown-node response) and, absent an AddPeer entry,
 // local senders fail with transport.ErrUnknownNode. Used to simulate
 // machine crashes.
 func (n *Network) Deregister(node ids.NodeID) {
@@ -344,14 +330,6 @@ func (n *Network) DropConnections() {
 	}
 }
 
-// handlerFor returns the locally registered handler for node, if any.
-func (n *Network) handlerFor(node ids.NodeID) (transport.Handler, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.handlers[node]
-	return h, ok
-}
-
 // dispatchHandler resolves an inbound frame's destination: node handlers
 // for registered nodes, the process handler for the reserved node 0.
 func (n *Network) dispatchHandler(dst ids.NodeID) (transport.Handler, bool) {
@@ -364,21 +342,32 @@ func (n *Network) dispatchHandler(dst ids.NodeID) (transport.Handler, bool) {
 	return h, ok
 }
 
-// resolve maps dst to the TCP address serving it: the Peers book for
-// remote nodes, this process's own listener for local ones.
-func (n *Network) resolve(dst ids.NodeID) (string, error) {
+// route is the step Send, SendBatch and Call share. Failures come in a
+// fixed order: ErrClosed, then ErrUnknownNode, then the payload limit. A
+// same-node dst resolves to its handler, delivered to directly and not
+// accounted (paper §5, as on simnet); a remote one to the TCP address
+// serving it — the address book for nodes of other processes, this
+// process's own listener for local ones. size is the largest payload the
+// caller will put in one frame.
+func (n *Network) route(src, dst ids.NodeID, size int) (transport.Handler, string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return "", transport.ErrClosed
+		return nil, "", transport.ErrClosed
 	}
-	if addr, ok := n.peers[dst]; ok {
-		return addr, nil
+	h, local := n.handlers[dst]
+	addr, remote := n.peers[dst]
+	switch {
+	case src == dst && local:
+		return h, "", nil
+	case src == dst || !local && !remote:
+		return nil, "", fmt.Errorf("%w: %v", transport.ErrUnknownNode, dst)
+	case size > maxPayloadSize:
+		return nil, "", fmt.Errorf("tcpnet: payload %d bytes exceeds frame limit %d", size, maxPayloadSize)
+	case !remote:
+		addr = n.ln.Addr().String()
 	}
-	if _, ok := n.handlers[dst]; ok {
-		return n.ln.Addr().String(), nil
-	}
-	return "", fmt.Errorf("%w: %v", transport.ErrUnknownNode, dst)
+	return nil, addr, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +433,7 @@ func (n *Network) serveConn(c net.Conn) {
 			// One frame, many messages: deliver sequentially, preserving
 			// the pair's FIFO order. A corrupt envelope kills the
 			// connection like any other framing violation.
-			h, ok := n.handlerFor(f.dst)
+			h, ok := n.dispatchHandler(f.dst)
 			if err := transport.WalkBatch(f.payload, func(class transport.Class, payload []byte) {
 				if ok {
 					h.HandleOneWay(f.src, class, payload)
@@ -748,49 +737,18 @@ type endpoint struct {
 func (e *endpoint) Node() ids.NodeID { return e.node }
 
 // Send transmits a one-way message to dst with FIFO ordering relative to
-// all other traffic from this node to dst.
+// all other traffic from this node to dst: sendChunk's one-item case, a
+// plain frame.
 func (e *endpoint) Send(dst ids.NodeID, class transport.Class, payload []byte) error {
-	if e.node == dst {
-		// Intra-node: direct delivery, not accounted (paper §5).
-		h, ok := e.net.handlerFor(dst)
-		if !ok {
-			return fmt.Errorf("%w: %v", transport.ErrUnknownNode, dst)
-		}
+	h, addr, err := e.net.route(e.node, dst, len(payload))
+	switch {
+	case err != nil:
+		return err
+	case h != nil:
 		h.HandleOneWay(e.node, class, payload)
 		return nil
 	}
-	if len(payload) > maxPayloadSize {
-		return fmt.Errorf("tcpnet: payload %d bytes exceeds frame limit %d", len(payload), maxPayloadSize)
-	}
-	addr, err := e.net.resolve(dst)
-	if err != nil {
-		return err
-	}
-	if !e.net.cfg.Reachable(e.node, dst) {
-		return fmt.Errorf("%w: %v -> %v", transport.ErrUnreachable, e.node, dst)
-	}
-	key := pairKey{src: e.node, dst: dst}
-	f := frame{typ: frameOneWay, class: class, src: e.node, dst: dst, payload: payload}
-	var lastErr error
-	// A dead pooled connection fails the first write; retry once on a
-	// fresh dial so a restarted peer is transparent to senders.
-	for attempt := 0; attempt < 2; attempt++ {
-		cc, err := e.net.conn(key, addr)
-		if err != nil {
-			return err
-		}
-		// Accounted before the write: whoever learns of the message
-		// through the receiver (a reply, a resolved future) must find it
-		// on the books already. A failed write moved no bytes and is
-		// refunded, exactly like simnet's unknown-node path.
-		e.net.counters.Account(class, len(payload))
-		if lastErr = cc.writeFrame(f); lastErr == nil {
-			return nil
-		}
-		e.net.counters.Unaccount(class, len(payload))
-		cc.fail(lastErr)
-	}
-	return lastErr
+	return e.sendChunk(pairKey{src: e.node, dst: dst}, addr, []transport.BatchItem{{Class: class, Payload: payload}})
 }
 
 // SendBatch transmits several one-way messages to dst in one batch frame:
@@ -803,28 +761,19 @@ func (e *endpoint) SendBatch(dst ids.NodeID, items []transport.BatchItem) error 
 	if len(items) == 0 {
 		return nil
 	}
-	if e.node == dst {
-		// Intra-node: direct delivery, not accounted (paper §5).
-		h, ok := e.net.handlerFor(dst)
-		if !ok {
-			return fmt.Errorf("%w: %v", transport.ErrUnknownNode, dst)
-		}
+	largest := 0
+	for _, it := range items {
+		largest = max(largest, len(it.Payload))
+	}
+	h, addr, err := e.net.route(e.node, dst, largest)
+	switch {
+	case err != nil:
+		return err
+	case h != nil:
 		for _, it := range items {
 			h.HandleOneWay(e.node, it.Class, it.Payload)
 		}
 		return nil
-	}
-	for _, it := range items {
-		if len(it.Payload) > maxPayloadSize {
-			return fmt.Errorf("tcpnet: payload %d bytes exceeds frame limit %d", len(it.Payload), maxPayloadSize)
-		}
-	}
-	addr, err := e.net.resolve(dst)
-	if err != nil {
-		return err
-	}
-	if !e.net.cfg.Reachable(e.node, dst) {
-		return fmt.Errorf("%w: %v -> %v", transport.ErrUnreachable, e.node, dst)
 	}
 	key := pairKey{src: e.node, dst: dst}
 	for len(items) > 0 {
@@ -851,8 +800,13 @@ func (e *endpoint) SendBatch(dst ids.NodeID, items []transport.BatchItem) error 
 	return nil
 }
 
-// sendChunk writes one frame-sized batch with the same
-// retry-once-on-fresh-dial semantics as Send.
+// sendChunk writes one frame-sized group — a lone item as a plain frame,
+// several as one batch frame. The group is accounted before the write:
+// whoever learns of a message through the receiver (a reply, a resolved
+// future) must find it on the books already. A failed write moved no
+// bytes and is refunded; since a dead pooled connection fails the first
+// write, the group is retried once on a fresh dial, so a restarted peer
+// is transparent to senders.
 func (e *endpoint) sendChunk(key pairKey, addr string, chunk []transport.BatchItem) error {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -860,7 +814,6 @@ func (e *endpoint) sendChunk(key pairKey, addr string, chunk []transport.BatchIt
 		if err != nil {
 			return err
 		}
-		// Accounted before the write and refunded if it fails, like Send.
 		for _, it := range chunk {
 			e.net.counters.Account(it.Class, len(it.Payload))
 		}
@@ -886,22 +839,12 @@ func (e *endpoint) sendChunk(key pairKey, addr string, chunk []transport.BatchIt
 // number, so Call succeeds even when dst could never connect to this
 // node.
 func (e *endpoint) Call(dst ids.NodeID, class transport.Class, payload []byte) ([]byte, error) {
-	if e.node == dst {
-		h, ok := e.net.handlerFor(dst)
-		if !ok {
-			return nil, fmt.Errorf("%w: %v", transport.ErrUnknownNode, dst)
-		}
-		return h.HandleCall(e.node, class, payload), nil
-	}
-	if len(payload) > maxPayloadSize {
-		return nil, fmt.Errorf("tcpnet: payload %d bytes exceeds frame limit %d", len(payload), maxPayloadSize)
-	}
-	addr, err := e.net.resolve(dst)
-	if err != nil {
+	h, addr, err := e.net.route(e.node, dst, len(payload))
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if !e.net.cfg.Reachable(e.node, dst) {
-		return nil, fmt.Errorf("%w: %v -> %v", transport.ErrUnreachable, e.node, dst)
+	case h != nil:
+		return h.HandleCall(e.node, class, payload), nil
 	}
 	key := pairKey{src: e.node, dst: dst}
 	var lastErr error

@@ -165,24 +165,26 @@ func TestCallDoesNotRaceOneWays(t *testing.T) {
 }
 
 func TestResponseRidesCallersConnection(t *testing.T) {
-	// A firewall forbids 2 -> 1 entirely; calls 1 -> 2 still complete
-	// because the response is multiplexed back over 1's connection.
-	n := newNet(t, Config{
-		Reachable: func(src, dst ids.NodeID) bool { return src == 1 },
-	})
-	rec := recorder{reply: []byte("through")}
-	n.Register(2, &rec)
-	ep1 := n.Register(1, &recorder{})
-	ep2 := n.Register(2, &rec)
-	if err := ep2.Send(1, transport.ClassApp, []byte("x")); !errors.Is(err, transport.ErrUnreachable) {
-		t.Fatalf("err = %v, want ErrUnreachable", err)
-	}
+	// Two processes: the callee's learns the caller's address from the
+	// hello, yet answers a call 1 -> 2 over the caller's own connection
+	// and never dials back (§2.2: the referenced side needs no
+	// connectivity to its referencers).
+	caller := newNet(t, Config{})
+	callee := newNet(t, Config{})
+	callee.Register(2, &recorder{reply: []byte("through")})
+	ep1 := caller.Register(1, &recorder{})
+	caller.AddPeer(2, callee.Addr())
 	resp, err := ep1.Call(2, transport.ClassDGC, []byte("in"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(resp) != "through" {
 		t.Fatalf("resp = %q", resp)
+	}
+	callee.mu.Lock()
+	defer callee.mu.Unlock()
+	if len(callee.conns) != 0 {
+		t.Fatalf("callee opened %d outbound connections, want 0", len(callee.conns))
 	}
 }
 
@@ -295,12 +297,13 @@ func (f handlerFunc) HandleCall(from ids.NodeID, class transport.Class, payload 
 }
 
 func TestTwoProcesses(t *testing.T) {
-	// Two Network instances = two processes, wired by Peers address books.
+	// Two Network instances = two processes, wired by AddPeer.
 	server := newNet(t, Config{})
 	rec := recorder{reply: []byte("remote-pong")}
 	server.Register(10, &rec)
 
-	client := newNet(t, Config{Peers: map[ids.NodeID]string{10: server.Addr()}})
+	client := newNet(t, Config{})
+	client.AddPeer(10, server.Addr())
 	ep := client.Register(1, &recorder{})
 
 	resp, err := ep.Call(10, transport.ClassApp, []byte("remote-ping"))
@@ -401,7 +404,8 @@ func TestUnknownNodeCallNotAccounted(t *testing.T) {
 	// A call answered with the unknown-node flag must leave the counters
 	// as simnet would: untouched.
 	server := newNet(t, Config{})
-	client := newNet(t, Config{Peers: map[ids.NodeID]string{10: server.Addr()}})
+	client := newNet(t, Config{})
+	client.AddPeer(10, server.Addr())
 	ep := client.Register(1, &recorder{})
 	if _, err := ep.Call(10, transport.ClassDGC, []byte("beat")); !errors.Is(err, transport.ErrUnknownNode) {
 		t.Fatalf("err = %v, want ErrUnknownNode", err)
@@ -440,7 +444,8 @@ func TestRemovePeerForgetsAddressAndFailsConns(t *testing.T) {
 	rec := recorder{reply: []byte("pong")}
 	server.Register(10, &rec)
 
-	client := newNet(t, Config{Peers: map[ids.NodeID]string{10: server.Addr()}})
+	client := newNet(t, Config{})
+	client.AddPeer(10, server.Addr())
 	ep := client.Register(1, &recorder{})
 	if _, err := ep.Call(10, transport.ClassApp, []byte("ping")); err != nil {
 		t.Fatal(err)

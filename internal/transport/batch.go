@@ -130,6 +130,11 @@ func DecodeBatch(buf []byte) ([]BatchItem, error) {
 	return items, nil
 }
 
+// maxFrameBytes caps the payload bytes of one flushed frame (WIRE.md §5):
+// a lane holding more flushes at once and splits the backlog across
+// frames.
+const maxFrameBytes = 64 << 10
+
 // FlusherConfig parameterizes a Flusher.
 type FlusherConfig struct {
 	// Window is how long a non-urgent message may linger in a lane waiting
@@ -138,10 +143,6 @@ type FlusherConfig struct {
 	// it is corked until its sender blocks (see Flusher). Window must be
 	// > 0; a Flusher is only built when batching is enabled.
 	Window time.Duration
-	// MaxBytes caps the payload bytes of one flushed frame: a lane holding
-	// more flushes immediately and splits the backlog across frames.
-	// Defaults to 64 KiB.
-	MaxBytes int
 	// Clock drives the linger window, so batching stays deterministic
 	// under scaled or manual clocks like every other protocol timer.
 	// Defaults to the real clock.
@@ -199,9 +200,6 @@ type lane struct {
 
 // NewFlusher wraps ep in a batching flusher. cfg.Window must be positive.
 func NewFlusher(ep Endpoint, cfg FlusherConfig) *Flusher {
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = 64 << 10
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
@@ -406,7 +404,7 @@ func (f *Flusher) drainPasses(l *lane) {
 			l.cond.Broadcast()
 			return
 		}
-		if !l.rush && l.bytes < f.cfg.MaxBytes {
+		if !l.rush && l.bytes < maxFrameBytes {
 			// Linger: give co-destination companions up to the window to
 			// arrive before the frame goes out. The window runs on the
 			// configured clock so simulated-time runs stay deterministic.
@@ -422,12 +420,12 @@ func (f *Flusher) drainPasses(l *lane) {
 				case <-cancel:
 				}
 			}()
-			for !fired && !l.rush && l.bytes < f.cfg.MaxBytes {
+			for !fired && !l.rush && l.bytes < maxFrameBytes {
 				l.cond.Wait()
 			}
 			close(cancel)
 		}
-		items := takeUpTo(l, f.cfg.MaxBytes)
+		items := takeUpTo(l, maxFrameBytes)
 		l.mu.Unlock()
 		err := f.write(l.dst, items)
 		l.mu.Lock()

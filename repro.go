@@ -426,7 +426,7 @@ const (
 //	env := repro.NewEnv(repro.Config{Transport: tr, FirstNode: 100})
 //
 // Processes sharing a deployment give each other disjoint Config.FirstNode
-// ranges and exchange listener addresses via TCPConfig.Peers or AddPeer.
+// ranges and exchange listener addresses via AddPeer.
 // The environment owns the transport and closes it in Env.Close.
 func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	return tcpnet.New(cfg)
