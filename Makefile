@@ -108,6 +108,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzFrameDecodeReuse -fuzztime $(FUZZTIME) ./internal/tcpnet/
 	$(GO) test -run xxx -fuzz FuzzWalkBatch -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run xxx -fuzz FuzzProtocolEnvelope -fuzztime $(FUZZTIME) ./internal/active/
+	$(GO) test -run xxx -fuzz FuzzDGCRecord -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzMigrationEnvelope -fuzztime $(FUZZTIME) ./internal/active/
 	$(GO) test -run xxx -fuzz FuzzFanOutEnvelope -fuzztime $(FUZZTIME) ./internal/active/
 	$(GO) test -run xxx -fuzz FuzzClusterEnvelope -fuzztime $(FUZZTIME) ./internal/cluster/

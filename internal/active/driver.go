@@ -31,10 +31,11 @@ func (n *Node) runDriver() {
 	}
 }
 
-// dgcOut is one due DGC message with the activity that owes it.
+// dgcOut is the DGC messages of one exchange with the activities that
+// owe them: aos[i] sent obs[i].
 type dgcOut struct {
-	ao *ActiveObject
-	ob core.Outbound
+	aos []*ActiveObject
+	obs []core.Outbound
 }
 
 // beat runs one driver iteration: a local sweep, the DGC broadcast (unless
@@ -76,7 +77,14 @@ func (n *Node) beat() {
 // rest of the beat.
 func (n *Node) broadcastDue() {
 	var broadcasts sync.WaitGroup
-	var byDst map[ids.NodeID][]dgcOut
+	send := func(dst ids.NodeID, out dgcOut) {
+		broadcasts.Add(1)
+		go func() {
+			defer broadcasts.Done()
+			n.sendDGC(dst, out)
+		}()
+	}
+	var byDst map[ids.NodeID]dgcOut
 	batch := n.flusher != nil
 	for _, ao := range append(n.snapshotActivities(), n.root) {
 		// Each tick gets the time of the tick: with many activities the
@@ -98,86 +106,55 @@ func (n *Node) broadcastDue() {
 			n.destroy(ao, res.Reason)
 			continue
 		}
-		for _, ob := range res.Messages {
+		for i, ob := range res.Messages {
 			if n.env.isDeadNode(ob.To.Node) {
 				// A declared-dead destination gets no beats: the referenced
 				// side is gone and the send would only fail fast anyway.
 				continue
 			}
-			if batch {
-				if byDst == nil {
-					byDst = make(map[ids.NodeID][]dgcOut)
-				}
-				byDst[ob.To.Node] = append(byDst[ob.To.Node], dgcOut{ao: ao, ob: ob})
+			if !batch {
+				send(ob.To.Node, dgcOut{aos: []*ActiveObject{ao}, obs: res.Messages[i : i+1]})
 				continue
 			}
-			broadcasts.Add(1)
-			go func(ao *ActiveObject, ob core.Outbound) {
-				defer broadcasts.Done()
-				n.sendDGC(ao, ob)
-			}(ao, ob)
+			if byDst == nil {
+				byDst = make(map[ids.NodeID]dgcOut)
+			}
+			out := byDst[ob.To.Node]
+			out.aos, out.obs = append(out.aos, ao), append(out.obs, ob)
+			byDst[ob.To.Node] = out
 		}
 	}
-	for dst, outs := range byDst {
-		broadcasts.Add(1)
-		go func(dst ids.NodeID, outs []dgcOut) {
-			defer broadcasts.Done()
-			n.sendDGCBatch(dst, outs)
-		}(dst, outs)
+	for dst, out := range byDst {
+		send(dst, out)
 	}
 	broadcasts.Wait()
 }
 
-// sendDGC performs one DGC message/response exchange with the node hosting
-// the referenced activity. The response rides back on the same connection
-// (§2.2: no connectivity needed from referenced to referencer). An empty
-// response (target gone) or a transport error is ignored: the TTA
-// machinery owns all failure handling.
-func (n *Node) sendDGC(ao *ActiveObject, ob core.Outbound) {
-	payload := encodeDGCPayload(ob.To, ob.Msg)
-	respBytes, err := n.transportCall(ob.To.Node, transport.ClassDGC, payload)
-	if ag := n.env.cluster; ag != nil && ob.To.Node != n.id {
+// sendDGC performs one DGC exchange with dst: the messages of out travel
+// in one envelope, and each response goes back to the collector that
+// sent its message. The responses ride back on the same connection
+// (§2.2: no connectivity needed from referenced to referencer). A
+// transport error, a malformed response or an absent one (target gone)
+// is ignored: the TTA machinery owns all failure handling, and silence
+// is a slow beat.
+func (n *Node) sendDGC(dst ids.NodeID, out dgcOut) {
+	respBytes, err := n.transportCall(dst, transport.ClassDGC, encodeDGC(out.obs))
+	if ag := n.env.cluster; ag != nil && dst != n.id {
 		// The heartbeat exchange doubles as the liveness probe: its
 		// outcome feeds the failure detector for free.
-		ag.noteExchange(ob.To.Node, err)
+		ag.noteExchange(dst, err)
 	}
-	if err != nil || len(respBytes) == 0 {
-		return
-	}
-	resp, err := core.DecodeResponse(respBytes)
 	if err != nil {
 		return
 	}
-	ao.collector.HandleResponse(ob.To, resp, n.env.cfg.Clock.Now())
-}
-
-// sendDGCBatch ships one beat's messages toward dst as a single batched
-// exchange and dispatches the positional responses back to their
-// collectors. Failure handling matches sendDGC: silence is a slow beat.
-func (n *Node) sendDGCBatch(dst ids.NodeID, outs []dgcOut) {
-	if len(outs) == 1 {
-		n.sendDGC(outs[0].ao, outs[0].ob)
-		return
-	}
-	entries := make([]dgcBatchEntry, len(outs))
-	for i, o := range outs {
-		entries[i] = dgcBatchEntry{Target: o.ob.To, Msg: o.ob.Msg}
-	}
-	respBytes, err := n.transportCall(dst, transport.ClassDGC, encodeDGCBatchPayload(entries))
-	if ag := n.env.cluster; ag != nil && dst != n.id {
-		ag.noteExchange(dst, err)
-	}
-	if err != nil || len(respBytes) == 0 {
-		return
-	}
-	resps, err := decodeDGCBatchResponse(respBytes)
-	if err != nil || len(resps) != len(outs) {
+	resps, err := decodeDGCResponse(respBytes, out.obs)
+	if err != nil {
 		return
 	}
 	now := n.env.cfg.Clock.Now()
 	for i, r := range resps {
 		if r != nil {
-			outs[i].ao.collector.HandleResponse(outs[i].ob.To, *r, now)
+			out.aos[i].collector.HandleResponse(out.obs[i].To, *r, now)
 		}
 	}
 }

@@ -2,16 +2,18 @@ package active
 
 // FuzzProtocolEnvelope aims the fuzzer at the §3 envelope decoders
 // (WIRE.md §3, §6, §7): request header, future update, future subscribe,
-// single and batched DGC payloads, the batched DGC response and the
-// migrate response. Every one of them reads bytes a hostile or
-// corrupted peer controls. None may panic, every refusal must carry
-// errBadEnvelope, and anything one accepts must survive encode ⇄ decode
-// unchanged.
+// the DGC envelope, the DGC response (reply, read against the DGC
+// envelope data decodes to) and the migrate response. Every one of them
+// reads bytes a hostile or corrupted peer controls. None may panic,
+// every refusal must carry errBadEnvelope, and anything one accepts must
+// survive encode ⇄ decode unchanged; a DGC envelope or response must
+// re-encode to its very bytes.
 
 import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -20,19 +22,22 @@ import (
 func FuzzProtocolEnvelope(f *testing.F) {
 	for _, name := range []string{
 		"env-request", "env-future-update", "env-future-update-failed", "env-future-subscribe",
-		"dgc-single", "dgc-batch", "dgc-batch-response",
-		"migrate-response-ok", "migrate-response-failed",
+		"dgc-single", "migrate-response-ok", "migrate-response-failed",
 	} {
-		f.Add(vector(f, name))
+		f.Add(vector(f, name), []byte(nil))
 	}
-	f.Add([]byte{envRequest, 1, 0, 0, 0})
-	f.Add([]byte{dgcBatchTag, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	f.Add([]byte{migrateOK})
+	f.Add(vector(f, "dgc-batch"), vector(f, "dgc-batch-response"))
+	f.Add(vector(f, "dgc-batch-response"), vector(f, "dgc-batch"))
+	for _, c := range malformedDGC {
+		f.Add(c.req, c.reply)
+	}
+	f.Add([]byte{envRequest, 1, 0, 0, 0}, []byte(nil))
+	f.Add([]byte{migrateOK}, []byte(nil))
 	// Kind 4, the retired redirect envelope (old and new identity): no
 	// decoder may take it for one of its own.
-	f.Add([]byte{4, 2, 0, 0, 0, 7, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0})
+	f.Add([]byte{4, 2, 0, 0, 0, 7, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0}, []byte(nil))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, reply []byte) {
 		var dec wire.Decoder
 		refused := func(what string, err error) {
 			if !errors.Is(err, errBadEnvelope) {
@@ -84,29 +89,19 @@ func FuzzProtocolEnvelope(f *testing.F) {
 		} else {
 			refused("subscribe", err)
 		}
-		if target, msg, err := decodeDGCPayload(data); err == nil {
-			t2, m2, err := decodeDGCPayload(encodeDGCPayload(target, msg))
-			if err != nil || t2 != target || m2 != msg {
-				t.Fatalf("dgc payload round trip: %v", err)
+		if obs, err := decodeDGC(data); err == nil {
+			if !bytes.Equal(encodeDGC(obs), data) {
+				t.Fatalf("dgc envelope not canonical: %x", data)
+			}
+			if resps, err := decodeDGCResponse(reply, obs); err == nil {
+				if !bytes.Equal(encodeDGCResponse(obs, resps), reply) {
+					t.Fatalf("dgc response not canonical: %x", reply)
+				}
+			} else {
+				refused("dgc response", err)
 			}
 		} else {
-			refused("dgc payload", err)
-		}
-		if entries, err := decodeDGCBatchPayload(data); err == nil {
-			again, err := decodeDGCBatchPayload(encodeDGCBatchPayload(entries))
-			if err != nil || !reflect.DeepEqual(again, entries) {
-				t.Fatalf("dgc batch round trip: %v", err)
-			}
-		} else {
-			refused("dgc batch", err)
-		}
-		if resps, err := decodeDGCBatchResponse(data); err == nil {
-			again, err := decodeDGCBatchResponse(encodeDGCBatchResponse(resps))
-			if err != nil || !reflect.DeepEqual(again, resps) {
-				t.Fatalf("dgc batch response round trip: %v", err)
-			}
-		} else {
-			refused("dgc batch response", err)
+			refused("dgc envelope", err)
 		}
 		if id, err := decodeMigrateResponse(data); err == nil {
 			if again, err := decodeMigrateResponse(encodeMigrateResponse(id, nil)); err != nil || again != id {
@@ -121,4 +116,52 @@ func FuzzProtocolEnvelope(f *testing.F) {
 			refused("migrate response", err)
 		}
 	})
+}
+
+// A DGC envelope of two messages (to 2.7 and 2.8, from 1.3, clock 42@1.3)
+// and the malformed exchanges around it that the decoders must refuse.
+var (
+	dgcTwo      = []byte{dgcTag, 2, 2, 7, 1, 3, 2, 42, 2, 8, 1, 3, 2, 42}
+	dgcTwoReply = []byte{dgcTag, 2, 0x0b, 3, 0}
+	// malformedDGC pairs a request with a reply; refuseReply marks a
+	// valid request whose reply is the fault.
+	malformedDGC = []struct {
+		name        string
+		req, reply  []byte
+		refuseReply bool
+	}{
+		{"non-minimal count", []byte{dgcTag, 0x81, 0x00, 2, 7, 1, 3, 2, 42}, nil, false},
+		{"non-minimal target seq", []byte{dgcTag, 1, 2, 0x87, 0x00, 1, 3, 2, 42}, nil, false},
+		{"unknown message flag", []byte{dgcTag, 1, 2, 7, 1, 3, 0x06, 42}, nil, false},
+		{"count past the payload", []byte{dgcTag, 3, 2, 7, 1, 3, 2, 42, 2, 8, 1, 3, 2, 42}, nil, false},
+		{"trailing bytes", append(slices.Clone(dgcTwo), 0), nil, false},
+		{"unknown response flag", dgcTwo, []byte{dgcTag, 2, 0x4b, 3, 0}, true},
+		{"response count under the request's", dgcTwo, []byte{dgcTag, 1, 0x0b, 3}, true},
+		{"response count over the request's", dgcTwo, []byte{dgcTag, 3, 0x0b, 3, 0, 0}, true},
+		{"non-minimal depth", dgcTwo, []byte{dgcTag, 2, 0x0b, 0x83, 0x00, 0}, true},
+	}
+)
+
+// TestDGCEnvelopeRefusals: each malformed DGC exchange is refused with
+// errBadEnvelope, and the well-formed one they are cut from is accepted.
+func TestDGCEnvelopeRefusals(t *testing.T) {
+	obs, err := decodeDGC(dgcTwo)
+	if err != nil || len(obs) != 2 {
+		t.Fatalf("decodeDGC(%x) = %v, %v", dgcTwo, obs, err)
+	}
+	if resps, err := decodeDGCResponse(dgcTwoReply, obs); err != nil || resps[0] == nil || resps[1] != nil {
+		t.Fatalf("decodeDGCResponse(%x) = %v, %v", dgcTwoReply, resps, err)
+	}
+	for _, c := range malformedDGC {
+		obs, err := decodeDGC(c.req)
+		if c.refuseReply {
+			if err != nil {
+				t.Fatalf("%s: request %x refused: %v", c.name, c.req, err)
+			}
+			_, err = decodeDGCResponse(c.reply, obs)
+		}
+		if !errors.Is(err, errBadEnvelope) {
+			t.Errorf("%s: got %v, want errBadEnvelope", c.name, err)
+		}
+	}
 }

@@ -158,8 +158,8 @@ func decodeUpdateFull(t *testing.T, b []byte) futureUpdate {
 }
 
 // TestGoldenEnvelopes pins the runtime envelopes: WIRE.md §3 (request,
-// future update, subscribe, single and batched DGC payloads, batch
-// response, redirect), §7 (migration envelope, migrate responses, the
+// future update, subscribe, DGC envelopes of one and two messages, DGC
+// response), §7 (migration envelope, migrate responses, the
 // checkpoint wrapper of §11) and §10 (fan-out, fan-agg). Each example is
 // encoded to exactly the checked-in bytes and decoded back to an equal
 // value.
@@ -167,9 +167,9 @@ func TestGoldenEnvelopes(t *testing.T) {
 	req := request{Target: goldenA27, Sender: goldenA13, Future: goldenF19, Method: "add", Args: wire.Int(5)}
 	upd := futureUpdate{Future: goldenF19, Value: wire.String("ok")}
 	updFailed := futureUpdate{Future: goldenF19, Failed: true, Err: "boom", Value: wire.Null()}
-	batch := []dgcBatchEntry{
-		{Target: goldenA27, Msg: goldenDGCMsg},
-		{Target: ids.ActivityID{Node: 2, Seq: 8}, Msg: core.Message{Sender: goldenA13, Clock: lamport.Clock{Value: 7, Owner: goldenA13}}},
+	batch := []core.Outbound{
+		{To: goldenA27, Msg: goldenDGCMsg},
+		{To: ids.ActivityID{Node: 2, Seq: 8}, Msg: core.Message{Sender: goldenA13, Clock: lamport.Clock{Value: 7, Owner: goldenA13}}},
 	}
 	resps := []*core.Response{&goldenDGCResp, nil}
 	ckpt := checkpoint{Env: goldenMigration, Names: []string{"counter", "ctr"}}
@@ -197,19 +197,19 @@ func TestGoldenEnvelopes(t *testing.T) {
 				fid, holder, err := decodeFutureSubscribe(b)
 				same(t, [2]any{fid, holder}, [2]any{goldenF19, ids.NodeID(4)}, err)
 			}},
-		{"dgc-single", "§3 single DGC payload: target 2.7, message from 1.3, clock 42@2.7, consensus",
-			encodeDGCPayload(goldenA27, goldenDGCMsg), func(t *testing.T, b []byte) {
-				target, msg, err := decodeDGCPayload(b)
-				same(t, dgcBatchEntry{target, msg}, batch[0], err)
+		{"dgc-single", "§3 DGC envelope (0xB7), one message: target 2.7, from 1.3, clock 42@2.7, consensus",
+			encodeDGC(batch[:1]), func(t *testing.T, b []byte) {
+				got, err := decodeDGC(b)
+				same(t, got, batch[:1], err)
 			}},
-		{"dgc-batch", "§3 batched DGC payload (0xB7): two (target, message) entries",
-			encodeDGCBatchPayload(batch), func(t *testing.T, b []byte) {
-				got, err := decodeDGCBatchPayload(b)
+		{"dgc-batch", "§3 DGC envelope (0xB7), two messages: the dgc-single one, and to 2.8 from 1.3, clock 7@1.3",
+			encodeDGC(batch), func(t *testing.T, b []byte) {
+				got, err := decodeDGC(b)
 				same(t, got, batch, err)
 			}},
-		{"dgc-batch-response", "§3 batched DGC response (0xB7): one present response (clock 42@2.7, parent, depth 3), one absent",
-			encodeDGCBatchResponse(resps), func(t *testing.T, b []byte) {
-				got, err := decodeDGCBatchResponse(b)
+		{"dgc-batch-response", "§3 DGC response (0xB7) to dgc-batch: one present response (clock 42@2.7, parent, depth 3), one absent",
+			encodeDGCResponse(batch, resps), func(t *testing.T, b []byte) {
+				got, err := decodeDGCResponse(b, batch)
 				same(t, got, resps, err)
 			}},
 		{"env-migrate", `§7 migration envelope (kind 5): 2.7 "ctr" of kind "test/counter", state {peer: Ref 1.3, total: 41}, one queued "add" from 1.3`,

@@ -243,12 +243,12 @@ func (n *Node) deliverFutureSubscribe(payload []byte) {
 	}
 }
 
-// HandleCall implements transport.Handler: DGC message → DGC response
-// exchanges, single or batched (one exchange per destination node and
-// beat when batching is on). An empty response means the target activity
-// is gone; the sender's driver ignores it (the paper omits error
-// handling; silence is indistinguishable from a slow beat and is handled
-// by the TTA machinery).
+// HandleCall implements transport.Handler: DGC messages → DGC responses,
+// one envelope each way (a single message, or one beat's messages toward
+// this node when the sender batches). An absent response means its
+// target activity is gone; the sender's driver ignores it (the paper
+// omits error handling; silence is indistinguishable from a slow beat
+// and is handled by the TTA machinery).
 func (n *Node) HandleCall(from ids.NodeID, class transport.Class, payload []byte) []byte {
 	if ag := n.env.cluster; ag != nil {
 		ag.observe(from)
@@ -271,33 +271,21 @@ func (n *Node) HandleCall(from ids.NodeID, class transport.Class, payload []byte
 		}
 		return nil
 	}
-	if isDGCBatch(payload) {
-		entries, err := decodeDGCBatchPayload(payload)
-		if err != nil {
-			return nil
-		}
-		now := n.env.cfg.Clock.Now()
-		resps := make([]*core.Response, len(entries))
-		for i, e := range entries {
-			if ao, ok := n.activity(e.Target); ok {
-				r := ao.collector.HandleMessage(e.Msg, now)
-				resps[i] = &r
-				n.redirectIfForwarder(ao, from)
-			}
-		}
-		return encodeDGCBatchResponse(resps)
-	}
-	target, msg, err := decodeDGCPayload(payload)
+	obs, err := decodeDGC(payload)
 	if err != nil {
 		return nil
 	}
-	ao, ok := n.activity(target)
-	if !ok {
-		return nil
+	now := n.env.cfg.Clock.Now()
+	resps := make([]*core.Response, len(obs))
+	got := make([]core.Response, len(obs))
+	for i, ob := range obs {
+		if ao, ok := n.activity(ob.To); ok {
+			got[i] = ao.collector.HandleMessage(ob.Msg, now)
+			resps[i] = &got[i]
+			n.redirectIfForwarder(ao, from)
+		}
 	}
-	resp := ao.collector.HandleMessage(msg, n.env.cfg.Clock.Now())
-	n.redirectIfForwarder(ao, from)
-	return core.EncodeResponse(resp)
+	return encodeDGCResponse(obs, resps)
 }
 
 // redirectIfForwarder pushes a rebinding notice back at a node that just

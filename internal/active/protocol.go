@@ -199,109 +199,62 @@ func decodeFutureSubscribe(buf []byte) (FutureID, ids.NodeID, error) {
 	return fid, holder, r.Done()
 }
 
-// dgcPayload is the DGC exchange envelope: target activity + fixed-size
-// core.Message; the core.Response (or nothing, if the target is gone)
-// rides back on the same connection.
-func encodeDGCPayload(target ids.ActivityID, msg core.Message) []byte {
-	buf := make([]byte, 0, 8+core.MessageWireSize)
-	buf = wire.AppendID(buf, target)
-	return append(buf, core.EncodeMessage(msg)...)
-}
+// dgcTag opens every DGC exchange (WIRE.md §3), request and response
+// alike: tag, uvarint count, then count core records. A request carries
+// the (target, message) records of one beat toward one node — a single
+// message when the node beats each message on its own — and its response
+// one record per message, in the same order.
+const dgcTag byte = 0xB7
 
-func decodeDGCPayload(buf []byte) (ids.ActivityID, core.Message, error) {
-	var r wire.Reader
-	r.Reset(buf, errBadEnvelope)
-	e := readDGCEntry(&r)
-	return e.Target, e.Msg, r.Done()
-}
-
-// readDGCEntry reads one 8 B target + fixed-size core.Message pair.
-func readDGCEntry(r *wire.Reader) dgcBatchEntry {
-	e := dgcBatchEntry{Target: r.ID()}
-	if b := r.Next(core.MessageWireSize); b != nil {
-		e.Msg, _ = core.DecodeMessage(b) // fails only on a short buffer
-	}
-	return e
-}
-
-// dgcSingleSize is the exact length of a single-message DGC payload. A
-// batched payload always differs (tag + count prefix ahead of 33-byte
-// entries), which is how HandleCall tells the two apart without a version
-// byte in the single-message format.
-const dgcSingleSize = 8 + core.MessageWireSize
-
-// dgcBatchTag marks a batched DGC payload (and its batched response):
-// with batching enabled, one beat ships every due message toward a
-// destination node in a single exchange instead of one call per
-// (referencer, referenced) pair.
-const dgcBatchTag byte = 0xB7
-
-// isDGCBatch reports whether a ClassDGC payload is a batch envelope.
-func isDGCBatch(buf []byte) bool {
-	return len(buf) > 0 && buf[0] == dgcBatchTag && len(buf) != dgcSingleSize
-}
-
-// dgcBatchEntry is one (target, message) pair of a batched beat.
-type dgcBatchEntry struct {
-	Target ids.ActivityID
-	Msg    core.Message
-}
-
-// encodeDGCBatchPayload packs entries as: tag byte, uvarint count, then
-// count × (8 B target + core.MessageWireSize message).
-func encodeDGCBatchPayload(entries []dgcBatchEntry) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen32+len(entries)*dgcSingleSize)
-	buf = append(buf, dgcBatchTag)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = wire.AppendID(buf, e.Target)
-		buf = append(buf, core.EncodeMessage(e.Msg)...)
+// encodeDGC packs the messages of one exchange.
+func encodeDGC(obs []core.Outbound) []byte {
+	buf := make([]byte, 0, 1+binary.MaxVarintLen32+len(obs)*core.MaxMessageSize)
+	buf = append(buf, dgcTag)
+	buf = binary.AppendUvarint(buf, uint64(len(obs)))
+	for _, ob := range obs {
+		buf = core.AppendMessage(buf, ob)
 	}
 	return buf
 }
 
-func decodeDGCBatchPayload(buf []byte) ([]dgcBatchEntry, error) {
+func decodeDGC(buf []byte) ([]core.Outbound, error) {
 	var r wire.Reader
 	r.Reset(buf, errBadEnvelope)
-	r.Expect(dgcBatchTag)
-	entries := make([]dgcBatchEntry, r.Count(r.Len()/dgcSingleSize))
-	for i := range entries {
-		entries[i] = readDGCEntry(&r)
+	r.Expect(dgcTag)
+	obs := make([]core.Outbound, r.Count(r.Len()/core.MinMessageSize))
+	for i := range obs {
+		obs[i] = core.ReadMessage(&r)
 	}
-	return entries, r.Done()
+	return obs, r.Done()
 }
 
-// encodeDGCBatchResponse packs the per-entry responses positionally: tag
-// byte, uvarint count, then count × (1 B present flag + response when
-// present). An absent response means the entry's target is gone — the
-// batched equivalent of the empty single-exchange response.
-func encodeDGCBatchResponse(resps []*core.Response) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen32+len(resps)*(1+core.ResponseWireSize))
-	buf = append(buf, dgcBatchTag)
+// encodeDGCResponse packs the responses to obs positionally; a nil
+// response means its target is gone.
+func encodeDGCResponse(obs []core.Outbound, resps []*core.Response) []byte {
+	buf := make([]byte, 0, 1+binary.MaxVarintLen32+len(resps)*core.MaxResponseSize)
+	buf = append(buf, dgcTag)
 	buf = binary.AppendUvarint(buf, uint64(len(resps)))
-	for _, r := range resps {
-		if r == nil {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		buf = append(buf, core.EncodeResponse(*r)...)
+	for i, r := range resps {
+		buf = core.AppendResponse(buf, r, obs[i].Msg.Clock)
 	}
 	return buf
 }
 
-func decodeDGCBatchResponse(buf []byte) ([]*core.Response, error) {
+// decodeDGCResponse reads the response to the exchange of obs, refusing
+// one whose count is not theirs.
+func decodeDGCResponse(buf []byte, obs []core.Outbound) ([]*core.Response, error) {
 	var r wire.Reader
 	r.Reset(buf, errBadEnvelope)
-	r.Expect(dgcBatchTag)
-	resps := make([]*core.Response, r.Count(r.Len()))
-	for i := range resps {
-		if r.Byte() == 0 {
-			continue
-		}
-		if b := r.Next(core.ResponseWireSize); b != nil {
-			resp, _ := core.DecodeResponse(b) // fails only on a short buffer
-			resps[i] = &resp
+	r.Expect(dgcTag)
+	if r.Count(len(obs)) != len(obs) {
+		r.Fail()
+	}
+	resps := make([]*core.Response, len(obs))
+	got := make([]core.Response, len(obs))
+	for i, ob := range obs {
+		if resp, present := core.ReadResponse(&r, ob.Msg.Clock); present {
+			got[i] = resp
+			resps[i] = &got[i]
 		}
 	}
 	return resps, r.Done()

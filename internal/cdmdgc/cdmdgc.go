@@ -9,8 +9,8 @@
 // The paper's critique, which this package exists to quantify: "the
 // growth of the message is limited only by the total size of the
 // distributed system, so the communication overhead can become large" —
-// versus the paper's fixed 25-byte messages. BenchmarkCDMMessageGrowth
-// measures exactly that.
+// versus the paper's bounded-size DGC records (core.MaxMessageSize).
+// BenchmarkCDMMessageGrowth measures exactly that.
 //
 // Simplifications (documented, acceptable for a complexity comparator):
 // the harness runs on the deterministic DES; referencer lists are

@@ -513,6 +513,7 @@ func (c *Collector) Tick(now time.Time) TickResult {
 	// to every other referenced activity only the local agreement is
 	// reported (§3.2 "DGC Messages and Responses").
 	out := make([]Outbound, 0, len(c.referenced))
+	lost := 0
 	for dest, d := range c.referenced {
 		consensus := idle &&
 			d.hasResponse && d.lastResponse.Clock.Equal(c.clock) &&
@@ -526,8 +527,14 @@ func (c *Collector) Tick(now time.Time) TickResult {
 		if d.removeAfterSend {
 			delete(c.referenced, dest)
 			c.emit(Event{Time: now, Kind: EventReferencedLost, Peer: dest})
-			c.advanceClockLocked(now)
+			lost++
 		}
+	}
+	// A lost referenced advances the clock only once every message of
+	// the beat is built, so they all carry the clock the beat started
+	// with instead of one that depends on map order.
+	for ; lost > 0; lost-- {
+		c.advanceClockLocked(now)
 	}
 	if c.refPeak >= 256 && len(c.referenced) < c.refPeak/4 {
 		// Go maps keep the buckets of their largest size: rebuild, so a

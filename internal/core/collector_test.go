@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/lamport"
+	"repro/internal/wire"
 )
 
 // --- Acyclic collection (§3.1) -------------------------------------------
@@ -97,6 +100,35 @@ func TestMustSendOnceKeepsQuicklyDroppedReferenceAlive(t *testing.T) {
 	}
 	if got := g.collectors[b].Referencers(); len(got) != 1 {
 		t.Fatalf("b.Referencers() = %v, want the one mandatory message recorded", got)
+	}
+}
+
+// TestBeatMessagesShareOneClock: a beat that drops a quickly-lost
+// referenced after its mandatory message sends every message with the
+// clock the beat started with, and only then advances the clock, so
+// the messages do not depend on the map order of the referenced set.
+func TestBeatMessagesShareOneClock(t *testing.T) {
+	now := time.Unix(0, 0)
+	self := ids.ActivityID{Node: 1, Seq: 1}
+	c := New(self, Config{TTB: 30 * time.Second, TTA: 61 * time.Second}, func() bool { return false }, now)
+	for seq := uint32(1); seq <= 16; seq++ {
+		c.AddReferenced(ids.ActivityID{Node: 2, Seq: seq}, now)
+	}
+	for seq := uint32(1); seq <= 16; seq += 4 {
+		c.LostReferenced(ids.ActivityID{Node: 2, Seq: seq}, now) // before any send
+	}
+	start := c.Clock()
+	res := c.Tick(now.Add(30 * time.Second))
+	if len(res.Messages) != 16 {
+		t.Fatalf("beat sent %d messages, want 16 (the lost ones once)", len(res.Messages))
+	}
+	for _, ob := range res.Messages {
+		if ob.Msg.Clock != start {
+			t.Fatalf("message to %v carries %v, want the beat's starting clock %v", ob.To, ob.Msg.Clock, start)
+		}
+	}
+	if got := c.Clock(); got.Value != start.Value+4 || got.Owner != self {
+		t.Fatalf("clock after the beat = %v, want 4 advances past %v", got, start)
 	}
 }
 
@@ -560,8 +592,8 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		Consensus: true,
 	}
 	buf := EncodeMessage(m)
-	if len(buf) != MessageWireSize {
-		t.Fatalf("encoded size = %d, want %d (fixed)", len(buf), MessageWireSize)
+	if len(buf) > MaxMessageSize {
+		t.Fatalf("encoded size = %d, over the bound %d", len(buf), MaxMessageSize)
 	}
 	got, err := DecodeMessage(buf)
 	if err != nil {
@@ -570,33 +602,92 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	if got != m {
 		t.Fatalf("round-trip = %+v, want %+v", got, m)
 	}
+	// With a target, and with the owner elided because it is the sender.
+	for _, ob := range []Outbound{
+		{To: ids.ActivityID{Node: 2, Seq: 8}, Msg: m},
+		{To: ids.ActivityID{Node: 2, Seq: 8}, Msg: Message{Sender: m.Sender, Clock: lamport.Clock{Value: 5, Owner: m.Sender}}},
+	} {
+		var r wire.Reader
+		r.Reset(AppendMessage(nil, ob), ErrBadRecord)
+		if got := ReadMessage(&r); r.Done() != nil || got != ob {
+			t.Fatalf("record round-trip = %+v, %v, want %+v", got, r.Err(), ob)
+		}
+	}
 }
 
 func TestResponseCodecRoundTrip(t *testing.T) {
-	r := Response{
-		Clock:            lamport.Clock{Value: 5, Owner: ids.ActivityID{Node: 2, Seq: 9}},
-		HasParent:        true,
-		ConsensusReached: true,
+	sent := lamport.Clock{Value: 5, Owner: ids.ActivityID{Node: 2, Seq: 9}}
+	for _, resp := range []Response{
+		{Clock: sent, HasParent: true, ConsensusReached: true},
+		{Clock: lamport.Clock{Value: 6, Owner: sent.Owner}, HasParent: true, Depth: 3},
+	} {
+		buf := AppendResponse(nil, &resp, sent)
+		if len(buf) > MaxResponseSize {
+			t.Fatalf("encoded size = %d, over the bound %d", len(buf), MaxResponseSize)
+		}
+		var r wire.Reader
+		r.Reset(buf, ErrBadRecord)
+		if got, present := ReadResponse(&r, sent); r.Done() != nil || !present || got != resp {
+			t.Fatalf("round-trip = %+v, %v, %v, want %+v", got, present, r.Err(), resp)
+		}
 	}
-	buf := EncodeResponse(r)
-	if len(buf) != ResponseWireSize {
-		t.Fatalf("encoded size = %d, want %d (fixed)", len(buf), ResponseWireSize)
-	}
-	got, err := DecodeResponse(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != r {
-		t.Fatalf("round-trip = %+v, want %+v", got, r)
+	// An absent response (target gone) is its one flags byte.
+	var r wire.Reader
+	r.Reset(AppendResponse(nil, nil, sent), ErrBadRecord)
+	if _, present := ReadResponse(&r, sent); present || r.Len() != 0 || r.Done() != nil {
+		t.Fatalf("absent response read back present=%v err=%v", present, r.Err())
 	}
 }
 
+// TestCodecShortBuffers: every proper prefix of a record is refused.
 func TestCodecShortBuffers(t *testing.T) {
-	if _, err := DecodeMessage(make([]byte, MessageWireSize-1)); err == nil {
-		t.Fatal("DecodeMessage accepted a short buffer")
+	m := Message{
+		Sender: ids.ActivityID{Node: 300, Seq: 70000},
+		Clock:  lamport.Clock{Value: 1 << 40, Owner: ids.ActivityID{Node: 1, Seq: 2}},
 	}
-	if _, err := DecodeResponse(make([]byte, ResponseWireSize-1)); err == nil {
-		t.Fatal("DecodeResponse accepted a short buffer")
+	buf := EncodeMessage(m)
+	for n := range buf {
+		if _, err := DecodeMessage(buf[:n]); !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("DecodeMessage accepted a %d-byte prefix of %d: %v", n, len(buf), err)
+		}
+	}
+	resp := Response{Clock: m.Clock, HasParent: true, Depth: 1 << 20}
+	buf = AppendResponse(nil, &resp, lamport.Clock{})
+	for n := range buf {
+		var r wire.Reader
+		r.Reset(buf[:n], ErrBadRecord)
+		ReadResponse(&r, lamport.Clock{})
+		if r.Done() == nil {
+			t.Fatalf("ReadResponse accepted a %d-byte prefix of %d", n, len(buf))
+		}
+	}
+}
+
+// TestCodecWorstCaseBounds holds a record with every identifier, clock
+// and depth field at its maximum, and nothing elided, to exactly the
+// bounds §4.3's O(1) message size rests on, and the shortest message
+// record to the size that caps a payload's record count.
+func TestCodecWorstCaseBounds(t *testing.T) {
+	maxID := ids.ActivityID{Node: math.MaxUint32, Seq: math.MaxUint32}
+	other := ids.ActivityID{Node: math.MaxUint32, Seq: math.MaxUint32 - 1}
+	clock := lamport.Clock{Value: math.MaxUint64, Owner: other}
+	for _, c := range []struct {
+		name      string
+		enc       []byte
+		want, max int
+	}{
+		{"message", AppendMessage(nil, Outbound{To: maxID, Msg: Message{Sender: maxID, Clock: clock, Consensus: true}}),
+			MaxMessageSize, 41},
+		{"response", AppendResponse(nil, &Response{Clock: clock, HasParent: true, ConsensusReached: true, Depth: math.MaxUint32},
+			lamport.Clock{}), MaxResponseSize, 26},
+	} {
+		if len(c.enc) != c.want || c.want != c.max {
+			t.Errorf("worst-case %s record = %d B, bound %d B, documented %d B", c.name, len(c.enc), c.want, c.max)
+		}
+	}
+	small := ids.ActivityID{Node: 1, Seq: 1}
+	if got := AppendMessage(nil, Outbound{To: small, Msg: Message{Sender: small, Clock: lamport.Clock{Owner: small}}}); len(got) != MinMessageSize {
+		t.Errorf("shortest message record = %d B, MinMessageSize %d B", len(got), MinMessageSize)
 	}
 }
 

@@ -27,15 +27,16 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/ids"
 	"repro/internal/lamport"
+	"repro/internal/wire"
 )
 
 // Message is a DGC message, sent every TTB from a referencer to each of its
-// referenced activities (§3.2 "DGC Messages and Responses"). It is fixed
-// size, which the paper's complexity analysis (§4.3) relies on.
+// referenced activities (§3.2 "DGC Messages and Responses"). Its record
+// has a bounded size (MaxMessageSize), which the paper's complexity
+// analysis (§4.3) relies on.
 type Message struct {
 	// Sender identifies the referencer. The recipient stores it in its
 	// referencer list; it is never used to open a connection back.
@@ -68,92 +69,156 @@ type Response struct {
 	Depth uint32
 }
 
-// ErrShortBuffer indicates a DGC payload that cannot hold a full message or
-// response.
-var ErrShortBuffer = errors.New("core: short DGC payload")
+// ErrBadRecord reports a DGC record DecodeMessage refuses: short,
+// trailing bytes, or not the one canonical encoding of its message.
+var ErrBadRecord = errors.New("core: malformed DGC record")
 
-// Wire sizes: fixed-size little-endian encoding, matching the paper's
-// "fixed size" claim for DGC traffic.
+// DGC records (WIRE.md §3) are varints: an activity identifier is its
+// node then its sequence number, each a uvarint, and a clock is its value
+// as a uvarint then its owner's identifier. A flags byte lets the common
+// cases drop a field: a message whose clock owner is its sender, a
+// response that echoes the message's clock. Every record has exactly one
+// valid encoding, and none is longer than its bound:
 const (
-	// MessageWireSize is the encoded size of a Message in bytes.
-	MessageWireSize = 4 + 4 + 8 + 4 + 4 + 1
-	// ResponseWireSize is the encoded size of a Response in bytes.
-	ResponseWireSize = 8 + 4 + 4 + 1 + 1 + 4
+	maxIDSize    = 2 * binary.MaxVarintLen32
+	maxClockSize = binary.MaxVarintLen64 + maxIDSize
+	// MaxMessageSize bounds a message record: target, sender, flags,
+	// clock.
+	MaxMessageSize = 2*maxIDSize + 1 + maxClockSize
+	// MaxResponseSize bounds a response record: flags, clock, depth.
+	MaxResponseSize = 1 + maxClockSize + binary.MaxVarintLen32
+	// MinMessageSize is the shortest message record: one byte per
+	// varint and the owner elided. It caps how many records a payload
+	// can claim.
+	MinMessageSize = 2*2 + 1 + 1
 )
 
-func putActivityID(dst []byte, id ids.ActivityID) {
-	binary.LittleEndian.PutUint32(dst[0:], uint32(id.Node))
-	binary.LittleEndian.PutUint32(dst[4:], id.Seq)
+// Message flags.
+const (
+	msgConsensus     = 1 << iota // Message.Consensus
+	msgOwnerIsSender             // the clock owner is the sender: no owner field
+	msgFlags         = msgConsensus | msgOwnerIsSender
+)
+
+// Response flags. A record without respPresent stands for a target that
+// is gone, and is that one byte.
+const (
+	respPresent     = 1 << iota
+	respHasParent   // Response.HasParent
+	respConsensus   // Response.ConsensusReached
+	respClockIsSent // the clock is the message's own: no clock field
+	respFlags       = respPresent | respHasParent | respConsensus | respClockIsSent
+)
+
+func appendID(buf []byte, id ids.ActivityID) []byte {
+	buf = binary.AppendUvarint(buf, uint64(id.Node))
+	return binary.AppendUvarint(buf, uint64(id.Seq))
 }
 
-func getActivityID(src []byte) ids.ActivityID {
-	return ids.ActivityID{
-		Node: ids.NodeID(binary.LittleEndian.Uint32(src[0:])),
-		Seq:  binary.LittleEndian.Uint32(src[4:]),
-	}
+func readID(r *wire.Reader) ids.ActivityID {
+	return ids.ActivityID{Node: ids.NodeID(r.Uvarint32()), Seq: r.Uvarint32()}
 }
 
-func putClock(dst []byte, c lamport.Clock) {
-	binary.LittleEndian.PutUint64(dst[0:], c.Value)
-	putActivityID(dst[8:], c.Owner)
-}
-
-func getClock(src []byte) lamport.Clock {
-	return lamport.Clock{
-		Value: binary.LittleEndian.Uint64(src[0:]),
-		Owner: getActivityID(src[8:]),
-	}
-}
-
-func putBool(dst []byte, b bool) {
+func flag(b bool, f byte) byte {
 	if b {
-		dst[0] = 1
-	} else {
-		dst[0] = 0
+		return f
 	}
+	return 0
 }
 
-// EncodeMessage serializes m into a fresh buffer of MessageWireSize bytes.
-func EncodeMessage(m Message) []byte {
-	buf := make([]byte, MessageWireSize)
-	putActivityID(buf[0:], m.Sender)
-	putClock(buf[8:], m.Clock)
-	putBool(buf[24:], m.Consensus)
+// AppendMessage appends ob's message, addressed to ob.To, as one record.
+func AppendMessage(buf []byte, ob Outbound) []byte {
+	m := ob.Msg
+	ownerIsSender := m.Clock.Owner == m.Sender
+	buf = appendID(buf, ob.To)
+	buf = appendID(buf, m.Sender)
+	buf = append(buf, flag(m.Consensus, msgConsensus)|flag(ownerIsSender, msgOwnerIsSender))
+	buf = binary.AppendUvarint(buf, m.Clock.Value)
+	if !ownerIsSender {
+		buf = appendID(buf, m.Clock.Owner)
+	}
 	return buf
+}
+
+// ReadMessage reads one record AppendMessage wrote. A record that is
+// short, sets an unknown flag or spells out an owner it could have
+// elided fails r.
+func ReadMessage(r *wire.Reader) Outbound {
+	ob := Outbound{To: readID(r)}
+	m := &ob.Msg
+	m.Sender = readID(r)
+	flags := r.Byte()
+	m.Consensus = flags&msgConsensus != 0
+	m.Clock.Value = r.Uvarint()
+	if flags&msgOwnerIsSender != 0 {
+		m.Clock.Owner = m.Sender
+	} else if m.Clock.Owner = readID(r); m.Clock.Owner == m.Sender {
+		r.Fail()
+	}
+	if flags&^msgFlags != 0 {
+		r.Fail()
+	}
+	return ob
+}
+
+// AppendResponse appends resp, the answer to a message whose clock was
+// sent, as one record; nil stands for a target that is gone.
+func AppendResponse(buf []byte, resp *Response, sent lamport.Clock) []byte {
+	if resp == nil {
+		return append(buf, 0)
+	}
+	clockIsSent := resp.Clock == sent
+	buf = append(buf, respPresent|flag(resp.HasParent, respHasParent)|
+		flag(resp.ConsensusReached, respConsensus)|flag(clockIsSent, respClockIsSent))
+	if !clockIsSent {
+		buf = binary.AppendUvarint(buf, resp.Clock.Value)
+		buf = appendID(buf, resp.Clock.Owner)
+	}
+	return binary.AppendUvarint(buf, uint64(resp.Depth))
+}
+
+// ReadResponse reads one record AppendResponse wrote for a message whose
+// clock was sent, and reports whether a response was present. A record
+// that is short, sets an unknown flag or spells out a clock it could
+// have elided fails r.
+func ReadResponse(r *wire.Reader, sent lamport.Clock) (Response, bool) {
+	flags := r.Byte()
+	if flags&respPresent == 0 {
+		if flags != 0 {
+			r.Fail()
+		}
+		return Response{}, false
+	}
+	resp := Response{
+		HasParent:        flags&respHasParent != 0,
+		ConsensusReached: flags&respConsensus != 0,
+		Clock:            sent,
+	}
+	if flags&respClockIsSent == 0 {
+		resp.Clock = lamport.Clock{Value: r.Uvarint(), Owner: readID(r)}
+		if resp.Clock == sent {
+			r.Fail()
+		}
+	}
+	resp.Depth = r.Uvarint32()
+	if flags&^respFlags != 0 {
+		r.Fail()
+	}
+	return resp, true
+}
+
+// EncodeMessage encodes m as one record with no target (ids.Nil).
+func EncodeMessage(m Message) []byte {
+	return AppendMessage(make([]byte, 0, MaxMessageSize), Outbound{Msg: m})
 }
 
 // DecodeMessage is the inverse of EncodeMessage.
 func DecodeMessage(buf []byte) (Message, error) {
-	if len(buf) < MessageWireSize {
-		return Message{}, fmt.Errorf("%w: message needs %d bytes, got %d", ErrShortBuffer, MessageWireSize, len(buf))
+	var r wire.Reader
+	r.Reset(buf, ErrBadRecord)
+	ob := ReadMessage(&r)
+	if err := r.Done(); err != nil || !ob.To.IsNil() {
+		return Message{}, ErrBadRecord
 	}
-	return Message{
-		Sender:    getActivityID(buf[0:]),
-		Clock:     getClock(buf[8:]),
-		Consensus: buf[24] != 0,
-	}, nil
-}
-
-// EncodeResponse serializes r into a fresh buffer of ResponseWireSize
-// bytes.
-func EncodeResponse(r Response) []byte {
-	buf := make([]byte, ResponseWireSize)
-	putClock(buf[0:], r.Clock)
-	putBool(buf[16:], r.HasParent)
-	putBool(buf[17:], r.ConsensusReached)
-	binary.LittleEndian.PutUint32(buf[18:], r.Depth)
-	return buf
-}
-
-// DecodeResponse is the inverse of EncodeResponse.
-func DecodeResponse(buf []byte) (Response, error) {
-	if len(buf) < ResponseWireSize {
-		return Response{}, fmt.Errorf("%w: response needs %d bytes, got %d", ErrShortBuffer, ResponseWireSize, len(buf))
-	}
-	return Response{
-		Clock:            getClock(buf[0:]),
-		HasParent:        buf[16] != 0,
-		ConsensusReached: buf[17] != 0,
-		Depth:            binary.LittleEndian.Uint32(buf[18:]),
-	}, nil
+	return ob.Msg, nil
 }

@@ -8,14 +8,15 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/lamport"
+	"repro/internal/wire"
 )
 
 func randomActivityID(r *rand.Rand) ids.ActivityID {
 	return ids.ActivityID{Node: ids.NodeID(r.Uint32()), Seq: r.Uint32()}
 }
 
-// TestMessageCodecProperty: every message round-trips through the fixed-
-// size codec.
+// TestMessageCodecProperty: every message round-trips through its
+// record, within the bound.
 func TestMessageCodecProperty(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 500,
@@ -28,8 +29,9 @@ func TestMessageCodecProperty(t *testing.T) {
 		},
 	}
 	prop := func(m Message) bool {
-		got, err := DecodeMessage(EncodeMessage(m))
-		return err == nil && got == m
+		buf := EncodeMessage(m)
+		got, err := DecodeMessage(buf)
+		return err == nil && got == m && len(buf) <= MaxMessageSize
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
@@ -37,7 +39,8 @@ func TestMessageCodecProperty(t *testing.T) {
 }
 
 // TestResponseCodecProperty: every response round-trips, including the
-// §7.2 depth field.
+// §7.2 depth field, within the bound, whether or not its clock is the
+// message's.
 func TestResponseCodecProperty(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 500,
@@ -51,8 +54,16 @@ func TestResponseCodecProperty(t *testing.T) {
 		},
 	}
 	prop := func(resp Response) bool {
-		got, err := DecodeResponse(EncodeResponse(resp))
-		return err == nil && got == resp
+		for _, sent := range []lamport.Clock{resp.Clock, {Value: resp.Clock.Value + 1}} {
+			buf := AppendResponse(nil, &resp, sent)
+			var r wire.Reader
+			r.Reset(buf, ErrBadRecord)
+			got, present := ReadResponse(&r, sent)
+			if r.Done() != nil || !present || got != resp || len(buf) > MaxResponseSize {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)

@@ -17,13 +17,12 @@ import (
 	"repro/internal/ids"
 )
 
-// Wire sizes used for traffic accounting, matching the live runtime's
-// envelopes: a DGC message payload is the 8-byte target header plus the
-// fixed-size message; the response rides back on the same connection.
-const (
-	dgcMessageBytes  = 8 + core.MessageWireSize
-	dgcResponseBytes = core.ResponseWireSize
-)
+// dgcEnvelopeBytes is the tag and count byte of the live runtime's
+// one-message DGC envelope (WIRE.md §3). Traffic accounting charges each
+// message and each response that envelope plus its record's encoded
+// length, as the live runtime sends it when it beats each message on its
+// own.
+const dgcEnvelopeBytes = 2
 
 // Config parameterizes a World.
 type Config struct {
@@ -84,6 +83,7 @@ type World struct {
 	traffic   Traffic
 	samples   []Sample
 	sampling  bool
+	scratch   []byte // encodes DGC records to count their bytes
 }
 
 // NewWorld creates an empty world at virtual time zero.
@@ -326,7 +326,8 @@ func (a *Activity) beat() {
 		}
 		crossNode := dst.node != a.node
 		if crossNode {
-			w.traffic.DGCBytes += dgcMessageBytes
+			w.scratch = core.AppendMessage(w.scratch[:0], ob)
+			w.traffic.DGCBytes += uint64(dgcEnvelopeBytes + len(w.scratch))
 			w.traffic.DGCMessages++
 		}
 		w.eng.After(w.latency(a.node, dst.node), func() {
@@ -335,7 +336,8 @@ func (a *Activity) beat() {
 			}
 			resp := dst.collector.HandleMessage(ob.Msg, w.eng.Now())
 			if crossNode {
-				w.traffic.DGCBytes += dgcResponseBytes
+				w.scratch = core.AppendResponse(w.scratch[:0], &resp, ob.Msg.Clock)
+				w.traffic.DGCBytes += uint64(dgcEnvelopeBytes + len(w.scratch))
 				w.traffic.DGCMessages++
 			}
 			w.eng.After(w.latency(dst.node, a.node), func() {

@@ -75,8 +75,9 @@ var ErrCallTimeout = errors.New("tcpnet: call timed out")
 // process's nodes with Register, stop with Close. It implements
 // transport.Transport.
 type Network struct {
-	cfg Config
-	ln  net.Listener
+	cfg  Config
+	ln   net.Listener
+	addr string // ln's address, formatted once: route hands it out per send
 
 	mu       sync.Mutex
 	handlers map[ids.NodeID]transport.Handler
@@ -133,6 +134,7 @@ func New(cfg Config) (*Network, error) {
 	n := &Network{
 		cfg:      cfg,
 		ln:       ln,
+		addr:     ln.Addr().String(),
 		handlers: make(map[ids.NodeID]transport.Handler),
 		peers:    make(map[ids.NodeID]string),
 		conns:    make(map[pairKey]*clientConn),
@@ -145,7 +147,7 @@ func New(cfg Config) (*Network, error) {
 
 // Addr returns the address the listener is bound to (useful with an
 // ephemeral Listen port: other processes pass it to AddPeer).
-func (n *Network) Addr() string { return n.ln.Addr().String() }
+func (n *Network) Addr() string { return n.addr }
 
 // MaxComm returns the configured upper bound on one-way communication
 // time.
@@ -365,7 +367,7 @@ func (n *Network) route(src, dst ids.NodeID, size int) (transport.Handler, strin
 	case size > maxPayloadSize:
 		return nil, "", fmt.Errorf("tcpnet: payload %d bytes exceeds frame limit %d", size, maxPayloadSize)
 	case !remote:
-		addr = n.ln.Addr().String()
+		addr = n.addr
 	}
 	return nil, addr, nil
 }

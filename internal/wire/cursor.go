@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/ids"
 )
@@ -35,14 +36,16 @@ func (r *Reader) Err() error { return r.err }
 // failure too.
 func (r *Reader) Done() error {
 	if len(r.buf) != 0 {
-		r.fail()
+		r.Fail()
 	}
 	return r.err
 }
 
-// fail records the sentinel unless an earlier read already failed, and
-// drops the unread bytes, so every later read fails its length check.
-func (r *Reader) fail() {
+// Fail records the sentinel unless an earlier read already failed, and
+// drops the unread bytes, so every later read fails its length check. A
+// decoder calls it for a field that reads fine but breaks the layout's
+// rules (an unknown flag bit, a non-canonical choice).
+func (r *Reader) Fail() {
 	if r.err == nil {
 		r.err = r.bad
 	}
@@ -53,7 +56,7 @@ func (r *Reader) fail() {
 // envelope opens with.
 func (r *Reader) Expect(tag byte) {
 	if len(r.buf) == 0 || r.buf[0] != tag {
-		r.fail()
+		r.Fail()
 		return
 	}
 	r.buf = r.buf[1:]
@@ -66,7 +69,7 @@ func (r *Reader) Len() int { return len(r.buf) }
 // appending to them cannot clobber what follows).
 func (r *Reader) Next(n int) []byte {
 	if uint(n) > uint(len(r.buf)) {
-		r.fail()
+		r.Fail()
 		return nil
 	}
 	b := r.buf[:n:n]
@@ -101,11 +104,21 @@ func (r *Reader) U64() uint64 {
 	return 0
 }
 
+// Uvarint32 reads a minimally encoded uvarint that must fit 32 bits.
+func (r *Reader) Uvarint32() uint32 {
+	x := r.Uvarint()
+	if x > math.MaxUint32 {
+		r.Fail()
+		return 0
+	}
+	return uint32(x)
+}
+
 // Uvarint reads a minimally encoded uvarint.
 func (r *Reader) Uvarint() uint64 {
 	x, n := binary.Uvarint(r.buf)
 	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -118,7 +131,7 @@ func (r *Reader) Uvarint() uint64 {
 func (r *Reader) Count(max int) int {
 	n := r.Uvarint()
 	if n > uint64(max) || n > uint64(len(r.buf)) {
-		r.fail()
+		r.Fail()
 		return 0
 	}
 	return int(n)
@@ -133,7 +146,7 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 // ID reads an activity identifier.
 func (r *Reader) ID() ids.ActivityID {
 	if len(r.buf) < 8 {
-		r.fail()
+		r.Fail()
 		return ids.Nil
 	}
 	id := ids.ActivityID{

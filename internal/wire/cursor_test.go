@@ -10,7 +10,8 @@ import (
 // TestReaderContract pins what every envelope decoder relies on: reads
 // mirror the Append* helpers, the first failure sticks with the caller's
 // sentinel and zeroes every later read, and the shared guards (minimal
-// uvarints, bounded counts, the kind byte, no trailing bytes) refuse.
+// uvarints, 32-bit uvarints, bounded counts, the kind byte, no trailing
+// bytes, a decoder's own Fail) refuse.
 func TestReaderContract(t *testing.T) {
 	bad := errors.New("bad envelope")
 	id := ids.ActivityID{Node: 1, Seq: 300}
@@ -35,6 +36,8 @@ func TestReaderContract(t *testing.T) {
 		read func(*Reader)
 	}{
 		{"non-minimal uvarint", []byte{0x80, 0x00}, func(r *Reader) { r.Uvarint() }},
+		{"uvarint past 32 bits", []byte{0x80, 0x80, 0x80, 0x80, 0x10}, func(r *Reader) { r.Uvarint32() }},
+		{"failed by the decoder", []byte{0}, func(r *Reader) { r.Byte(); r.Fail() }},
 		{"count over its cap", []byte{3, 0, 0, 0}, func(r *Reader) { r.Count(2) }},
 		{"count over the bytes left", []byte{3, 0, 0}, func(r *Reader) { r.Count(10) }},
 		{"wrong kind byte", []byte{2}, func(r *Reader) { r.Expect(1) }},

@@ -90,14 +90,14 @@ func (r *Reader) skipRefFree(depth int) { r.walk(depth, nil, true) }
 // or a non-canonical encoding.
 func (r *Reader) walk(depth int, futs []FutureRef, strict bool) []FutureRef {
 	if depth > maxDepth {
-		r.fail()
+		r.Fail()
 		return futs
 	}
 	switch Kind(r.Byte()) {
 	case KindNull:
 	case KindBool:
 		if r.Byte() > 1 && strict {
-			r.fail()
+			r.Fail()
 		}
 	case KindInt:
 		r.Uvarint() // a zig-zag varint is canonical iff its uvarint is
@@ -114,20 +114,20 @@ func (r *Reader) walk(depth int, futs []FutureRef, strict bool) []FutureRef {
 		for i, n := 0, r.Count(r.Len()); i < n && r.err == nil; i++ {
 			key := r.Bytes()
 			if strict && i > 0 && string(key) <= string(prev) {
-				r.fail()
+				r.Fail()
 			}
 			prev = key
 			futs = r.walk(depth+1, futs, strict)
 		}
 	case KindRef:
 		if strict {
-			r.fail()
+			r.Fail()
 		}
 		r.Uvarint()
 		r.Uvarint()
 	case KindFuture:
 		if strict {
-			r.fail()
+			r.Fail()
 		}
 		fr := FutureRef{
 			ID:    ids.FutureID{Node: ids.NodeID(r.Uvarint()), Seq: uint32(r.Uvarint())},
@@ -137,7 +137,7 @@ func (r *Reader) walk(depth int, futs []FutureRef, strict bool) []FutureRef {
 			futs = append(futs, fr)
 		}
 	default:
-		r.fail() // no kind at all
+		r.Fail() // no kind at all
 	}
 	return futs
 }
