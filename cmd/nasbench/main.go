@@ -1,8 +1,8 @@
 // Command nasbench regenerates the paper's Fig. 8 (bandwidth overhead)
 // and Fig. 9 (time overhead and DGC time) tables: each NAS kernel runs
 // once without the DGC (explicit termination) and once with it, on the
-// scaled Grid'5000 topology with the paper's TTB=30s / TTA=61s on a
-// compressed clock.
+// scaled Grid'5000 topology with the paper's TTB=30s / TTA=61s,
+// compressed into wall time by nas.Run's scale factor.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Command griddeploy runs the library at the paper's own operating point:
 // the Grid'5000 three-site topology of §5.1 (real measured RTTs between
-// Bordeaux, Sophia and Rennes), the paper's TTB = 30 s / TTA = 150 s, on
-// a 1000× compressed clock — so thirty paper-minutes fit in under two
+// Bordeaux, Sophia and Rennes), the paper's TTB = 30 s / TTA = 150 s,
+// compressed 1000× — so thirty paper-minutes fit in under two
 // wall-seconds. A chain of inter-site service dependencies ending in a
 // cross-site cycle is deployed, health-checked with a typed group
 // broadcast, used, abandoned, and reclaimed.
@@ -15,6 +15,16 @@ import (
 
 	"repro"
 )
+
+// scale compresses paper time onto the wall clock the runtime runs on:
+// every paper-time duration handed to the runtime (TTB, TTA, latencies,
+// timeouts) is divided by it, and every wall duration measured is
+// multiplied by it. The DGC depends only on duration ratios (DESIGN.md
+// §3), so the run is the paper's, only faster.
+const scale = 1000
+
+// wall converts a paper-time duration to wall time.
+func wall(paper time.Duration) time.Duration { return paper / scale }
 
 // resolveService forwards "resolve" down a dependency chain.
 func resolveService() *repro.Service {
@@ -32,7 +42,7 @@ func resolveService() *repro.Service {
 			if err != nil {
 				return 0, err
 			}
-			return fut.Wait(10 * time.Minute)
+			return fut.Wait(wall(10 * time.Minute))
 		}),
 		repro.Method("healthz", func(ctx *repro.Context, _ struct{}) (string, error) {
 			return "ok from " + ctx.ID().String(), nil
@@ -51,11 +61,12 @@ func main() {
 func run() error {
 	topo := repro.Grid5000().Scaled(16) // 4 + 3 + 3 nodes, real RTTs
 	env := repro.NewEnv(repro.Config{
-		TTB:     30 * time.Second,
-		TTA:     150 * time.Second,
-		Clock:   repro.ScaledClock(1000),
-		Latency: topo.Latency,
-		MaxComm: topo.MaxComm(),
+		TTB: wall(30 * time.Second),
+		TTA: wall(150 * time.Second),
+		Transport: repro.NewSimTransport(repro.SimConfig{
+			Latency: func(a, b repro.NodeID) time.Duration { return wall(topo.Latency(a, b)) },
+			MaxComm: wall(topo.MaxComm()),
+		}),
 	})
 	defer env.Close()
 
@@ -65,7 +76,7 @@ func run() error {
 	}
 	fmt.Printf("deployed %d nodes across 3 sites (max one-way latency %v)\n",
 		len(nodes), topo.MaxComm())
-	fmt.Printf("DGC: TTB=30s TTA=150s (paper values), clock x1000\n\n")
+	fmt.Printf("DGC: TTB=30s TTA=150s (paper values), time compressed x%d\n\n", scale)
 
 	// Chain across sites: bordeaux → sophia → rennes → bordeaux → ... and
 	// close a cycle among the last three.
@@ -77,13 +88,13 @@ func run() error {
 	}
 	for i := 0; i < chainLen-1; i++ {
 		depend := repro.NewStub[repro.Value, struct{}](handles[i], "depend")
-		if _, err := depend.CallSync(handles[i+1].Ref(), 5*time.Minute); err != nil {
+		if _, err := depend.CallSync(handles[i+1].Ref(), wall(5*time.Minute)); err != nil {
 			return err
 		}
 	}
 	// Feedback edge: the tail depends on the middle — a cross-site cycle.
 	depend := repro.NewStub[repro.Value, struct{}](handles[chainLen-1], "depend")
-	if _, err := depend.CallSync(handles[chainLen/2].Ref(), 5*time.Minute); err != nil {
+	if _, err := depend.CallSync(handles[chainLen/2].Ref(), wall(5*time.Minute)); err != nil {
 		return err
 	}
 
@@ -95,7 +106,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	replies, err := fg.WaitAll(10 * time.Minute)
+	replies, err := fg.WaitAll(wall(10 * time.Minute))
 	if err != nil {
 		return err
 	}
@@ -106,24 +117,23 @@ func run() error {
 	// cross-site cycle exists purely as stored references (that is what
 	// the DGC must deal with), never as a call cycle — calling through it
 	// would be a classic active-object wait-by-necessity deadlock.
-	start := env.Clock().Now()
+	start := time.Now()
 	resolve := repro.NewStub[int64, int64](handles[0], "resolve")
-	left, err := resolve.CallSync(chainLen-1, 30*time.Minute)
+	left, err := resolve.CallSync(chainLen-1, wall(30*time.Minute))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("resolve across the grid: %d hops left after the chain, took %v of grid time\n",
-		left, env.Clock().Now().Sub(start).Round(time.Second))
+		left, (time.Since(start) * scale).Round(time.Second))
 
 	fmt.Println("\nabandoning the deployment (releasing the group's handles)")
 	group.Release()
-	wall := time.Now()
-	took, err := env.WaitCollected(0, time.Hour)
+	took, err := env.WaitCollected(0, wall(time.Hour))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("all %d services reclaimed in %v of grid time (%v wall): %v\n",
-		chainLen, took.Round(time.Second), time.Since(wall).Round(time.Millisecond),
+		chainLen, (took * scale).Round(time.Second), took.Round(time.Millisecond),
 		env.Stats().Collected)
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -34,7 +35,7 @@ func testEnv(t *testing.T) *Env {
 //	"del:<key>"     → deletes the key
 //	"self"          → returns a reference to itself
 //	"stop"          → requests explicit termination
-//	"sleep"         → sleeps args ms on the env clock (stays busy)
+//	"sleep"         → sleeps args ms (stays busy)
 //	"callpeer"      → calls method "ping" on the ref stored under "peer"
 type relay struct{}
 
@@ -50,7 +51,7 @@ func (relay) Serve(ctx *Context, method string, args wire.Value) (wire.Value, er
 		ctx.TerminateSelf()
 		return wire.Null(), nil
 	case method == "sleep":
-		ctx.ao.node.env.cfg.Clock.Sleep(time.Duration(args.AsInt()) * time.Millisecond)
+		time.Sleep(time.Duration(args.AsInt()) * time.Millisecond)
 		return wire.Null(), nil
 	case method == "callpeer":
 		peer := ctx.Load("peer")
@@ -614,10 +615,10 @@ func TestNewEnvRejectsUnsafeTiming(t *testing.T) {
 		want string // "" = accepted
 	}{
 		{"defaults", Config{}, ""},
-		{"default TTA over MaxComm", Config{TTB: 10 * ms, MaxComm: 40 * ms}, ""},
+		{"default TTA over MaxComm", Config{TTB: 10 * ms, Transport: simnet.New(simnet.Config{MaxComm: 40 * ms})}, ""},
 		{"TTA = 2·TTB", Config{TTB: 10 * ms, TTA: 20 * ms}, "2*TTB+MaxComm"},
 		{"TTA below 2·TTB", Config{TTB: 10 * ms, TTA: 15 * ms}, "2*TTB+MaxComm"},
-		{"TTA = 2·TTB + MaxComm", Config{TTB: 10 * ms, TTA: 25 * ms, MaxComm: 5 * ms}, "2*TTB+MaxComm"},
+		{"TTA = 2·TTB + MaxComm", Config{TTB: 10 * ms, TTA: 25 * ms, Transport: simnet.New(simnet.Config{MaxComm: 5 * ms})}, "2*TTB+MaxComm"},
 		{"adaptive, TTA = 2·MaxTTB", Config{TTB: 10 * ms, TTA: 40 * ms, Adaptive: adaptive(5*ms, 20*ms)}, "2*MaxTTB+MaxComm"},
 		{"adaptive, default TTA", Config{TTB: 10 * ms, Adaptive: adaptive(5*ms, 20*ms)}, ""},
 		{"adaptive, bounds miss TTB", Config{TTB: 10 * ms, TTA: 100 * ms, Adaptive: adaptive(15*ms, 20*ms)}, "bracket the base TTB"},

@@ -154,7 +154,7 @@ func (a *clusterAgent) ensureJoinedLocked() error {
 		return fmt.Errorf("active: join cluster via %s: %w", a.seedAddr, err)
 	}
 	a.leaseNext, a.leaseEnd = uint32(ok.First), uint32(ok.First)+uint32(ok.Count)-1
-	now := a.env.cfg.Clock.Now()
+	now := a.env.now()
 	for _, m := range ok.Members {
 		a.members[m.Node] = m.Addr
 		if m.Addr != "" && m.Addr != a.selfAddr {
@@ -204,7 +204,7 @@ func (a *clusterAgent) nextNodeID() ids.NodeID {
 // known member process (and the seed), which is how the rest of the
 // cluster learns both the node and the address to dial it at.
 func (a *clusterAgent) noteNodeUp(id ids.NodeID) {
-	a.health.Add(id, a.env.cfg.Clock.Now())
+	a.health.Add(id, a.env.now())
 	a.mu.Lock()
 	a.members[id] = a.selfAddr
 	targets := a.remoteAddrsLocked("")
@@ -291,14 +291,14 @@ func (a *clusterAgent) stop() {
 // traffic — the piggybacking that keeps the happy path free of any
 // dedicated liveness message.
 func (a *clusterAgent) observe(from ids.NodeID) {
-	a.health.Observe(from, a.env.cfg.Clock.Now())
+	a.health.Observe(from, a.env.now())
 }
 
 // noteExchange feeds the detector with the outcome of an outbound
 // request/response exchange (the DGC driver's heartbeats, mostly): a
 // success proves the peer alive, a failure makes it suspect.
 func (a *clusterAgent) noteExchange(dst ids.NodeID, err error) {
-	now := a.env.cfg.Clock.Now()
+	now := a.env.now()
 	if err == nil {
 		a.health.Observe(dst, now)
 		return
@@ -314,7 +314,7 @@ func (a *clusterAgent) noteExchange(dst ids.NodeID, err error) {
 // no timer of its own. Members that transitioned to dead are cleaned up
 // and gossiped; current suspects are probed in the background through n.
 func (a *clusterAgent) maybeTick(n *Node) {
-	now := a.env.cfg.Clock.Now()
+	now := a.env.now()
 	a.mu.Lock()
 	if a.stopped || (!a.lastTick.IsZero() && now.Sub(a.lastTick) < a.env.cfg.TTB) {
 		a.mu.Unlock()
@@ -346,7 +346,7 @@ func (a *clusterAgent) spawnProbe(n *Node, p ids.NodeID) {
 	a.background(func() {
 		resp, err := n.transportCall(p, transport.ClassCluster, cluster.EncodePing())
 		if err == nil && len(resp) > 0 && resp[0] == cluster.MsgPong {
-			a.health.Observe(p, a.env.cfg.Clock.Now())
+			a.health.Observe(p, a.env.now())
 		}
 	})
 }
@@ -503,7 +503,7 @@ func (a *clusterAgent) handleEvent(payload []byte) {
 		if a.pc != nil && ev.Addr != "" && ev.Addr != a.selfAddr {
 			a.pc.AddPeer(ev.Node, ev.Addr)
 		}
-		a.health.Add(ev.Node, a.env.cfg.Clock.Now())
+		a.health.Add(ev.Node, a.env.now())
 		a.env.refreshRing()
 		a.gossip(payload, targets)
 	case cluster.MsgNodeDead:
@@ -667,7 +667,7 @@ func (n *Node) Leave(dst ids.NodeID) error {
 	err := n.env.relocate(moved)
 	// Give the pushed redirects one beat to land before the node — and
 	// the forwarders with it — disappears.
-	n.env.cfg.Clock.Sleep(n.env.cfg.TTB)
+	n.env.sleep(n.env.cfg.TTB)
 	if ag := n.env.cluster; ag != nil {
 		ag.noteNodeLeft(n.id)
 	}

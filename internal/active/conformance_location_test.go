@@ -10,28 +10,32 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/location"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
-// stepClock is the real clock plus an offset the test moves. With a TTB
-// of an hour the drivers never beat by themselves; the test beats the
-// nodes by hand and moves time on between beats. Sleep moves time on
-// too, at once, so Node.Leave's one-beat grace does not take an hour.
-// While a hook is set, the next Now() on the hooked path (the redirect
-// path unless hookOn names another method, as "(*Type).Method") runs it,
-// once. The heap reads the clock just before each critical section that
-// may add or remove an edge, which makes the clock the gate that runs
-// something at exactly that point. Other goroutines reading the clock
-// meanwhile, such as a simnet queue delivering a message still in
-// flight, leave the hook alone: run there, the gate would not run where
-// the test means it to, and its t.Fatalf would end that queue's goroutine
-// and strand every later message on it.
+// stepClock is the real clock plus an offset the test moves; install
+// makes an environment's runtime read it. With a TTB of an hour the
+// drivers never beat by themselves; the test beats the nodes by hand and
+// moves time on between beats. Sleep moves time on too, at once, so
+// Node.Leave's one-beat grace does not take an hour. While a hook is
+// set, the next Now() on the hooked path (the redirect path unless
+// hookOn names another method, as "(*Type).Method") runs it, once. The
+// heap reads the clock just before each critical section that may add
+// or remove an edge, which makes the clock the gate that runs something
+// at exactly that point. Other goroutines reading the clock meanwhile
+// leave the hook alone: run there, the gate would not run where the test
+// means it to, and its t.Fatalf would end that goroutine.
 type stepClock struct {
-	vclock.Real
 	offset atomic.Int64
 	hook   atomic.Pointer[func()]
 	hookOn string
+}
+
+// install makes e's runtime read and sleep on c, and returns e. Call it
+// before e's first node or Join.
+func (c *stepClock) install(e *Env) *Env {
+	e.now, e.sleep = c.Now, c.Sleep
+	return e
 }
 
 func (c *stepClock) Now() time.Time {
@@ -81,8 +85,8 @@ func TestConformanceRedirectRacesRelease(t *testing.T) {
 			t.Parallel()
 			clock := &stepClock{}
 			cfg := s.cfg(t)
-			cfg.TTB, cfg.TTA, cfg.Clock = time.Hour, 0, clock
-			e := NewEnv(cfg)
+			cfg.TTB, cfg.TTA = time.Hour, 0
+			e := clock.install(NewEnv(cfg))
 			t.Cleanup(e.Close)
 			caller, src, dst := e.NewNode(), e.NewNode(), e.NewNode()
 

@@ -62,10 +62,10 @@ func steppedTCPCluster(t *testing.T, clock *stepClock, st store.Store, perProc .
 		if i > 0 {
 			seed = envs[0].Network().(*tcpnet.Network).Addr()
 		}
-		envs[i] = NewEnv(Config{
-			TTB: time.Hour, Clock: clock, Transport: tr, Store: st,
+		envs[i] = clock.install(NewEnv(Config{
+			TTB: time.Hour, Transport: tr, Store: st,
 			Cluster: ClusterConfig{Enabled: true, Seed: seed, Failover: st != nil},
-		})
+		}))
 		t.Cleanup(envs[i].Close)
 		if err := envs[i].Join(); err != nil {
 			t.Fatalf("join: %v", err)
@@ -283,7 +283,7 @@ func TestClusterRelocateRetriesLostSend(t *testing.T) {
 				t.Fatal(err)
 			}
 			lossy := &lossyNetwork{Network: tr}
-			seed := NewEnv(Config{TTB: time.Hour, Clock: clock, Transport: lossy, Cluster: ClusterConfig{Enabled: true}})
+			seed := clock.install(NewEnv(Config{TTB: time.Hour, Transport: lossy, Cluster: ClusterConfig{Enabled: true}}))
 			t.Cleanup(seed.Close)
 			if err := seed.Join(); err != nil {
 				t.Fatal(err)
@@ -293,7 +293,7 @@ func TestClusterRelocateRetriesLostSend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			other := NewEnv(Config{TTB: time.Hour, Clock: clock, Transport: tr2, Cluster: ClusterConfig{Enabled: true, Seed: tr.Addr()}})
+			other := clock.install(NewEnv(Config{TTB: time.Hour, Transport: tr2, Cluster: ClusterConfig{Enabled: true, Seed: tr.Addr()}}))
 			t.Cleanup(other.Close)
 			if err := other.Join(); err != nil {
 				t.Fatal(err)

@@ -195,8 +195,8 @@ func TestConformanceTagDeathRaces(t *testing.T) {
 				t.Parallel()
 				clock := &stepClock{hookOn: c.hookOn}
 				cfg := s.cfg(t)
-				cfg.TTB, cfg.TTA, cfg.Clock = time.Hour, 0, clock
-				e := NewEnv(cfg)
+				cfg.TTB, cfg.TTA = time.Hour, 0
+				e := clock.install(NewEnv(cfg))
 				t.Cleanup(e.Close)
 				n1, n2 := e.NewNode(), e.NewNode()
 				h := n2.NewActive("target", relay{})

@@ -2,6 +2,7 @@ package active
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -25,7 +26,7 @@ func (n *Node) runDriver() {
 		select {
 		case <-n.stop:
 			return
-		case <-n.env.cfg.Clock.After(wake):
+		case <-time.After(wake):
 		}
 		n.beat()
 	}
@@ -47,7 +48,7 @@ func (n *Node) beat() {
 	// Future entries are reclaimed right after the sweep refreshed the
 	// future-tag liveness: resolved entries whose last heap pin died a
 	// TTA-grace ago go; anything still owed an update stays.
-	n.futures.sweep(n.heap, n.env.cfg.Clock.Now(), n.env.cfg.TTA)
+	n.futures.sweep(n.heap, n.env.now(), n.env.cfg.TTA)
 	if !n.env.cfg.DisableDGC {
 		n.broadcastDue()
 	}
@@ -59,7 +60,7 @@ func (n *Node) beat() {
 	// Durable activities whose checkpoint is due get a reserved-method
 	// request: the snapshot then happens on the activity's own goroutine,
 	// between two services, without stalling the pool.
-	n.checkpointBeat(n.env.cfg.Clock.Now())
+	n.checkpointBeat(n.env.now())
 	if ag := n.env.cluster; ag != nil {
 		// The beat doubles as the failure detector's clock: advance it at
 		// most once per TTB across all local drivers. With the DGC off
@@ -90,7 +91,7 @@ func (n *Node) broadcastDue() {
 		// Each tick gets the time of the tick: with many activities the
 		// loop itself takes a good part of a beat, and a referencer tested
 		// against the loop's starting time would wait one period more.
-		now := n.env.cfg.Clock.Now()
+		now := n.env.now()
 		if ao.nextBeat.After(now) {
 			continue
 		}
@@ -151,7 +152,7 @@ func (n *Node) sendDGC(dst ids.NodeID, out dgcOut) {
 	if err != nil {
 		return
 	}
-	now := n.env.cfg.Clock.Now()
+	now := n.env.now()
 	for i, r := range resps {
 		if r != nil {
 			out.aos[i].collector.HandleResponse(out.obs[i].To, *r, now)

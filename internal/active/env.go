@@ -13,7 +13,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -37,26 +36,16 @@ type Config struct {
 	TTB time.Duration
 	// TTA is the TimeToAlone. Defaults to 2*TTB + MaxComm + TTB/2, with
 	// adaptive beats Adaptive.MaxTTB in place of TTB when it is larger,
-	// satisfying the §3.1 formula. With the DGC on, NewEnv panics on a
+	// satisfying the §3.1 formula; MaxComm is the Transport's own bound
+	// on one-way communication time. With the DGC on, NewEnv panics on a
 	// TTA that does not exceed 2*TTB + MaxComm (2*Adaptive.MaxTTB +
 	// MaxComm with adaptive beats).
 	TTA time.Duration
-	// Clock provides time. Defaults to the real clock. With a custom
-	// Transport the clock should stay real: a TCP substrate delivers on
-	// wall time regardless of what the environment clock reads.
-	Clock vclock.Clock
-	// Latency is the one-way network latency function (see simnet). It is
-	// only consulted when the environment builds its own simnet substrate,
-	// i.e. when Transport is nil.
-	Latency func(src, dst ids.NodeID) time.Duration
-	// MaxComm bounds one-way communication time for the TTA formula. If
-	// zero and a Transport is set, the transport's own MaxComm() is used.
-	MaxComm time.Duration
-	// Transport selects the network substrate the nodes communicate over.
-	// nil builds an in-memory simnet from Clock/Latency/MaxComm;
-	// a non-nil value (e.g. a tcpnet.Network) is used as-is and those
-	// simnet-only fields are ignored. The environment takes ownership and
-	// closes the transport in Close.
+	// Transport selects the network substrate the nodes communicate over
+	// and, through its MaxComm, the TTA formula's communication bound.
+	// nil builds a zero-latency in-memory simnet; a non-nil value (a
+	// simnet with a latency model, a tcpnet.Network) is used as-is. The
+	// environment takes ownership and closes the transport in Close.
 	Transport transport.Transport
 	// BatchWindow enables hot-path message batching when positive: each
 	// node's outbound one-way traffic flows through a per-destination
@@ -113,10 +102,7 @@ type Config struct {
 	CheckpointEvery time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.Clock == nil {
-		c.Clock = vclock.Real{}
-	}
+func (c Config) withDefaults(maxComm time.Duration) Config {
 	if c.TTB == 0 {
 		c.TTB = 30 * time.Millisecond
 	}
@@ -125,25 +111,25 @@ func (c Config) withDefaults() Config {
 		if c.Adaptive.Enabled {
 			slowest = max(slowest, c.Adaptive.MaxTTB)
 		}
-		c.TTA = 2*slowest + c.MaxComm + slowest/2
+		c.TTA = 2*slowest + maxComm + slowest/2
 	}
 	return c
 }
 
 // validate checks the timing assumption the DGC's safety rests on
-// (§3.1): TTA must exceed 2·TTB + MaxComm, and with adaptive beats
-// 2·MaxTTB + MaxComm. Below it a live referencer can miss the window and
+// (§3.1): TTA must exceed 2·TTB + maxComm, and with adaptive beats
+// 2·MaxTTB + maxComm. Below it a live referencer can miss the window and
 // its activity is collected while still referenced. With the DGC off
 // nothing depends on it.
-func (c Config) validate() error {
+func (c Config) validate(maxComm time.Duration) error {
 	if c.DisableDGC {
 		return nil
 	}
 	base := core.Config{TTB: c.TTB, TTA: c.TTA}
-	if err := base.Validate(c.MaxComm); err != nil {
+	if err := base.Validate(maxComm); err != nil {
 		return err
 	}
-	return c.Adaptive.Validate(base, c.MaxComm)
+	return c.Adaptive.Validate(base, maxComm)
 }
 
 // Stats summarizes an environment's DGC activity.
@@ -192,36 +178,37 @@ type Env struct {
 	reaped map[core.Reason]int
 
 	relocateFailures atomic.Int64 // Stats.RelocateFailures
+
+	// now and sleep are the runtime's time: time.Now and time.Sleep.
+	// Only this package's stepped-time tests replace them, before the
+	// environment's first node or Join.
+	now   func() time.Time
+	sleep func(time.Duration)
 }
 
 // NewEnv creates an environment. Close it when done. It panics when the
 // DGC is on and the timing violates the §3.1 formula (see Config.TTA).
 func NewEnv(cfg Config) *Env {
-	if cfg.Transport != nil && cfg.MaxComm == 0 {
-		// Let the substrate's own bound feed the TTA formula.
-		cfg.MaxComm = cfg.Transport.MaxComm()
+	net := cfg.Transport
+	if net == nil {
+		net = simnet.New(simnet.Config{})
 	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	maxComm := net.MaxComm()
+	cfg = cfg.withDefaults(maxComm)
+	if err := cfg.validate(maxComm); err != nil {
 		panic("active: NewEnv: " + err.Error())
 	}
 	e := &Env{
 		cfg:    cfg,
+		net:    net,
 		nodes:  make(map[ids.NodeID]*Node),
 		names:  make(map[string]ids.ActivityID),
 		reaped: make(map[core.Reason]int),
+		now:    time.Now,
+		sleep:  time.Sleep,
 	}
 	if cfg.FirstNode > 1 {
 		e.nodeGen.SkipTo(cfg.FirstNode)
-	}
-	if cfg.Transport != nil {
-		e.net = cfg.Transport
-	} else {
-		e.net = simnet.New(simnet.Config{
-			Clock:   cfg.Clock,
-			Latency: cfg.Latency,
-			MaxComm: cfg.MaxComm,
-		})
 	}
 	if cfg.Cluster.Enabled {
 		e.cluster = newClusterAgent(e)
@@ -234,9 +221,6 @@ func (e *Env) Config() Config { return e.cfg }
 
 // Network exposes the underlying transport (for traffic accounting).
 func (e *Env) Network() transport.Transport { return e.net }
-
-// Clock returns the environment clock.
-func (e *Env) Clock() vclock.Clock { return e.cfg.Clock }
 
 // NewNode creates a process in the distributed system and starts its DGC
 // driver. With the cluster runtime enabled, the first NewNode implicitly
@@ -436,18 +420,18 @@ func (e *Env) LiveActivities() int {
 }
 
 // WaitCollected polls until at most want activities remain live, or
-// timeout (on the environment clock) elapses. It returns the time it took.
+// timeout (wall time) elapses. It returns the wall time it took.
 func (e *Env) WaitCollected(want int, timeout time.Duration) (time.Duration, error) {
-	start := e.cfg.Clock.Now()
+	start := time.Now()
 	for {
 		if e.LiveActivities() <= want {
-			return e.cfg.Clock.Now().Sub(start), nil
+			return time.Since(start), nil
 		}
-		if e.cfg.Clock.Now().Sub(start) > timeout {
+		if time.Since(start) > timeout {
 			return 0, fmt.Errorf("active: %d activities still live after %v (want <= %d)",
 				e.LiveActivities(), timeout, want)
 		}
-		e.cfg.Clock.Sleep(e.cfg.TTB / 4)
+		time.Sleep(e.cfg.TTB / 4)
 	}
 }
 

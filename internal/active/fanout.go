@@ -214,7 +214,7 @@ func (n *Node) newRelay(parent ids.NodeID, parentKey uint64, root ids.NodeID, pe
 		parent:    parent,
 		parentKey: parentKey,
 		root:      root,
-		born:      n.env.cfg.Clock.Now(),
+		born:      n.env.now(),
 		pending:   pending,
 	}
 	return key
@@ -475,7 +475,7 @@ func (n *Node) reply(req request, v wire.Value, err error) {
 // their remaining replies, if they ever come, take the direct fallback
 // path through replyTo/deliverFanAgg.
 func (n *Node) expireRelays() {
-	now := n.env.cfg.Clock.Now()
+	now := n.env.now()
 	var ship []aggShipment
 	n.relayMu.Lock()
 	for key, rec := range n.relays {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/localgc"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -338,34 +337,24 @@ func (f *Future) await(timeout time.Duration, expand bool) (wire.Value, error) {
 		<-f.done
 		return f.consume(expand)
 	}
-	if _, real := f.node.env.cfg.Clock.(vclock.Real); real {
-		// Wall clock: a pooled timer instead of a fresh runtime timer per
-		// wait (Clock.After cannot be reclaimed before it fires; a 30s
-		// default budget would pin one timer per call for 30 seconds).
-		// Reset/Stop recycling is sound with Go 1.23+ timer channels: no
-		// stale tick can linger in t.C after Stop.
-		t := realTimers.Get().(*time.Timer)
-		t.Reset(timeout)
-		select {
-		case <-f.done:
-			t.Stop()
-			realTimers.Put(t)
-			return f.consume(expand)
-		case <-t.C:
-			realTimers.Put(t)
-			return wire.Null(), fmt.Errorf("%w after %v", ErrFutureTimeout, timeout)
-		}
-	}
+	// A pooled timer, so a wait allocates none. Reset/Stop recycling is
+	// sound with Go 1.23+ timer channels: no stale tick can linger in t.C
+	// after Stop.
+	t := waitTimers.Get().(*time.Timer)
+	t.Reset(timeout)
 	select {
 	case <-f.done:
+		t.Stop()
+		waitTimers.Put(t)
 		return f.consume(expand)
-	case <-f.node.env.cfg.Clock.After(timeout):
+	case <-t.C:
+		waitTimers.Put(t)
 		return wire.Null(), fmt.Errorf("%w after %v", ErrFutureTimeout, timeout)
 	}
 }
 
-// realTimers pools the wall-clock timers of Wait's timeout path.
-var realTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+// waitTimers pools the timers of Wait's timeout path.
+var waitTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 // consume hands out the value and drops its heap pin. A value that
 // arrived from another node may be in encoded form; expand (the untyped

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -296,31 +295,16 @@ func (fg *FutureGroup[Resp]) Len() int { return len(fg.futs) }
 // At returns the i-th member's future.
 func (fg *FutureGroup[Resp]) At(i int) *TypedFuture[Resp] { return fg.futs[i] }
 
-// clock returns the environment clock behind the member futures (nil when
-// every call was one-way — then nothing ever blocks anyway).
-func (fg *FutureGroup[Resp]) clock() vclock.Clock {
-	for _, f := range fg.futs {
-		if f.fut != nil {
-			return f.fut.node.env.cfg.Clock
-		}
-	}
-	return nil
-}
-
 // WaitAll waits for every member and returns the replies in member order.
 // timeout is the overall budget (0 = wait forever); on the first failure
 // the remaining futures are discarded and the error returned.
 func (fg *FutureGroup[Resp]) WaitAll(timeout time.Duration) ([]Resp, error) {
 	out := make([]Resp, len(fg.futs))
-	clk := fg.clock()
-	var start time.Time
-	if timeout > 0 && clk != nil {
-		start = clk.Now()
-	}
+	start := time.Now()
 	for i, f := range fg.futs {
 		budget := time.Duration(0)
-		if timeout > 0 && clk != nil {
-			budget = timeout - clk.Now().Sub(start)
+		if timeout > 0 {
+			budget = timeout - time.Since(start)
 			if budget <= 0 {
 				fg.discardFrom(i)
 				return nil, fmt.Errorf("%w: group wait after %v (%d/%d resolved)",
@@ -368,9 +352,7 @@ func (fg *FutureGroup[Resp]) WaitAny(timeout time.Duration) (int, Resp, error) {
 	}
 	var timeoutCh <-chan time.Time
 	if timeout > 0 {
-		if clk := fg.clock(); clk != nil {
-			timeoutCh = clk.After(timeout)
-		}
+		timeoutCh = time.After(timeout)
 	}
 	select {
 	case i := <-ready:

@@ -334,7 +334,7 @@ func (n *Node) installForwarder(ao *ActiveObject, newID ids.ActivityID) {
 	// view, and once the last stale holder rebinds (or dies), its beats
 	// stop and the TTA sweep reclaims it like any other alone activity.
 	ao.idleFlag.Store(true)
-	ao.collector.BecomeIdle(n.env.cfg.Clock.Now())
+	ao.collector.BecomeIdle(n.env.now())
 	if ao.registered.Load() {
 		n.env.rebindRegistered(ao.id, newID)
 	}

@@ -86,7 +86,6 @@ func newNode(e *Env, id ids.NodeID) *Node {
 	if e.cfg.BatchWindow > 0 {
 		n.flusher = transport.NewFlusher(n.endpoint, transport.FlusherConfig{
 			Window: e.cfg.BatchWindow,
-			Clock:  e.cfg.Clock,
 		})
 	}
 	return n
@@ -191,7 +190,7 @@ func (e nodeEdges) Referencer(owner ids.ActivityID) localgc.Referencer {
 	return nil
 }
 
-func (e nodeEdges) Now() time.Time { return e.n.env.cfg.Clock.Now() }
+func (e nodeEdges) Now() time.Time { return e.n.env.now() }
 
 // HandleOneWay implements transport.Handler: application requests and future
 // updates.
@@ -275,7 +274,7 @@ func (n *Node) HandleCall(from ids.NodeID, class transport.Class, payload []byte
 	if err != nil {
 		return nil
 	}
-	now := n.env.cfg.Clock.Now()
+	now := n.env.now()
 	resps := make([]*core.Response, len(obs))
 	got := make([]core.Response, len(obs))
 	for i, ob := range obs {
@@ -676,7 +675,7 @@ func (n *Node) destroy(ao *ActiveObject, reason core.Reason) {
 	n.mu.Unlock()
 
 	ao.terminated.Store(true)
-	ao.collector.Terminate(n.env.cfg.Clock.Now())
+	ao.collector.Terminate(n.env.now())
 	for _, it := range ao.queue.close(n.heap) {
 		// A queued request whose callee terminates gracefully fails its
 		// caller's future now instead of leaving it to time out — the same

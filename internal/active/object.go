@@ -409,7 +409,7 @@ func (n *Node) newActivity(name string, b Behavior, opts ...SpawnOption) *Active
 	ao.queue = newRequestQueue(&ao.idleFlag, so.policy)
 	// A fresh activity is idle until its first request.
 	ao.idleFlag.Store(true)
-	ao.collector = core.New(ao.id, n.dgc, ao.isIdle, n.env.cfg.Clock.Now())
+	ao.collector = core.New(ao.id, n.dgc, ao.isIdle, n.env.now())
 
 	n.mu.Lock()
 	n.aos[ao.id] = ao
@@ -428,7 +428,7 @@ func (n *Node) newRoot() *ActiveObject {
 	root := &ActiveObject{node: n, id: ids.ActivityID{Node: n.id}, name: "root"}
 	root.queue = newRequestQueue(&root.idleFlag, nil)
 	root.queue.closed = true
-	root.collector = core.New(root.id, n.dgc, func() bool { return false }, n.env.cfg.Clock.Now())
+	root.collector = core.New(root.id, n.dgc, func() bool { return false }, n.env.now())
 	return root
 }
 
@@ -485,7 +485,7 @@ func (ao *ActiveObject) drain() {
 			// Detaching: ship the replies this tenure corked, in one frame.
 			ao.node.flushPending()
 			if res == takeIdle {
-				ao.collector.BecomeIdle(ao.node.env.cfg.Clock.Now())
+				ao.collector.BecomeIdle(ao.node.env.now())
 			}
 			return
 		}

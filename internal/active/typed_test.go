@@ -279,7 +279,7 @@ func TestGroupWaitAny(t *testing.T) {
 	n := e.NewNode()
 	svc := NewService(
 		Method("wait", func(ctx *Context, ms int64) (int64, error) {
-			ctx.ao.node.env.cfg.Clock.Sleep(time.Duration(ms) * time.Millisecond)
+			time.Sleep(time.Duration(ms) * time.Millisecond)
 			return ms, nil
 		}),
 	)
@@ -324,7 +324,7 @@ func TestDiscardBeforeResolve(t *testing.T) {
 			// Sleep so the caller can discard before this resolves; the
 			// returned ref is the only thing that would keep the child
 			// alive at the caller.
-			ctx.ao.node.env.cfg.Clock.Sleep(50 * time.Millisecond)
+			time.Sleep(50 * time.Millisecond)
 			return ctx.Spawn("child", NewService()), nil
 		}),
 	)

@@ -238,7 +238,7 @@ type coordinator struct {
 	cg     CGParams
 	ep     EPParams
 	ft     FTParams
-	// waitBudget bounds each future wait, in environment-clock time.
+	// waitBudget bounds each future wait, in wall time.
 	waitBudget time.Duration
 }
 

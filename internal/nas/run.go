@@ -10,7 +10,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ids"
 	"repro/internal/simnet"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -30,7 +29,8 @@ type RunConfig struct {
 	// 61 s).
 	TTB, TTA time.Duration
 	// ScaleFactor compresses paper time onto the wall clock (DESIGN.md
-	// §3); 0 defaults to 1000.
+	// §3): Run divides every paper-time duration by it and multiplies
+	// the wall durations it measures by it. 0 defaults to 1000.
 	ScaleFactor int64
 	// CG, EP, FT size their kernels; only the selected kernel's params
 	// are used.
@@ -101,13 +101,15 @@ func Run(cfg RunConfig) (Result, error) {
 	if cfg.Nodes < topo.NumNodes() {
 		topo = topo.Scaled((topo.NumNodes() + cfg.Nodes - 1) / cfg.Nodes)
 	}
-	clock := vclock.NewScaled(cfg.ScaleFactor)
+	f := time.Duration(cfg.ScaleFactor)
+	timeout := cfg.Timeout / f
 	env := active.NewEnv(active.Config{
-		TTB:        cfg.TTB,
-		TTA:        cfg.TTA,
-		Clock:      clock,
-		Latency:    topo.Latency,
-		MaxComm:    topo.MaxComm(),
+		TTB: cfg.TTB / f,
+		TTA: cfg.TTA / f,
+		Transport: simnet.New(simnet.Config{
+			Latency: func(a, b ids.NodeID) time.Duration { return topo.Latency(a, b) / f },
+			MaxComm: topo.MaxComm() / f,
+		}),
 		DisableDGC: !cfg.DGC,
 	})
 	defer env.Close()
@@ -127,7 +129,7 @@ func Run(cfg RunConfig) (Result, error) {
 		cg:         cfg.CG,
 		ep:         cfg.EP,
 		ft:         cfg.FT,
-		waitBudget: cfg.Timeout,
+		waitBudget: timeout,
 	}
 	coord := nodeFor(0).NewActive("coordinator", coordBehavior)
 	workerHandles := make([]*active.Handle, cfg.Workers)
@@ -138,7 +140,7 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 
 	initArgs := wire.Dict(map[string]wire.Value{"workers": wire.List(workerRefs...)})
-	if _, err := coord.CallSync("init", initArgs, cfg.Timeout); err != nil {
+	if _, err := coord.CallSync("init", initArgs, timeout); err != nil {
 		return res, fmt.Errorf("nas: init: %w", err)
 	}
 	// The deployer's references to the workers are dropped once the
@@ -148,12 +150,12 @@ func Run(cfg RunConfig) (Result, error) {
 		h.Release()
 	}
 
-	start := clock.Now()
-	out, err := coord.CallSync("run", wire.Null(), cfg.Timeout)
+	start := time.Now()
+	out, err := coord.CallSync("run", wire.Null(), timeout)
 	if err != nil {
 		return res, fmt.Errorf("nas: run: %w", err)
 	}
-	res.AppTime = clock.Now().Sub(start)
+	res.AppTime = time.Since(start) * f
 	res.Value = out.Get("value").AsFloat()
 	res.Verified = verify(cfg, out)
 
@@ -166,11 +168,11 @@ func Run(cfg RunConfig) (Result, error) {
 		// Fig. 9's "DGC time": drop the last root and watch the complete
 		// application graph (one big cycle) disappear.
 		coord.Release()
-		dgcTime, err := env.WaitCollected(0, cfg.Timeout)
+		dgcTime, err := env.WaitCollected(0, timeout)
 		if err != nil {
 			return res, fmt.Errorf("nas: collection: %w", err)
 		}
-		res.DGCTime = dgcTime
+		res.DGCTime = dgcTime * f
 		res.Collected = env.Stats().Collected
 		// Account the traffic spent collecting too (the paper's totals
 		// include the full run).
@@ -180,10 +182,10 @@ func Run(cfg RunConfig) (Result, error) {
 		res.DGCBytes = snap.Bytes[simnet.ClassDGC]
 	} else {
 		// Explicit termination, as the paper's NAS implementation does.
-		if _, err := coord.CallSync("shutdown", wire.Null(), cfg.Timeout); err != nil {
+		if _, err := coord.CallSync("shutdown", wire.Null(), timeout); err != nil {
 			return res, fmt.Errorf("nas: shutdown: %w", err)
 		}
-		if _, err := env.WaitCollected(0, cfg.Timeout); err != nil {
+		if _, err := env.WaitCollected(0, timeout); err != nil {
 			return res, fmt.Errorf("nas: explicit termination: %w", err)
 		}
 		coord.Release()

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 )
 
 // Class partitions traffic for accounting; see transport.Class.
@@ -65,8 +64,6 @@ type Handler = transport.Handler
 
 // Config parameterizes a Network.
 type Config struct {
-	// Clock provides time; defaults to the real clock.
-	Clock vclock.Clock
 	// Latency returns the one-way latency between two distinct nodes.
 	// Defaults to zero latency. Intra-node delivery is always immediate.
 	Latency func(src, dst ids.NodeID) time.Duration
@@ -142,9 +139,6 @@ type pairKey struct {
 
 // New creates a network.
 func New(cfg Config) *Network {
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real{}
-	}
 	if cfg.Latency == nil {
 		cfg.Latency = func(_, _ ids.NodeID) time.Duration { return 0 }
 	}
@@ -339,7 +333,7 @@ func (n *Network) route(src, dst ids.NodeID) (Handler, *pairQueue, error) {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			q.run(n.cfg.Clock)
+			q.run()
 		}()
 	}
 	return h, q, nil
@@ -363,14 +357,13 @@ func oneWay(err error) error {
 	return err
 }
 
-// linkSchedule computes when a message of the given size, sent now,
+// linkSchedule computes when a message of the given size, sent at now,
 // reaches dst's handler: it claims the next free slot on src's outbound
 // interface, travels the pair latency, then claims the next free slot
 // on dst's inbound interface (store-and-forward). With no interface
 // costs configured this degenerates to now + latency. Per-interface
 // times are monotone, so FIFO order within a pair is preserved.
-func (n *Network) linkSchedule(src, dst ids.NodeID, bytes int) time.Time {
-	now := n.cfg.Clock.Now()
+func (n *Network) linkSchedule(now time.Time, src, dst ids.NodeID, bytes int) time.Time {
 	if n.txFree == nil {
 		return now.Add(n.cfg.Latency(src, dst))
 	}
@@ -416,7 +409,7 @@ func (e *Endpoint) Send(dst ids.NodeID, class Class, payload []byte) error {
 	}
 	e.net.account(class, len(payload))
 	return q.push(item{
-		deliverAt: e.net.linkSchedule(e.node, dst, len(payload)),
+		deliverAt: e.net.linkSchedule(time.Now(), e.node, dst, len(payload)),
 		fn:        func() { h.HandleOneWay(e.node, class, payload) },
 	})
 }
@@ -449,7 +442,7 @@ func (e *Endpoint) SendBatch(dst ids.NodeID, items []transport.BatchItem) error 
 	// One frame on the wire: the batch pays the fixed interface cost
 	// once, plus bandwidth for every byte in it.
 	return q.push(item{
-		deliverAt: e.net.linkSchedule(e.node, dst, total),
+		deliverAt: e.net.linkSchedule(time.Now(), e.node, dst, total),
 		fn: func() {
 			for _, it := range batch {
 				h.HandleOneWay(e.node, it.Class, it.Payload)
@@ -472,7 +465,7 @@ func (e *Endpoint) Call(dst ids.NodeID, class Class, payload []byte) ([]byte, er
 	e.net.account(class, len(payload))
 	done := make(chan []byte, 1)
 	err = q.push(item{
-		deliverAt: e.net.linkSchedule(e.node, dst, len(payload)),
+		deliverAt: e.net.linkSchedule(time.Now(), e.node, dst, len(payload)),
 		fn:        func() { done <- h.HandleCall(e.node, class, payload) },
 	})
 	if err != nil {
@@ -481,7 +474,7 @@ func (e *Endpoint) Call(dst ids.NodeID, class Class, payload []byte) ([]byte, er
 	resp := <-done
 	// The response pays the return latency on the same connection.
 	if l := e.net.cfg.Latency(dst, e.node); l > 0 {
-		e.net.cfg.Clock.Sleep(l)
+		time.Sleep(l)
 	}
 	e.net.account(class, len(resp))
 	return resp, nil
@@ -526,7 +519,7 @@ func (q *pairQueue) close() {
 	q.mu.Unlock()
 }
 
-func (q *pairQueue) run(clock vclock.Clock) {
+func (q *pairQueue) run() {
 	for {
 		q.mu.Lock()
 		for len(q.items) == 0 && !q.closed {
@@ -540,8 +533,8 @@ func (q *pairQueue) run(clock vclock.Clock) {
 		q.items = q.items[1:]
 		q.mu.Unlock()
 
-		if wait := it.deliverAt.Sub(clock.Now()); wait > 0 {
-			clock.Sleep(wait)
+		if wait := time.Until(it.deliverAt); wait > 0 {
+			time.Sleep(wait)
 		}
 		it.fn()
 	}

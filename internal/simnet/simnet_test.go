@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 )
 
 // recorder is a test handler recording deliveries.
@@ -364,41 +363,40 @@ func TestKillNodeIsBidirectional(t *testing.T) {
 
 func TestLinkScheduleSerializesInterfaces(t *testing.T) {
 	base := time.Unix(1000, 0)
-	clk := vclock.NewManual(base)
-	n := New(Config{Clock: clk, PerMessage: 10 * time.Millisecond})
+	n := New(Config{PerMessage: 10 * time.Millisecond})
 	defer n.Close()
 
 	// Three messages from the same source to the same destination: each
 	// claims the next tx slot (10ms apart), then the next rx slot — the
 	// k-th delivery lands at base + (k+1)×10ms.
 	for k, want := range []time.Duration{20, 30, 40} {
-		got := n.linkSchedule(1, 2, 0)
+		got := n.linkSchedule(base, 1, 2, 0)
 		if got.Sub(base) != want*time.Millisecond {
 			t.Fatalf("msg %d deliverAt = +%v, want +%vms", k, got.Sub(base), want)
 		}
 	}
 
 	// Distinct sources contend only at the shared receiver.
-	n2 := New(Config{Clock: clk, PerMessage: 10 * time.Millisecond})
+	n2 := New(Config{PerMessage: 10 * time.Millisecond})
 	defer n2.Close()
-	if got := n2.linkSchedule(1, 3, 0); got.Sub(base) != 20*time.Millisecond {
+	if got := n2.linkSchedule(base, 1, 3, 0); got.Sub(base) != 20*time.Millisecond {
 		t.Fatalf("src1 deliverAt = +%v, want +20ms", got.Sub(base))
 	}
-	if got := n2.linkSchedule(2, 3, 0); got.Sub(base) != 30*time.Millisecond {
+	if got := n2.linkSchedule(base, 2, 3, 0); got.Sub(base) != 30*time.Millisecond {
 		t.Fatalf("src2 deliverAt = +%v, want +30ms", got.Sub(base))
 	}
 
 	// PerByte extends the occupancy with payload size.
-	n3 := New(Config{Clock: clk, PerByte: time.Millisecond})
+	n3 := New(Config{PerByte: time.Millisecond})
 	defer n3.Close()
-	if got := n3.linkSchedule(1, 2, 5); got.Sub(base) != 10*time.Millisecond {
+	if got := n3.linkSchedule(base, 1, 2, 5); got.Sub(base) != 10*time.Millisecond {
 		t.Fatalf("5-byte deliverAt = +%v, want +10ms", got.Sub(base))
 	}
 
 	// Without interface costs the schedule degenerates to now + latency.
-	n4 := New(Config{Clock: clk, Latency: func(_, _ ids.NodeID) time.Duration { return 7 * time.Millisecond }})
+	n4 := New(Config{Latency: func(_, _ ids.NodeID) time.Duration { return 7 * time.Millisecond }})
 	defer n4.Close()
-	if got := n4.linkSchedule(1, 2, 99); got.Sub(base) != 7*time.Millisecond {
+	if got := n4.linkSchedule(base, 1, 2, 99); got.Sub(base) != 7*time.Millisecond {
 		t.Fatalf("latency-only deliverAt = +%v, want +7ms", got.Sub(base))
 	}
 }

@@ -56,8 +56,6 @@ type Config struct {
 	// deployment; it defaults to 5ms, a comfortable bound for loopback
 	// and LAN.
 	MaxComm time.Duration
-	// DialTimeout bounds connection establishment. Defaults to 5s.
-	DialTimeout time.Duration
 	// CallTimeout bounds one request/response exchange, so a hung peer
 	// (partition without RST, stopped process) cannot wedge a caller —
 	// in particular the DGC driver, whose stalled beats would delay
@@ -66,6 +64,9 @@ type Config struct {
 	// to 5s; negative disables the bound.
 	CallTimeout time.Duration
 }
+
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
 
 // ErrCallTimeout reports a call that exceeded Config.CallTimeout without
 // a response. Check with errors.Is.
@@ -117,9 +118,6 @@ type pairKey struct {
 func New(cfg Config) (*Network, error) {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 5 * time.Second
@@ -209,7 +207,7 @@ func (n *Network) CallAddr(addr string, class transport.Class, payload []byte) (
 	if len(payload) > maxPayloadSize {
 		return nil, fmt.Errorf("tcpnet: payload %d bytes exceeds frame limit %d", len(payload), maxPayloadSize)
 	}
-	c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
 	}
@@ -508,7 +506,7 @@ func (n *Network) conn(key pairKey, addr string) (*clientConn, error) {
 
 	// Dial outside the lock; losing the race to a concurrent dialer just
 	// closes the extra connection.
-	c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %v via %s: %w", key.dst, addr, err)
 	}

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/vclock"
 )
 
 // BatchItem is one message inside a batch envelope.
@@ -143,10 +142,6 @@ type FlusherConfig struct {
 	// it is corked until its sender blocks (see Flusher). Window must be
 	// > 0; a Flusher is only built when batching is enabled.
 	Window time.Duration
-	// Clock drives the linger window, so batching stays deterministic
-	// under scaled or manual clocks like every other protocol timer.
-	// Defaults to the real clock.
-	Clock vclock.Clock
 }
 
 // Flusher is the per-(source, destination) smart-batching engine in front
@@ -200,9 +195,6 @@ type lane struct {
 
 // NewFlusher wraps ep in a batching flusher. cfg.Window must be positive.
 func NewFlusher(ep Endpoint, cfg FlusherConfig) *Flusher {
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real{}
-	}
 	bs, _ := ep.(BatchSender)
 	return &Flusher{ep: ep, bs: bs, cfg: cfg, lanes: make(map[ids.NodeID]*lane)}
 }
@@ -339,10 +331,9 @@ func (f *Flusher) Flush(dst ids.NodeID) {
 	l.mu.Unlock()
 }
 
-// closeGrace bounds how long Close waits for in-flight lane writes. The
-// bound is wall time on purpose: it guards against an endpoint write
-// blocked on a hung peer (e.g. a full TCP socket buffer with no write
-// deadline), which is an OS-level condition no virtual clock governs.
+// closeGrace bounds how long Close waits for in-flight lane writes. It
+// guards against an endpoint write blocked on a hung peer (e.g. a full
+// TCP socket buffer with no write deadline).
 // After the grace the lane is abandoned — the caller is expected to
 // close the transport next, which fails the stuck write and lets the
 // drainer exit on its own.
@@ -406,24 +397,18 @@ func (f *Flusher) drainPasses(l *lane) {
 		}
 		if !l.rush && l.bytes < maxFrameBytes {
 			// Linger: give co-destination companions up to the window to
-			// arrive before the frame goes out. The window runs on the
-			// configured clock so simulated-time runs stay deterministic.
+			// arrive before the frame goes out.
 			fired := false
-			cancel := make(chan struct{})
-			go func() {
-				select {
-				case <-f.cfg.Clock.After(f.cfg.Window):
-					l.mu.Lock()
-					fired = true
-					l.cond.Broadcast()
-					l.mu.Unlock()
-				case <-cancel:
-				}
-			}()
+			t := time.AfterFunc(f.cfg.Window, func() {
+				l.mu.Lock()
+				fired = true
+				l.cond.Broadcast()
+				l.mu.Unlock()
+			})
 			for !fired && !l.rush && l.bytes < maxFrameBytes {
 				l.cond.Wait()
 			}
-			close(cancel)
+			t.Stop()
 		}
 		items := takeUpTo(l, maxFrameBytes)
 		l.mu.Unlock()

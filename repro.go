@@ -56,11 +56,19 @@
 // referencer closure is idle, which is the paper's Garbage property.
 //
 // The network substrate is pluggable: Config.Transport selects the
-// backend behind the runtime — nil means the in-memory simulated network
+// backend behind the runtime — nil means a zero-latency in-memory
+// simulated network, NewSimTransport builds one with a latency model
 // (internal/simnet), and NewTCPTransport gives real TCP connections
 // (internal/tcpnet) with identical FIFO, exchange and accounting
 // semantics, so the same program runs single-process, multi-process or
-// multi-machine (see examples/tcpdemo and Config.FirstNode).
+// multi-machine (see examples/tcpdemo and Config.FirstNode). The
+// substrate also states the bound on one-way communication time that
+// the TTA formula needs (Transport.MaxComm).
+//
+// The runtime runs on the wall clock. The paper's 30 s beats are run
+// compressed by dividing every paper-time duration (TTB, TTA, latencies,
+// timeouts) by one factor and multiplying measured durations by it; the
+// DGC depends only on duration ratios (DESIGN.md §3, examples/griddeploy).
 //
 // Config.Cluster makes the deployment elastic: processes join through a
 // seed at runtime (Env.Join) and lease disjoint node-ID blocks, failure
@@ -90,18 +98,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/ids"
+	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/tcpnet"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
 // Re-exported core types. See the internal packages for full
 // documentation.
 type (
-	// Config parameterizes an environment (TTB, TTA, clock, topology —
-	// and the hot-path batching knob Config.BatchWindow: a positive
+	// Config parameterizes an environment (TTB, TTA, transport — and the
+	// hot-path batching knob Config.BatchWindow: a positive
 	// BatchWindow routes each node's outbound traffic through a
 	// per-destination flusher that packs co-destination messages into one
 	// frame, see WIRE.md §5).
@@ -144,6 +152,11 @@ type (
 	Class = transport.Class
 	// Counters is a per-class traffic snapshot (Env.Network().Snapshot()).
 	Counters = transport.Counters
+	// SimConfig parameterizes the in-memory transport backend: its
+	// latency model, MaxComm and reachability rules.
+	SimConfig = simnet.Config
+	// SimTransport is the in-memory Transport implementation.
+	SimTransport = simnet.Network
 	// TCPConfig parameterizes the TCP transport backend.
 	TCPConfig = tcpnet.Config
 	// TCPTransport is the TCP Transport implementation: one process's
@@ -416,6 +429,18 @@ const (
 	NodeLeft = cluster.StateLeft
 )
 
+// NewSimTransport creates an in-memory substrate with cfg's latency model
+// and MaxComm; put it in Config.Transport:
+//
+//	topo := repro.Grid5000()
+//	tr := repro.NewSimTransport(repro.SimConfig{Latency: topo.Latency, MaxComm: topo.MaxComm()})
+//	env := repro.NewEnv(repro.Config{Transport: tr})
+//
+// The environment owns the transport and closes it in Env.Close.
+func NewSimTransport(cfg SimConfig) *SimTransport {
+	return simnet.New(cfg)
+}
+
 // NewTCPTransport creates the real-network substrate: a TCP listener for
 // this process's nodes plus persistent, FIFO, per-(source, destination)
 // connections to every peer. Put the result in Config.Transport and the
@@ -440,17 +465,11 @@ func NewEnv(cfg Config) *Env {
 }
 
 // Grid5000 returns the paper's §5.1 testbed topology (128 nodes on three
-// sites with the measured RTTs); use Topology.Latency and
-// Topology.MaxComm in Config to deploy on it, and Topology.Scaled for
-// laptop-scale variants.
+// sites with the measured RTTs); pass Topology.Latency and
+// Topology.MaxComm in a SimConfig to deploy on it (NewSimTransport), and
+// use Topology.Scaled for laptop-scale variants.
 func Grid5000() *Topology {
 	return grid.Grid5000()
-}
-
-// ScaledClock returns a clock running factor× faster than wall time, for
-// running paper-scale TTB/TTA values (30 s/61 s) in compressed time.
-func ScaledClock(factor int64) vclock.Clock {
-	return vclock.NewScaled(factor)
 }
 
 // Value constructors, re-exported from the wire model.

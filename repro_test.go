@@ -35,17 +35,21 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 // TestPublicAPIDistributedCycle builds the motivating scenario on the
-// paper's (scaled) Grid'5000 topology with paper TTB/TTA values on a
-// compressed clock: a cross-site cycle of activities that explicit code
+// paper's (scaled) Grid'5000 topology with paper TTB/TTA values,
+// compressed 1000×: a cross-site cycle of activities that explicit code
 // never terminates, reclaimed automatically.
 func TestPublicAPIDistributedCycle(t *testing.T) {
+	// Paper time in, wall time out: every paper-time duration is divided
+	// by the factor (DESIGN.md §3).
+	const scale = 1000
 	topo := repro.Grid5000().Scaled(32) // 2+2+2 nodes, real RTTs
 	env := repro.NewEnv(repro.Config{
-		TTB:     30 * time.Second,
-		TTA:     75 * time.Second,
-		Clock:   repro.ScaledClock(1000),
-		Latency: topo.Latency,
-		MaxComm: topo.MaxComm(),
+		TTB: 30 * time.Second / scale,
+		TTA: 75 * time.Second / scale,
+		Transport: repro.NewSimTransport(repro.SimConfig{
+			Latency: func(a, b repro.NodeID) time.Duration { return topo.Latency(a, b) / scale },
+			MaxComm: topo.MaxComm() / scale,
+		}),
 	})
 	defer env.Close()
 
@@ -69,7 +73,7 @@ func TestPublicAPIDistributedCycle(t *testing.T) {
 	}
 	for i, h := range handles {
 		next := handles[(i+1)%n]
-		if _, err := h.CallSync("hold", next.Ref(), 10*time.Second); err != nil {
+		if _, err := h.CallSync("hold", next.Ref(), 10*time.Second/scale); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,8 +81,8 @@ func TestPublicAPIDistributedCycle(t *testing.T) {
 		h.Release()
 	}
 	// Collection needs O(h·TTB) + TTA ≈ a few hundred paper-seconds; the
-	// timeout is on the scaled clock (30 paper-minutes ≈ 1.8 wall-seconds).
-	if _, err := env.WaitCollected(0, 30*time.Minute); err != nil {
+	// timeout is 30 paper-minutes (1.8 wall-seconds).
+	if _, err := env.WaitCollected(0, 30*time.Minute/scale); err != nil {
 		t.Fatalf("distributed cycle not collected: %v (stats %+v)", err, env.Stats())
 	}
 	st := env.Stats()
