@@ -81,6 +81,16 @@ lint:
 bench:
 	bash bench/run.sh -out bench.json
 
+# N interleaved pairs of one workload, OTHER (a checkout of the parent
+# commit) against this tree, each run `bench/run.sh -workload W -seconds
+# 18`: prints every end-to-end metric's medians, quartiles and the pairs
+# the change won (scripts/pairs.sh).
+N ?= 10
+.PHONY: pairs
+pairs:
+	@test -n "$(OTHER)" -a -n "$(W)" || { echo "usage: make pairs OTHER=<parent checkout> W=<workload> [N=10]"; exit 2; }
+	bash scripts/pairs.sh $(OTHER) $(W) $(N)
+
 # The paper-figure and dispatch micro-benchmarks (EXPERIMENTS.md tables),
 # over the whole tree: the root package's paper figures plus the
 # internal/active, internal/tcpnet and internal/transport hot-path

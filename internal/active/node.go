@@ -270,21 +270,25 @@ func (n *Node) HandleCall(from ids.NodeID, class transport.Class, payload []byte
 		}
 		return nil
 	}
-	obs, err := decodeDGC(payload)
+	// A malformed exchange is refused whole: no collector hears of it.
+	var r wire.Reader
+	count, err := openDGC(&r, payload)
 	if err != nil {
 		return nil
 	}
 	now := n.env.now()
-	resps := make([]*core.Response, len(obs))
-	got := make([]core.Response, len(obs))
-	for i, ob := range obs {
+	reply := dgcHead(count, core.MaxResponseSize)
+	for range count {
+		ob := core.ReadMessage(&r)
+		var resp *core.Response // nil: the target is gone
 		if ao, ok := n.activity(ob.To); ok {
-			got[i] = ao.collector.HandleMessage(ob.Msg, now)
-			resps[i] = &got[i]
+			got := ao.collector.HandleMessage(ob.Msg, now)
+			resp = &got
 			n.redirectIfForwarder(ao, from)
 		}
+		reply = core.AppendResponse(reply, resp, ob.Msg.Clock)
 	}
-	return encodeDGCResponse(obs, resps)
+	return reply
 }
 
 // redirectIfForwarder pushes a rebinding notice back at a node that just

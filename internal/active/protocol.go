@@ -206,34 +206,53 @@ func decodeFutureSubscribe(buf []byte) (FutureID, ids.NodeID, error) {
 // one record per message, in the same order.
 const dgcTag byte = 0xB7
 
+// dgcHead starts an exchange of count records, with room for them
+// at size bytes each.
+func dgcHead(count, size int) []byte {
+	buf := make([]byte, 0, 1+binary.MaxVarintLen32+count*size)
+	buf = append(buf, dgcTag)
+	return binary.AppendUvarint(buf, uint64(count))
+}
+
 // encodeDGC packs the messages of one exchange.
 func encodeDGC(obs []core.Outbound) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen32+len(obs)*core.MaxMessageSize)
-	buf = append(buf, dgcTag)
-	buf = binary.AppendUvarint(buf, uint64(len(obs)))
+	buf := dgcHead(len(obs), core.MaxMessageSize)
 	for _, ob := range obs {
 		buf = core.AppendMessage(buf, ob)
 	}
 	return buf
 }
 
-func decodeDGC(buf []byte) ([]core.Outbound, error) {
-	var r wire.Reader
+// openDGC checks a whole exchange's messages and leaves r at the first of
+// them; it returns their count.
+func openDGC(r *wire.Reader, buf []byte) (int, error) {
 	r.Reset(buf, errBadEnvelope)
 	r.Expect(dgcTag)
-	obs := make([]core.Outbound, r.Count(r.Len()/core.MinMessageSize))
+	count := r.Count(r.Len() / core.MinMessageSize)
+	check := *r
+	for range count {
+		core.ReadMessage(&check)
+	}
+	return count, check.Done()
+}
+
+func decodeDGC(buf []byte) ([]core.Outbound, error) {
+	var r wire.Reader
+	count, err := openDGC(&r, buf)
+	if err != nil {
+		return nil, err
+	}
+	obs := make([]core.Outbound, count)
 	for i := range obs {
 		obs[i] = core.ReadMessage(&r)
 	}
-	return obs, r.Done()
+	return obs, nil
 }
 
 // encodeDGCResponse packs the responses to obs positionally; a nil
 // response means its target is gone.
 func encodeDGCResponse(obs []core.Outbound, resps []*core.Response) []byte {
-	buf := make([]byte, 0, 1+binary.MaxVarintLen32+len(resps)*core.MaxResponseSize)
-	buf = append(buf, dgcTag)
-	buf = binary.AppendUvarint(buf, uint64(len(resps)))
+	buf := dgcHead(len(resps), core.MaxResponseSize)
 	for i, r := range resps {
 		buf = core.AppendResponse(buf, r, obs[i].Msg.Clock)
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -544,7 +544,7 @@ func (c *Collector) Tick(now time.Time) TickResult {
 		maps.Copy(live, c.referenced)
 		c.referenced, c.refPeak = live, len(live)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To.Less(out[j].To) })
+	slices.SortFunc(out, func(a, b Outbound) int { return a.To.Compare(b.To) })
 	return TickResult{Messages: out, NextBeat: c.nextBeatLocked(idle)}
 }
 
@@ -596,7 +596,7 @@ func (c *Collector) Referencers() []ids.ActivityID {
 	for id := range c.referencers {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, ids.ActivityID.Compare)
 	return out
 }
 
@@ -609,7 +609,7 @@ func (c *Collector) Referenced() []ids.ActivityID {
 	for id := range c.referenced {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, ids.ActivityID.Compare)
 	return out
 }
 

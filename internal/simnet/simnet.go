@@ -20,6 +20,11 @@
 //     the per-packet overhead and finite bandwidth real deployments
 //     have — the regime where fan-out topology matters.
 //
+// A sender delivers on its own goroutine when the pair is idle and its
+// head due, so it must hold no lock a handler could take; a send made
+// while a handler of the sender's node runs is delivered on another
+// goroutine, so handlers nest at most one deep.
+//
 // The sibling internal/tcpnet implements the same contract over real TCP
 // connections; internal/active runs over either.
 package simnet
@@ -45,7 +50,6 @@ const (
 	ClassDGC = transport.ClassDGC
 	// ClassFuture is future-update traffic (results flowing back).
 	ClassFuture = transport.ClassFuture
-	numClasses  = transport.NumClasses
 )
 
 // Errors returned by the network, shared with every transport backend so
@@ -93,9 +97,7 @@ type Counters = transport.Counters
 
 // numShards is the routing-table shard count: handler lookups and queue
 // get-or-creates for a destination contend only with traffic hashing to
-// the same shard, not with every sender in the world (the seed's single
-// routing mutex was the first thing the profiler surfaced once frames got
-// cheap).
+// the same shard, not with every sender in the world.
 const numShards = 32
 
 // shard is one slice of the routing state, keyed by destination node.
@@ -103,6 +105,8 @@ type shard struct {
 	mu     sync.Mutex
 	nodes  map[ids.NodeID]Handler
 	queues map[pairKey]*pairQueue
+	// handling counts the deliveries running now to each node ever registered.
+	handling map[ids.NodeID]*atomic.Int32
 }
 
 // Network is the shared medium. Create with New, attach nodes with
@@ -150,6 +154,7 @@ func New(cfg Config) *Network {
 	for i := range n.shards {
 		n.shards[i].nodes = make(map[ids.NodeID]Handler)
 		n.shards[i].queues = make(map[pairKey]*pairQueue)
+		n.shards[i].handling = make(map[ids.NodeID]*atomic.Int32)
 	}
 	return n
 }
@@ -195,7 +200,12 @@ func (n *Network) Register(node ids.NodeID, h Handler) transport.Endpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nodes[node] = h
-	return &Endpoint{net: n, node: node}
+	c := s.handling[node]
+	if c == nil {
+		c = new(atomic.Int32)
+		s.handling[node] = c
+	}
+	return &Endpoint{net: n, node: node, handling: c}
 }
 
 // Deregister detaches a node: subsequent traffic toward it fails with
@@ -208,7 +218,8 @@ func (n *Network) Deregister(node ids.NodeID) {
 	delete(s.nodes, node)
 }
 
-// Close stops delivery and waits for in-flight queue goroutines to drain.
+// Close refuses new traffic, delivers everything accepted before it, and
+// returns once every in-flight delivery and timer has finished.
 func (n *Network) Close() {
 	if n.closed.Swap(true) {
 		return
@@ -217,7 +228,9 @@ func (n *Network) Close() {
 		s := &n.shards[i]
 		s.mu.Lock()
 		for _, q := range s.queues {
-			q.close()
+			//lint:ignore SA2001 fence: a push that saw the network open has joined wg
+			q.mu.Lock()
+			q.mu.Unlock()
 		}
 		s.mu.Unlock()
 	}
@@ -231,13 +244,22 @@ func (n *Network) Close() {
 // ErrUnreachable (the RST a dead peer's kernel would send), and the
 // victim's own outbound traffic vanishes the same way — its runtime may
 // keep running in-process, but nothing it emits can prove it alive.
-// Unlike
-// Deregister the victim never reports ErrUnknownNode — to senders it is
-// indistinguishable from a live-but-silent peer, which is exactly what a
-// failure detector must cope with (§4.2). A kill lasts until ReviveNode
-// (the restart chaos hook); without one it is permanent for the
+// Unlike Deregister the victim never reports ErrUnknownNode — to senders
+// it is indistinguishable from a live-but-silent peer, which is exactly
+// what a failure detector must cope with (§4.2). A kill lasts until
+// ReviveNode (the restart chaos hook); without one it is permanent for the
 // network's lifetime.
-func (n *Network) KillNode(node ids.NodeID) {
+func (n *Network) KillNode(node ids.NodeID) { n.setKilled(node, true) }
+
+// ReviveNode lifts a KillNode blackhole: the restart chaos hook for
+// crash-recovery tests, modelling the machine coming back up under the
+// same identity. The revived node's handler registration is untouched —
+// a restarting runtime re-registers itself anyway.
+func (n *Network) ReviveNode(node ids.NodeID) { n.setKilled(node, false) }
+
+// setKilled replaces the copy-on-write killed set by one with node in it
+// or out of it.
+func (n *Network) setKilled(node ids.NodeID, killed bool) {
 	n.killMu.Lock()
 	defer n.killMu.Unlock()
 	next := make(map[ids.NodeID]struct{})
@@ -246,29 +268,10 @@ func (n *Network) KillNode(node ids.NodeID) {
 			next[k] = struct{}{}
 		}
 	}
-	next[node] = struct{}{}
-	n.killed.Store(&next)
-}
-
-// ReviveNode lifts a KillNode blackhole: the restart chaos hook for
-// crash-recovery tests, modelling the machine coming back up under the
-// same identity. The revived node's handler registration is untouched —
-// a restarting runtime re-registers itself anyway.
-func (n *Network) ReviveNode(node ids.NodeID) {
-	n.killMu.Lock()
-	defer n.killMu.Unlock()
-	old := n.killed.Load()
-	if old == nil {
-		return
-	}
-	if _, ok := (*old)[node]; !ok {
-		return
-	}
-	next := make(map[ids.NodeID]struct{}, len(*old)-1)
-	for k := range *old {
-		if k != node {
-			next[k] = struct{}{}
-		}
+	if killed {
+		next[node] = struct{}{}
+	} else {
+		delete(next, node)
 	}
 	n.killed.Store(&next)
 }
@@ -288,14 +291,9 @@ func (n *Network) Snapshot() Counters {
 	return n.counters.Snapshot()
 }
 
-// ResetCounters zeroes the traffic counters (used between benchmark
-// phases).
+// ResetCounters zeroes the traffic counters (used between benchmark phases).
 func (n *Network) ResetCounters() {
 	n.counters.Reset()
-}
-
-func (n *Network) account(class Class, size int) {
-	n.counters.Account(class, size)
 }
 
 // route is the step Send, SendBatch and Call share: it resolves dst's
@@ -328,13 +326,8 @@ func (n *Network) route(src, dst ids.NodeID) (Handler, *pairQueue, error) {
 	key := pairKey{src: src, dst: dst}
 	q, okQ := s.queues[key]
 	if !okQ {
-		q = newPairQueue()
+		q = &pairQueue{net: n, handling: s.handling[dst]}
 		s.queues[key] = q
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			q.run()
-		}()
 	}
 	return h, q, nil
 }
@@ -355,6 +348,15 @@ func oneWay(err error) error {
 		return nil
 	}
 	return err
+}
+
+// deliverAt is linkSchedule from now. A link with no latency and no
+// interface costs is due at once: the zero Time, and no clock read.
+func (n *Network) deliverAt(src, dst ids.NodeID, bytes int) time.Time {
+	if n.txFree == nil && n.cfg.Latency(src, dst) == 0 {
+		return time.Time{}
+	}
+	return n.linkSchedule(time.Now(), src, dst, bytes)
 }
 
 // linkSchedule computes when a message of the given size, sent at now,
@@ -389,8 +391,9 @@ func (n *Network) linkSchedule(now time.Time, src, dst ids.NodeID, bytes int) ti
 // Endpoint is a node's attachment point to the network. It implements
 // transport.Endpoint.
 type Endpoint struct {
-	net  *Network
-	node ids.NodeID
+	net      *Network
+	node     ids.NodeID
+	handling *atomic.Int32 // deliveries to node running now
 }
 
 // Node returns the endpoint's node identifier.
@@ -407,11 +410,11 @@ func (e *Endpoint) Send(dst ids.NodeID, class Class, payload []byte) error {
 		h.HandleOneWay(e.node, class, payload)
 		return nil
 	}
-	e.net.account(class, len(payload))
+	e.net.counters.Account(class, len(payload))
 	return q.push(item{
-		deliverAt: e.net.linkSchedule(time.Now(), e.node, dst, len(payload)),
+		deliverAt: e.net.deliverAt(e.node, dst, len(payload)),
 		fn:        func() { h.HandleOneWay(e.node, class, payload) },
-	})
+	}, e.handling)
 }
 
 // SendBatch transmits several one-way messages to dst as one delivery:
@@ -435,20 +438,20 @@ func (e *Endpoint) SendBatch(dst ids.NodeID, items []transport.BatchItem) error 
 	}
 	total := 0
 	for _, it := range items {
-		e.net.account(it.Class, len(it.Payload))
+		e.net.counters.Account(it.Class, len(it.Payload))
 		total += len(it.Payload)
 	}
 	batch := items[:len(items):len(items)]
 	// One frame on the wire: the batch pays the fixed interface cost
 	// once, plus bandwidth for every byte in it.
 	return q.push(item{
-		deliverAt: e.net.linkSchedule(time.Now(), e.node, dst, total),
+		deliverAt: e.net.deliverAt(e.node, dst, total),
 		fn: func() {
 			for _, it := range batch {
 				h.HandleOneWay(e.node, it.Class, it.Payload)
 			}
 		},
-	})
+	}, e.handling)
 }
 
 // Call performs a request/response exchange with dst. The response travels
@@ -462,12 +465,12 @@ func (e *Endpoint) Call(dst ids.NodeID, class Class, payload []byte) ([]byte, er
 	case q == nil:
 		return h.HandleCall(e.node, class, payload), nil
 	}
-	e.net.account(class, len(payload))
+	e.net.counters.Account(class, len(payload))
 	done := make(chan []byte, 1)
 	err = q.push(item{
-		deliverAt: e.net.linkSchedule(time.Now(), e.node, dst, len(payload)),
+		deliverAt: e.net.deliverAt(e.node, dst, len(payload)),
 		fn:        func() { done <- h.HandleCall(e.node, class, payload) },
-	})
+	}, e.handling)
 	if err != nil {
 		return nil, err
 	}
@@ -476,66 +479,90 @@ func (e *Endpoint) Call(dst ids.NodeID, class Class, payload []byte) ([]byte, er
 	if l := e.net.cfg.Latency(dst, e.node); l > 0 {
 		time.Sleep(l)
 	}
-	e.net.account(class, len(resp))
+	e.net.counters.Account(class, len(resp))
 	return resp, nil
 }
 
 // item is one queued delivery.
 type item struct {
-	deliverAt time.Time
+	deliverAt time.Time // zero: due at once
 	fn        func()
 }
 
+// inlineBudget bounds how many deliveries a sender makes on its own
+// goroutine before it hands the rest of the pair's backlog to one.
+const inlineBudget = 64
+
 // pairQueue delivers items for one ordered node pair in FIFO order, each no
-// earlier than its deliverAt time.
+// earlier than its deliverAt time. It owns no goroutine: the sender that
+// finds no delivery running delivers the due items itself, up to
+// inlineBudget, and hands what is left to one goroutine, or to a timer
+// when the head is not due yet. busy marks a delivery in progress and
+// holds one count of net.wg, so Close waits for it.
 type pairQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []item
-	closed bool
+	net      *Network
+	handling *atomic.Int32 // the destination's
+	mu       sync.Mutex
+	items    []item
+	busy     bool
 }
 
-func newPairQueue() *pairQueue {
-	q := &pairQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *pairQueue) push(it item) error {
+// push queues it and, unless a delivery is running, delivers; from counts
+// the handlers of the sender's node running now. While one runs, possibly
+// on this goroutine, the delivery goes to a goroutine: a handler nested
+// inside that one could make a Call that waits on a pair this goroutine
+// is still delivering.
+func (q *pairQueue) push(it item, from *atomic.Int32) error {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+	if q.net.closed.Load() {
+		q.mu.Unlock()
 		return ErrClosed
 	}
 	q.items = append(q.items, it)
-	q.cond.Signal()
+	if q.busy {
+		q.mu.Unlock()
+		return nil
+	}
+	q.busy = true
+	q.net.wg.Add(1)
+	q.mu.Unlock()
+	if from.Load() > 0 {
+		go q.deliver(-1)
+	} else {
+		q.deliver(inlineBudget)
+	}
 	return nil
 }
 
-func (q *pairQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-func (q *pairQueue) run() {
-	for {
+// deliver runs due items in order until the queue is empty, the head is
+// not due yet (a timer resumes), or budget deliveries are made (a goroutine
+// resumes); budget < 0 means no bound. The caller owns busy.
+func (q *pairQueue) deliver(budget int) {
+	for ; ; budget-- {
 		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed {
-			q.cond.Wait()
-		}
-		if len(q.items) == 0 && q.closed {
+		if len(q.items) == 0 {
+			q.items = nil
+			q.busy = false
 			q.mu.Unlock()
+			q.net.wg.Done()
 			return
 		}
 		it := q.items[0]
+		if !it.deliverAt.IsZero() && time.Now().Before(it.deliverAt) {
+			time.AfterFunc(time.Until(it.deliverAt), func() { q.deliver(-1) })
+			q.mu.Unlock()
+			return
+		}
+		if budget == 0 {
+			go q.deliver(-1)
+			q.mu.Unlock()
+			return
+		}
+		q.items[0] = item{}
 		q.items = q.items[1:]
 		q.mu.Unlock()
-
-		if wait := time.Until(it.deliverAt); wait > 0 {
-			time.Sleep(wait)
-		}
+		q.handling.Add(1)
 		it.fn()
+		q.handling.Add(-1)
 	}
 }

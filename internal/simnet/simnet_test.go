@@ -2,7 +2,9 @@ package simnet
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -425,4 +427,117 @@ func TestPerMessageDeliveryEndToEnd(t *testing.T) {
 			t.Fatalf("out-of-order delivery at %d", i)
 		}
 	}
+}
+
+// stamper records each one-way payload's first byte with its arrival time.
+type stamper struct {
+	mu  sync.Mutex
+	seq []byte
+	at  []time.Time
+}
+
+func (s *stamper) HandleOneWay(_ ids.NodeID, _ Class, p []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq = append(s.seq, p[0])
+	s.at = append(s.at, time.Now())
+}
+
+func (s *stamper) HandleCall(ids.NodeID, Class, []byte) []byte { return nil }
+
+func (s *stamper) len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.seq)
+}
+
+// TestLatencyKeepsOrderAndDeliverAt sends bursts over a link with latency:
+// a delivery waits for its deliverAt on a timer while later sends queue
+// behind it, and every message still arrives in order, no earlier than
+// its send time plus the latency.
+func TestLatencyKeepsOrderAndDeliverAt(t *testing.T) {
+	const lat, k = 4 * time.Millisecond, 40
+	n := New(Config{Latency: func(_, _ ids.NodeID) time.Duration { return lat }})
+	defer n.Close()
+	var rx stamper
+	n.Register(2, &rx)
+	ep := n.Register(1, &recorder{})
+	sent := make([]time.Time, k)
+	for i := 0; i < k; i++ {
+		if i%8 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		sent[i] = time.Now()
+		if err := ep.Send(2, ClassApp, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return rx.len() == k })
+	rx.mu.Lock()
+	defer rx.mu.Unlock()
+	for i := 0; i < k; i++ {
+		if rx.seq[i] != byte(i) {
+			t.Fatalf("delivery %d carried message %d", i, rx.seq[i])
+		}
+		if early := sent[i].Add(lat).Sub(rx.at[i]); early > 0 {
+			t.Fatalf("message %d arrived %v before its deliverAt", i, early)
+		}
+	}
+}
+
+// exchangeAll registers k nodes and has each send one message to every
+// other node; it returns how many arrived so far.
+func exchangeAll(t *testing.T, n *Network, k int) func() int {
+	var got atomic.Int32
+	eps := make([]transport.Endpoint, k)
+	for i := range eps {
+		eps[i] = n.Register(ids.NodeID(i+1), countOneWay{&got})
+	}
+	for i, ep := range eps {
+		for j := range eps {
+			if i != j {
+				if err := ep.Send(ids.NodeID(j+1), ClassApp, []byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return func() int { return int(got.Load()) }
+}
+
+type countOneWay struct{ n *atomic.Int32 }
+
+func (c countOneWay) HandleOneWay(ids.NodeID, Class, []byte)      { c.n.Add(1) }
+func (c countOneWay) HandleCall(ids.NodeID, Class, []byte) []byte { return nil }
+
+// TestIdlePairsStartNoGoroutine exchanges one message per ordered pair of
+// 16 nodes on a zero-config network: every delivery runs on its sender,
+// and no pair leaves a goroutine behind.
+func TestIdlePairsStartNoGoroutine(t *testing.T) {
+	const k = 16
+	base := runtime.NumGoroutine()
+	n := New(Config{})
+	defer n.Close()
+	got := exchangeAll(t, n, k)
+	if got() != k*(k-1) {
+		t.Fatalf("delivered %d of %d on return from Send", got(), k*(k-1))
+	}
+	if g := runtime.NumGoroutine(); g > base {
+		t.Fatalf("%d goroutines after the exchange, %d before", g, base)
+	}
+}
+
+// TestCloseDeliversAcceptedAndLeavesNoGoroutine closes a network whose 240
+// messages are all still waiting out their latency: Close delivers every
+// one before it returns, and the goroutine count returns to its baseline.
+func TestCloseDeliversAcceptedAndLeavesNoGoroutine(t *testing.T) {
+	const k = 16
+	base := runtime.NumGoroutine()
+	n := New(Config{Latency: func(_, _ ids.NodeID) time.Duration { return 20 * time.Millisecond }})
+	got := exchangeAll(t, n, k)
+	n.Close()
+	if got() != k*(k-1) {
+		t.Fatalf("Close returned with %d of %d accepted messages delivered", got(), k*(k-1))
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= base })
 }

@@ -2,8 +2,11 @@ package transport_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ids"
 	"repro/internal/simnet"
@@ -99,4 +102,150 @@ func messages(c transport.Counters) uint64 {
 		n += m
 	}
 	return n
+}
+
+// fifoCheck counts per-sender sequence numbers as they arrive: payload
+// [sender, seq hi, seq lo].
+type fifoCheck struct {
+	mu   sync.Mutex
+	next map[byte]int
+	got  int
+	want int
+	bad  string
+	done chan struct{}
+}
+
+func (f *fifoCheck) HandleOneWay(_ ids.NodeID, _ transport.Class, p []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	g, seq := p[0], int(p[1])<<8|int(p[2])
+	if seq != f.next[g] && f.bad == "" {
+		f.bad = fmt.Sprintf("sender %d: got seq %d, want %d", g, seq, f.next[g])
+	}
+	f.next[g] = seq + 1
+	if f.got++; f.got == f.want {
+		close(f.done)
+	}
+}
+
+func (f *fifoCheck) HandleCall(ids.NodeID, transport.Class, []byte) []byte { return nil }
+
+// TestPairFIFOConcurrentSenders races 8 goroutines of one node sending to
+// one destination: each goroutine's messages arrive in the order it sent
+// them, whoever ends up delivering them.
+func TestPairFIFOConcurrentSenders(t *testing.T) {
+	const senders, per = 8, 300
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			tr := b.open(t)
+			defer tr.Close()
+			rx := &fifoCheck{next: map[byte]int{}, want: senders * per, done: make(chan struct{})}
+			tr.Register(2, rx)
+			ep := tr.Register(1, &counter{})
+			var wg sync.WaitGroup
+			for g := 0; g < senders; g++ {
+				wg.Add(1)
+				go func(g byte) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						if err := ep.Send(2, transport.ClassApp, []byte{g, byte(i >> 8), byte(i)}); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(byte(g))
+			}
+			wg.Wait()
+			select {
+			case <-rx.done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("delivered %d of %d", rx.count(), senders*per)
+			}
+			rx.mu.Lock()
+			defer rx.mu.Unlock()
+			if rx.bad != "" {
+				t.Fatal(rx.bad)
+			}
+		})
+	}
+}
+
+func (f *fifoCheck) count() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.got
+}
+
+// chain is the shared state of a callback chain: its plan, whether the
+// last hop arrived, and how many hops' sends have returned.
+type chain struct {
+	t        *testing.T
+	plan     string
+	arrived  chan struct{}
+	returned chan struct{}
+	sent     atomic.Int32
+}
+
+// chainer is one node of a chain. On hop d it sends hop d+1 to its peer,
+// by Send or Call as plan[d] says.
+type chainer struct {
+	*chain
+	ep   transport.Endpoint
+	peer ids.NodeID
+}
+
+func (c *chainer) hop(d byte) {
+	if int(d) == len(c.plan) {
+		close(c.arrived)
+		return
+	}
+	var err error
+	if c.plan[d] == 'C' {
+		_, err = c.ep.Call(c.peer, transport.ClassApp, []byte{d + 1})
+	} else {
+		err = c.ep.Send(c.peer, transport.ClassApp, []byte{d + 1})
+	}
+	if err != nil {
+		c.t.Errorf("hop %d: %v", d+1, err)
+	}
+	if int(c.sent.Add(1)) == len(c.plan) {
+		close(c.returned)
+	}
+}
+
+func (c *chainer) HandleOneWay(_ ids.NodeID, _ transport.Class, p []byte) { c.hop(p[0]) }
+
+func (c *chainer) HandleCall(_ ids.NodeID, _ transport.Class, p []byte) []byte {
+	c.hop(p[0])
+	return []byte{p[0]}
+}
+
+// TestCallbackChain runs three-hop chains A→B→A→B from handlers, one-way
+// sends and Calls mixed, on both backends. A chain whose last two hops are
+// both Calls is left out: its third hop waits for a delivery on the pair
+// its first hop is still being delivered on, which the Handler contract
+// rules out.
+func TestCallbackChain(t *testing.T) {
+	for _, b := range backends {
+		for _, plan := range []string{"SSS", "SSC", "SCS", "CSS", "CSC", "CCS"} {
+			t.Run(b.name+"/"+plan, func(t *testing.T) {
+				tr := b.open(t)
+				defer tr.Close()
+				ch := &chain{t: t, plan: plan, arrived: make(chan struct{}), returned: make(chan struct{})}
+				a := &chainer{chain: ch, peer: 2}
+				bb := &chainer{chain: ch, peer: 1}
+				a.ep = tr.Register(1, a)
+				bb.ep = tr.Register(2, bb)
+				a.hop(0)
+				timeout := time.After(10 * time.Second)
+				for _, c := range []chan struct{}{ch.arrived, ch.returned} {
+					select {
+					case <-c:
+					case <-timeout:
+						t.Fatalf("chain stuck after %d of %d sends returned", ch.sent.Load(), len(plan))
+					}
+				}
+			})
+		}
+	}
 }

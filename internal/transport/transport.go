@@ -85,6 +85,12 @@ var (
 // safe for concurrent use: distinct senders deliver concurrently (only
 // per-pair ordering is guaranteed).
 //
+// Delivery may run on the sending goroutine (internal/simnet delivers
+// there when the pair is idle), so a sender must hold no lock that a
+// handler could take. A handler must not block on a Call whose answer
+// needs a later delivery on a pair it is itself being delivered on: over
+// TCP as over simnet, that pair's deliveries wait for it to return.
+//
 // Payload slices are owned by the transport and valid only for the
 // duration of the call: a handler that needs bytes beyond its return must
 // copy them. (The runtime's envelope decoders copy everything they keep,

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/ids"
 )
@@ -104,25 +103,47 @@ func (r *Reader) U64() uint64 {
 	return 0
 }
 
-// Uvarint32 reads a minimally encoded uvarint that must fit 32 bits.
+// Uvarint32 reads a minimally encoded uvarint that must fit 32 bits. Like
+// Uvarint it makes no call, so it inlines: a one-byte value costs one
+// pass of the loop.
 func (r *Reader) Uvarint32() uint32 {
-	x := r.Uvarint()
-	if x > math.MaxUint32 {
-		r.Fail()
-		return 0
+	var x uint32
+	for i, b := range r.buf {
+		if i == 4 && b > 0x0f {
+			break // past 32 bits
+		}
+		x |= uint32(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if i > 0 && b == 0 {
+				break // not minimal
+			}
+			r.buf = r.buf[i+1:]
+			return x
+		}
 	}
-	return uint32(x)
+	r.Fail()
+	return 0
 }
 
-// Uvarint reads a minimally encoded uvarint.
+// Uvarint reads a minimally encoded uvarint. It makes no call, so it
+// inlines: a one-byte value costs one pass of the loop.
 func (r *Reader) Uvarint() uint64 {
-	x, n := binary.Uvarint(r.buf)
-	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
-		r.Fail()
-		return 0
+	var x uint64
+	for i, b := range r.buf {
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			break // past 64 bits
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if i > 0 && b == 0 {
+				break // not minimal
+			}
+			r.buf = r.buf[i+1:]
+			return x
+		}
 	}
-	r.buf = r.buf[n:]
-	return x
+	r.Fail()
+	return 0
 }
 
 // Count reads a uvarint element count, failing when it exceeds max or

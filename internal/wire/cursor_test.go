@@ -1,7 +1,12 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -91,3 +96,61 @@ func TestReaderRawValue(t *testing.T) {
 		}
 	}
 }
+
+// TestUvarintMatchesReference holds the call-free Uvarint and Uvarint32 to
+// binary.Uvarint plus the minimality and 32-bit rules, on the boundary
+// encodings and on random bytes: same value, same bytes consumed, same
+// refusals.
+func TestUvarintMatchesReference(t *testing.T) {
+	ref := func(b []byte, max uint64) (uint64, int, bool) {
+		x, n := binary.Uvarint(b)
+		if n <= 0 || (n > 1 && b[n-1] == 0) || x > max {
+			return 0, 0, false
+		}
+		return x, n, true
+	}
+	var inputs [][]byte
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 1<<14 - 1, 1 << 14, 1<<28 - 1, 1 << 28,
+		math.MaxUint32, math.MaxUint32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		enc := binary.AppendUvarint(nil, v)
+		inputs = append(inputs, enc, enc[:len(enc)-1], append(slices.Clone(enc), 0xaa))
+		if len(enc) < binary.MaxVarintLen64 {
+			padded := append(slices.Clone(enc), 0) // the non-minimal spelling
+			padded[len(enc)-1] |= 0x80
+			inputs = append(inputs, padded)
+		}
+	}
+	inputs = append(inputs, bytes.Repeat([]byte{0xff}, 11),
+		append(bytes.Repeat([]byte{0x80}, 9), 0x02), append(bytes.Repeat([]byte{0x80}, 4), 0x10))
+	rng := rand.New(rand.NewPCG(1, 2))
+	for range 20000 {
+		b := make([]byte, rng.IntN(12))
+		for i := range b {
+			b[i] = byte(rng.IntN(256))
+			if rng.IntN(3) == 0 {
+				b[i] |= 0x80
+			}
+		}
+		inputs = append(inputs, b)
+	}
+	for _, b := range inputs {
+		var r Reader
+		for _, c := range []struct {
+			max  uint64
+			read func() uint64
+		}{
+			{math.MaxUint64, r.Uvarint},
+			{math.MaxUint32, func() uint64 { return uint64(r.Uvarint32()) }},
+		} {
+			r.Reset(b, errBadTest)
+			got, ok := c.read(), r.Err() == nil
+			want, n, wantOK := ref(b, c.max)
+			if got != want || ok != wantOK || (ok && r.Len() != len(b)-n) {
+				t.Fatalf("%x (max %#x): got %d ok %v left %d, want %d ok %v n %d",
+					b, c.max, got, ok, r.Len(), want, wantOK, n)
+			}
+		}
+	}
+}
+
+var errBadTest = errors.New("bad test input")
